@@ -4,14 +4,19 @@ A random variable here is a real value attached to every (context,
 next-symbol) pair the model can produce.  The natural measure on those
 pairs weights a context by its normalized prefix mass and the symbol by
 its conditional probability; expectations, inner products, and
-orthogonal projections are then finite weighted sums over an enumerated
-support.
+orthogonal projections are then finite weighted sums over a support.
 
-Exact mode enumerates contexts level by level until all but ``tail_tol``
-of the context mass is covered; every result therefore comes with a
-certified tail bound.  Sample mode applies the same projection algebra
-to empirical vectors (one entry per corpus token) with moments estimated
-on training rows only, so held-out rows never leak into the fit.
+Every variable the package builds on that support (surprisal, frequency,
+PMI) depends on the context only through its state, so exact mode lumps
+the contexts of each state together: the support is the (state, symbol)
+cells with positive probability, weighted by the state's share of the
+truncated context mass.  The truncation runs level by level over context
+length until all but ``tail_tol`` of the context mass is covered, so
+every result comes with a certified tail bound, and lumping changes no
+value of any such variable.  Sample mode applies the same projection
+algebra to empirical vectors (one entry per corpus token) with moments
+estimated on training rows only, so held-out rows never leak into the
+fit.
 
 Reductions use numpy's pairwise summation in a fixed row order, keeping
 results reproducible bit for bit on a given platform.
@@ -19,16 +24,12 @@ results reproducible bit for bit on a given platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, ConvergenceError, DegenerateError
 from .lm import AutoregressiveLM, EnumerationBudget, _chain_arrays, prefix_normalizer
-
-# Hard cap on enumerated contexts: past this the support no longer fits
-# comfortably in memory and the model needs a looser tail_tol instead.
-MAX_CONTEXTS = 2_000_000
 
 # Below this squared norm a projection direction is treated as zero.
 ZERO_NORM_TOL = 1e-24
@@ -36,128 +37,76 @@ ZERO_NORM_TOL = 1e-24
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Enumerated support of the joint context/next-symbol measure.
+    """Truncated joint context/next-symbol measure, lumped by state.
 
-    Rows are stored column-wise: ``row_context`` indexes an internal
-    context trie, ``row_symbol`` indexes ``symbols`` (units followed by
-    the end-of-string symbol), ``row_cond`` is the conditional
-    probability of the symbol in that context, and ``weights`` carries
-    the joint mass.  ``tail_mass`` bounds the context mass left out of
-    the enumeration.
+    Rows are the (state, symbol) cells of the reached states with
+    positive conditional probability, stored column-wise and ordered by
+    state then symbol:
+    ``row_state`` indexes ``source.states``, ``row_symbol`` indexes
+    ``symbols`` (units followed by the end-of-string symbol),
+    ``row_cond`` is the conditional probability of the symbol in that
+    state, and ``weights`` carries the joint mass of all enumerated
+    contexts in the state.  ``tail_mass`` bounds the context mass left
+    out of the enumeration.
     """
 
     source: AutoregressiveLM
     budget: EnumerationBudget
     symbols: tuple[str, ...]
     weights: np.ndarray
-    row_context: np.ndarray
+    row_state: np.ndarray
     row_symbol: np.ndarray
     row_cond: np.ndarray
     tail_mass: float
-    ctx_parent: np.ndarray = field(repr=False)
-    ctx_unit: np.ndarray = field(repr=False)
-    ctx_mass: np.ndarray = field(repr=False)
 
     @classmethod
     def from_lm(cls, lm: AutoregressiveLM, budget: EnumerationBudget) -> "MeasureTable":
-        """Enumerate contexts of increasing length until mass coverage.
+        """Enumerate context mass by length until coverage, per state.
 
         Total context mass equals the prefix normalizer, so coverage is
-        tracked exactly; stopping is by whole levels, which keeps the
-        enumeration vectorized and the row order deterministic.
+        tracked exactly; stopping is by whole levels, and each level is
+        the previous one pushed through the unit transition matrix.
         """
         states, index, trans, emit = _chain_arrays(lm)
-        n_states = len(states)
-        n_units = emit.shape[1]
         eos_vec = np.array([lm.eos_prob(s) for s in states])
-        succ = np.zeros((n_states, n_units), dtype=np.int64)
-        for i, s in enumerate(states):
-            for a, u in enumerate(lm.alphabet.units):
-                if emit[i, a] > 0.0:
-                    succ[i, a] = index[lm.next_state(s, u)]
 
         z = prefix_normalizer(lm)
-        ctx_state = [np.array([index[()]], dtype=np.int64)]
-        ctx_parent = [np.array([-1], dtype=np.int64)]
-        ctx_unit = [np.array([-1], dtype=np.int64)]
-        ctx_mass = [np.array([1.0])]
+        level = np.zeros(len(states))
+        level[index[()]] = 1.0
+        state_mass = level.copy()
         covered = 1.0 / z
-        total_contexts = 1
-        frontier_state = ctx_state[0]
-        frontier_mass = ctx_mass[0]
-        frontier_offset = 0
-        level = 0
+        depth = 0
         while covered < 1.0 - budget.tail_tol:
-            if level >= budget.max_len:
+            if depth >= budget.max_len:
                 raise ConvergenceError(
                     f"context mass {1.0 - covered:.3g} remains beyond length "
                     f"{budget.max_len}; tail_tol {budget.tail_tol:.3g} not met",
                     remaining=1.0 - covered,
                 )
-            parts_state, parts_parent, parts_unit, parts_mass = [], [], [], []
-            for a in range(n_units):
-                p = emit[frontier_state, a]
-                hit = np.nonzero(p > 0.0)[0]
-                if hit.size == 0:
-                    continue
-                parts_state.append(succ[frontier_state[hit], a])
-                parts_parent.append(frontier_offset + hit)
-                parts_unit.append(np.full(hit.size, a, dtype=np.int64))
-                parts_mass.append(frontier_mass[hit] * p[hit])
-            if not parts_state:
+            level = trans.T @ level
+            if not np.any(level):
                 # no continuations anywhere; remaining mass is exactly zero
                 break
-            new_state = np.concatenate(parts_state)
-            new_parent = np.concatenate(parts_parent)
-            new_unit = np.concatenate(parts_unit)
-            new_mass = np.concatenate(parts_mass)
-            total_contexts += new_state.size
-            if total_contexts > MAX_CONTEXTS:
-                raise ConvergenceError(
-                    f"enumeration needs more than {MAX_CONTEXTS} contexts "
-                    f"before reaching coverage 1 - {budget.tail_tol:.3g}; "
-                    "relax tail_tol or shrink the model",
-                    remaining=1.0 - covered,
-                )
-            ctx_state.append(new_state)
-            ctx_parent.append(new_parent)
-            ctx_unit.append(new_unit)
-            ctx_mass.append(new_mass)
-            covered += float(np.sum(new_mass)) / z
-            frontier_offset = total_contexts - new_state.size
-            frontier_state = new_state
-            frontier_mass = new_mass
-            level += 1
+            state_mass += level
+            covered += float(np.sum(level)) / z
+            depth += 1
 
-        state_arr = np.concatenate(ctx_state)
-        mass_arr = np.concatenate(ctx_mass)
-        parent_arr = np.concatenate(ctx_parent)
-        unit_arr = np.concatenate(ctx_unit)
-
-        # conditional probability of every symbol in every kept context
-        conds = np.concatenate([emit[state_arr, :], eos_vec[state_arr, None]], axis=1)
-        keep = conds > 0.0
-        n_ctx = state_arr.size
-        ctx_idx = np.repeat(np.arange(n_ctx, dtype=np.int64), conds.shape[1])
-        sym_idx = np.tile(np.arange(conds.shape[1], dtype=np.int64), n_ctx)
-        flat_keep = keep.ravel()
-        row_context = ctx_idx[flat_keep]
-        row_symbol = sym_idx[flat_keep]
-        row_cond = conds.ravel()[flat_keep]
-        weights = (mass_arr[row_context] / z) * row_cond
+        # conditional probability of every symbol in every reached state
+        conds = np.concatenate([emit, eos_vec[:, None]], axis=1)
+        keep = (conds > 0.0) & (state_mass > 0.0)[:, None]
+        row_state, row_symbol = np.nonzero(keep)
+        row_cond = conds[row_state, row_symbol]
+        weights = (state_mass[row_state] / z) * row_cond
 
         return cls(
             source=lm,
             budget=budget,
             symbols=lm.alphabet.units + (lm.alphabet.eos,),
             weights=weights,
-            row_context=row_context,
+            row_state=row_state,
             row_symbol=row_symbol,
             row_cond=row_cond,
             tail_mass=float(max(1.0 - covered, 0.0)),
-            ctx_parent=parent_arr,
-            ctx_unit=unit_arr,
-            ctx_mass=mass_arr,
         )
 
     @property
@@ -167,25 +116,6 @@ class MeasureTable:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
-
-    def context_tuple(self, ctx: int) -> tuple[str, ...]:
-        """Reconstruct a context (unit tuple) from the internal trie."""
-        out = []
-        i = int(ctx)
-        while self.ctx_parent[i] >= 0 or self.ctx_unit[i] >= 0:
-            out.append(self.source.alphabet.units[int(self.ctx_unit[i])])
-            i = int(self.ctx_parent[i])
-        return tuple(reversed(out))
-
-    def iter_rows(self, limit: int | None = None):
-        """Yield (context, symbol, weight) tuples; debugging helper."""
-        n = self.n_rows if limit is None else min(limit, self.n_rows)
-        for r in range(n):
-            yield (
-                self.context_tuple(int(self.row_context[r])),
-                self.symbols[int(self.row_symbol[r])],
-                float(self.weights[r]),
-            )
 
 
 @dataclass(frozen=True)

@@ -319,79 +319,91 @@ def unigram_minimizer(lm: AutoregressiveLM) -> UnigramLM:
     return UnigramLM(probs=probs, normalizer=z)
 
 
-def forward_kl_unigram(
-    lm: AutoregressiveLM, q: UnigramLM, budget: EnumerationBudget
-) -> float:
-    """Truncated KL from the model to ``q`` read as a string distribution.
-
-    ``q`` scores a string as the product of its unit probabilities times
-    q(eos).  The divergence is accumulated string-by-string in aggregate
-    over context states: for each state we track the alive mass, the
-    mass-weighted accumulated log probability under the model, and the
-    same under q.  Enumeration stops once the alive mass drops to
-    ``tail_tol`` (or the horizon is hit, which raises).
-    """
+def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
+    """log q over ``lm.alphabet.symbols``; q must be positive on each."""
     for sym in lm.alphabet.symbols:
         if q.prob(sym) <= 0.0:
             raise DegenerateError(
                 f"q must be strictly positive on the alphabet; q({sym!r}) = {q.prob(sym)}"
             )
-    states, index, trans, emit = _chain_arrays(lm)
-    n = len(states)
-    eos_p = np.array([lm.eos_prob(s) for s in states])
-    log_q_units = np.log(np.array([q.prob(u) for u in lm.alphabet.units]))
-    log_q_eos = math.log(q.prob(lm.alphabet.eos))
+    return np.log([q.prob(sym) for sym in lm.alphabet.symbols])
 
-    # next-state index per (state, unit); -1 marks a structural zero
-    m = len(lm.alphabet.units)
-    succ = np.full((n, m), -1, dtype=int)
-    for i, s in enumerate(states):
-        for a, u in enumerate(lm.alphabet.units):
-            if emit[i, a] > 0.0:
-                succ[i, a] = index[lm.next_state(s, u)]
+
+def truncated_string_moments(
+    lm: AutoregressiveLM, budget: EnumerationBudget
+) -> tuple[float, np.ndarray]:
+    """Negative entropy and expected symbol counts of the enumerated strings.
+
+    Strings are enumerated by length in aggregate over context states:
+    for each state we track the alive mass, the mass-weighted accumulated
+    log probability under the model, and the mass-weighted count of each
+    unit along the alive paths; at every length the terminating share of
+    each is added to the totals.  Enumeration stops once the alive mass
+    drops to ``tail_tol`` (or the horizon is hit, which raises).
+
+    Returns ``(sum p log p, counts)`` where ``counts[c]`` is the expected
+    number of occurrences of ``lm.alphabet.symbols[c]`` per string
+    (units, then one eos per string), both over the enumerated strings.
+    """
+    states, index, _, emit = _chain_arrays(lm)
+    n, m = emit.shape
+    eos_p = np.array([lm.eos_prob(s) for s in states])
+    log_eos_p = np.where(eos_p > 0.0, np.log(np.maximum(eos_p, 1e-300)), 0.0)
+
+    # one edge per (state, unit) with positive probability
+    src, unit = np.nonzero(emit)
+    tgt = np.array(
+        [index[lm.next_state(states[i], lm.alphabet.units[a])] for i, a in zip(src, unit)],
+        dtype=np.int64,
+    )
+    w = emit[src, unit]
+    log_w = np.log(w)
+    # flat (target state, unit column) cells for scattering count rows
+    cells = (tgt[:, None] * m + np.arange(m)).ravel()
+    edges = np.arange(src.size)
 
     mass = np.zeros(n)
     mass[index[()]] = 1.0
     logp_acc = np.zeros(n)  # sum over alive paths of p(path) * log p(path)
-    logq_acc = np.zeros(n)  # same with log q(path units)
-    kl = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_eos_p = np.where(eos_p > 0.0, np.log(np.maximum(eos_p, 1e-300)), 0.0)
+    unit_acc = np.zeros((n, m))  # sum over alive paths of p(path) * count(unit)
+    neg_entropy = 0.0
+    counts = np.zeros(m + 1)
     for _ in range(budget.max_len + 1):
         # terminate at this length
-        kl += float(
-            np.sum(
-                eos_p * (logp_acc + mass * log_eos_p)
-                - eos_p * (logq_acc + mass * log_q_eos)
-            )
-        )
+        neg_entropy += float(np.sum(eos_p * (logp_acc + mass * log_eos_p)))
+        counts[:m] += eos_p @ unit_acc
+        counts[m] += float(eos_p @ mass)
         alive = float(np.sum(mass * (1.0 - eos_p)))
         if alive <= budget.tail_tol:
-            return kl
-        new_mass = np.zeros(n)
-        new_logp = np.zeros(n)
-        new_logq = np.zeros(n)
-        for a in range(m):
-            p_col = emit[:, a]
-            hit = succ[:, a] >= 0
-            if not np.any(hit):
-                continue
-            tgt = succ[hit, a]
-            w = p_col[hit]
-            np.add.at(new_mass, tgt, mass[hit] * w)
-            np.add.at(
-                new_logp, tgt, w * (logp_acc[hit] + mass[hit] * np.log(w))
-            )
-            np.add.at(
-                new_logq, tgt, w * (logq_acc[hit] + mass[hit] * log_q_units[a])
-            )
-        mass, logp_acc, logq_acc = new_mass, new_logp, new_logq
+            return neg_entropy, counts
+        flow = mass[src] * w
+        # paths carry their unit counts along an edge and gain its unit
+        moved = w[:, None] * unit_acc[src]
+        moved[edges, unit] += flow
+        logp_acc = np.bincount(tgt, weights=w * logp_acc[src] + flow * log_w, minlength=n)
+        unit_acc = np.bincount(cells, weights=moved.ravel(), minlength=n * m).reshape(n, m)
+        mass = np.bincount(tgt, weights=flow, minlength=n)
     remaining = float(np.sum(mass))
     raise ConvergenceError(
         f"alive mass {remaining:.3g} after {budget.max_len} units exceeds "
         f"tail_tol {budget.tail_tol:.3g}",
         remaining=remaining,
     )
+
+
+def forward_kl_unigram(
+    lm: AutoregressiveLM, q: UnigramLM, budget: EnumerationBudget
+) -> float:
+    """Truncated KL from the model to ``q`` read as a string distribution.
+
+    ``q`` scores a string as the product of its unit probabilities times
+    q(eos), so over the enumerated strings the divergence is affine in
+    log q: sum p log p - sum_sym N_sym log q(sym), with N the expected
+    symbol counts from ``truncated_string_moments``.
+    """
+    log_q = unigram_log_probs(lm, q)
+    neg_entropy, counts = truncated_string_moments(lm, budget)
+    return neg_entropy - float(counts @ log_q)
 
 
 def sample_string(lm: AutoregressiveLM, rng: np.random.Generator) -> list[str]:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctxpred.cli import (
@@ -15,6 +17,14 @@ from ctxpred.cli import (
     parse_config_file,
 )
 from ctxpred.errors import ConfigError
+from ctxpred.lm import (
+    EnumerationBudget,
+    UnigramLM,
+    forward_kl_unigram,
+    load_lm_tsv,
+    unigram_minimizer,
+)
+from ctxpred.seeding import named_rng
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MIXTURE = str(FIXTURES / "mixture.tsv")
@@ -200,31 +210,80 @@ class TestOracle:
         assert "unknown predictor set 'frequency'" in err
         assert "Traceback" not in err
 
-    def test_enumeration_infeasible_model_degrades_per_check(
-        self, tmp_path, capsys
-    ):
-        # low stopping mass makes context enumeration blow past the cap;
-        # the exact (solve-based) checks must still run and the two
-        # enumeration-dependent ones must fail with the error attached
+    def test_mixture_model_passes_all_checks(self, capsys):
+        # the mixture's context tree grows too fast to enumerate context
+        # by context; the state-lumped measure covers it in a few levels
         code = main([
-            "oracle", "--lm", MIXTURE, "--seed", "4",
-            "--perturbations", "20", "--out", str(tmp_path),
+            "oracle", "--lm", MIXTURE, "--seed", "4", "--perturbations", "100",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert sum(l.startswith("PASS") for l in lines) == 4
+        assert not any(l.startswith("FAIL") for l in lines)
+
+    def test_unmeetable_budget_degrades_per_check(self, tmp_path, capsys):
+        # two units cannot cover m0's strings or contexts; the solve-based
+        # check must still run, the three enumeration-dependent ones must
+        # fail with the error attached, and oracle.json must be written
+        code = main([
+            "oracle", "--lm", M0, "--seed", "4", "--max-len", "2",
+            "--out", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert code == EXIT_NUMERIC
         lines = out.splitlines()
-        assert sum(l.startswith("PASS") for l in lines) == 2
+        assert sum(l.startswith("PASS") for l in lines) == 1
         fails = [l for l in lines if l.startswith("FAIL")]
-        assert len(fails) == 2
-        assert all("error=" in l and "contexts" in l for l in fails)
+        assert len(fails) == 3
+        assert all("error=" in l and "tail_tol" in l for l in fails)
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["all_passed"] is False
-        errored = {c["name"] for c in payload["checks"] if not c["passed"]}
-        assert errored == {"context_mass", "projection_orthogonality"}
-        assert all(
-            c["residual"] is None
-            for c in payload["checks"] if not c["passed"]
+        by_name = {c["name"]: c for c in payload["checks"]}
+        assert by_name["normalizer_identity"]["passed"] is True
+        for name in ("minimizer_optimality", "context_mass",
+                     "projection_orthogonality"):
+            assert by_name[name]["passed"] is False
+            assert by_name[name]["residual"] is None
+            assert by_name[name]["details"]["error"]
+
+    @pytest.mark.parametrize("lm_path", [M0, M1, MIXTURE])
+    def test_batched_margins_match_per_candidate_kl(self, lm_path, tmp_path, capsys):
+        # the oracle prices every perturbation with one dot product; the
+        # same draws scored one full truncated KL at a time must agree
+        code = main([
+            "oracle", "--lm", lm_path, "--seed", "8", "--perturbations", "50",
+            "--out", str(tmp_path),
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        payload = json.loads((tmp_path / "oracle.json").read_text())
+        details = next(
+            c["details"] for c in payload["checks"]
+            if c["name"] == "minimizer_optimality"
         )
+
+        lm = load_lm_tsv(lm_path)
+        # the oracle's default budget
+        budget = EnumerationBudget(max_len=256, tail_tol=1e-6)
+        q = unigram_minimizer(lm)
+        kl_min = forward_kl_unigram(lm, q, budget)
+        rng = named_rng(8, "simulations")
+        symbols = lm.alphabet.symbols
+        logq = np.log([q.prob(s) for s in symbols])
+        worst = math.inf
+        violations = 0
+        for _ in range(50):
+            logits = logq + rng.normal(0.0, 0.25, size=logq.size)
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            cand = UnigramLM(probs=dict(zip(symbols, map(float, probs))))
+            margin = forward_kl_unigram(lm, cand, budget) - kl_min
+            worst = min(worst, margin)
+            violations += margin < -1e-12
+        assert details["kl_minimizer"] == pytest.approx(kl_min, abs=1e-12)
+        assert details["worst_margin"] == pytest.approx(worst, abs=1e-12)
+        assert details["violations"] == violations
 
 
 class TestReport:

@@ -53,12 +53,20 @@ class TestMeasureConstruction:
         t = MeasureTable.from_lm(m1, BUDGET)
         # Z = 31/15 exactly for this fixture
         table, _ = oracles.brute_context_measure(m1, 40, 31.0 / 15.0)
-        # every row the enumeration kept must match the literal value,
-        # and the kept rows must cover all but tail_tol of the mass
+        # every (state, symbol) row must match the literal context masses
+        # of that state times the conditional (the measure stops short of
+        # length 40, leaving out 4.8e-10 of the mass), and the rows must
+        # cover all but tail_tol of the mass
+        state_mass: dict[tuple, float] = {}
+        for ctx, pi in table.items():
+            state = m1.state_of(ctx)
+            state_mass[state] = state_mass.get(state, 0.0) + pi
+        states = m1.states
         checked = 0.0
-        for ctx, sym, w in t.iter_rows():
-            p = m1.cond[m1.state_of(ctx)][sym]
-            assert w == pytest.approx(table[ctx] * p, rel=1e-9)
+        for s, c, w in zip(t.row_state, t.row_symbol, t.weights):
+            state, sym = states[s], t.symbols[c]
+            p = m1.cond[state][sym]
+            assert w == pytest.approx(state_mass[state] * p, rel=1e-9)
             checked += w
         assert checked >= 1.0 - BUDGET.tail_tol
 
@@ -147,8 +155,6 @@ class TestExactProjection:
     @settings(max_examples=25, deadline=None)
     def test_residual_orthogonal_and_uncorrelated(self, seed):
         rng = np.random.default_rng(seed)
-        # stopping mass >= 0.6 keeps three-unit enumerations far from the
-        # context cap at this tail tolerance
         lm = random_lm(rng, eos_floor=0.6)
         t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
         ii = surprisal_var(t)

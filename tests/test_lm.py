@@ -8,6 +8,7 @@ within the stated tail bounds.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,11 +37,13 @@ from ctxpred.lm import (
     prefix_mass,
     prefix_normalizer,
     sample_string,
+    truncated_string_moments,
     unigram_minimizer,
     write_lm_tsv,
 )
 
 BUDGET = EnumerationBudget(max_len=256, tail_tol=1e-9)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestFrozenValues:
@@ -121,6 +124,30 @@ class TestForwardKL:
         ours = forward_kl_unigram(m1, q, EnumerationBudget(256, 1e-15))
         brute = oracles.brute_forward_kl(m1, q, 120)
         assert ours == pytest.approx(brute, abs=1e-9)
+
+    def test_moments_match_brute_enumeration(self, m1):
+        budget = EnumerationBudget(256, 1e-15)
+        neg_entropy, counts = truncated_string_moments(m1, budget)
+        brute = oracles.brute_unigram_counts(m1, 120)
+        assert counts == pytest.approx(
+            [brute[s] for s in m1.alphabet.symbols], abs=1e-9
+        )
+        brute_neg_entropy = sum(
+            p * math.log(p) for _, p in oracles.enumerate_strings(m1, 120)
+        )
+        assert neg_entropy == pytest.approx(brute_neg_entropy, abs=1e-9)
+        q = unigram_minimizer(m1)
+        assert forward_kl_unigram(m1, q, budget) == pytest.approx(
+            oracles.brute_forward_kl(m1, q, 120), abs=1e-9
+        )
+
+    def test_counts_match_visit_solve_on_multi_unit_models(self, m0):
+        mixture = load_lm_tsv(FIXTURES / "mixture.tsv")
+        for lm in (m0, mixture):
+            _, counts = truncated_string_moments(lm, EnumerationBudget(1024, 1e-15))
+            q = unigram_minimizer(lm)
+            solved = [q.normalizer * q.prob(s) for s in lm.alphabet.symbols]
+            assert counts == pytest.approx(solved, abs=1e-9)
 
     def test_m1_minimizer_beats_random_unigrams(self, m1):
         q_star = unigram_minimizer(m1)
