@@ -34,6 +34,7 @@ from .errors import (
     ConvergenceError,
     CoverageError,
     CtxpredError,
+    DegenerateError,
     FormatError,
     IdentityError,
 )
@@ -449,7 +450,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _uncomputed_check(name: str, tolerance: float, exc: Exception) -> dict:
-    """A failed oracle check whose enumeration did not finish."""
+    """A failed oracle check that could not be computed."""
     return {
         "name": name,
         "residual": None,
@@ -479,15 +480,17 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     # the remaining checks enumerate strings and contexts up to the
     # budget's horizon, which a model with little stopping mass may not
-    # reach; report infeasibility per check instead of aborting the others
+    # reach, and the minimizer check needs log q, which is undefined for a
+    # unit that only unreachable states emit; report either per check
+    # instead of aborting the others
     try:
         neg_entropy, counts = truncated_string_moments(lm, budget)
-    except ConvergenceError as exc:
+        log_q = unigram_log_probs(lm, q)
+    except (ConvergenceError, DegenerateError) as exc:
         checks.append(_uncomputed_check("minimizer_optimality", 1e-12, exc))
     else:
         # the truncated KL is affine in log q, so each perturbation's margin
         # over the minimizer is one dot product with the expected counts
-        log_q = unigram_log_probs(lm, q)
         kl_min = neg_entropy - float(counts @ log_q)
         rng = named_rng(cfg.seed, "simulations")
         logits = log_q + rng.normal(0.0, 0.25, size=(cfg.perturbations, log_q.size))

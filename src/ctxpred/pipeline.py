@@ -373,7 +373,7 @@ def analyze_tokens(
             if smooth:
                 sfit = fit_smooth(cols_tr, y_tr, k=smooth_k, lambda_grid=lambda_grid)
                 spred_te = sfit.predict(cols_te)
-                sdelta = delta_loglik(y_tr, sfit.predict(cols_tr), y_te, spred_te)
+                sdelta = delta_loglik(y_tr, sfit.fitted, y_te, spred_te)
                 smooth_deltas[spec.name].append(sdelta.per_token)
                 smooth_entries[spec.name]["folds"].append(
                     {

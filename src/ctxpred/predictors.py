@@ -293,7 +293,7 @@ def frequency_variable(
     if np.any(probs[np.unique(measure.row_symbol)] <= 0.0):
         raise DegenerateError("q must cover every symbol on the support")
     return RandomVariableTable(
-        measure=measure, values=-np.log(probs)[measure.row_symbol], label="frequency"
+        measure=measure, values=-np.log(probs[measure.row_symbol]), label="frequency"
     )
 
 

@@ -289,22 +289,6 @@ class LmgReport:
         return {g: float(s) for g, s in zip(self.groups, self.shares)}
 
 
-def _subset_r2(x_blocks: Sequence[np.ndarray], y: np.ndarray, mask: int) -> float:
-    cols = [np.ones(y.size)]
-    for i, block in enumerate(x_blocks):
-        if mask >> i & 1:
-            cols.append(block)
-    if len(cols) == 1:
-        return 0.0
-    x = np.hstack([c.reshape(y.size, -1) for c in cols])
-    beta, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    sse = float(resid @ resid)
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    return 0.0 if sst == 0.0 else 1.0 - sse / sst
-
-
 def lmg(
     columns: Mapping[str, np.ndarray],
     y: np.ndarray,
@@ -349,9 +333,33 @@ def lmg(
     if unused:
         raise ConfigError(f"columns {sorted(unused)} belong to no group")
 
-    r2_cache = np.empty(2 ** p)
-    for mask in range(2 ** p):
-        r2_cache[mask] = _subset_r2(blocks, y, mask)
+    # One triangular factor serves all 2**p subsets: with [1 | X | y] = QR
+    # and Q orthonormal, least squares of y on any set of columns leaves
+    # the residual norm of R's last column on the same columns of R, so
+    # each subset fit is a (k+2)-row problem whatever n is.  The cutoff
+    # for negligible singular values is the one lstsq would apply to the
+    # n-row system, so rank-deficient subsets resolve the same way.
+    n = y.size
+    r = np.linalg.qr(np.column_stack([np.ones(n), *blocks, y]), mode="r")
+    r_y = r[:, -1]
+    group_cols = []
+    offset = 1
+    for block in blocks:
+        group_cols.append(list(range(offset, offset + block.shape[1])))
+        offset += block.shape[1]
+    centered = y - y.mean()
+    sst = float(centered @ centered)
+    eps = np.finfo(float).eps
+    r2_cache = np.zeros(2 ** p)
+    for mask in range(1, 2 ** p):
+        cols = [0]
+        for g in range(p):
+            if mask >> g & 1:
+                cols.extend(group_cols[g])
+        r_s = r[:, cols]
+        beta, _, _, _ = np.linalg.lstsq(r_s, r_y, rcond=eps * max(n, len(cols)))
+        resid = r_y - r_s @ beta
+        r2_cache[mask] = 0.0 if sst == 0.0 else 1.0 - float(resid @ resid) / sst
 
     # weight of a subset of size s when adding one more group
     fact = [math.factorial(i) for i in range(p + 1)]

@@ -1,7 +1,8 @@
 """Penalized natural-cubic-spline regression with GCV-chosen smoothing.
 
 A deliberately small additive-model engine: each term gets a cardinal
-natural cubic basis on quantile knots, a divided-second-difference
+natural cubic basis on quantile knots (at most one per distinct
+predictor value), a divided-second-difference
 roughness penalty whose null space is exactly the linear functions, and
 a per-term smoothing parameter selected by generalized cross-validation
 over a fixed log-spaced grid.  Everything is deterministic; multi-term
@@ -19,12 +20,11 @@ implied knot values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     AlignmentError,
@@ -36,6 +36,12 @@ from .errors import (
 from .regression import VARIANCE_FLOOR, DeltaLogLik, delta_loglik
 
 DEFAULT_KNOTS = 6
+# Knots closer than this share of the predictor's range are one knot.
+# np.quantile's fractional positions carry rounding of about n * eps, so
+# a quantile that should sit exactly on a tied value can land a hair
+# past it, and arithmetic on equal values (residualization) can leave
+# values a few ulps apart; either would give a near-singular basis.
+KNOT_MERGE_TOL = 1e-9
 LAMBDA_GRID: tuple[float, ...] = tuple(float(v) for v in np.logspace(-4.0, 4.0, 17))
 MAX_SWEEPS = 10
 
@@ -67,12 +73,25 @@ class SplineBasis:
 
     @classmethod
     def from_quantiles(cls, x: np.ndarray, k: int = DEFAULT_KNOTS) -> "SplineBasis":
+        """Knots at k quantiles of x, capped at its distinct values.
+
+        A predictor with at most k distinct values gets a knot at each
+        of them; otherwise coinciding quantiles merge, so a heavily tied
+        predictor may also end up with fewer than k knots.  Knots within
+        ``KNOT_MERGE_TOL`` of the range of the previous one are dropped.
+        Either way the basis size is the number of knots, and fewer than 3
+        is a ``BasisError``.
+        """
         x = np.asarray(x, dtype=float)
         if k < 3:
             raise BasisError(f"basis size must be at least 3, got {k}")
         if x.size < k:
             raise BasisError(f"need at least {k} rows to place {k} knots")
-        return cls(knots=np.quantile(x, np.linspace(0.0, 1.0, k)))
+        knots = np.unique(x)
+        if knots.size > k:
+            knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, k)))
+        gap = KNOT_MERGE_TOL * (knots[-1] - knots[0])
+        return cls(knots=knots[np.concatenate([[True], np.diff(knots) > gap])])
 
     @property
     def k(self) -> int:
@@ -82,6 +101,10 @@ class SplineBasis:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise AlignmentError("basis input must be one-dimensional")
+        # imported here: scipy.interpolate is the slowest import of the
+        # package, and only smooth fits need it
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(self.knots, np.eye(self.k), bc_type="natural")
         lo, hi = self.knots[0], self.knots[-1]
         out = spline(np.clip(x, lo, hi))
@@ -112,7 +135,11 @@ class SplineBasis:
 
 @dataclass(frozen=True)
 class SmoothFit:
-    """One penalized additive fit: intercept plus per-term spline parts."""
+    """One penalized additive fit: intercept plus per-term spline parts.
+
+    ``fitted`` holds the fitted values on the training rows, equal to
+    ``predict`` on the training columns without rebuilding the basis.
+    """
 
     term_names: tuple[str, ...]
     bases: tuple[SplineBasis, ...]
@@ -126,6 +153,7 @@ class SmoothFit:
     r2: float
     residual_variance: float
     n_obs: int
+    fitted: np.ndarray = field(repr=False)
 
     def _design(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         blocks = []
@@ -188,7 +216,12 @@ def _term_sizes(
 
 class _PenalizedProblem:
     """Precomputed pieces of the penalized normal equations, reused
-    across the lambda grid search."""
+    across the lambda grid search.
+
+    The grid search scores each candidate with ``gcv``, which touches
+    only k-sized quantities; ``solve`` adds the n-row residual for the
+    selected lambdas.
+    """
 
     def __init__(self, columns, y, sizes):
         self.names = tuple(columns)
@@ -215,11 +248,14 @@ class _PenalizedProblem:
         self.x = np.hstack([np.ones((self.n, 1))] + blocks)
         self.penalties = [b.penalty()[1:, 1:] for b in self.bases]
         self.xtx = self.x.T @ self.x
-        self.xty = self.x.T @ self.y
-        sst = float(np.sum((y - y.mean()) ** 2))
-        self.sst = sst
+        centered = y - y.mean()
+        self.sst = float(np.sum(centered ** 2))
+        self.rhs = np.column_stack([self.x.T @ self.y, self.xtx])
+        self.rhs_centered = np.column_stack([self.x.T @ centered, self.xtx])
 
-    def solve(self, lambdas: Sequence[float]):
+    def _solve(self, lambdas: Sequence[float], rhs: np.ndarray):
+        """Coefficients for ``rhs[:, 0]`` and the influence operator
+        (X'X + S)^-1 X'X from one factor and one stacked solve."""
         m = self.xtx.copy()
         for sl, pen, lam in zip(self.slices, self.penalties, lambdas):
             if lam < 0.0:
@@ -228,22 +264,42 @@ class _PenalizedProblem:
                 m[sl, sl] += lam * pen
         try:
             factor = scipy.linalg.cho_factor(m, lower=True)
-            beta = scipy.linalg.cho_solve(factor, self.xty)
-            influence = scipy.linalg.cho_solve(factor, self.xtx)
+            sol = scipy.linalg.cho_solve(factor, rhs)
         except scipy.linalg.LinAlgError as exc:
             raise ConditioningError(
                 f"penalized system is singular at lambdas {tuple(lambdas)}: {exc}"
             ) from exc
+        beta = sol[:, 0]
         if not np.all(np.isfinite(beta)):
             raise ConditioningError("penalized solve produced non-finite coefficients")
-        resid = self.y - self.x @ beta
+        return beta, sol[:, 1:]
+
+    def _gcv(self, sse: float, edf: float) -> float:
+        denom = self.n - edf
+        return math.inf if denom <= 1e-8 else self.n * sse / denom ** 2
+
+    def gcv(self, lambdas: Sequence[float]) -> float:
+        """GCV score without an n-row pass.
+
+        Solving against X'(y - ybar) gives beta with ybar taken off the
+        intercept, and y - X beta_true = (y - ybar) - X beta, hence
+        SSE = SST - 2 beta'X'(y - ybar) + beta'X'X beta exactly; the
+        cancellation is at the scale of SST, not of y'y.
+        """
+        beta, influence = self._solve(lambdas, self.rhs_centered)
+        xtyc = self.rhs_centered[:, 0]
+        sse = self.sst - 2.0 * float(beta @ xtyc) + float(beta @ self.xtx @ beta)
+        return self._gcv(max(sse, 0.0), float(np.trace(influence)))
+
+    def solve(self, lambdas: Sequence[float]):
+        beta, influence = self._solve(lambdas, self.rhs)
+        fitted = self.x @ beta
+        resid = self.y - fitted
         sse = float(resid @ resid)
         edf_diag = np.diag(influence)
         edf = float(edf_diag.sum())
-        denom = self.n - edf
-        gcv = math.inf if denom <= 1e-8 else self.n * sse / denom ** 2
         term_edf = tuple(float(edf_diag[sl].sum()) for sl in self.slices)
-        return beta, sse, edf, term_edf, gcv
+        return beta, fitted, sse, edf, term_edf, self._gcv(sse, edf)
 
 
 def fit_smooth(
@@ -259,8 +315,10 @@ def fit_smooth(
     GCV = n*SSE/(n - edf)^2 with edf the trace of the influence
     operator.  With several terms the grid is scanned per term in turn
     (holding the others fixed) until a full sweep changes nothing.
-    Ties prefer the smaller lambda.  ``k`` may be a single basis size
-    or a mapping from term name to size.
+    Ties prefer the smaller lambda.  The search scores candidates from
+    k-sized quantities only; the selected lambdas are solved once more
+    with the n-row residual, which gives ``sse``, ``gcv`` and ``fitted``.
+    ``k`` may be a single basis size or a mapping from term name to size.
     """
     clean, y = _validate_columns(columns, y)
     sizes = _term_sizes(clean, k)
@@ -273,27 +331,22 @@ def fit_smooth(
     t = len(problem.names)
 
     current = [grid[-1]] * t
-    best = problem.solve(current)
     for _ in range(max_sweeps):
         changed = False
         for term in range(t):
-            choice = None
+            scores = []
             for lam in grid:
                 trial = list(current)
                 trial[term] = lam
-                solved = problem.solve(trial)
-                key = (solved[4], lam)
-                if choice is None or key < choice[0]:
-                    choice = (key, lam, solved)
-            _, lam, solved = choice
+                scores.append((problem.gcv(trial), lam))
+            _, lam = min(scores)
             if lam != current[term]:
                 current[term] = lam
                 changed = True
-            best = solved
         if not changed:
             break
 
-    beta, sse, edf, term_edf, gcv = best
+    beta, fitted, sse, edf, term_edf, gcv = problem.solve(current)
     if not math.isfinite(gcv):
         raise ConditioningError(
             "GCV is not finite at the selected smoothing parameters"
@@ -312,6 +365,7 @@ def fit_smooth(
         r2=r2,
         residual_variance=max(sse / problem.n, VARIANCE_FLOOR),
         n_obs=problem.n,
+        fitted=fitted,
     )
 
 
@@ -326,7 +380,6 @@ def smooth_delta_loglik(
     """Held-out log-likelihood gain of a smooth fit over the
     training-mean baseline, mirroring the linear-model contract."""
     fit = fit_smooth(train_columns, y_train, k=k, lambda_grid=lambda_grid)
-    fitted_train = fit.predict(train_columns)
     predicted_test = fit.predict(test_columns)
-    delta = delta_loglik(y_train, fitted_train, np.asarray(y_test, float), predicted_test)
+    delta = delta_loglik(y_train, fit.fitted, np.asarray(y_test, float), predicted_test)
     return delta, fit

@@ -5,7 +5,10 @@ probabilities come from literal enumeration over the unit alphabet,
 regression coefficients from the pseudoinverse, variance shares from
 factorial ordering enumeration, and spline values from a hand-written
 tridiagonal natural-spline solve.  Slow is fine; independent is the
-point.
+point.  The exceptions are the n-row references for the k-space kernels
+(``lstsq_rsquared`` and ``gcv_search_nrow``): they are the direct
+computations those kernels replace, kept so that the fast forms can be
+held to them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 # -- literal string enumeration ------------------------------------------
@@ -143,11 +147,24 @@ def rsquared(x, y):
     return 1.0 - float(resid @ resid) / sst
 
 
-def lmg_by_orderings(columns, y, groups):
+def lstsq_rsquared(x, y):
+    """In-sample R^2 of an intercept-plus-columns fit by ``lstsq`` on all
+    n rows, with numpy's default cutoff for negligible singular values."""
+    n = len(y)
+    design = np.column_stack([np.ones(n), x])
+    beta, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    centered = y - y.mean()
+    sst = float(centered @ centered)
+    return 0.0 if sst == 0.0 else 1.0 - float(resid @ resid) / sst
+
+
+def lmg_by_orderings(columns, y, groups, r2=rsquared):
     """Variance shares by literal averaging over all group orderings.
 
-    columns: dict name -> 1-d array; groups: dict group -> [names].
-    Returns dict group -> share of R^2.
+    columns: dict name -> 1-d array; groups: dict group -> [names];
+    r2(x, y) gives the R^2 of one nested fit.  Returns dict group ->
+    share of R^2.
     """
     names = list(groups)
     shares = {g: 0.0 for g in names}
@@ -158,10 +175,60 @@ def lmg_by_orderings(columns, y, groups):
         for g in order:
             have = have + [c for c in groups[g]]
             x = np.column_stack([columns[c] for c in have])
-            r2_now = rsquared(x, y)
+            r2_now = r2(x, y)
             shares[g] += r2_now - r2_prev
             r2_prev = r2_now
     return {g: s / len(orderings) for g, s in shares.items()}
+
+
+def gcv_search_nrow(columns, y, bases, grid, max_sweeps=10):
+    """Coordinate-descent GCV search scoring every grid point with the
+    n-row residual.  Returns (lambdas, coefficients) of the final solve.
+
+    ``bases`` are the fitted terms' ``SplineBasis`` objects, so the design
+    is the one the search runs on; the search itself, the Cholesky solves
+    and the residual follow the plain definition.
+    """
+    n = y.size
+    blocks, penalties, slices = [], [], []
+    offset = 1
+    for x, basis in zip(columns.values(), bases):
+        raw = basis.design(x)[:, 1:]
+        blocks.append(raw - raw.mean(axis=0))
+        penalties.append(basis.penalty()[1:, 1:])
+        slices.append(slice(offset, offset + basis.k - 1))
+        offset += basis.k - 1
+    x = np.hstack([np.ones((n, 1))] + blocks)
+    xtx = x.T @ x
+    xty = x.T @ y
+
+    def solve(lambdas):
+        m = xtx.copy()
+        for sl, pen, lam in zip(slices, penalties, lambdas):
+            m[sl, sl] += lam * pen
+        factor = scipy.linalg.cho_factor(m, lower=True)
+        beta = scipy.linalg.cho_solve(factor, xty)
+        edf = float(np.trace(scipy.linalg.cho_solve(factor, xtx)))
+        resid = y - x @ beta
+        denom = n - edf
+        gcv = math.inf if denom <= 1e-8 else n * float(resid @ resid) / denom ** 2
+        return beta, gcv
+
+    current = [grid[-1]] * len(bases)
+    for _ in range(max_sweeps):
+        changed = False
+        for term in range(len(bases)):
+            scores = []
+            for lam in grid:
+                trial = list(current)
+                trial[term] = lam
+                scores.append((solve(trial)[1], lam))
+            lam = min(scores)[1]
+            changed |= lam != current[term]
+            current[term] = lam
+        if not changed:
+            break
+    return tuple(current), solve(current)[0]
 
 
 def normal_logpdf(x, mean, var):

@@ -128,6 +128,25 @@ class TestAnalyze:
                 analyze_dir / name
             ).read_bytes(), name
 
+    def test_smooth_on_discrete_predictors(self, gen_dir, tmp_path, capsys):
+        # the mixture's frequency and length take 3 values each, fewer
+        # than the 6 default knots: each term gets one knot per distinct
+        # value (or per distinct quantile), and the report says so
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path), "--folds", "3", "--smooth",
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        smooth = [m for m in report["models"] if m["kind"] == "smooth"]
+        assert len(smooth) == 3
+        for model in smooth:
+            for fold in model["folds"]:
+                ks = {t["term"]: t["k"] for t in fold["terms"]}
+                assert ks["frequency"] == ks["prev_frequency"] == 3
+                assert all(3 <= k < 6 for k in ks.values())
+
     def test_external_source(self, tmp_path, continuous_files):
         pred, corpus = continuous_files
         code = main([
@@ -247,6 +266,25 @@ class TestOracle:
             assert by_name[name]["residual"] is None
             assert by_name[name]["details"]["error"]
 
+    def test_unreachable_unit_degrades_per_check(self, tmp_path, capsys):
+        # 'b' is emitted only after 'b', which no string reaches, so the
+        # unigram minimizer gives it zero mass and log q(b) is undefined:
+        # only the minimizer check depends on log q
+        lm_path = tmp_path / "unreachable.tsv"
+        lm_path.write_text(
+            "^\ta\t0.6\n^\t$\t0.4\na\ta\t0.5\na\t$\t0.5\nb\tb\t0.5\nb\t$\t0.5\n"
+        )
+        out_dir = tmp_path / "out"
+        code = main(["oracle", "--lm", str(lm_path), "--seed", "4", "--out", str(out_dir)])
+        capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        by_name = {c["name"]: c for c in json.loads((out_dir / "oracle.json").read_text())["checks"]}
+        assert len(by_name) == 4
+        failed = by_name.pop("minimizer_optimality")
+        assert failed["residual"] is None and failed["passed"] is False
+        assert "strictly positive" in failed["details"]["error"]
+        assert all(c["passed"] for c in by_name.values())
+
     @pytest.mark.parametrize("lm_path", [M0, M1, MIXTURE])
     def test_batched_margins_match_per_candidate_kl(self, lm_path, tmp_path, capsys):
         # the oracle prices every perturbation with one dot product; the
@@ -322,16 +360,6 @@ class TestExitCodes:
         assert code == EXIT_COVERAGE
         assert "alphabet" in err
 
-    def test_numerical_failure_from_discrete_smooth(self, gen_dir, tmp_path, capsys):
-        # 3 distinct frequency values cannot support 6 quantile knots
-        code = main([
-            "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
-            "--out", str(tmp_path), "--folds", "3", "--smooth",
-        ])
-        err = capsys.readouterr().err
-        assert code == EXIT_NUMERIC
-        assert "BasisError" in err and "term" in err
-
     def test_both_sources_rejected(self, gen_dir, tmp_path, capsys):
         code = main([
             "analyze", "--lm", MIXTURE, "--external", MIXTURE,
@@ -387,6 +415,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "key=value" in err
+
+
+def test_import_leaves_out_spline_interpolation():
+    # scipy.interpolate is the slowest import of the package; only smooth
+    # fits need it, so importing the command line must not load it
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctxpred.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point_runs():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lmg_by_orderings, normal_logpdf, pinv_ols, rsquared
+from oracles import lmg_by_orderings, lstsq_rsquared, normal_logpdf, pinv_ols, rsquared
 from ctxpred.errors import (
     AlignmentError,
     ConfigError,
@@ -163,6 +163,42 @@ class TestLmg:
         groups = {"g0": ["x0"], "g1": ["x1", "x2"], "g2": ["x3"]}
         rep = lmg(cols, y, groups)
         ref = lmg_by_orderings(cols, y, groups)
+        for g in groups:
+            assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_n_row_subset_fits(self, seed):
+        # every subset R^2 comes from the triangular factor of the whole
+        # design; refitting each nested model on all n rows must agree,
+        # also when one column is the sum of two others
+        rng = np.random.default_rng(seed)
+        cols, y = random_table(rng, n=70, p=4)
+        cols["x2"] = cols["x0"] + cols["x1"]
+        for groups in (
+            {"a": ["x0"], "b": ["x1"], "c": ["x2"], "d": ["x3"]},
+            {"a": ["x0", "x2"], "b": ["x1"], "c": ["x3"]},
+            {"a": ["x0", "x1", "x2"], "b": ["x3"]},
+        ):
+            rep = lmg(cols, y, groups)
+            ref = lmg_by_orderings(cols, y, groups, r2=lstsq_rsquared)
+            for g in groups:
+                assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_dependent_group_uses_the_n_row_cutoff(self, seed):
+        # x2 misses x0 + x1 by 1e-14 per row: n-row lstsq treats that as
+        # rank deficient (cutoff eps * n), a 6-row system with its own
+        # default cutoff (eps * 6) would not, and the full-model R^2
+        # would then move by about 5e-4
+        rng = np.random.default_rng(seed)
+        n = 3000
+        x0, x1, x3 = rng.normal(size=(3, n))
+        cols = {"x0": x0, "x1": x1, "x2": x0 + x1 + 1e-14 * rng.normal(size=n), "x3": x3}
+        y = 1.0 + x0 - 2.0 * x1 + 0.5 * x3 + rng.normal(size=n)
+        groups = {g: [g] for g in cols}
+        rep = lmg(cols, y, groups)
+        ref = lmg_by_orderings(cols, y, groups, r2=lstsq_rsquared)
         for g in groups:
             assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
 

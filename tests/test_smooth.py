@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import natural_spline_eval
+from oracles import gcv_search_nrow, natural_spline_eval
 from ctxpred.errors import AlignmentError, BasisError, ConfigError
 from ctxpred.regression import delta_loglik, fit_columns
 from ctxpred.smooth import (
@@ -73,6 +73,33 @@ class TestBasis:
             SplineBasis.from_quantiles(np.array([1.0] * 50 + [2.0] * 50), k=6)
         with pytest.raises(BasisError):
             SplineBasis.from_quantiles(np.arange(10.0), k=2)
+
+    def test_knots_capped_at_distinct_values(self):
+        rng = np.random.default_rng(11)
+        # at most k distinct values: one knot at each
+        x = rng.choice([0.5, 1.0, 4.0, 7.5], size=200)
+        assert np.array_equal(SplineBasis.from_quantiles(x, 6).knots, [0.5, 1.0, 4.0, 7.5])
+        # more than k distinct values but tied quantiles: the ties merge,
+        # and fewer than 3 survivors cannot carry a cubic basis
+        x = np.concatenate([np.zeros(50), np.arange(1.0, 51.0)])
+        assert np.allclose(SplineBasis.from_quantiles(x, 6).knots, [0.0, 10.4, 30.2, 50.0])
+        with pytest.raises(BasisError):
+            SplineBasis.from_quantiles(np.concatenate([np.zeros(100), np.arange(1.0, 11.0)]), 6)
+        # the 0.6 quantile of these 106 values sits at position 63, the
+        # last of the tied -0.112 block, but np.quantile computes it as
+        # 63.00000000000001 and lands a few ulps past -0.112: that is the
+        # same knot, not a second one next to it
+        x = np.repeat([-1.38, -0.112, 0.115, 0.409, 0.703, 2.242, 2.536, 2.83],
+                      [11, 53, 30, 4, 2, 3, 2, 1])
+        assert np.unique(np.quantile(x, np.linspace(0.0, 1.0, 6))).size == 5
+        assert np.array_equal(SplineBasis.from_quantiles(x, 6).knots, [-1.38, -0.112, 0.115, 2.83])
+        # two values apart only by rounding count once
+        x = np.repeat([0.0, 1.0, 1.0 + 4e-16, 3.0], 10)
+        assert np.array_equal(SplineBasis.from_quantiles(x, 6).knots, [0.0, 1.0, 3.0])
+        # continuous data: the k quantiles themselves
+        x = rng.normal(size=300)
+        want = np.quantile(x, np.linspace(0.0, 1.0, 6))
+        assert np.array_equal(SplineBasis.from_quantiles(x, 6).knots, want)
 
     def test_penalty_null_space_is_affine(self):
         basis = SplineBasis(np.array([0.0, 0.3, 1.0, 2.2, 5.0]))
@@ -218,6 +245,32 @@ class TestFit:
         b = fit_smooth({"x": x}, y)
         assert a.lambdas == b.lambdas
         assert np.array_equal(a.coefficients, b.coefficients)
+
+
+class TestKSpaceSearch:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_n_row_search(self, seed):
+        # GCV scored from k-sized quantities must pick the lambdas the
+        # n-row residual picks, and the final solve must be bit-equal
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 300))
+        cols = {f"x{i}": rng.uniform(-2.0, 2.0, size=n) for i in range(int(rng.integers(1, 4)))}
+        y = 300.0 + rng.normal(scale=rng.uniform(0.05, 1.0), size=n)
+        for x in cols.values():
+            y += np.sin(rng.uniform(0.5, 3.0) * x)
+        fit = fit_smooth(cols, y, k=int(rng.integers(3, 8)))
+        lambdas, beta = gcv_search_nrow(cols, y, fit.bases, LAMBDA_GRID)
+        assert fit.lambdas == lambdas
+        assert np.array_equal(fit.coefficients, beta)
+
+    def test_fitted_values_are_training_predictions(self):
+        rng = np.random.default_rng(12)
+        cols = {"a": rng.uniform(0, 1, size=150), "b": rng.choice([1.0, 2.0, 5.0], size=150)}
+        y = np.sin(4.0 * cols["a"]) + cols["b"] + 0.2 * rng.normal(size=150)
+        fit = fit_smooth(cols, y)
+        assert np.array_equal(fit.fitted, fit.predict(cols))
+        assert fit.sse == float((y - fit.fitted) @ (y - fit.fitted))
 
 
 class TestDelta:
