@@ -87,8 +87,8 @@ def sampled_stats(lm: AutoregressiveLM, seeds=range(6), n_docs: int = 60,
         synth = generate_synthetic(
             lm, {"intercept": 100.0}, 1.0, n_docs, doc_len, seed=seed
         )
-        surp = np.array([rec.surprisal for rec in synth.records])
-        freq = np.array([rec.frequency for rec in synth.records])
+        surp = synth.records["surprisal"]
+        freq = synth.records["frequency"]
         corrs.append(float(np.corrcoef(surp, freq)[0, 1]))
         ratios.append(float(freq.std() / surp.std()))
     return float(np.mean(corrs)), float(np.mean(ratios))

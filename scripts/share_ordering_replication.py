@@ -52,9 +52,9 @@ def replicate(lm, args, rep: int) -> tuple[dict, float]:
     synth = generate_synthetic(
         lm, {"intercept": 0.0}, 0.0, args.n_docs, args.doc_len, seed=rep
     )
-    s_raw = np.array([r.surprisal for r in synth.records])
-    f_raw = np.array([r.frequency for r in synth.records])
-    p_raw = np.array([r.pmi for r in synth.records])
+    s_raw = synth.records["surprisal"]
+    f_raw = synth.records["frequency"]
+    p_raw = synth.records["pmi"]
     s, f = standardize(s_raw), standardize(f_raw)
     corr = float(np.corrcoef(s, f)[0, 1])
     noise = named_rng(rep, "simulations").standard_normal(s.size)

@@ -11,12 +11,12 @@ log-likelihood gains.
 """
 
 from .corpus import (
-    AggregatedToken,
     FoldAssignment,
-    TokenObservation,
+    TokenTable,
     aggregate_participants,
     generate_synthetic,
     kfold,
+    observation_table,
     parse_corpus,
     standardize,
     standardize_stats,
@@ -66,7 +66,6 @@ from .lm import (
 )
 from .pipeline import AnalyzeResult, analyze_observations, analyze_tokens, model_spec
 from .predictors import (
-    PredictorRecord,
     build_predictor_table,
     frequency,
     frequency_variable,

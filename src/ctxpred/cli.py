@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -65,30 +65,6 @@ DEFAULT_COEFFS = {
     "length": 2.0,
 }
 
-_CONFIG_KEYS = {
-    "lm",
-    "external",
-    "corpus",
-    "out",
-    "seed",
-    "folds",
-    "predictors",
-    "no_length",
-    "swap_ortho",
-    "smooth",
-    "lmg_grouping",
-    "fold_by",
-    "max_len",
-    "tail_tol",
-    "smooth_k",
-    "lambda_grid",
-    "n_docs",
-    "doc_len",
-    "participants",
-    "noise_sd",
-    "perturbations",
-}
-
 
 @dataclass
 class RunConfig:
@@ -117,30 +93,13 @@ class RunConfig:
     coeffs: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_COEFFS))
 
     def as_manifest_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "lm": self.lm,
-            "external": self.external,
-            "corpus": self.corpus,
-            "seed": self.seed,
-            "folds": self.folds,
-            "predictors": list(self.predictors),
-            "no_length": self.no_length,
-            "swap_ortho": self.swap_ortho,
-            "smooth": self.smooth,
-            "lmg_grouping": self.lmg_grouping,
-            "fold_by": self.fold_by,
-            "max_len": self.max_len,
-            "tail_tol": self.tail_tol,
-            "smooth_k": self.smooth_k,
-            "lambda_grid": list(self.lambda_grid),
-            "n_docs": self.n_docs,
-            "doc_len": self.doc_len,
-            "participants": self.participants,
-            "noise_sd": self.noise_sd,
-            "perturbations": self.perturbations,
-            "coeffs": dict(sorted(self.coeffs.items())),
-        }
+        config = asdict(self)
+        del config["out"]
+        return config
+
+
+# keys a configuration file may set (coefficients come as coef.NAME keys)
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "coeffs"}
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +228,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.doc_len = int(pick("doc_len", args.doc_len, int))
         cfg.participants = int(pick("participants", args.participants, int))
         cfg.noise_sd = float(pick("noise_sd", args.noise_sd, float))
-        coeffs = dict(DEFAULT_COEFFS)
-        file_coeffs = {
-            key[len("coef."):]: value
+        # coefficients given anywhere replace the default set; flags win
+        items = [
+            f"{key[len('coef.'):]}={value}"
             for key, value in file_values.items()
             if key.startswith("coef.")
-        }
-        if file_coeffs:
-            coeffs = {}
-            for name, raw in file_coeffs.items():
-                coeffs[_parse_coef_item(f"{name}={raw}")[0]] = float(raw)
-        if args.coef:
-            if not file_coeffs:
-                coeffs = {}
-            for item in args.coef:
-                name, value = _parse_coef_item(item)
-                coeffs[name] = value
-        cfg.coeffs = coeffs
+        ] + (args.coef or [])
+        cfg.coeffs = dict(map(_parse_coef_item, items)) if items else dict(DEFAULT_COEFFS)
         if cfg.lm is None:
             raise ConfigError("gen needs --lm")
     if args.command == "oracle":
@@ -418,6 +367,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         smooth_k=cfg.smooth_k,
         lambda_grid=cfg.lambda_grid,
     )
+    result.report["n_malformed_rows"] = len(malformed)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report_sha = atomic_write_text(out / "report.json", dump_json(result.report))
@@ -428,7 +378,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     rep = result.report
     print(
         f"rows: {rep['n_rows']} "
-        f"(dropped {rep['n_dropped_document_initial']} document-initial), "
+        f"(dropped {rep['n_dropped_document_initial']} document-initial, "
+        f"{rep['n_dropped_unread']} unread by all, "
+        f"{rep['n_malformed_rows']} malformed), "
         f"{rep['folds']} folds by {rep['fold_mode']}"
     )
     for model in rep["models"]:

@@ -5,8 +5,13 @@ The corpus exchange format is TSV with a fixed header::
     participant  doc_id  sentence_id  token_idx  token  rt_ms  skipped
 
 one row per (participant, token).  Reading times stay in milliseconds
-end to end.  Aggregation averages reading times over the participants
-who did not skip the token; tokens skipped by everyone are dropped.
+end to end.  Every stage holds its rows in one columnar ``TokenTable``.
+Aggregation averages reading times over the participants who did not
+skip the token.  A token skipped by everyone keeps its place in the
+text, with no reading time: the predictors score the whole text, so its
+neighbours condition on it, and the analysis then drops it and counts
+it.  A participant with two rows for one token, or participants who
+disagree on a token's text or ``sentence_id``, reject the corpus.
 
 Synthetic corpora draw documents from an autoregressive unit model as a
 sequence of independently sampled sentences, then generate reading
@@ -41,38 +46,70 @@ CORPUS_HEADER = (
 MALFORMED_LIMIT = 0.05
 
 
-@dataclass(frozen=True)
-class TokenObservation:
-    """One participant's reading of one token."""
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """Token rows as numpy columns of one length.
 
-    participant: str
-    doc_id: str
-    sentence_id: int
-    token_idx: int
-    token: str
-    rt_ms: float
-    skipped: bool
+    ``doc`` and ``token`` are integer codes into ``doc_ids`` and
+    ``types``, and ``participant`` (where present) into
+    ``participants``; ``token_idx`` and ``sentence_id`` are integers.
+    The other columns depend on the stage: ``rt_ms`` and ``skipped`` per
+    reading, ``rt_ms`` (NaN where nobody read the token) and
+    ``n_readers`` per token, and the predictor columns (NaN spillover at
+    document starts) once scored.  ``doc_ids`` is sorted, so ordering by
+    doc code orders by doc_id.
+    """
+
+    columns: dict[str, np.ndarray]
+    doc_ids: tuple[str, ...]
+    types: tuple[str, ...]
+    participants: tuple[str, ...] = ()
+
+    @classmethod
+    def from_lists(cls, *, doc_id, token, participant=None, **columns) -> "TokenTable":
+        """Encode the string columns as codes; the rest become arrays."""
+        doc_ids = tuple(sorted(set(doc_id)))
+        types = tuple(dict.fromkeys(token))
+        cols = {
+            "doc": _codes(doc_id, doc_ids),
+            "token": _codes(token, types),
+            **{name: np.asarray(values) for name, values in columns.items()},
+        }
+        participants: tuple[str, ...] = ()
+        if participant is not None:
+            participants = tuple(dict.fromkeys(participant))
+            cols["participant"] = _codes(participant, participants)
+        return cls(cols, doc_ids, types, participants)
+
+    def __len__(self) -> int:
+        return len(self.columns["doc"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def take(self, rows: np.ndarray) -> "TokenTable":
+        """The table restricted to ``rows`` (indices or a boolean mask)."""
+        cols = {name: col[rows] for name, col in self.columns.items()}
+        return TokenTable(cols, self.doc_ids, self.types, self.participants)
+
+    def decode(self, name: str) -> list[str]:
+        """A code column (``doc``, ``token``, ``participant``) as strings."""
+        labels = {"doc": self.doc_ids, "token": self.types, "participant": self.participants}
+        return np.asarray(labels[name], dtype=object)[self.columns[name]].tolist()
 
 
-@dataclass(frozen=True)
-class AggregatedToken:
-    """A token with its mean reading time over non-skipping participants."""
-
-    doc_id: str
-    sentence_id: int
-    token_idx: int
-    token: str
-    rt_ms: float | None
-    n_readers: int = 0
+def _codes(values: Sequence[str], labels: Sequence[str]) -> np.ndarray:
+    index = {label: code for code, label in enumerate(labels)}
+    return np.array([index[v] for v in values], dtype=np.int64)
 
 
-def parse_corpus(path) -> tuple[list[TokenObservation], list[tuple[int, str]]]:
+def parse_corpus(path) -> tuple[TokenTable, list[tuple[int, str]]]:
     """Read a corpus TSV; returns (rows, malformed (line, reason) pairs).
 
     Individual bad rows are tolerated and reported; more than
     MALFORMED_LIMIT of the data rows being bad rejects the file.
     """
-    rows: list[TokenObservation] = []
+    rows: list[tuple] = []
     malformed: list[tuple[int, str]] = []
     n_data_lines = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -92,35 +129,24 @@ def parse_corpus(path) -> tuple[list[TokenObservation], list[tuple[int, str]]]:
                 continue
             participant, doc_id, sent_s, idx_s, token, rt_s, skip_s = parts
             try:
-                sentence_id = int(sent_s)
-                token_idx = int(idx_s)
-                rt_ms = float(rt_s)
+                sentence_id, token_idx, rt_ms = int(sent_s), int(idx_s), float(rt_s)
             except ValueError:
                 malformed.append((lineno, "non-numeric sentence_id/token_idx/rt_ms"))
                 continue
             if token_idx < 0 or sentence_id < 0:
-                malformed.append((lineno, "negative index"))
-                continue
-            if not math.isfinite(rt_ms) or rt_ms < 0.0:
-                malformed.append((lineno, f"rt_ms {rt_s!r} not finite and >= 0"))
-                continue
-            if skip_s not in ("0", "1"):
-                malformed.append((lineno, f"skipped must be 0 or 1, got {skip_s!r}"))
-                continue
-            if not token:
-                malformed.append((lineno, "empty token"))
-                continue
-            rows.append(
-                TokenObservation(
-                    participant=participant,
-                    doc_id=doc_id,
-                    sentence_id=sentence_id,
-                    token_idx=token_idx,
-                    token=token,
-                    rt_ms=rt_ms,
-                    skipped=skip_s == "1",
+                why = "negative index"
+            elif not math.isfinite(rt_ms) or rt_ms < 0.0:
+                why = f"rt_ms {rt_s!r} not finite and >= 0"
+            elif skip_s not in ("0", "1"):
+                why = f"skipped must be 0 or 1, got {skip_s!r}"
+            elif not token:
+                why = "empty token"
+            else:
+                rows.append(
+                    (participant, doc_id, sentence_id, token_idx, token, rt_ms, skip_s == "1")
                 )
-            )
+                continue
+            malformed.append((lineno, why))
     if n_data_lines == 0:
         raise FormatError(f"{path}: corpus has no data rows")
     if len(malformed) > MALFORMED_LIMIT * n_data_lines:
@@ -129,50 +155,99 @@ def parse_corpus(path) -> tuple[list[TokenObservation], list[tuple[int, str]]]:
             f"{path}: {len(malformed)} of {n_data_lines} rows malformed "
             f"(limit {MALFORMED_LIMIT:.0%}): {examples}"
         )
-    return rows, malformed
+    return observation_table(rows), malformed
 
 
-def write_corpus_tsv(rows: Sequence[TokenObservation], path) -> None:
+def observation_table(rows: Sequence[tuple]) -> TokenTable:
+    """Readings from (participant, doc_id, sentence_id, token_idx, token,
+    rt_ms, skipped) tuples, one per corpus row."""
+    participant, doc_id, sentence_id, token_idx, token, rt_ms, skipped = zip(*rows)
+    return TokenTable.from_lists(
+        participant=participant, doc_id=doc_id, token=token,
+        sentence_id=np.array(sentence_id, dtype=np.int64),
+        token_idx=np.array(token_idx, dtype=np.int64),
+        rt_ms=np.array(rt_ms, dtype=float), skipped=np.array(skipped, dtype=bool),
+    )
+
+
+def write_corpus_tsv(rows: TokenTable, path) -> None:
+    columns = zip(
+        rows.decode("participant"),
+        rows.decode("doc"),
+        rows["sentence_id"].tolist(),
+        rows["token_idx"].tolist(),
+        rows.decode("token"),
+        # Python floats, whose repr is the shortest round-tripping form
+        rows["rt_ms"].tolist(),
+        rows["skipped"].tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(CORPUS_HEADER) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.participant}\t{r.doc_id}\t{r.sentence_id}\t{r.token_idx}\t"
-                f"{r.token}\t{r.rt_ms!r}\t{int(r.skipped)}\n"
-            )
+        fh.writelines(
+            f"{p}\t{d}\t{s}\t{i}\t{t}\t{rt!r}\t{int(k)}\n"
+            for p, d, s, i, t, rt, k in columns
+        )
 
 
-def aggregate_participants(rows: Sequence[TokenObservation]) -> list[AggregatedToken]:
+def aggregate_participants(rows: TokenTable) -> TokenTable:
     """Mean reading time per token over participants who read it.
 
-    Tokens skipped by every participant have no reading time and are
-    dropped.  Token text must agree across participants.
+    Returns one row per (doc_id, token_idx), in that order.  A token
+    skipped by every participant keeps its row with ``rt_ms`` NaN and
+    ``n_readers`` 0.  Each participant reads a token at most once, and
+    the token text and ``sentence_id`` must agree across participants.
     """
-    by_key: dict[tuple[str, int], list[TokenObservation]] = {}
-    for r in rows:
-        by_key.setdefault((r.doc_id, r.token_idx), []).append(r)
-    out: list[AggregatedToken] = []
-    for (doc_id, token_idx), group in sorted(by_key.items()):
-        tokens = {g.token for g in group}
-        if len(tokens) != 1:
-            raise FormatError(
-                f"token text disagrees across participants at "
-                f"({doc_id!r}, {token_idx}): {sorted(tokens)!r}"
-            )
-        read = [g.rt_ms for g in group if not g.skipped]
-        if not read:
-            continue
-        out.append(
-            AggregatedToken(
-                doc_id=doc_id,
-                sentence_id=group[0].sentence_id,
-                token_idx=token_idx,
-                token=group[0].token,
-                rt_ms=float(np.mean(read)),
-                n_readers=len(read),
-            )
+    order = np.lexsort((rows["token_idx"], rows["doc"]))  # stable: file order within a token
+    doc = rows["doc"][order]
+    idx = rows["token_idx"][order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (doc[1:] != doc[:-1]) | (idx[1:] != idx[:-1])
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+
+    def where(g: int) -> str:
+        return f"({rows.doc_ids[doc[starts[g]]]!r}, {int(idx[starts[g]])})"
+
+    n_participants = max(len(rows.participants), 1)
+    pairs = np.sort(group * n_participants + rows["participant"][order])
+    dup = np.flatnonzero(pairs[1:] == pairs[:-1])
+    if dup.size:
+        g, p = divmod(int(pairs[dup[0]]), n_participants)
+        raise FormatError(
+            f"participant {rows.participants[p]!r} has more than one row at {where(g)}"
         )
-    return out
+    for name, what in (("token", "token text"), ("sentence_id", "sentence_id")):
+        values = rows[name][order]
+        bad = np.flatnonzero(values != values[starts][group])
+        if bad.size:
+            g = int(group[bad[0]])
+            seen = set(values[group == g].tolist())
+            shown = sorted(rows.types[c] for c in seen) if name == "token" else sorted(seen)
+            raise FormatError(
+                f"{what} disagrees across participants at {where(g)}: {shown!r}"
+            )
+
+    read = ~rows["skipped"][order]
+    rt_read = rows["rt_ms"][order][read]
+    n_readers = np.bincount(group[read], minlength=starts.size)
+    offset = np.cumsum(n_readers) - n_readers
+    rt_ms = np.full(starts.size, math.nan)
+    # np.mean over a bucket of equal-sized groups sums each row like
+    # np.mean over that group alone (pairwise from 8 terms on), so the
+    # means keep the bits of a per-token mean over the reads in file order
+    for count in np.unique(n_readers[n_readers > 0]).tolist():
+        groups = np.flatnonzero(n_readers == count)
+        block = rt_read[offset[groups, None] + np.arange(count)]
+        rt_ms[groups] = np.mean(block, axis=1)
+    cols = {
+        "doc": doc[starts],
+        "token_idx": idx[starts],
+        "sentence_id": rows["sentence_id"][order][starts],
+        "token": rows["token"][order][starts],
+        "rt_ms": rt_ms,
+        "n_readers": n_readers,
+    }
+    return TokenTable(cols, rows.doc_ids, rows.types)
 
 
 def standardize(values: np.ndarray, label: str = "column") -> np.ndarray:
@@ -250,8 +325,8 @@ def kfold(
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    observations: list[TokenObservation]
-    records: list  # PredictorRecord, no reading times joined
+    observations: TokenTable
+    records: TokenTable  # scored tokens, no reading times joined
     sidecar: dict
 
 
@@ -284,14 +359,14 @@ def generate_synthetic(
         raise ConfigError(f"unknown coefficient names: {unknown}")
 
     rng = named_rng(seed, "corpus")
-    tokens: list[AggregatedToken] = []
     width = max(4, len(str(n_docs)))
+    doc_id: list[str] = []
+    sentence_id: list[int] = []
+    token_idx: list[int] = []
+    token: list[str] = []
     for d in range(n_docs):
-        doc_id = f"d{d:0{width}d}"
-        token_idx = 0
-        sentence_id = 0
-        attempts = 0
-        while token_idx < doc_len:
+        n_tokens = n_sentences = attempts = 0
+        while n_tokens < doc_len:
             sent = sample_string(lm, rng)
             attempts += 1
             if not sent:
@@ -300,49 +375,48 @@ def generate_synthetic(
                         "model keeps producing empty sentences; cannot fill documents"
                     )
                 continue
-            for u in sent:
-                tokens.append(
-                    AggregatedToken(
-                        doc_id=doc_id,
-                        sentence_id=sentence_id,
-                        token_idx=token_idx,
-                        token=u,
-                        rt_ms=None,
-                    )
-                )
-                token_idx += 1
-            sentence_id += 1
+            doc_id += [f"d{d:0{width}d}"] * len(sent)
+            sentence_id += [n_sentences] * len(sent)
+            token_idx += range(n_tokens, n_tokens + len(sent))
+            token += sent
+            n_tokens += len(sent)
+            n_sentences += 1
 
+    tokens = TokenTable.from_lists(
+        doc_id=doc_id,
+        token=token,
+        token_idx=np.array(token_idx, dtype=np.int64),
+        sentence_id=np.array(sentence_id, dtype=np.int64),
+    )
     records = build_predictor_table(tokens, lm)
-    intercept = float(true_coeffs.get("intercept", 0.0))
-    slopes = {n: float(v) for n, v in true_coeffs.items() if n != "intercept"}
+    clean = np.full(len(records), float(true_coeffs.get("intercept", 0.0)))
+    for name, beta in true_coeffs.items():
+        if name != "intercept":
+            values = records[name]
+            np.add(clean, float(beta) * values, out=clean, where=~np.isnan(values))
 
-    observations: list[TokenObservation] = []
-    for rec in records:
-        clean = intercept
-        for name, beta in slopes.items():
-            v = getattr(rec, name)
-            if v is not None:
-                clean += beta * v
-        noise = rng.normal(0.0, noise_sd, size=n_participants)
-        for p in range(n_participants):
-            rt = clean + float(noise[p])
-            if rt < 0.0:
-                raise ConfigError(
-                    f"generated a negative reading time ({rt:.3f} ms) at "
-                    f"({rec.doc_id!r}, {rec.token_idx}); raise the intercept "
-                    "or lower the noise"
-                )
-            observations.append(
-                TokenObservation(
-                    participant=f"p{p:02d}",
-                    doc_id=rec.doc_id,
-                    sentence_id=rec.sentence_id,
-                    token_idx=rec.token_idx,
-                    token=rec.token,
-                    rt_ms=rt,
-                    skipped=False,
-                )
-            )
+    # one draw in token-major order: the stream of one draw per token
+    rt = clean[:, None] + rng.normal(0.0, noise_sd, size=(len(records), n_participants))
+    negative = np.flatnonzero(rt.ravel() < 0.0)
+    if negative.size:
+        row, _ = divmod(int(negative[0]), n_participants)
+        raise ConfigError(
+            f"generated a negative reading time ({rt.flat[negative[0]]:.3f} ms) at "
+            f"({records.doc_ids[records['doc'][row]]!r}, {int(records['token_idx'][row])}); "
+            "raise the intercept or lower the noise"
+        )
+    cols = {
+        name: np.repeat(records[name], n_participants)
+        for name in ("doc", "token_idx", "sentence_id", "token")
+    }
+    cols["participant"] = np.tile(np.arange(n_participants), len(records))
+    cols["rt_ms"] = rt.ravel()
+    cols["skipped"] = np.zeros(rt.size, dtype=bool)
+    observations = TokenTable(
+        cols,
+        records.doc_ids,
+        records.types,
+        tuple(f"p{p:02d}" for p in range(n_participants)),
+    )
     sidecar = {"true_coeffs": dict(true_coeffs), "noise_sd": noise_sd, "seed": seed}
     return SyntheticCorpus(observations=observations, records=records, sidecar=sidecar)

@@ -137,9 +137,6 @@ class RandomVariableTable:
             raise DegenerateError(f"variable {self.label!r} has non-finite values")
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray, label: str) -> "RandomVariableTable":
-        return RandomVariableTable(measure=self.measure, values=values, label=label)
-
 
 @dataclass(frozen=True)
 class ProjectionCoefficient:

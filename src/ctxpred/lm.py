@@ -26,6 +26,7 @@ renormalized exactly on load.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -122,6 +123,8 @@ class AutoregressiveLM:
     alphabet: UnitAlphabet
     cond: dict[State, dict[str, float]]
     order: int = field(init=False)
+    # per state: (symbols, cdf, successor state or None for eos)
+    sampler: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if () not in self.cond:
@@ -158,6 +161,15 @@ class AutoregressiveLM:
                 f"unit transition operator has spectral radius {rho:.12g}; "
                 "the model does not terminate almost surely"
             )
+        sampler = {}
+        for state, row in self.cond.items():
+            probs = np.array(list(row.values()))
+            # the cdf exactly as Generator.choice(p=...) builds it
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            nxt = [None if s == self.alphabet.eos else self.next_state(state, s) for s in row]
+            sampler[state] = (list(row), cdf.tolist(), nxt)
+        object.__setattr__(self, "sampler", sampler)
 
     # -- state space ----------------------------------------------------
 
@@ -407,20 +419,22 @@ def forward_kl_unigram(
 
 
 def sample_string(lm: AutoregressiveLM, rng: np.random.Generator) -> list[str]:
-    """Draw one complete string (unit list, eos excluded) from the model."""
-    state: State = ()
+    """Draw one complete string (unit list, eos excluded) from the model.
+
+    One uniform per symbol, placed on the state's cdf: the same draws
+    and the same stream as ``rng.choice(len(symbols), p=probs)``.
+    """
+    state: State | None = ()
     out: list[str] = []
     # a.s. termination is validated at construction; the cap only guards
     # against astronomically unlucky draws
     for _ in range(10_000_000):
-        row = lm.cond[state]
-        symbols = list(row)
-        probs = np.array([row[s] for s in symbols])
-        sym = symbols[rng.choice(len(symbols), p=probs / probs.sum())]
-        if sym == lm.alphabet.eos:
+        symbols, cdf, successors = lm.sampler[state]
+        j = bisect_right(cdf, rng.random())
+        state = successors[j]
+        if state is None:
             return out
-        out.append(sym)
-        state = lm.next_state(state, sym)
+        out.append(symbols[j])
     raise ConvergenceError("sampling failed to terminate")
 
 

@@ -4,8 +4,9 @@ This module owns the experiment recipe.  Given a predictor source (an
 internal LM or an external per-token file) and raw reading-time
 observations it:
 
-1. aggregates participants and builds the predictor table,
-2. drops document-initial rows (no spillover values there),
+1. aggregates participants and scores every token of the text,
+2. drops the tokens nobody read and the document-initial rows (no
+   spillover values there), counting each,
 3. assigns folds, then per fold standardizes every column with
    training-rows statistics only,
 4. fits the competing linear models (raw surprisal, PMI rewrite, and
@@ -30,16 +31,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import (
-    AggregatedToken,
-    TokenObservation,
-    aggregate_participants,
-    kfold,
-    standardize_stats,
-)
+from .corpus import TokenTable, aggregate_participants, kfold, standardize_stats
 from .errors import ConfigError, DegenerateError
 from .hilbert import fit_projection, sample_orthogonalize
-from .predictors import build_predictor_table, table_columns
+from .predictors import PREDICTOR_NAMES, build_predictor_table, table_columns
 from .regression import (
     DesignMatrix,
     FitResult,
@@ -212,39 +207,15 @@ class AnalyzeResult:
 
 
 def analyze_observations(
-    source,
-    observations: Sequence[TokenObservation],
-    seed: int,
-    folds: int = 10,
-    predictors: Sequence[str] = MODEL_KINDS,
-    include_length: bool = True,
-    swap_ortho: str | None = None,
-    smooth: bool = False,
-    lmg_grouping: str = "paired",
-    fold_by: str = "token",
-    smooth_k: int = DEFAULT_KNOTS,
-    lambda_grid: Sequence[float] = LAMBDA_GRID,
+    source, observations: TokenTable, seed: int, **options
 ) -> AnalyzeResult:
-    aggregated = aggregate_participants(list(observations))
-    return analyze_tokens(
-        source,
-        aggregated,
-        seed=seed,
-        folds=folds,
-        predictors=predictors,
-        include_length=include_length,
-        swap_ortho=swap_ortho,
-        smooth=smooth,
-        lmg_grouping=lmg_grouping,
-        fold_by=fold_by,
-        smooth_k=smooth_k,
-        lambda_grid=lambda_grid,
-    )
+    """``analyze_tokens`` on the per-token means of the readings."""
+    return analyze_tokens(source, aggregate_participants(observations), seed, **options)
 
 
 def analyze_tokens(
     source,
-    aggregated: Sequence[AggregatedToken],
+    aggregated: TokenTable,
     seed: int,
     folds: int = 10,
     predictors: Sequence[str] = MODEL_KINDS,
@@ -265,13 +236,10 @@ def analyze_tokens(
         raise ConfigError(f"fold_by must be 'token' or 'document', got {fold_by!r}")
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
 
-    records = build_predictor_table(list(aggregated), source)
-    rows = [
-        r
-        for r in records
-        if r.prev_surprisal is not None and r.rt_ms is not None
-    ]
-    n_dropped = len(records) - len(rows)
+    records = build_predictor_table(aggregated, source)
+    unread = np.isnan(records["rt_ms"])
+    initial = np.isnan(records["prev_surprisal"]) & ~unread
+    rows = records.take(~(unread | initial))
     if len(rows) < folds:
         raise ConfigError(
             f"only {len(rows)} usable rows after dropping document-initial "
@@ -279,19 +247,15 @@ def analyze_tokens(
         )
 
     source_names = _needed_sources(specs)
-    # the raw surprisal/frequency/pmi columns always exist for the
-    # identity check, whatever the model selection
-    for extra in ("surprisal", "frequency", "pmi"):
-        if extra not in source_names:
-            source_names.append(extra)
-    raw = table_columns(rows, source_names)
-    y = np.array([r.rt_ms for r in rows], dtype=float)
+    # every column, for the identity check whatever the model selection
+    raw = table_columns(rows, PREDICTOR_NAMES)
+    y = rows["rt_ms"]
 
     assignment = kfold(
         len(rows),
         folds,
         seed,
-        doc_ids=[r.doc_id for r in rows] if fold_by == "document" else None,
+        doc_ids=rows.decode("doc") if fold_by == "document" else None,
     )
 
     model_entries: dict[str, dict] = {}
@@ -422,7 +386,8 @@ def analyze_tokens(
         models.extend(smooth_entries[s.name] for s in specs)
     report = {
         "n_rows": len(rows),
-        "n_dropped_document_initial": n_dropped,
+        "n_dropped_document_initial": int(np.count_nonzero(initial)),
+        "n_dropped_unread": int(np.count_nonzero(unread)),
         "folds": folds,
         "fold_mode": assignment.mode,
         "seed": seed,

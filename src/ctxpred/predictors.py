@@ -11,21 +11,22 @@ Three information-theoretic predictors (all in nats):
 
 Token length (in characters) rides along as a control.  A predictor
 table is built either from an autoregressive model directly or from an
-external per-token file; both paths also attach spillover copies of the
-previous token's values within the same document (absent at document
-starts) and carry the aggregated reading time once joined.
+external per-token file; both paths score every token of the text, read
+or not, attach spillover copies of the previous token's values within
+the same document (NaN at document starts), and carry the aggregated
+reading time once joined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AggregatedToken
-from .errors import CoverageError, DegenerateError, FormatError, SymbolError
+from .corpus import TokenTable
+from .errors import CoverageError, DegenerateError, FormatError, SizeError, SymbolError
 from .hilbert import MeasureTable, RandomVariableTable
 from .lm import AutoregressiveLM, UnigramLM, conditional, unigram_minimizer
 
@@ -41,29 +42,6 @@ PREDICTOR_NAMES = (
 )
 
 EXTERNAL_HEADER = ("doc_id", "token_idx", "token", "surprisal", "frequency")
-
-
-@dataclass(frozen=True)
-class PredictorRecord:
-    """Predictor values for one token occurrence."""
-
-    doc_id: str
-    token_idx: int
-    token: str
-    surprisal: float
-    frequency: float
-    pmi: float
-    length: float
-    sentence_id: int = 0
-    prev_surprisal: float | None = None
-    prev_frequency: float | None = None
-    prev_pmi: float | None = None
-    prev_length: float | None = None
-    rt_ms: float | None = None
-
-    @property
-    def context_id(self) -> tuple[str, int]:
-        return (self.doc_id, self.token_idx)
 
 
 def surprisal(lm: AutoregressiveLM, context: Iterable[str], unit: str) -> float:
@@ -97,9 +75,6 @@ class ExternalPredictorFile:
     """Parsed per-token predictor estimates keyed by (doc_id, token_idx)."""
 
     rows: dict[tuple[str, int], tuple[str, float, float]]
-
-    def lookup(self, doc_id: str, token_idx: int):
-        return self.rows.get((doc_id, token_idx))
 
 
 def parse_external_tsv(path) -> ExternalPredictorFile:
@@ -151,125 +126,157 @@ def parse_external_tsv(path) -> ExternalPredictorFile:
     return ExternalPredictorFile(rows=rows)
 
 
-def write_external_tsv(records: Sequence[PredictorRecord], path) -> None:
+def write_external_tsv(records: TokenTable, path) -> None:
+    columns = zip(
+        records.decode("doc"),
+        records["token_idx"].tolist(),
+        records.decode("token"),
+        records["surprisal"].tolist(),
+        records["frequency"].tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(EXTERNAL_HEADER) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.doc_id}\t{r.token_idx}\t{r.token}\t{r.surprisal!r}\t{r.frequency!r}\n"
-            )
+        fh.writelines(f"{d}\t{i}\t{t}\t{s!r}\t{f!r}\n" for d, i, t, s, f in columns)
 
 
 # -- table construction -------------------------------------------------------
 
 
 def build_predictor_table(
-    tokens: Sequence[AggregatedToken],
-    source: AutoregressiveLM | ExternalPredictorFile,
-) -> list[PredictorRecord]:
-    """Score every corpus token and attach spillover and reading times.
+    tokens: TokenTable, source: AutoregressiveLM | ExternalPredictorFile
+) -> TokenTable:
+    """Score every token of the text and attach spillover copies.
 
-    With a model source, surprisal conditions on the preceding tokens of
-    the same sentence (sentences are the model's strings) and frequency
-    comes from the model's context-free minimizer.  With an external
-    source, values are joined by (doc_id, token_idx); the token text
-    must agree.  Unresolvable tokens raise a coverage error naming them.
+    Rows come out in (doc_id, token_idx) order, with the input's columns
+    (reading times included) carried along.  With a model source,
+    surprisal conditions on the preceding tokens of the same sentence
+    (sentences are the model's strings) and frequency comes from the
+    model's context-free minimizer.  With an external source, values are
+    joined by (doc_id, token_idx); the token text must agree.
+    Unresolvable tokens raise a coverage error naming them.
     """
-    ordered = sorted(tokens, key=lambda t: (t.doc_id, t.token_idx))
-    records: list[PredictorRecord] = []
-    missing: list[tuple] = []
-
+    table = tokens.take(np.lexsort((tokens["token_idx"], tokens["doc"])))
     if isinstance(source, AutoregressiveLM):
-        lm = source
-        q = unigram_minimizer(lm)
-        known = set(lm.alphabet.units)
-        bad_vocab = sorted({t.token for t in ordered} - known)
-        if bad_vocab:
-            raise CoverageError(
-                f"{len(bad_vocab)} corpus token types are outside the model "
-                f"alphabet: {bad_vocab[:10]!r}",
-                missing=bad_vocab,
-            )
-        sent_context: list[str] = []
-        prev_key: tuple[str, int] | None = None
-        for t in ordered:
-            if prev_key != (t.doc_id, t.sentence_id):
-                sent_context = []
-                prev_key = (t.doc_id, t.sentence_id)
-            surp = surprisal(lm, sent_context, t.token)
-            freq = frequency(q, t.token)
-            records.append(
-                PredictorRecord(
-                    doc_id=t.doc_id,
-                    token_idx=t.token_idx,
-                    token=t.token,
-                    surprisal=surp,
-                    frequency=freq,
-                    pmi=freq - surp,
-                    length=float(len(t.token)),
-                    sentence_id=t.sentence_id,
-                    rt_ms=t.rt_ms,
-                )
-            )
-            sent_context.append(t.token)
+        surp, freq = _score_lm(table, source)
     elif isinstance(source, ExternalPredictorFile):
-        for t in ordered:
-            hit = source.lookup(t.doc_id, t.token_idx)
-            if hit is None or hit[0] != t.token:
-                missing.append((t.doc_id, t.token_idx, t.token))
-                continue
-            _, surp, freq = hit
-            records.append(
-                PredictorRecord(
-                    doc_id=t.doc_id,
-                    token_idx=t.token_idx,
-                    token=t.token,
-                    surprisal=surp,
-                    frequency=freq,
-                    pmi=freq - surp,
-                    length=float(len(t.token)),
-                    sentence_id=t.sentence_id,
-                    rt_ms=t.rt_ms,
-                )
-            )
-        if missing:
-            shown = ", ".join(f"({d!r}, {i}, {tok!r})" for d, i, tok in missing[:10])
-            raise CoverageError(
-                f"{len(missing)} corpus tokens have no matching external "
-                f"predictor row: {shown}",
-                missing=missing,
-            )
+        surp, freq = _join_external(table, source)
     else:
         raise FormatError(f"unsupported predictor source: {type(source).__name__}")
-
+    values = {
+        "surprisal": surp,
+        "frequency": freq,
+        "pmi": freq - surp,
+        "length": np.array([float(len(t)) for t in table.types])[table["token"]],
+    }
     # spillover: previous token in the same document, regardless of sentence
-    out: list[PredictorRecord] = []
-    prev: PredictorRecord | None = None
-    for rec in records:
-        if prev is not None and prev.doc_id == rec.doc_id:
-            rec = replace(
-                rec,
-                prev_surprisal=prev.surprisal,
-                prev_frequency=prev.frequency,
-                prev_pmi=prev.pmi,
-                prev_length=prev.length,
+    doc_start = np.ones(len(table), dtype=bool)
+    doc_start[1:] = table["doc"][1:] != table["doc"][:-1]
+    for name in ("surprisal", "frequency", "pmi", "length"):
+        prev = np.roll(values[name], 1)
+        prev[doc_start] = math.nan
+        values[f"prev_{name}"] = prev
+    return TokenTable({**table.columns, **values}, table.doc_ids, table.types)
+
+
+def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.ndarray]:
+    """Surprisal and frequency of each row, by gathers over small tables.
+
+    A row's state is the last ``lm.order`` units of its sentence so far,
+    coded as a number in base (units + 1) with the latest unit lowest
+    and 0 for absent, so states of different lengths stay distinct.
+    The logs are taken of the (state, unit) cells, not of the rows.
+    """
+    units = lm.alphabet.units
+    unit_col = {u: a for a, u in enumerate(units)}
+    present = [table.types[c] for c in np.unique(table["token"]).tolist()]
+    bad_vocab = sorted(set(present) - set(units))
+    if bad_vocab:
+        raise CoverageError(
+            f"{len(bad_vocab)} corpus token types are outside the model "
+            f"alphabet: {bad_vocab[:10]!r}",
+            missing=bad_vocab,
+        )
+    base = len(units) + 1
+    if base**lm.order >= 2**62:
+        raise SizeError(f"{len(units)} units at order {lm.order} overflow the state code")
+    unit = np.array([unit_col.get(t, -1) for t in table.types], dtype=np.int64)
+    unit = unit[table["token"]]
+
+    rows = np.arange(len(table))
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (table["doc"][1:] != table["doc"][:-1]) | (
+        table["sentence_id"][1:] != table["sentence_id"][:-1]
+    )
+    sentence_start = np.maximum.accumulate(np.where(first, rows, 0))
+    pos = rows - sentence_start
+    code = np.zeros(len(table), dtype=np.int64)
+    for d in range(1, lm.order + 1):
+        back = np.flatnonzero(pos >= d)
+        code[back] += (unit[back - d] + 1) * base ** (d - 1)
+
+    states = list(lm.cond)
+    index = {
+        sum((unit_col[u] + 1) * base**j for j, u in enumerate(reversed(s))): i
+        for i, s in enumerate(states)
+    }
+    codes, inverse = np.unique(code, return_inverse=True)
+    state = np.array([index.get(c, -1) for c in codes.tolist()], dtype=np.int64)[inverse]
+    known = state >= 0
+    neglog = np.array(
+        [[-math.log(lm.cond[s][u]) if u in lm.cond[s] else math.inf for u in units]
+         for s in states]
+    )
+    surp = np.where(known, neglog[state, unit], math.inf)
+    if np.isinf(surp).any():
+        i = int(np.argmax(np.isinf(surp)))
+        context = tuple(table.types[c] for c in table["token"][sentence_start[i]:i].tolist())
+        if not known[i]:
+            raise DegenerateError(
+                f"context state {lm.state_of(context)!r} is unreachable under this model"
             )
-        out.append(rec)
-        prev = rec
-    return out
+        raise DegenerateError(
+            f"unit {units[unit[i]]!r} has zero conditional probability after {context!r}"
+        )
+
+    q = unigram_minimizer(lm)
+    freq_of_unit = np.full(len(units), math.nan)
+    for a in np.unique(unit).tolist():
+        freq_of_unit[a] = frequency(q, units[a])
+    return surp, freq_of_unit[unit]
 
 
-def table_columns(
-    records: Sequence[PredictorRecord], names: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """Extract named columns as float arrays; None values become NaN."""
+def _join_external(
+    table: TokenTable, source: ExternalPredictorFile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surprisal and frequency of each row, looked up by key."""
+    n = len(table)
+    surp = np.empty(n)
+    freq = np.empty(n)
+    missing: list[tuple] = []
+    keys = zip(table.decode("doc"), table["token_idx"].tolist(), table.decode("token"))
+    for row, (doc_id, token_idx, token) in enumerate(keys):
+        hit = source.rows.get((doc_id, token_idx))
+        if hit is None or hit[0] != token:
+            missing.append((doc_id, token_idx, token))
+            continue
+        _, surp[row], freq[row] = hit
+    if missing:
+        shown = ", ".join(f"({d!r}, {i}, {tok!r})" for d, i, tok in missing[:10])
+        raise CoverageError(
+            f"{len(missing)} corpus tokens have no matching external "
+            f"predictor row: {shown}",
+            missing=missing,
+        )
+    return surp, freq
+
+
+def table_columns(records: TokenTable, names: Sequence[str]) -> dict[str, np.ndarray]:
+    """Named columns as float arrays; absent spillover values are NaN."""
     cols = {}
     for name in names:
         if name not in PREDICTOR_NAMES and name != "rt_ms":
             raise FormatError(f"unknown predictor column {name!r}")
-        cols[name] = np.array(
-            [math.nan if getattr(r, name) is None else float(getattr(r, name)) for r in records]
-        )
+        cols[name] = np.array(records[name], dtype=float)
     return cols
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AlignmentError,
@@ -98,12 +97,6 @@ class DesignMatrix:
         design._check_conditioning()
         return design
 
-    @classmethod
-    def intercept_only(cls, n: int) -> "DesignMatrix":
-        if n < 1:
-            raise ConfigError("need at least one row")
-        return cls(labels=(INTERCEPT_LABEL,), matrix=np.ones((n, 1)))
-
     def _check_conditioning(self) -> None:
         cond = np.linalg.cond(self.matrix)
         if cond > CONDITION_LIMIT or not np.isfinite(cond):
@@ -117,7 +110,10 @@ class DesignMatrix:
 
     def _dependent_labels(self) -> list[str]:
         # Pivoted QR points at the columns that add (almost) nothing to
-        # the span of the ones already chosen.
+        # the span of the ones already chosen.  scipy.linalg is imported
+        # only here, on the failure path: it is the costliest import left.
+        import scipy.linalg
+
         _, r, piv = scipy.linalg.qr(self.matrix, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         if diag[0] == 0.0:
@@ -129,10 +125,6 @@ class DesignMatrix:
     @property
     def n_obs(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -284,9 +276,6 @@ class LmgReport:
             return float(self.shares[self.groups.index(group)])
         except ValueError:
             raise AlignmentError(f"no group named {group!r}") from None
-
-    def as_dict(self) -> dict[str, float]:
-        return {g: float(s) for g, s in zip(self.groups, self.shares)}
 
 
 def lmg(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AlignmentError,
@@ -256,6 +255,9 @@ class _PenalizedProblem:
     def _solve(self, lambdas: Sequence[float], rhs: np.ndarray):
         """Coefficients for ``rhs[:, 0]`` and the influence operator
         (X'X + S)^-1 X'X from one factor and one stacked solve."""
+        # imported here, so that commands without smooth terms skip it
+        import scipy.linalg
+
         m = self.xtx.copy()
         for sl, pen, lam in zip(self.slices, self.penalties, lambdas):
             if lam < 0.0:

@@ -6,9 +6,10 @@ regression coefficients from the pseudoinverse, variance shares from
 factorial ordering enumeration, and spline values from a hand-written
 tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
-(``lstsq_rsquared`` and ``gcv_search_nrow``): they are the direct
-computations those kernels replace, kept so that the fast forms can be
-held to them.
+(``lstsq_rsquared`` and ``gcv_search_nrow``) and the per-row token path
+(``reference_aggregate``, ``reference_score``, ``choice_sample_string``):
+they are the direct computations the fast forms replace, kept so that
+the fast forms can be held to them.
 """
 
 from __future__ import annotations
@@ -107,6 +108,75 @@ def brute_context_measure(lm, max_len, z):
             if mass > 0.0:
                 table[ctx] = mass / z
     return table, sum(table.values())
+
+
+# -- the per-row token path -------------------------------------------------
+
+
+def reference_aggregate(rows):
+    """Per-token mean reading time, one np.mean per (doc_id, token_idx).
+
+    ``rows`` are (participant, doc_id, sentence_id, token_idx, token,
+    rt_ms, skipped) tuples in file order.  Returns (doc_id, sentence_id,
+    token_idx, token, rt_ms or None, n_readers) tuples in key order;
+    the first row of a token gives its sentence_id and text.
+    """
+    by_key = {}
+    for row in rows:
+        by_key.setdefault((row[1], row[3]), []).append(row)
+    out = []
+    for (doc_id, token_idx), group in sorted(by_key.items()):
+        read = [row[5] for row in group if not row[6]]
+        rt = float(np.mean(read)) if read else None
+        out.append((doc_id, group[0][2], token_idx, group[0][4], rt, len(read)))
+    return out
+
+
+def reference_score(tokens, lm):
+    """Predictor values per token from conditional(), one call per row.
+
+    ``tokens`` are (doc_id, sentence_id, token_idx, token) tuples in
+    (doc_id, token_idx) order.  Returns one dict per token; spillover
+    values are copied from the previous token of the same document and
+    are None at document starts.
+    """
+    from ctxpred.lm import conditional, unigram_minimizer
+
+    q = unigram_minimizer(lm)
+    records = []
+    context, key = [], None
+    for doc_id, sentence_id, _, token in tokens:
+        if key != (doc_id, sentence_id):
+            context, key = [], (doc_id, sentence_id)
+        surp = -math.log(conditional(lm, context, token))
+        freq = -math.log(q.prob(token))
+        records.append(
+            {"doc_id": doc_id, "surprisal": surp, "frequency": freq,
+             "pmi": freq - surp, "length": float(len(token))}
+        )
+        context.append(token)
+    prev = None
+    for rec in records:
+        same_doc = prev is not None and prev["doc_id"] == rec["doc_id"]
+        for name in ("surprisal", "frequency", "pmi", "length"):
+            rec[f"prev_{name}"] = prev[name] if same_doc else None
+        prev = rec
+    return records
+
+
+def choice_sample_string(lm, rng):
+    """One string, each symbol drawn by rng.choice over its state's row."""
+    state = ()
+    out = []
+    while True:
+        row = lm.cond[state]
+        symbols = list(row)
+        probs = np.array([row[sym] for sym in symbols])
+        sym = symbols[rng.choice(len(symbols), p=probs / probs.sum())]
+        if sym == lm.alphabet.eos:
+            return out
+        out.append(sym)
+        state = lm.next_state(state, sym)
 
 
 # -- memoryless closed forms ----------------------------------------------

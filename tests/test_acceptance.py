@@ -288,9 +288,9 @@ def test_ac08_share_ordering_across_encodings(mixture):
         synth = generate_synthetic(
             mixture, {"intercept": 0.0}, 0.0, 42, 72, seed=rep
         )
-        s_raw = np.array([r.surprisal for r in synth.records])
-        f_raw = np.array([r.frequency for r in synth.records])
-        p_raw = np.array([r.pmi for r in synth.records])
+        s_raw = synth.records["surprisal"]
+        f_raw = synth.records["frequency"]
+        p_raw = synth.records["pmi"]
         s, f = standardize(s_raw), standardize(f_raw)
         corrs.append(float(np.corrcoef(s, f)[0, 1]))
         noise = named_rng(rep, "simulations").standard_normal(s.size)

@@ -128,6 +128,27 @@ class TestAnalyze:
                 analyze_dir / name
             ).read_bytes(), name
 
+    def test_report_counts_unread_and_malformed_rows(self, gen_dir, tmp_path, capsys):
+        lines = (gen_dir / "corpus.tsv").read_text().splitlines()
+        fields = lines[6].split("\t")  # one participant: this token is unread
+        lines[6] = "\t".join(fields[:-1] + ["1"])
+        lines.append("junk")
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("\n".join(lines) + "\n")
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"), "--folds", "3",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["n_dropped_unread"] == 1
+        assert report["n_malformed_rows"] == 1
+        assert report["n_rows"] + report["n_dropped_unread"] + report[
+            "n_dropped_document_initial"
+        ] == len(lines) - 2
+        assert "1 unread by all, 1 malformed" in out
+
     def test_smooth_on_discrete_predictors(self, gen_dir, tmp_path, capsys):
         # the mixture's frequency and length take 3 values each, fewer
         # than the 6 default knots: each term gets one knot per distinct
@@ -162,8 +183,8 @@ class TestAnalyze:
 def continuous_files(tmp_path_factory):
     import numpy as np
 
-    from ctxpred.corpus import TokenObservation, write_corpus_tsv
-    from ctxpred.predictors import PredictorRecord, write_external_tsv
+    from ctxpred.corpus import TokenTable, observation_table, write_corpus_tsv
+    from ctxpred.predictors import write_external_tsv
 
     rng = np.random.default_rng(23)
     obs, recs = [], []
@@ -174,15 +195,14 @@ def continuous_files(tmp_path_factory):
             freq = float(rng.gamma(5.0, 0.5))
             token = "w" * int(rng.integers(1, 5))
             rt = 150.0 + 12.0 * surp + 5.0 * freq + rng.normal(0.0, 6.0)
-            obs.append(TokenObservation(
-                participant="p0", doc_id=doc, sentence_id=0, token_idx=t,
-                token=token, rt_ms=float(rt), skipped=False,
-            ))
-            recs.append(PredictorRecord(
-                doc_id=doc, sentence_id=0, token_idx=t, token=token,
-                surprisal=surp, frequency=freq, pmi=freq - surp,
-                length=float(len(token)),
-            ))
+            obs.append(("p0", doc, 0, t, token, float(rt), False))
+            recs.append((doc, t, token, surp, freq))
+    doc_id, token_idx, token, surp, freq = zip(*recs)
+    recs = TokenTable.from_lists(
+        doc_id=doc_id, token_idx=np.array(token_idx), token=token,
+        surprisal=np.array(surp), frequency=np.array(freq),
+    )
+    obs = observation_table(obs)
     root = tmp_path_factory.mktemp("continuous")
     write_external_tsv(recs, root / "pred.tsv")
     write_corpus_tsv(obs, root / "corpus.tsv")
@@ -368,6 +388,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_CONFIG
 
+    def test_duplicate_participant_row(self, gen_dir, tmp_path, capsys):
+        lines = (gen_dir / "corpus.tsv").read_text().splitlines()
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("\n".join(lines + [lines[3]]) + "\n")
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "more than one row" in err
+
     def test_bad_fold_count(self, gen_dir, tmp_path, capsys):
         code = main([
             "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
@@ -426,6 +458,21 @@ def test_import_leaves_out_spline_interpolation():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ctxpred.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy_linalg():
+    # only the rank-failure message and the smooth fits use scipy.linalg,
+    # so importing the command line must not load it
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ctxpred.cli; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

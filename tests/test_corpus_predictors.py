@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_m1
+from conftest import make_m1, random_lm
 from ctxpred.corpus import (
-    AggregatedToken,
-    TokenObservation,
+    TokenTable,
     aggregate_participants,
     generate_synthetic,
     kfold,
+    observation_table,
     parse_corpus,
     standardize,
     standardize_stats,
@@ -28,9 +29,15 @@ from ctxpred.errors import (
     FormatError,
 )
 from ctxpred.hilbert import MeasureTable
-from ctxpred.lm import EnumerationBudget, unigram_minimizer
+from ctxpred.lm import (
+    AutoregressiveLM,
+    EnumerationBudget,
+    load_lm_tsv,
+    sample_string,
+    unigram_minimizer,
+)
 from ctxpred.predictors import (
-    ExternalPredictorFile,
+    PREDICTOR_NAMES,
     build_predictor_table,
     frequency,
     frequency_variable,
@@ -42,17 +49,46 @@ from ctxpred.predictors import (
     table_columns,
     write_external_tsv,
 )
+from oracles import reference_aggregate, reference_score
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def obs(participant, doc, idx, token, rt, skipped=False, sent=0):
-    return TokenObservation(
-        participant=participant,
-        doc_id=doc,
-        sentence_id=sent,
-        token_idx=idx,
+    return (participant, doc, sent, idx, token, rt, skipped)
+
+
+def tokens(*rows):
+    """Token table from (doc_id, token_idx, token, sentence_id, rt_ms) rows."""
+    doc_id, token_idx, token, sentence_id, rt_ms = zip(*rows)
+    return TokenTable.from_lists(
+        doc_id=doc_id,
+        token_idx=np.array(token_idx),
         token=token,
-        rt_ms=rt,
-        skipped=skipped,
+        sentence_id=np.array(sentence_id),
+        rt_ms=np.array(rt_ms, dtype=float),
+    )
+
+
+def readings(table):
+    """A reading table back as obs() tuples, in row order."""
+    return list(
+        zip(
+            table.decode("participant"),
+            table.decode("doc"),
+            table["sentence_id"].tolist(),
+            table["token_idx"].tolist(),
+            table.decode("token"),
+            table["rt_ms"].tolist(),
+            table["skipped"].tolist(),
+        )
+    )
+
+
+def same_columns(a, b):
+    return set(a.columns) == set(b.columns) and all(
+        np.array_equal(a[name], b[name], equal_nan=a[name].dtype.kind == "f")
+        for name in a.columns
     )
 
 
@@ -60,10 +96,10 @@ class TestParsing:
     def test_roundtrip(self, tmp_path):
         rows = [obs("p0", "d0", 0, "a", 201.5), obs("p1", "d0", 0, "a", 188.0, True)]
         path = tmp_path / "c.tsv"
-        write_corpus_tsv(rows, path)
+        write_corpus_tsv(observation_table(rows), path)
         back, malformed = parse_corpus(path)
         assert malformed == []
-        assert back == rows
+        assert readings(back) == rows
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -117,24 +153,128 @@ class TestAggregation:
             obs("p1", "d0", 0, "a", 300.0),
             obs("p2", "d0", 0, "a", 0.0, skipped=True),
         ]
-        agg = aggregate_participants(rows)
+        agg = aggregate_participants(observation_table(rows))
         assert len(agg) == 1
-        assert agg[0].rt_ms == pytest.approx(250.0)
-        assert agg[0].n_readers == 2
+        assert agg["rt_ms"][0] == pytest.approx(250.0)
+        assert agg["n_readers"][0] == 2
 
-    def test_all_skipped_dropped(self):
+    def test_all_skipped_token_kept_without_reading_time(self):
         rows = [
             obs("p0", "d0", 0, "a", 0.0, skipped=True),
             obs("p1", "d0", 0, "a", 0.0, skipped=True),
             obs("p0", "d0", 1, "b", 150.0),
         ]
-        agg = aggregate_participants(rows)
-        assert [t.token_idx for t in agg] == [1]
+        agg = aggregate_participants(observation_table(rows))
+        assert agg["token_idx"].tolist() == [0, 1]
+        assert agg.decode("token") == ["a", "b"]
+        assert math.isnan(agg["rt_ms"][0]) and agg["rt_ms"][1] == 150.0
+        assert agg["n_readers"].tolist() == [0, 1]
 
     def test_token_disagreement_rejected(self):
         rows = [obs("p0", "d0", 0, "a", 200.0), obs("p1", "d0", 0, "b", 300.0)]
-        with pytest.raises(FormatError):
-            aggregate_participants(rows)
+        with pytest.raises(FormatError, match="token text disagrees"):
+            aggregate_participants(observation_table(rows))
+
+    def test_duplicate_participant_row_rejected(self):
+        rows = [
+            obs("p0", "d0", 0, "a", 200.0),
+            obs("p1", "d0", 0, "a", 300.0),
+            obs("p0", "d0", 0, "a", 260.0),
+        ]
+        with pytest.raises(FormatError, match=r"'p0' has more than one row at \('d0', 0\)"):
+            aggregate_participants(observation_table(rows))
+
+    def test_sentence_id_disagreement_rejected(self):
+        rows = [
+            obs("p0", "d0", 0, "a", 200.0, sent=0),
+            obs("p0", "d0", 1, "a", 210.0, sent=0),
+            obs("p1", "d0", 0, "a", 300.0, sent=0),
+            obs("p1", "d0", 1, "a", 310.0, sent=1),
+        ]
+        with pytest.raises(FormatError, match=r"sentence_id disagrees .* \('d0', 1\): \[0, 1\]"):
+            aggregate_participants(observation_table(rows))
+
+
+@st.composite
+def skipped_corpora(draw):
+    """A model, a sampled text, and shuffled readings with random skips."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    lm = random_lm(rng, max_order=2)
+    n_participants = draw(st.integers(min_value=1, max_value=12))
+    text = []
+    for d in range(draw(st.integers(min_value=1, max_value=4))):
+        token_idx = 0
+        for sentence_id in range(draw(st.integers(min_value=1, max_value=4))):
+            for token in sample_string(lm, rng):
+                text.append((f"doc{d}", sentence_id, token_idx, token))
+                token_idx += 1
+    assume(text)
+    skip_p = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rows = [
+        (f"p{p}", doc_id, sentence_id, token_idx, token,
+         float(rng.gamma(9.0, 25.0)), bool(rng.random() < skip_p))
+        for doc_id, sentence_id, token_idx, token in text
+        for p in range(n_participants)
+    ]
+    assume(not all(row[6] for row in rows))
+    order = rng.permutation(len(rows))
+    return lm, [rows[i] for i in order]
+
+
+class TestColumnarMatchesPerRowPath:
+    @given(case=skipped_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_bit_equal_to_reference(self, case):
+        lm, rows = case
+        agg = aggregate_participants(observation_table(rows))
+        ref = reference_aggregate(rows)
+        assert list(zip(agg.decode("doc"), agg["sentence_id"].tolist(),
+                        agg["token_idx"].tolist(), agg.decode("token"))) == [r[:4] for r in ref]
+        assert agg["n_readers"].tolist() == [r[5] for r in ref]
+        want_rt = [math.nan if r[4] is None else r[4] for r in ref]
+        assert np.array_equal(agg["rt_ms"], want_rt, equal_nan=True)
+
+        recs = build_predictor_table(agg, lm)
+        ref_recs = reference_score([r[:4] for r in ref], lm)
+        for name in PREDICTOR_NAMES:
+            want = [math.nan if rec[name] is None else rec[name] for rec in ref_recs]
+            assert np.array_equal(recs[name], want, equal_nan=True), name
+        assert np.array_equal(recs["rt_ms"], want_rt, equal_nan=True)
+
+
+class TestSkippedTokensStayInTheText:
+    """A token skipped by everyone still conditions its neighbours."""
+
+    @pytest.fixture
+    def mixture(self):
+        return load_lm_tsv(FIXTURES / "mixture.tsv")
+
+    def readings_of(self, skip_bb):
+        return observation_table([
+            obs(p, "d0", i, tok, 200.0 + i, skipped=skip_bb and tok == "bb")
+            for i, tok in enumerate(["a", "bb", "a"])
+            for p in ("p0", "p1")
+        ])
+
+    def test_third_token_conditions_on_the_skipped_one(self, mixture):
+        recs = build_predictor_table(
+            aggregate_participants(self.readings_of(skip_bb=True)), mixture
+        )
+        assert recs["surprisal"][2] == pytest.approx(2.525, abs=5e-4)
+        assert recs["surprisal"][2] == -math.log(mixture.cond[("bb",)]["a"])
+        for name in ("surprisal", "frequency", "pmi", "length"):
+            assert recs[f"prev_{name}"][2] == recs[name][1]
+        assert recs["prev_length"][2] == 2.0
+        assert math.isnan(recs["rt_ms"][1])
+
+    def test_scores_equal_those_of_the_unskipped_text(self, mixture):
+        skipped, full = (
+            build_predictor_table(aggregate_participants(self.readings_of(flag)), mixture)
+            for flag in (True, False)
+        )
+        for name in PREDICTOR_NAMES:
+            assert np.array_equal(skipped[name], full[name], equal_nan=True), name
 
 
 class TestStandardize:
@@ -224,53 +364,59 @@ class TestScalarPredictors:
 
 
 class TestTableInternal:
-    def agg(self, doc, idx, token, sent=0, rt=200.0):
-        return AggregatedToken(
-            doc_id=doc, sentence_id=sent, token_idx=idx, token=token, rt_ms=rt
-        )
-
     def test_context_resets_per_sentence(self, m1):
-        toks = [
-            self.agg("d0", 0, "a", sent=0),
-            self.agg("d0", 1, "a", sent=0),
-            self.agg("d0", 2, "a", sent=1),
-        ]
-        recs = build_predictor_table(toks, m1)
-        assert recs[0].surprisal == pytest.approx(-math.log(0.8))
-        assert recs[1].surprisal == pytest.approx(-math.log(0.25))
+        recs = build_predictor_table(
+            tokens(("d0", 0, "a", 0, 200.0), ("d0", 1, "a", 0, 200.0), ("d0", 2, "a", 1, 200.0)),
+            m1,
+        )
+        assert recs["surprisal"][0] == pytest.approx(-math.log(0.8))
+        assert recs["surprisal"][1] == pytest.approx(-math.log(0.25))
         # new sentence, context starts over
-        assert recs[2].surprisal == pytest.approx(-math.log(0.8))
+        assert recs["surprisal"][2] == pytest.approx(-math.log(0.8))
 
     def test_spillover_crosses_sentences_within_doc(self, m1):
-        toks = [
-            self.agg("d0", 0, "a", sent=0),
-            self.agg("d0", 1, "a", sent=1),
-            self.agg("d1", 0, "a", sent=0),
-        ]
-        recs = build_predictor_table(toks, m1)
-        assert recs[0].prev_surprisal is None
-        assert recs[1].prev_surprisal == pytest.approx(recs[0].surprisal)
-        assert recs[1].prev_length == 1.0
+        recs = build_predictor_table(
+            tokens(("d0", 0, "a", 0, 200.0), ("d0", 1, "a", 1, 200.0), ("d1", 0, "a", 0, 200.0)),
+            m1,
+        )
+        assert math.isnan(recs["prev_surprisal"][0])
+        assert recs["prev_surprisal"][1] == pytest.approx(recs["surprisal"][0])
+        assert recs["prev_length"][1] == 1.0
         # new document: spillover resets
-        assert recs[2].prev_surprisal is None
+        assert math.isnan(recs["prev_surprisal"][2])
 
     def test_unknown_token_coverage_error(self, m1):
-        toks = [self.agg("d0", 0, "zzz")]
         with pytest.raises(CoverageError) as err:
-            build_predictor_table(toks, m1)
-        assert "zzz" in str(err.value)
+            build_predictor_table(tokens(("d0", 0, "zzz", 0, 200.0)), m1)
+        assert str(err.value) == (
+            "1 corpus token types are outside the model alphabet: ['zzz']"
+        )
+        assert err.value.missing == ["zzz"]
+
+    def test_structural_zero_names_unit_and_context(self, m0):
+        lm = AutoregressiveLM(
+            alphabet=m0.alphabet,
+            cond={(): {"a": 0.5, "$": 0.5}, ("a",): {"b": 0.5, "$": 0.5},
+                  ("b",): {"a": 0.5, "$": 0.5}},
+        )
+        table = tokens(("d0", 0, "a", 0, 1.0), ("d0", 1, "b", 0, 1.0), ("d0", 2, "b", 0, 1.0))
+        with pytest.raises(DegenerateError) as err:
+            build_predictor_table(table, lm)
+        assert str(err.value) == (
+            "unit 'b' has zero conditional probability after ('a', 'b')"
+        )
 
     def test_reading_time_carried(self, m1):
-        toks = [self.agg("d0", 0, "a", rt=123.0)]
-        recs = build_predictor_table(toks, m1)
-        assert recs[0].rt_ms == 123.0
+        recs = build_predictor_table(tokens(("d0", 0, "a", 0, 123.0)), m1)
+        assert recs["rt_ms"][0] == 123.0
 
     def test_columns_with_nan_spillover(self, m1):
-        toks = [self.agg("d0", 0, "a"), self.agg("d0", 1, "a")]
-        recs = build_predictor_table(toks, m1)
+        recs = build_predictor_table(
+            tokens(("d0", 0, "a", 0, 200.0), ("d0", 1, "a", 0, 200.0)), m1
+        )
         cols = table_columns(recs, ["surprisal", "prev_surprisal"])
         assert math.isnan(cols["prev_surprisal"][0])
-        assert cols["prev_surprisal"][1] == pytest.approx(recs[0].surprisal)
+        assert cols["prev_surprisal"][1] == pytest.approx(recs["surprisal"][0])
 
 
 class TestTableExternal:
@@ -282,23 +428,17 @@ class TestTableExternal:
     def test_join(self, tmp_path):
         path = self.write(tmp_path, "d0\t0\tcat\t2.5\t3.0\nd0\t1\tsat\t1.5\t2.0\n")
         ext = parse_external_tsv(path)
-        toks = [
-            AggregatedToken("d0", 0, 0, "cat", 180.0),
-            AggregatedToken("d0", 0, 1, "sat", 190.0),
-        ]
+        toks = tokens(("d0", 0, "cat", 0, 180.0), ("d0", 1, "sat", 0, 190.0))
         recs = build_predictor_table(toks, ext)
-        assert recs[0].surprisal == 2.5
-        assert recs[0].pmi == pytest.approx(0.5)
-        assert recs[0].length == 3.0
-        assert recs[1].prev_frequency == pytest.approx(3.0)
+        assert recs["surprisal"][0] == 2.5
+        assert recs["pmi"][0] == pytest.approx(0.5)
+        assert recs["length"][0] == 3.0
+        assert recs["prev_frequency"][1] == pytest.approx(3.0)
 
     def test_missing_row_named(self, tmp_path):
         path = self.write(tmp_path, "d0\t0\tcat\t2.5\t3.0\n")
         ext = parse_external_tsv(path)
-        toks = [
-            AggregatedToken("d0", 0, 0, "cat", 180.0),
-            AggregatedToken("d0", 0, 1, "sat", 190.0),
-        ]
+        toks = tokens(("d0", 0, "cat", 0, 180.0), ("d0", 1, "sat", 0, 190.0))
         with pytest.raises(CoverageError) as err:
             build_predictor_table(toks, ext)
         assert "sat" in str(err.value)
@@ -307,9 +447,8 @@ class TestTableExternal:
     def test_token_mismatch_is_missing(self, tmp_path):
         path = self.write(tmp_path, "d0\t0\tdog\t2.5\t3.0\n")
         ext = parse_external_tsv(path)
-        toks = [AggregatedToken("d0", 0, 0, "cat", 180.0)]
         with pytest.raises(CoverageError):
-            build_predictor_table(toks, ext)
+            build_predictor_table(tokens(("d0", 0, "cat", 0, 180.0)), ext)
 
     def test_schema_violations(self, tmp_path):
         with pytest.raises(FormatError):
@@ -326,15 +465,13 @@ class TestTableExternal:
             )
 
     def test_roundtrip(self, tmp_path, m1):
-        toks = [AggregatedToken("d0", 0, i, "a", 100.0) for i in range(3)]
+        toks = tokens(*[("d0", i, "a", 0, 100.0) for i in range(3)])
         recs = build_predictor_table(toks, m1)
         path = tmp_path / "ext.tsv"
         write_external_tsv(recs, path)
-        back = parse_external_tsv(path)
-        again = build_predictor_table(toks, back)
-        for a, b in zip(recs, again):
-            assert a.surprisal == b.surprisal
-            assert a.frequency == b.frequency
+        again = build_predictor_table(toks, parse_external_tsv(path))
+        assert np.array_equal(recs["surprisal"], again["surprisal"])
+        assert np.array_equal(recs["frequency"], again["frequency"])
 
 
 class TestExactVariables:
@@ -358,26 +495,28 @@ class TestSynthesis:
         a = generate_synthetic(m1, {"intercept": 100.0}, 1.0, 5, 8, seed=11)
         b = generate_synthetic(m1, {"intercept": 100.0}, 1.0, 5, 8, seed=11)
         c = generate_synthetic(m1, {"intercept": 100.0}, 1.0, 5, 8, seed=12)
-        assert a.observations == b.observations
-        assert a.observations != c.observations
+        assert same_columns(a.observations, b.observations)
+        assert not same_columns(a.observations, c.observations)
 
     def test_noiseless_times_are_exactly_affine(self):
         m1 = make_m1()
         coeffs = {"intercept": 120.0, "surprisal": 10.0, "frequency": -5.0}
         out = generate_synthetic(m1, coeffs, 0.0, 4, 6, seed=2)
-        by_key = {(r.doc_id, r.token_idx): r for r in out.records}
-        for o in out.observations:
-            rec = by_key[(o.doc_id, o.token_idx)]
-            want = 120.0 + 10.0 * rec.surprisal - 5.0 * rec.frequency
-            assert o.rt_ms == pytest.approx(want, abs=1e-12)
+        recs, obs_ = out.records, out.observations
+        by_key = {
+            key: row
+            for row, key in enumerate(zip(recs["doc"].tolist(), recs["token_idx"].tolist()))
+        }
+        for o, key in enumerate(zip(obs_["doc"].tolist(), obs_["token_idx"].tolist())):
+            row = by_key[key]
+            want = 120.0 + 10.0 * recs["surprisal"][row] - 5.0 * recs["frequency"][row]
+            assert obs_["rt_ms"][o] == pytest.approx(want, abs=1e-12)
 
     def test_doc_len_reached(self, m1):
         out = generate_synthetic(m1, {"intercept": 100.0}, 0.0, 3, 10, seed=4)
-        per_doc = {}
-        for r in out.records:
-            per_doc[r.doc_id] = per_doc.get(r.doc_id, 0) + 1
+        per_doc = np.bincount(out.records["doc"])
         assert len(per_doc) == 3
-        assert all(n >= 10 for n in per_doc.values())
+        assert all(n >= 10 for n in per_doc)
 
     def test_sidecar_contents(self, m1):
         out = generate_synthetic(m1, {"intercept": 100.0}, 2.0, 2, 4, seed=7)
@@ -399,8 +538,7 @@ class TestSynthesis:
         out = generate_synthetic(
             m1, {"intercept": 100.0}, 1.0, 2, 5, seed=3, n_participants=3
         )
-        participants = {o.participant for o in out.observations}
-        assert len(participants) == 3
+        assert set(out.observations.decode("participant")) == {"p00", "p01", "p02"}
         agg = aggregate_participants(out.observations)
         assert len(agg) == len(out.records)
-        assert all(t.n_readers == 3 for t in agg)
+        assert np.all(agg["n_readers"] == 3)

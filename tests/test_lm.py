@@ -337,6 +337,15 @@ class TestRandomModels:
         lens = [len(sample_string(m1, rng)) for _ in range(4000)]
         assert np.mean(lens) == pytest.approx(16.0 / 15.0, abs=0.05)
 
+    @pytest.mark.parametrize("name", ["m0", "m1", "mixture"])
+    def test_sampling_matches_rng_choice(self, name):
+        lm = load_lm_tsv(FIXTURES / f"{name}.tsv")
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(500):
+            assert sample_string(lm, fast) == oracles.choice_sample_string(lm, slow)
+        # the same number of draws: the streams continue in step
+        assert fast.random() == slow.random()
+
 
 def test_math_is_in_nats(m1):
     # one explicit pin so a base change cannot slip in silently

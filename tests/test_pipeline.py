@@ -15,19 +15,16 @@ import numpy as np
 import pytest
 
 from ctxpred.corpus import (
-    TokenObservation,
+    TokenTable,
     aggregate_participants,
     generate_synthetic,
     kfold,
+    observation_table,
 )
 from ctxpred.errors import ConfigError
 from ctxpred.lm import load_lm_tsv
 from ctxpred.pipeline import analyze_observations, analyze_tokens, model_spec
-from ctxpred.predictors import (
-    PredictorRecord,
-    build_predictor_table,
-    table_columns,
-)
+from ctxpred.predictors import build_predictor_table, table_columns
 from ctxpred.regression import fit_columns
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -57,9 +54,9 @@ def usable_rows(mixture_lm, synth):
     records = build_predictor_table(
         aggregate_participants(synth.observations), mixture_lm
     )
-    return [
-        r for r in records if r.prev_surprisal is not None and r.rt_ms is not None
-    ]
+    return records.take(
+        ~np.isnan(records["prev_surprisal"]) & ~np.isnan(records["rt_ms"])
+    )
 
 
 class TestModelSpec:
@@ -136,6 +133,7 @@ class TestReportStructure:
             synth.observations
         )
         assert rep["n_dropped_document_initial"] == 40  # one per document
+        assert rep["n_dropped_unread"] == 0
 
     def test_ortho_columns_uncorrelated_with_anchor(self, result):
         diag = result.report["ortho_train_correlations"]
@@ -186,7 +184,7 @@ class TestRawScaleFits:
 
     def test_pooled_raw_matches_direct_fit(self, result, usable_rows):
         raw = table_columns(usable_rows, self.COLS)
-        y = np.array([r.rt_ms for r in usable_rows])
+        y = usable_rows["rt_ms"]
         direct = fit_columns({c: raw[c] for c in self.COLS}, y)
         pooled = next(
             m for m in result.report["models"] if m["model"] == "surprisal"
@@ -199,7 +197,7 @@ class TestRawScaleFits:
         assignment = kfold(len(usable_rows), FOLDS, SEED)
         tr = assignment.train_idx(0)
         raw = table_columns(usable_rows, self.COLS)
-        y = np.array([r.rt_ms for r in usable_rows])
+        y = usable_rows["rt_ms"]
         direct = fit_columns({c: raw[c][tr] for c in self.COLS}, y[tr])
         fold0 = next(
             m for m in result.report["models"] if m["model"] == "surprisal"
@@ -260,13 +258,7 @@ class TestOptions:
         assert "prev_surprisal" in groups and len(groups) == 6
 
     def test_too_few_rows_rejected(self, mixture_lm):
-        tiny = [
-            TokenObservation(
-                participant="p0", doc_id="d0", sentence_id=0, token_idx=i,
-                token="a", rt_ms=200.0, skipped=False,
-            )
-            for i in range(4)
-        ]
+        tiny = observation_table([("p0", "d0", 0, i, "a", 200.0, False) for i in range(4)])
         with pytest.raises(ConfigError, match="usable rows"):
             analyze_observations(mixture_lm, tiny, seed=0, folds=10)
 
@@ -294,20 +286,14 @@ def continuous():
             freq = float(rng.gamma(5.0, 0.5))
             token = "w" * int(rng.integers(1, 7))
             rt = 180.0 + 30.0 * np.sin(surp) + 8.0 * freq + rng.normal(0.0, 5.0)
-            obs.append(
-                TokenObservation(
-                    participant="p0", doc_id=doc, sentence_id=0,
-                    token_idx=t, token=token, rt_ms=float(rt), skipped=False,
-                )
-            )
-            recs.append(
-                PredictorRecord(
-                    doc_id=doc, sentence_id=0, token_idx=t, token=token,
-                    surprisal=surp, frequency=freq, pmi=freq - surp,
-                    length=float(len(token)),
-                )
-            )
-    return obs, recs
+            obs.append(("p0", doc, 0, t, token, float(rt), False))
+            recs.append((doc, t, token, surp, freq))
+    doc_id, token_idx, token, surp, freq = zip(*recs)
+    table = TokenTable.from_lists(
+        doc_id=doc_id, token_idx=np.array(token_idx), token=token,
+        surprisal=np.array(surp), frequency=np.array(freq),
+    )
+    return observation_table(obs), table
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +328,29 @@ class TestSmoothPath:
         assert "surprisal" in terms and "prev_surprisal" in terms
         for t in fold0["terms"]:
             assert t["edf"] > 0.0
+
+
+class TestUnreadTokens:
+    """Tokens nobody read are scored as text, then dropped and counted."""
+
+    def test_dropped_after_scoring(self, mixture_lm, synth):
+        obs = synth.observations
+        skipped = obs["token_idx"] % 7 == 3
+        skipping = TokenTable(
+            {**obs.columns, "skipped": skipped}, obs.doc_ids, obs.types, obs.participants
+        )
+        res = analyze_observations(mixture_lm, skipping, seed=SEED, folds=3,
+                                   predictors=("surprisal",))
+        rep = res.report
+        assert rep["n_dropped_unread"] == int(np.count_nonzero(skipped))
+        assert rep["n_dropped_document_initial"] == 40
+        assert rep["n_rows"] + rep["n_dropped_unread"] + 40 == len(obs)
+
+        # the pooled fit uses the full text's scores on the rows that were read
+        full = build_predictor_table(aggregate_participants(obs), mixture_lm)
+        keep = ~np.isnan(full["prev_surprisal"]) & ~(full["token_idx"] % 7 == 3)
+        cols = TestRawScaleFits.COLS
+        direct = fit_columns({c: full[c][keep] for c in cols}, full["rt_ms"][keep])
+        pooled = rep["models"][0]["pooled_raw"]["coeffs"]
+        for label, value in direct.coef_dict().items():
+            assert pooled[label] == pytest.approx(value, abs=1e-8)
