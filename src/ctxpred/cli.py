@@ -157,6 +157,8 @@ def _parse_lambda_grid(value: str) -> tuple[float, ...]:
         raise ConfigError(f"bad lambda grid {value!r}: {exc}") from None
     if not grid:
         raise ConfigError("lambda grid is empty")
+    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
+        raise ConfigError(f"lambda grid must be finite and nonnegative, got {value!r}")
     return grid
 
 

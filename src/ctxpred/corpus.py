@@ -44,6 +44,8 @@ CORPUS_HEADER = (
 
 # fraction of malformed rows beyond which a corpus file is rejected
 MALFORMED_LIMIT = 0.05
+# rt_ms of a skipped row that records no reading time
+MISSING_RT = ("NA", "")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +109,9 @@ def parse_corpus(path) -> tuple[TokenTable, list[tuple[int, str]]]:
     """Read a corpus TSV; returns (rows, malformed (line, reason) pairs).
 
     Individual bad rows are tolerated and reported; more than
-    MALFORMED_LIMIT of the data rows being bad rejects the file.
+    MALFORMED_LIMIT of the data rows being bad rejects the file.  A
+    skipped row may give its ``rt_ms`` as ``NA`` or leave it empty; it
+    is read with ``rt_ms`` NaN.  A read row needs a reading time.
     """
     rows: list[tuple] = []
     malformed: list[tuple[int, str]] = []
@@ -131,11 +135,16 @@ def parse_corpus(path) -> tuple[TokenTable, list[tuple[int, str]]]:
             try:
                 sentence_id, token_idx, rt_ms = int(sent_s), int(idx_s), float(rt_s)
             except ValueError:
-                malformed.append((lineno, "non-numeric sentence_id/token_idx/rt_ms"))
-                continue
+                try:
+                    if skip_s != "1" or rt_s not in MISSING_RT:
+                        raise ValueError(rt_s)
+                    sentence_id, token_idx, rt_ms = int(sent_s), int(idx_s), math.nan
+                except ValueError:
+                    malformed.append((lineno, "non-numeric sentence_id/token_idx/rt_ms"))
+                    continue
             if token_idx < 0 or sentence_id < 0:
                 why = "negative index"
-            elif not math.isfinite(rt_ms) or rt_ms < 0.0:
+            elif not 0.0 <= rt_ms < math.inf and rt_s not in MISSING_RT:
                 why = f"rt_ms {rt_s!r} not finite and >= 0"
             elif skip_s not in ("0", "1"):
                 why = f"skipped must be 0 or 1, got {skip_s!r}"
@@ -194,8 +203,9 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
 
     Returns one row per (doc_id, token_idx), in that order.  A token
     skipped by every participant keeps its row with ``rt_ms`` NaN and
-    ``n_readers`` 0.  Each participant reads a token at most once, and
-    the token text and ``sentence_id`` must agree across participants.
+    ``n_readers`` 0.  Each participant reads a token at most once, the
+    token text and ``sentence_id`` must agree across participants, and
+    ``token_idx`` must run without gaps within a document.
     """
     order = np.lexsort((rows["token_idx"], rows["doc"]))  # stable: file order within a token
     doc = rows["doc"][order]
@@ -207,6 +217,15 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
 
     def where(g: int) -> str:
         return f"({rows.doc_ids[doc[starts[g]]]!r}, {int(idx[starts[g]])})"
+
+    token_doc, token_idx = doc[starts], idx[starts]
+    gap = np.flatnonzero((token_doc[1:] == token_doc[:-1]) & (token_idx[1:] != token_idx[:-1] + 1))
+    if gap.size:
+        g = int(gap[0])
+        raise FormatError(
+            f"document {rows.doc_ids[token_doc[g]]!r} skips from "
+            f"token_idx {int(token_idx[g])} to {int(token_idx[g + 1])}"
+        )
 
     n_participants = max(len(rows.participants), 1)
     pairs = np.sort(group * n_participants + rows["participant"][order])
@@ -240,8 +259,8 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
         block = rt_read[offset[groups, None] + np.arange(count)]
         rt_ms[groups] = np.mean(block, axis=1)
     cols = {
-        "doc": doc[starts],
-        "token_idx": idx[starts],
+        "doc": token_doc,
+        "token_idx": token_idx,
         "sentence_id": rows["sentence_id"][order][starts],
         "token": rows["token"][order][starts],
         "rt_ms": rt_ms,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,15 +97,19 @@ class SplineBasis:
     def k(self) -> int:
         return int(self.knots.size)
 
-    def design(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise AlignmentError("basis input must be one-dimensional")
+    @cached_property
+    def _spline(self):
         # imported here: scipy.interpolate is the slowest import of the
         # package, and only smooth fits need it
         from scipy.interpolate import CubicSpline
 
-        spline = CubicSpline(self.knots, np.eye(self.k), bc_type="natural")
+        return CubicSpline(self.knots, np.eye(self.k), bc_type="natural")
+
+    def design(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise AlignmentError("basis input must be one-dimensional")
+        spline = self._spline
         lo, hi = self.knots[0], self.knots[-1]
         out = spline(np.clip(x, lo, hi))
         below = x < lo
@@ -155,18 +160,17 @@ class SmoothFit:
     fitted: np.ndarray = field(repr=False)
 
     def _design(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        blocks = []
-        n = None
-        for name, basis, means in zip(self.term_names, self.bases, self.term_means):
+        xs = []
+        for name in self.term_names:
             if name not in columns:
                 raise AlignmentError(f"missing column {name!r} for prediction")
             x = np.asarray(columns[name], dtype=float)
-            if n is None:
-                n = x.size
-            elif x.size != n:
-                raise AlignmentError(f"column {name!r} has {x.size} rows, expected {n}")
-            blocks.append(basis.design(x)[:, 1:] - means)
-        return np.hstack([np.ones((n, 1))] + blocks)
+            if xs and x.size != xs[0].size:
+                raise AlignmentError(
+                    f"column {name!r} has {x.size} rows, expected {xs[0].size}"
+                )
+            xs.append(x)
+        return _centred_design(self.bases, xs, self.term_means)[0]
 
     def predict(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return self._design(columns) @ self.coefficients
@@ -178,6 +182,36 @@ class SmoothFit:
                 self.term_names, self.bases, self.lambdas, self.term_edf
             )
         ]
+
+
+def _term_slices(bases: Sequence[SplineBasis]) -> list[slice]:
+    """Each term's columns in the design, after the intercept column."""
+    slices = []
+    offset = 1
+    for basis in bases:
+        slices.append(slice(offset, offset + basis.k - 1))
+        offset += basis.k - 1
+    return slices
+
+
+def _centred_design(
+    bases: Sequence[SplineBasis],
+    xs: Sequence[np.ndarray],
+    means: Sequence[np.ndarray] | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The design (intercept, then each term's basis without its first
+    column, centred on ``means``) and the means used; ``means=None``
+    centres each column on its own mean."""
+    slices = _term_slices(bases)
+    x = np.empty((xs[0].size, slices[-1].stop))
+    x[:, 0] = 1.0
+    used = []
+    for term, (basis, values, sl) in enumerate(zip(bases, xs, slices)):
+        raw = basis.design(values)[:, 1:]
+        centre = raw.mean(axis=0) if means is None else means[term]
+        np.subtract(raw, centre, out=x[:, sl])
+        used.append(centre)
+    return x, used
 
 
 def _validate_columns(
@@ -217,60 +251,63 @@ class _PenalizedProblem:
     """Precomputed pieces of the penalized normal equations, reused
     across the lambda grid search.
 
-    The grid search scores each candidate with ``gcv``, which touches
-    only k-sized quantities; ``solve`` adds the n-row residual for the
+    The grid search scores candidates with ``scan``, which touches only
+    k-sized quantities; ``solve`` adds the n-row residual for the
     selected lambdas.
     """
 
     def __init__(self, columns, y, sizes):
+        # imported here, so that commands without smooth terms skip it.
+        # These are the LAPACK routines behind scipy's cho_factor and
+        # cho_solve; called directly they skip the per-call wrapper work
+        # (finiteness checks, batching, routine lookup), which costs more
+        # than the factorization of a 30-column system.  Their inputs are
+        # finite: the columns, response and lambda grid are validated.
+        from scipy.linalg import lapack
+
+        self._potrf, self._potrs = lapack.dpotrf, lapack.dpotrs
         self.names = tuple(columns)
         self.y = y
         self.n = y.size
         self.bases = []
-        self.means = []
-        blocks = []
-        self.slices = []
-        offset = 1  # intercept column
         for name in self.names:
             try:
-                basis = SplineBasis.from_quantiles(columns[name], sizes[name])
+                self.bases.append(SplineBasis.from_quantiles(columns[name], sizes[name]))
             except BasisError as exc:
                 raise BasisError(f"term {name!r}: {exc}") from None
-            raw = basis.design(columns[name])[:, 1:]
-            means = raw.mean(axis=0)
-            blocks.append(raw - means)
-            self.bases.append(basis)
-            self.means.append(means)
-            width = basis.k - 1
-            self.slices.append(slice(offset, offset + width))
-            offset += width
-        self.x = np.hstack([np.ones((self.n, 1))] + blocks)
+        self.x, self.means = _centred_design(self.bases, [columns[name] for name in self.names])
+        self.slices = _term_slices(self.bases)
         self.penalties = [b.penalty()[1:, 1:] for b in self.bases]
         self.xtx = self.x.T @ self.x
         centered = y - y.mean()
         self.sst = float(np.sum(centered ** 2))
         self.rhs = np.column_stack([self.x.T @ self.y, self.xtx])
         self.rhs_centered = np.column_stack([self.x.T @ centered, self.xtx])
+        self.xtyc = self.rhs_centered[:, 0]
 
-    def _solve(self, lambdas: Sequence[float], rhs: np.ndarray):
-        """Coefficients for ``rhs[:, 0]`` and the influence operator
-        (X'X + S)^-1 X'X from one factor and one stacked solve."""
-        # imported here, so that commands without smooth terms skip it
-        import scipy.linalg
-
+    def _penalized(self, lambdas: Sequence[float]) -> np.ndarray:
+        """X'X plus each term's penalty times its lambda."""
         m = self.xtx.copy()
         for sl, pen, lam in zip(self.slices, self.penalties, lambdas):
-            if lam < 0.0:
-                raise ConfigError("smoothing parameters must be nonnegative")
             if lam:
                 m[sl, sl] += lam * pen
-        try:
-            factor = scipy.linalg.cho_factor(m, lower=True)
-            sol = scipy.linalg.cho_solve(factor, rhs)
-        except scipy.linalg.LinAlgError as exc:
+        return m
+
+    def _solve(self, m: np.ndarray, rhs: np.ndarray, lambdas: Sequence[float]):
+        """Coefficients for ``rhs[:, 0]`` and the influence operator
+        (X'X + S)^-1 X'X from one factor of ``m`` = X'X + S and one
+        stacked solve."""
+        factor, info = self._potrf(m, lower=1, clean=0)
+        if info > 0:
             raise ConditioningError(
-                f"penalized system is singular at lambdas {tuple(lambdas)}: {exc}"
-            ) from exc
+                f"penalized system is singular at lambdas {tuple(lambdas)}: "
+                f"{info}-th leading minor is not positive definite"
+            )
+        if info < 0:
+            raise ValueError(f"LAPACK potrf: illegal value in argument {-info}")
+        sol, info = self._potrs(factor, rhs, lower=1)
+        if info != 0:
+            raise ValueError(f"LAPACK potrs: illegal value in argument {-info}")
         beta = sol[:, 0]
         if not np.all(np.isfinite(beta)):
             raise ConditioningError("penalized solve produced non-finite coefficients")
@@ -280,21 +317,37 @@ class _PenalizedProblem:
         denom = self.n - edf
         return math.inf if denom <= 1e-8 else self.n * sse / denom ** 2
 
-    def gcv(self, lambdas: Sequence[float]) -> float:
-        """GCV score without an n-row pass.
+    def scan(self, lambdas: Sequence[float], term: int, grid: Sequence[float]) -> list[float]:
+        """GCV score of each grid value for ``term``, the other terms
+        keeping their ``lambdas``, without an n-row pass.
+
+        The other terms' penalties are added to X'X once; each candidate
+        adds its own to a copy.  The terms' blocks are disjoint, so every
+        entry still gets at most one addition, and the matrix is the one
+        that adding all penalties afresh gives.
 
         Solving against X'(y - ybar) gives beta with ybar taken off the
         intercept, and y - X beta_true = (y - ybar) - X beta, hence
         SSE = SST - 2 beta'X'(y - ybar) + beta'X'X beta exactly; the
         cancellation is at the scale of SST, not of y'y.
         """
-        beta, influence = self._solve(lambdas, self.rhs_centered)
-        xtyc = self.rhs_centered[:, 0]
-        sse = self.sst - 2.0 * float(beta @ xtyc) + float(beta @ self.xtx @ beta)
-        return self._gcv(max(sse, 0.0), float(np.trace(influence)))
+        trial = list(lambdas)
+        trial[term] = 0.0
+        base = self._penalized(trial)
+        sl, pen = self.slices[term], self.penalties[term]
+        scores = []
+        for lam in grid:
+            trial[term] = lam
+            m = base.copy()
+            if lam:
+                m[sl, sl] += lam * pen
+            beta, influence = self._solve(m, self.rhs_centered, trial)
+            sse = self.sst - 2.0 * float(beta @ self.xtyc) + float(beta @ self.xtx @ beta)
+            scores.append(self._gcv(max(sse, 0.0), float(np.trace(influence))))
+        return scores
 
     def solve(self, lambdas: Sequence[float]):
-        beta, influence = self._solve(lambdas, self.rhs)
+        beta, influence = self._solve(self._penalized(lambdas), self.rhs, lambdas)
         fitted = self.x @ beta
         resid = self.y - fitted
         sse = float(resid @ resid)
@@ -316,10 +369,12 @@ def fit_smooth(
     Each term's lambda is chosen from ``lambda_grid`` to minimize
     GCV = n*SSE/(n - edf)^2 with edf the trace of the influence
     operator.  With several terms the grid is scanned per term in turn
-    (holding the others fixed) until a full sweep changes nothing.
-    Ties prefer the smaller lambda.  The search scores candidates from
-    k-sized quantities only; the selected lambdas are solved once more
-    with the n-row residual, which gives ``sse``, ``gcv`` and ``fitted``.
+    (holding the others fixed), for at most ``max_sweeps`` sweeps, until
+    every term has been scanned since the last change.  Ties prefer the
+    smaller lambda; the grid must be finite, nonnegative and ascending.
+    The search scores candidates from k-sized quantities only; the
+    selected lambdas are solved once more with the n-row residual, which
+    gives ``sse``, ``gcv`` and ``fitted``.
     ``k`` may be a single basis size or a mapping from term name to size.
     """
     clean, y = _validate_columns(columns, y)
@@ -327,25 +382,29 @@ def fit_smooth(
     grid = [float(v) for v in lambda_grid]
     if not grid:
         raise ConfigError("lambda grid must be non-empty")
+    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
+        raise ConfigError(f"lambda grid must be finite and nonnegative, got {grid}")
     if sorted(grid) != grid:
         raise ConfigError("lambda grid must be sorted ascending")
     problem = _PenalizedProblem(clean, y, sizes)
     t = len(problem.names)
 
+    # A term's scan depends only on the other terms' lambdas.  Once every
+    # term has been scanned since the last change, any further scan would
+    # repeat one made on identical inputs, so the search stops there; a
+    # loop run on until a full sweep changes nothing ends on the same
+    # lambdas.
     current = [grid[-1]] * t
-    for _ in range(max_sweeps):
-        changed = False
-        for term in range(t):
-            scores = []
-            for lam in grid:
-                trial = list(current)
-                trial[term] = lam
-                scores.append((problem.gcv(trial), lam))
-            _, lam = min(scores)
-            if lam != current[term]:
-                current[term] = lam
-                changed = True
-        if not changed:
+    settled = 0
+    for step in range(max_sweeps * t):
+        term = step % t
+        _, lam = min(zip(problem.scan(current, term, grid), grid))
+        if lam != current[term]:
+            current[term] = lam
+            settled = 1
+        else:
+            settled += 1
+        if settled == t:
             break
 
     beta, fitted, sse, edf, term_edf, gcv = problem.solve(current)

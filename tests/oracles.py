@@ -6,7 +6,8 @@ regression coefficients from the pseudoinverse, variance shares from
 factorial ordering enumeration, and spline values from a hand-written
 tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
-(``lstsq_rsquared`` and ``gcv_search_nrow``) and the per-row token path
+(``lstsq_rsquared`` and ``gcv_search_nrow``), the plain GCV search
+(``gcv_search_reference``) and the per-row token path
 (``reference_aggregate``, ``reference_score``, ``choice_sample_string``):
 they are the direct computations the fast forms replace, kept so that
 the fast forms can be held to them.
@@ -299,6 +300,79 @@ def gcv_search_nrow(columns, y, bases, grid, max_sweeps=10):
         if not changed:
             break
     return tuple(current), solve(current)[0]
+
+
+def gcv_search_reference(columns, y, bases, grid, max_sweeps=10):
+    """The k-space coordinate-descent GCV search in its plain form: each
+    candidate adds every penalty to X'X afresh and is solved by one
+    ``cho_factor``/``cho_solve``, and the search runs full sweeps until
+    a sweep changes nothing.  Returns the final fit's ``lambdas``,
+    ``coefficients``, ``gcv``, ``edf`` and ``term_edf`` in a dict.
+
+    ``bases`` are the terms' ``SplineBasis`` objects.  A singular
+    system raises ``scipy.linalg.LinAlgError``.
+    """
+    n = y.size
+    blocks, penalties, slices = [], [], []
+    offset = 1
+    for x, basis in zip(columns.values(), bases):
+        raw = basis.design(x)[:, 1:]
+        blocks.append(raw - raw.mean(axis=0))
+        penalties.append(basis.penalty()[1:, 1:])
+        slices.append(slice(offset, offset + basis.k - 1))
+        offset += basis.k - 1
+    x = np.hstack([np.ones((n, 1))] + blocks)
+    xtx = x.T @ x
+    centered = y - y.mean()
+    sst = float(np.sum(centered ** 2))
+    rhs = np.column_stack([x.T @ y, xtx])
+    rhs_centered = np.column_stack([x.T @ centered, xtx])
+
+    def gcv_of(sse, edf):
+        denom = n - edf
+        return math.inf if denom <= 1e-8 else n * sse / denom ** 2
+
+    def solve(lambdas, b):
+        m = xtx.copy()
+        for sl, pen, lam in zip(slices, penalties, lambdas):
+            if lam:
+                m[sl, sl] += lam * pen
+        sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
+        return sol[:, 0], sol[:, 1:]
+
+    def score(lambdas):
+        beta, influence = solve(lambdas, rhs_centered)
+        sse = sst - 2.0 * float(beta @ rhs_centered[:, 0]) + float(beta @ xtx @ beta)
+        return gcv_of(max(sse, 0.0), float(np.trace(influence)))
+
+    current = [grid[-1]] * len(bases)
+    for _ in range(max_sweeps):
+        changed = False
+        for term in range(len(bases)):
+            scores = []
+            for lam in grid:
+                trial = list(current)
+                trial[term] = lam
+                scores.append((score(trial), lam))
+            _, lam = min(scores)
+            if lam != current[term]:
+                current[term] = lam
+                changed = True
+        if not changed:
+            break
+
+    beta, influence = solve(current, rhs)
+    resid = y - x @ beta
+    sse = float(resid @ resid)
+    edf_diag = np.diag(influence)
+    edf = float(edf_diag.sum())
+    return {
+        "lambdas": tuple(current),
+        "coefficients": beta,
+        "gcv": gcv_of(sse, edf),
+        "edf": edf,
+        "term_edf": tuple(float(edf_diag[sl].sum()) for sl in slices),
+    }
 
 
 def normal_logpdf(x, mean, var):

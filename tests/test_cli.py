@@ -400,6 +400,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "more than one row" in err
 
+    @pytest.mark.parametrize("grid", ["1,inf", "nan,1", "-1,1", "inf", "10,1"])
+    def test_bad_lambda_grid(self, gen_dir, tmp_path, capsys, grid):
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path), "--smooth", f"--lambda-grid={grid}",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "lambda grid" in err
+
+    def test_token_idx_gap(self, gen_dir, tmp_path, capsys):
+        lines = (gen_dir / "corpus.tsv").read_text().splitlines()
+        corpus = tmp_path / "corpus.tsv"
+        assert lines[4].split("\t")[1:4:2] == ["d0000", "3"]
+        corpus.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "'d0000' skips from token_idx 2 to 4" in err
+
     def test_bad_fold_count(self, gen_dir, tmp_path, capsys):
         code = main([
             "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),

@@ -146,6 +146,24 @@ class TestParsing:
         assert len(malformed) == 1
 
 
+    def test_skipped_row_may_carry_no_reading_time(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        lines = ["p0\td0\t0\t%d\ta\t200.0\t0" % i for i in range(30)]
+        lines[3] = "p0\td0\t0\t3\ta\tNA\t1"
+        lines[4] = "p0\td0\t0\t4\ta\t\t1"
+        lines[5] = "p0\td0\t0\t5\ta\tNA\t0"  # a read row needs its time
+        path.write_text(
+            "participant\tdoc_id\tsentence_id\ttoken_idx\ttoken\trt_ms\tskipped\n"
+            + "\n".join(lines)
+            + "\n"
+        )
+        rows, malformed = parse_corpus(path)
+        assert [ln for ln, _ in malformed] == [7]
+        assert len(rows) == 29
+        assert rows["skipped"][3] and rows["skipped"][4]
+        assert math.isnan(rows["rt_ms"][3]) and math.isnan(rows["rt_ms"][4])
+
+
 class TestAggregation:
     def test_mean_over_readers(self):
         rows = [
@@ -169,6 +187,16 @@ class TestAggregation:
         assert agg.decode("token") == ["a", "b"]
         assert math.isnan(agg["rt_ms"][0]) and agg["rt_ms"][1] == 150.0
         assert agg["n_readers"].tolist() == [0, 1]
+
+    def test_token_idx_gap_rejected(self):
+        rows = [
+            obs(p, d, i, "a", 200.0)
+            for d, idxs in (("d0", [0, 1, 2]), ("d1", [0, 1, 3, 4]))
+            for i in idxs
+            for p in ("p0", "p1")
+        ]
+        with pytest.raises(FormatError, match=r"'d1'.* token_idx 1 to 3"):
+            aggregate_participants(observation_table(rows))
 
     def test_token_disagreement_rejected(self):
         rows = [obs("p0", "d0", 0, "a", 200.0), obs("p1", "d0", 0, "b", 300.0)]
@@ -275,6 +303,46 @@ class TestSkippedTokensStayInTheText:
         )
         for name in PREDICTOR_NAMES:
             assert np.array_equal(skipped[name], full[name], equal_nan=True), name
+
+
+class TestSkippedRowsMarkedNA:
+    """Skipped rows whose reading time is NA: the token stays in the text."""
+
+    HEADER = "participant\tdoc_id\tsentence_id\ttoken_idx\ttoken\trt_ms\tskipped\n"
+
+    def write(self, path, na_rows):
+        text = ["a"] * 60
+        text[5] = "bb"
+        lines = []
+        for i, tok in enumerate(text):
+            for p in ("p0", "p1"):
+                if len(lines) in na_rows:
+                    lines.append(f"{p}\td0\t0\t{i}\t{tok}\tNA\t1")
+                else:
+                    lines.append(f"{p}\td0\t0\t{i}\t{tok}\t{200.0 + i!r}\t0")
+        path.write_text(self.HEADER + "\n".join(lines) + "\n")
+
+    def test_neighbour_conditions_on_token_marked_na(self, tmp_path):
+        mixture = load_lm_tsv(FIXTURES / "mixture.tsv")
+        path = tmp_path / "c.tsv"
+        self.write(path, na_rows={10, 11})  # both readings of token 5, bb
+        rows, malformed = parse_corpus(path)
+        assert malformed == []
+        recs = build_predictor_table(aggregate_participants(rows), mixture)
+        assert recs["token_idx"].tolist() == list(range(60))
+        assert math.isnan(recs["rt_ms"][5])
+        assert recs["surprisal"][6] == pytest.approx(2.525, abs=5e-4)
+        for name in ("surprisal", "frequency", "pmi", "length"):
+            assert recs[f"prev_{name}"][6] == recs[name][5]
+        assert recs["prev_length"][6] == 2.0
+
+    def test_na_on_every_tenth_row_is_not_malformed(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        self.write(path, na_rows=set(range(0, 120, 10)))
+        rows, malformed = parse_corpus(path)
+        assert malformed == []
+        assert len(rows) == 120
+        assert int(rows["skipped"].sum()) == 12
 
 
 class TestStandardize:

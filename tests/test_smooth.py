@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gcv_search_nrow, natural_spline_eval
-from ctxpred.errors import AlignmentError, BasisError, ConfigError
+from oracles import gcv_search_nrow, gcv_search_reference, natural_spline_eval
+from ctxpred.errors import AlignmentError, BasisError, ConditioningError, ConfigError
 from ctxpred.regression import delta_loglik, fit_columns
 from ctxpred.smooth import (
     LAMBDA_GRID,
@@ -234,6 +237,9 @@ class TestFit:
             fit_smooth({"x": x}, np.arange(20.0), lambda_grid=[])
         with pytest.raises(ConfigError):
             fit_smooth({"x": x}, np.arange(20.0), lambda_grid=[1.0, 0.1])
+        for grid in ([1.0, np.inf], [np.nan], [-1.0, 1.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(ConfigError, match="finite and nonnegative"):
+                fit_smooth({"x": x}, np.arange(20.0), lambda_grid=grid)
         with pytest.raises(ConfigError):
             fit_smooth({}, y)
 
@@ -271,6 +277,74 @@ class TestKSpaceSearch:
         fit = fit_smooth(cols, y)
         assert np.array_equal(fit.fitted, fit.predict(cols))
         assert fit.sse == float((y - fit.fitted) @ (y - fit.fitted))
+
+
+@st.composite
+def search_cases(draw):
+    """Columns, response, basis size, grid and sweep cap for a smooth fit;
+    with ``aliased`` the first two terms are functions of the same three
+    types, so only their penalties tell them apart."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_terms = draw(st.integers(min_value=1, max_value=4))
+    aliased = n_terms >= 2 and draw(st.booleans())
+    n = int(rng.integers(60, 300))
+    types = rng.permutation(np.arange(n) % 3)
+    cols = {}
+    for i in range(n_terms):
+        if aliased and i < 2:
+            cols[f"x{i}"] = np.sort(rng.uniform(0.5, 6.0, size=3))[types]
+        else:
+            cols[f"x{i}"] = rng.uniform(-2.0, 2.0, size=n)
+    y = 300.0 + rng.normal(scale=rng.uniform(0.05, 1.0), size=n) + 0.5 * types
+    for x in cols.values():
+        y += np.sin(rng.uniform(0.5, 3.0) * x)
+    k = int(rng.integers(3, 8))
+    grid = draw(st.sampled_from([LAMBDA_GRID, (0.0, 1e-2, 1.0, 100.0)]))
+    max_sweeps = draw(st.sampled_from([1, 2, 10]))
+    return cols, y, k, grid, max_sweeps
+
+
+class TestSearchMatchesPlainSearch:
+    @given(case=search_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_reference(self, case):
+        # one penalized base per scan, direct LAPACK calls and the early
+        # stop must leave every selected and reported number unchanged
+        cols, y, k, grid, max_sweeps = case
+        bases = [SplineBasis.from_quantiles(x, k) for x in cols.values()]
+        try:
+            want = gcv_search_reference(cols, y, bases, grid, max_sweeps)
+        except scipy.linalg.LinAlgError:
+            with pytest.raises(ConditioningError, match="singular at lambdas"):
+                fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+            return
+        if not (math.isfinite(want["gcv"]) and np.all(np.isfinite(want["coefficients"]))):
+            with pytest.raises(ConditioningError):
+                fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+            return
+        fit = fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+        assert [b.knots.tolist() for b in fit.bases] == [b.knots.tolist() for b in bases]
+        assert fit.lambdas == want["lambdas"]
+        assert np.array_equal(fit.coefficients, want["coefficients"])
+        assert fit.gcv == want["gcv"]
+        assert fit.edf == want["edf"]
+        assert fit.term_edf == want["term_edf"]
+
+    def test_singular_system_names_lambdas(self):
+        # frequency and length of three unit types, unpenalized: the two
+        # terms span the same centred functions
+        rng = np.random.default_rng(0)
+        types = rng.integers(0, 3, size=120)
+        cols = {
+            "frequency": np.array([1.5, 3.0, 4.2])[types],
+            "length": np.array([1.0, 2.0, 4.0])[types],
+        }
+        y = 200.0 + 3.0 * types + rng.normal(size=120)
+        bases = [SplineBasis.from_quantiles(x, 6) for x in cols.values()]
+        with pytest.raises(scipy.linalg.LinAlgError):
+            gcv_search_reference(cols, y, bases, [0.0])
+        with pytest.raises(ConditioningError, match=r"singular at lambdas \(0\.0, 0\.0\)"):
+            fit_smooth(cols, y, lambda_grid=[0.0])
 
 
 class TestDelta:
