@@ -1,11 +1,13 @@
 """Command-line surface: gen / analyze / oracle / report.
 
 Configuration comes from an optional plain-text ``key=value`` file plus
-command-line flags; flags win.  Every run writes a ``manifest.json``
-recording the resolved configuration, its hash, and SHA-256 digests of
-all inputs and outputs — no timestamps, so identical runs produce
-byte-identical artifacts.  Output files are written atomically
-(temporary file, then rename).
+command-line flags; flags win.  Every option is one row of ``OPTIONS``,
+which names the commands that read it; a command accepts only its own
+flags, and its ``manifest.json`` records exactly the options it read,
+the configuration's hash, the package, numpy and scipy versions, and
+SHA-256 digests of all inputs and outputs — no timestamps, so identical
+runs produce byte-identical artifacts.  Output files are written
+atomically (temporary file, then rename).
 
 Exit codes: 0 success; 2 configuration/IO problems; 3 violated model
 identity; 4 predictor coverage gaps; 5 numerical failures (divergence,
@@ -22,12 +24,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import SimpleNamespace
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import __version__
 from .corpus import generate_synthetic, parse_corpus, write_corpus_tsv
 from .errors import (
     ConfigError,
@@ -66,74 +69,43 @@ DEFAULT_COEFFS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    lm: str | None = None
-    external: str | None = None
-    corpus: str | None = None
-    out: str | None = None
-    seed: int = 0
-    folds: int = 10
-    predictors: tuple[str, ...] = MODEL_KINDS
-    no_length: bool = False
-    swap_ortho: str | None = None
-    smooth: bool = False
-    lmg_grouping: str = "paired"
-    fold_by: str = "token"
-    max_len: int = 256
-    tail_tol: float = 1e-6
-    smooth_k: int = DEFAULT_KNOTS
-    lambda_grid: tuple[float, ...] = LAMBDA_GRID
-    n_docs: int = 50
-    doc_len: int = 100
-    participants: int = 1
-    noise_sd: float = 10.0
-    perturbations: int = 1000
-    coeffs: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_COEFFS))
-
-    def as_manifest_dict(self) -> dict:
-        config = asdict(self)
-        del config["out"]
-        return config
-
-
-# keys a configuration file may set (coefficients come as coef.NAME keys)
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command", "coeffs"}
-
-
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration: one table row per option; each converter takes the text of
+# a flag or a configuration-file value and returns the checked value
 # ---------------------------------------------------------------------------
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not (key in _CONFIG_KEYS or key.startswith("coef.")):
-            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+def _number(kind: type, least: float | None = None) -> Callable[[str], float]:
+    """Converter to ``int`` or ``float``, bounded below by ``least`` if given."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"expects {kind.__name__}, got {text!r}") from None
+        if least is not None and value < least:
+            raise ConfigError(f"must be at least {least}, got {value}")
+        return value
+
+    return convert
 
 
-def _to_bool(value: str, key: str) -> bool:
-    low = value.lower()
+def _choice(*allowed: str) -> Callable[[str], str]:
+    def convert(text: str) -> str:
+        if text not in allowed:
+            raise ConfigError(f"must be one of {', '.join(allowed)}; got {text!r}")
+        return text
+
+    return convert
+
+
+def _to_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"configuration key {key!r} expects a boolean, got {value!r}")
+    raise ConfigError(f"expects a boolean, got {text!r}")
 
 
 def _parse_predictors(value: str) -> tuple[str, ...]:
@@ -172,83 +144,111 @@ def _parse_coef_item(item: str) -> tuple[str, float]:
         raise ConfigError(f"coefficient {name!r} has non-numeric value {raw!r}") from None
 
 
+def _parse_coeffs(items: Sequence[str]) -> dict[str, float]:
+    return dict(map(_parse_coef_item, items))
+
+
+class Option(NamedTuple):
+    """One option: config key ``name``, flag ``--name-with-dashes``."""
+
+    name: str
+    commands: str  # space-separated names of the commands that read it
+    convert: Callable[[str], object]
+    default: object
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--coef" if self.name == "coeffs" else "--" + self.name.replace("_", "-")
+
+
+OPTIONS = {opt.name: opt for opt in (
+    Option("out", "gen analyze oracle report", str, None, "output directory"),
+    Option("lm", "gen analyze oracle", str, None, "LM definition TSV"),
+    Option("seed", "gen analyze oracle", lambda text: check_seed(_number(int)(text)), 0,
+           "master seed"),
+    Option("n_docs", "gen", _number(int), 50, "documents to sample"),
+    Option("doc_len", "gen", _number(int), 100, "minimum tokens per document"),
+    Option("participants", "gen", _number(int), 1, "readers of every token"),
+    Option("noise_sd", "gen", _number(float), 10.0, "reading-time noise SD (ms)"),
+    Option("coeffs", "gen", _parse_coeffs, DEFAULT_COEFFS,
+           "true coefficient (repeatable; config key coef.NAME); replaces the defaults"),
+    Option("corpus", "analyze", str, None, "reading-time corpus TSV"),
+    Option("external", "analyze", str, None, "external predictor TSV (instead of --lm)"),
+    Option("folds", "analyze", _number(int, 2), 10, "cross-validation folds"),
+    Option("predictors", "analyze", _parse_predictors, MODEL_KINDS,
+           "comma-separated subset of: " + ",".join(MODEL_KINDS)),
+    Option("no_length", "analyze", _to_bool, False, "leave word length out"),
+    Option("swap_ortho", "analyze", _choice("frequency"), None,
+           "orthogonalize this predictor instead: frequency"),
+    Option("smooth", "analyze", _to_bool, False, "also fit spline models"),
+    Option("lmg_grouping", "analyze", _choice("paired", "separate"), "paired",
+           "variance-share groups: paired or separate"),
+    Option("fold_by", "analyze", _choice("token", "document"), "token",
+           "fold unit: token or document"),
+    Option("smooth_k", "analyze", _number(int, 3), DEFAULT_KNOTS, "spline basis size"),
+    Option("lambda_grid", "analyze", _parse_lambda_grid, LAMBDA_GRID,
+           "comma-separated smoothing grid"),
+    Option("max_len", "oracle", _number(int), 256, "enumeration length budget"),
+    Option("tail_tol", "oracle", _number(float), 1e-6, "enumeration tail tolerance"),
+    Option("perturbations", "oracle", _number(int, 1), 1000,
+           "random unigram candidates the minimizer must beat"),
+)}
+
+
+class RunConfig(SimpleNamespace):
+    """A command and, as attributes, the options it read."""
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    text = Path(path).read_text(encoding="utf-8")
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        # keys other commands read pass here; resolve_config ignores them
+        if not (key.startswith("coef.") or (key in OPTIONS and key != "coeffs")):
+            raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict[str, str] = {}
-    if args.config:
-        file_values = parse_config_file(args.config)
-
+    """Each option the command reads: its flag, else its file value, else
+    its default; flag and file text go through the same converter."""
+    file_values = parse_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-
-    def pick(key: str, flag_value, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return getattr(cfg, key)
-
-    cfg.lm = pick("lm", args.lm, str)
-    cfg.out = pick("out", args.out, str)
-    cfg.seed = check_seed(pick("seed", args.seed, int))
-    cfg.max_len = int(pick("max_len", getattr(args, "max_len", None), int))
-    cfg.tail_tol = float(pick("tail_tol", getattr(args, "tail_tol", None), float))
-    if args.command == "analyze":
-        cfg.external = pick("external", args.external, str)
-        cfg.corpus = pick("corpus", args.corpus, str)
-        cfg.folds = int(pick("folds", args.folds, int))
-        cfg.predictors = pick("predictors", args.predictors, _parse_predictors)
-        cfg.no_length = pick(
-            "no_length", args.no_length, lambda v: _to_bool(v, "no_length")
+    for opt in OPTIONS.values():
+        if args.command not in opt.commands.split():
+            continue
+        raw, source = getattr(args, opt.name), opt.flag
+        if opt.name == "coeffs":
+            # coefficients from the file and the flags merge, flags winning
+            # per name; any of them replace the default set
+            raw = [f"{key[len('coef.'):]}={value}" for key, value in file_values.items()
+                   if key.startswith("coef.")] + (raw or [])
+            raw, source = raw or None, "coefficients"
+        elif raw is None and opt.name in file_values:
+            raw, source = file_values[opt.name], f"configuration key {opt.name!r}"
+        try:
+            setattr(cfg, opt.name, opt.default if raw is None else opt.convert(raw))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+    if args.command == "analyze" and (cfg.lm is None) == (cfg.external is None):
+        raise ConfigError(
+            "analyze needs exactly one predictor source: --lm or --external"
         )
-        cfg.swap_ortho = pick("swap_ortho", args.swap_ortho, str)
-        cfg.smooth = pick("smooth", args.smooth, lambda v: _to_bool(v, "smooth"))
-        cfg.lmg_grouping = pick("lmg_grouping", args.lmg_grouping, str)
-        cfg.fold_by = pick("fold_by", args.fold_by, str)
-        cfg.smooth_k = int(pick("smooth_k", args.smooth_k, int))
-        cfg.lambda_grid = pick("lambda_grid", args.lambda_grid, _parse_lambda_grid)
-        if cfg.folds < 2:
-            raise ConfigError(f"folds must be at least 2, got {cfg.folds}")
-        if cfg.swap_ortho not in (None, "frequency"):
-            raise ConfigError(
-                f"swap-ortho target must be 'frequency', got {cfg.swap_ortho!r}"
-            )
-        if cfg.lmg_grouping not in ("paired", "separate"):
-            raise ConfigError(
-                f"lmg grouping must be 'paired' or 'separate', got {cfg.lmg_grouping!r}"
-            )
-        if cfg.fold_by not in ("token", "document"):
-            raise ConfigError(
-                f"fold-by must be 'token' or 'document', got {cfg.fold_by!r}"
-            )
-        if (cfg.lm is None) == (cfg.external is None):
-            raise ConfigError(
-                "analyze needs exactly one predictor source: --lm or --external"
-            )
-        if cfg.corpus is None:
-            raise ConfigError("analyze needs --corpus")
-    if args.command == "gen":
-        cfg.n_docs = int(pick("n_docs", args.n_docs, int))
-        cfg.doc_len = int(pick("doc_len", args.doc_len, int))
-        cfg.participants = int(pick("participants", args.participants, int))
-        cfg.noise_sd = float(pick("noise_sd", args.noise_sd, float))
-        # coefficients given anywhere replace the default set; flags win
-        items = [
-            f"{key[len('coef.'):]}={value}"
-            for key, value in file_values.items()
-            if key.startswith("coef.")
-        ] + (args.coef or [])
-        cfg.coeffs = dict(map(_parse_coef_item, items)) if items else dict(DEFAULT_COEFFS)
-        if cfg.lm is None:
-            raise ConfigError("gen needs --lm")
-    if args.command == "oracle":
-        cfg.perturbations = int(
-            pick("perturbations", args.perturbations, int)
-        )
-        if cfg.lm is None:
-            raise ConfigError("oracle needs --lm")
-    if args.command in ("gen", "analyze") and cfg.out is None:
-        raise ConfigError(f"{args.command} needs --out")
-    if args.command == "report" and cfg.out is None:
-        raise ConfigError("report needs --out pointing at an analyze directory")
+    for name in COMMANDS[args.command][1]:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{args.command} needs {OPTIONS[name].flag}")
     return cfg
 
 
@@ -283,29 +283,30 @@ def write_manifest(
     inputs: Mapping[str, str],
     outputs: Mapping[str, str],
 ) -> None:
-    config_dict = cfg.as_manifest_dict()
+    from importlib.metadata import version  # read here, not at import time
+
+    config = {k: v for k, v in vars(cfg).items() if k not in ("command", "out")}
     manifest = {
         "command": cfg.command,
-        "config": config_dict,
+        "config": config,
         "config_sha256": hashlib.sha256(
-            json.dumps(config_dict, sort_keys=True).encode("utf-8")
+            json.dumps(config, sort_keys=True).encode("utf-8")
         ).hexdigest(),
         "seed": cfg.seed,
         "inputs": dict(sorted(inputs.items())),
         "outputs": dict(sorted(outputs.items())),
+        "versions": {
+            "ctxpred": __version__, "numpy": np.__version__, "scipy": version("scipy"),
+        },
     }
     atomic_write_text(out_dir / "manifest.json", dump_json(manifest))
 
 
-def lmg_csv_text(rows: Sequence[Mapping]) -> str:
+def csv_text(header: Sequence[str], rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "group", "fold", "share", "total_r2"])
-    for row in rows:
-        writer.writerow(
-            [row["model"], row["group"], row["fold"], repr(row["share"]),
-             repr(row["total_r2"])]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -371,12 +372,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     )
     result.report["n_malformed_rows"] = len(malformed)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     report_sha = atomic_write_text(out / "report.json", dump_json(result.report))
-    csv_sha = atomic_write_text(out / "lmg.csv", lmg_csv_text(result.lmg_rows))
-    write_manifest(
-        out, cfg, inputs, {"report.json": report_sha, "lmg.csv": csv_sha}
-    )
+    header = ["model", "group", "fold", "share", "total_r2"]
+    rows = ([r["model"], r["group"], r["fold"], repr(r["share"]), repr(r["total_r2"])]
+            for r in result.lmg_rows)
+    csv_sha = atomic_write_text(out / "lmg.csv", csv_text(header, rows))
+    write_manifest(out, cfg, inputs, {"report.json": report_sha, "lmg.csv": csv_sha})
     rep = result.report
     print(
         f"rows: {rep['n_rows']} "
@@ -451,7 +452,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         margins = -(np.log(probs) - log_q) @ counts
-        worst = float(np.min(margins, initial=math.inf))
+        worst = float(np.min(margins))
         violations = int(np.count_nonzero(margins < -1e-12))
         checks.append(
             {
@@ -510,7 +511,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     if cfg.out is not None:
         out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {
             "lm": cfg.lm,
             "budget": {"max_len": cfg.max_len, "tail_tol": cfg.tail_tol},
@@ -547,13 +547,19 @@ def cmd_report(cfg: RunConfig) -> int:
                 plot_rows.append(
                     [model["model"], group, repr(mean_share), repr(float(ses[idx]))]
                 )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "group", "mean_share", "se_share"])
-    writer.writerows(plot_rows)
-    atomic_write_text(out / "plot_lmg.csv", buffer.getvalue())
+    header = ["model", "group", "mean_share", "se_share"]
+    atomic_write_text(out / "plot_lmg.csv", csv_text(header, plot_rows))
     print(f"\nwrote {out / 'plot_lmg.csv'}")
     return EXIT_OK
+
+
+# each command: its handler, the inputs it cannot run without, its summary
+COMMANDS = {
+    "gen": (cmd_gen, ("lm", "out"), "generate a synthetic reading-time corpus"),
+    "analyze": (cmd_analyze, ("corpus", "out"), "run the cross-validated analysis"),
+    "oracle": (cmd_oracle, ("lm",), "run exact-enumeration diagnostics on an LM"),
+    "report": (cmd_report, ("out",), "summarize an analyze output directory"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -571,83 +577,32 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_, _, summary) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--lm", help="LM definition TSV")
-        p.add_argument("--max-len", type=int, dest="max_len",
-                       help="enumeration length budget (default 256)")
-        p.add_argument("--tail-tol", type=float, dest="tail_tol",
-                       help="enumeration tail tolerance (default 1e-6)")
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic reading-time corpus")
-    common(p_gen)
-    p_gen.add_argument("--n-docs", type=int, dest="n_docs")
-    p_gen.add_argument("--doc-len", type=int, dest="doc_len")
-    p_gen.add_argument("--participants", type=int)
-    p_gen.add_argument("--noise-sd", type=float, dest="noise_sd")
-    p_gen.add_argument(
-        "--coef",
-        action="append",
-        metavar="NAME=VALUE",
-        help="true coefficient (repeatable); replaces the default set",
-    )
-
-    p_an = sub.add_parser("analyze", help="run the cross-validated analysis")
-    common(p_an)
-    p_an.add_argument("--corpus", help="reading-time corpus TSV")
-    p_an.add_argument("--external", help="external predictor TSV (instead of --lm)")
-    p_an.add_argument("--folds", type=int)
-    p_an.add_argument(
-        "--predictors",
-        type=_parse_predictors,
-        help="comma-separated subset of: " + ",".join(MODEL_KINDS),
-    )
-    p_an.add_argument(
-        "--no-length", dest="no_length", action="store_const", const=True
-    )
-    p_an.add_argument("--swap-ortho", dest="swap_ortho", choices=["frequency"])
-    p_an.add_argument("--smooth", action="store_const", const=True)
-    p_an.add_argument(
-        "--lmg-grouping", dest="lmg_grouping", choices=["paired", "separate"]
-    )
-    p_an.add_argument("--fold-by", dest="fold_by", choices=["token", "document"])
-    p_an.add_argument("--smooth-k", type=int, dest="smooth_k")
-    p_an.add_argument(
-        "--lambda-grid", dest="lambda_grid", type=_parse_lambda_grid,
-        help="comma-separated smoothing grid",
-    )
-
-    p_or = sub.add_parser("oracle", help="run exact-enumeration diagnostics on an LM")
-    common(p_or)
-    p_or.add_argument("--perturbations", type=int)
-
-    p_rep = sub.add_parser("report", help="summarize an analyze output directory")
-    common(p_rep)
-
+        # no argparse types or defaults: resolve_config converts the text
+        # of flags and file values alike, and None marks an unset flag
+        for opt in OPTIONS.values():
+            if command not in opt.commands.split():
+                continue
+            kwargs = {"dest": opt.name, "help": opt.help}
+            if type(opt.default) in (int, float, str):
+                kwargs["help"] += f" (default {opt.default})"
+            if opt.convert is _to_bool:
+                kwargs.update(action="store_const", const="true")
+            elif opt.name == "coeffs":
+                kwargs.update(action="append", metavar="NAME=VALUE")
+            p.add_argument(opt.flag, **kwargs)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    # argparse itself exits 2 on a flag the command does not read
+    args = build_parser().parse_args(argv)
     try:
-        # inside the try so ConfigError from argument type callbacks maps
-        # to the config exit code instead of escaping as a traceback
-        args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        handler = {
-            "gen": cmd_gen,
-            "analyze": cmd_analyze,
-            "oracle": cmd_oracle,
-            "report": cmd_report,
-        }[cfg.command]
-        return handler(cfg)
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return COMMANDS[cfg.command][0](cfg)
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IdentityError as exc:

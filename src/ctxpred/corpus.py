@@ -368,8 +368,8 @@ def generate_synthetic(
     """
     from .predictors import PREDICTOR_NAMES, build_predictor_table
 
-    if n_docs < 1 or doc_len < 1:
-        raise ConfigError("n_docs and doc_len must be positive")
+    if min(n_docs, doc_len, n_participants) < 1:
+        raise ConfigError("n_docs, doc_len and n_participants must be positive")
     if noise_sd < 0:
         raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
     allowed = {"intercept", *PREDICTOR_NAMES}

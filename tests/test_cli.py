@@ -13,8 +13,11 @@ from ctxpred.cli import (
     EXIT_COVERAGE,
     EXIT_NUMERIC,
     EXIT_OK,
+    OPTIONS,
+    build_parser,
     main,
     parse_config_file,
+    resolve_config,
 )
 from ctxpred.errors import ConfigError
 from ctxpred.lm import (
@@ -74,6 +77,7 @@ class TestGen:
         manifest = json.loads((gen_dir / "manifest.json").read_text())
         assert set(manifest) == {
             "command", "config", "config_sha256", "seed", "inputs", "outputs",
+            "versions",
         }
 
     def test_repeat_run_is_byte_identical(self, gen_dir, tmp_path):
@@ -470,6 +474,156 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "key=value" in err
+
+
+# the options each command reads, pinned here rather than read off the table
+COMMAND_OPTIONS = {
+    "gen": {"out", "lm", "seed", "n_docs", "doc_len", "participants", "noise_sd",
+            "coeffs"},
+    "analyze": {"out", "lm", "seed", "corpus", "external", "folds", "predictors",
+                "no_length", "swap_ortho", "smooth", "lmg_grouping", "fold_by",
+                "smooth_k", "lambda_grid"},
+    "oracle": {"out", "lm", "seed", "max_len", "tail_tol", "perturbations"},
+    "report": {"out"},
+}
+
+# a value other than the default for every option, as flag or file text
+SAMPLE_TEXT = {
+    "out": "elsewhere", "lm": M0, "seed": "5", "n_docs": "3", "doc_len": "7",
+    "participants": "2", "noise_sd": "2.5", "coeffs": "surprisal=4",
+    "corpus": "c.tsv", "external": "e.tsv", "folds": "4", "predictors": "pmi,ortho",
+    "no_length": "true", "swap_ortho": "frequency", "smooth": "true",
+    "lmg_grouping": "separate", "fold_by": "document", "smooth_k": "5",
+    "lambda_grid": "0.5,2", "max_len": "64", "tail_tol": "1e-5", "perturbations": "7",
+}
+
+# the inputs each command needs, as flags
+BASE_ARGV = {
+    "gen": ["gen", "--lm", M1, "--out", "o"],
+    "analyze": ["analyze", "--lm", M1, "--corpus", "c", "--out", "o"],
+    "oracle": ["oracle", "--lm", M1],
+    "report": ["report", "--out", "o"],
+}
+
+
+def _resolved(argv):
+    return vars(resolve_config(build_parser().parse_args(argv)))
+
+
+def _without(argv, flag):
+    if flag not in argv:
+        return list(argv)
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command, names in COMMAND_OPTIONS.items() for name in sorted(names)
+    ])
+    def test_flag_and_file_resolve_alike(self, command, name, tmp_path):
+        base = _without(BASE_ARGV[command], OPTIONS[name].flag)
+        if name == "external":
+            base = _without(base, "--lm")
+        text = SAMPLE_TEXT[name]
+        flag = [OPTIONS[name].flag] + ([] if text == "true" else [text])
+        conf = tmp_path / "run.conf"
+        conf.write_text((f"coef.{text}" if name == "coeffs" else f"{name}={text}") + "\n")
+        by_flag = _resolved(base + flag)
+        assert by_flag == _resolved(base + ["--config", str(conf)])
+        assert by_flag[name] != OPTIONS[name].default
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command, names in COMMAND_OPTIONS.items()
+        for name in sorted(OPTIONS.keys() - names)
+    ])
+    def test_flag_of_another_command_rejected(self, command, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                BASE_ARGV[command] + [OPTIONS[name].flag, SAMPLE_TEXT[name]]
+            )
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_manifest_config_holds_the_command_options(
+        self, gen_dir, analyze_dir, tmp_path, capsys
+    ):
+        assert main(["oracle", "--lm", M0, "--perturbations", "5",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        for command, out in (("gen", gen_dir), ("analyze", analyze_dir),
+                             ("oracle", tmp_path)):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert set(manifest["config"]) == COMMAND_OPTIONS[command] - {"out"}
+
+    def test_manifest_versions_stay_out_of_config_hash(self, gen_dir):
+        from importlib.metadata import version
+
+        import ctxpred
+
+        manifest = json.loads((gen_dir / "manifest.json").read_text())
+        assert manifest["versions"] == {
+            "ctxpred": ctxpred.__version__,
+            "numpy": np.__version__,
+            "scipy": version("scipy"),
+        }
+        digest = hashlib.sha256(
+            json.dumps(manifest["config"], sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert manifest["config_sha256"] == digest
+
+    def test_config_file_shared_by_gen_and_analyze(self, tmp_path, capsys):
+        # each command takes its own keys and ignores the others' keys
+        conf = tmp_path / "shared.conf"
+        conf.write_text(
+            f"lm = {MIXTURE}\nseed = 3\nn_docs = 6\ndoc_len = 30\n"
+            "folds = 3\nfold_by = document\nmax_len = 64\n"
+        )
+        gen, an = tmp_path / "gen", tmp_path / "an"
+        assert main(["gen", "--config", str(conf), "--out", str(gen)]) == EXIT_OK
+        assert main(["analyze", "--config", str(conf), "--out", str(an),
+                     "--corpus", str(gen / "corpus.tsv")]) == EXIT_OK
+        capsys.readouterr()
+        gen_config = json.loads((gen / "manifest.json").read_text())["config"]
+        an_config = json.loads((an / "manifest.json").read_text())["config"]
+        assert gen_config["n_docs"] == 6 and an_config["folds"] == 3
+        assert an_config["fold_by"] == "document"
+        assert set(gen_config) == COMMAND_OPTIONS["gen"] - {"out"}
+        assert set(an_config) == COMMAND_OPTIONS["analyze"] - {"out"}
+
+    @pytest.mark.parametrize("command,key", [
+        ("gen", "seed"), ("gen", "n_docs"), ("gen", "doc_len"),
+        ("gen", "participants"), ("gen", "noise_sd"), ("analyze", "folds"),
+        ("analyze", "smooth_k"), ("oracle", "max_len"), ("oracle", "tail_tol"),
+        ("oracle", "perturbations"),
+    ])
+    def test_non_numeric_config_value(self, command, key, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = abc\n")
+        argv = _without(BASE_ARGV[command], "--out") + ["--out", str(tmp_path / "o")]
+        code = main(argv + ["--config", str(conf)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"configuration key {key!r}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gen", "--lm", M1, "--participants", "0"], "n_participants must be positive"),
+        (["oracle", "--lm", M0, "--perturbations", "-1"], "--perturbations: must be at least 1"),
+        (["oracle", "--lm", M0, "--perturbations", "0"], "--perturbations: must be at least 1"),
+        (["analyze", "--lm", MIXTURE, "--corpus", "{corpus}", "--smooth", "--smooth-k", "2"],
+         "--smooth-k: must be at least 3"),
+    ])
+    def test_out_of_range_count(self, argv, message, gen_dir, tmp_path, capsys):
+        corpus = str(gen_dir / "corpus.tsv")
+        argv = [a.format(corpus=corpus) for a in argv] + ["--out", str(tmp_path / "o")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_import_leaves_out_spline_interpolation():

@@ -602,6 +602,14 @@ class TestSynthesis:
         with pytest.raises(ConfigError):
             generate_synthetic(m1, {"wibble": 1.0}, 1.0, 2, 4, seed=1)
 
+    @pytest.mark.parametrize("n_docs,doc_len,n_participants", [(0, 4, 1), (2, 0, 1), (2, 4, 0)])
+    def test_nonpositive_sizes_rejected(self, m1, n_docs, doc_len, n_participants):
+        with pytest.raises(ConfigError, match="must be positive"):
+            generate_synthetic(
+                m1, {"intercept": 100.0}, 1.0, n_docs, doc_len, seed=1,
+                n_participants=n_participants,
+            )
+
     def test_participants_share_tokens(self, m1):
         out = generate_synthetic(
             m1, {"intercept": 100.0}, 1.0, 2, 5, seed=3, n_participants=3
