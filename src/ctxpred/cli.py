@@ -53,7 +53,7 @@ from .lm import (
 from .pipeline import MODEL_KINDS, analyze_observations
 from .predictors import frequency_variable, parse_external_tsv, surprisal_variable
 from .seeding import check_seed, named_rng
-from .smooth import DEFAULT_KNOTS, LAMBDA_GRID
+from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, check_lambda_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,14 +124,10 @@ def _parse_predictors(value: str) -> tuple[str, ...]:
 
 def _parse_lambda_grid(value: str) -> tuple[float, ...]:
     try:
-        grid = tuple(float(v) for v in value.split(",") if v.strip())
+        grid = [float(v) for v in value.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {value!r}: {exc}") from None
-    if not grid:
-        raise ConfigError("lambda grid is empty")
-    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
-        raise ConfigError(f"lambda grid must be finite and nonnegative, got {value!r}")
-    return grid
+    return check_lambda_grid(grid)
 
 
 def _parse_coef_item(item: str) -> tuple[str, float]:

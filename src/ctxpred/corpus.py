@@ -370,8 +370,8 @@ def generate_synthetic(
 
     if min(n_docs, doc_len, n_participants) < 1:
         raise ConfigError("n_docs, doc_len and n_participants must be positive")
-    if noise_sd < 0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     allowed = {"intercept", *PREDICTOR_NAMES}
     unknown = sorted(set(true_coeffs) - allowed)
     if unknown:

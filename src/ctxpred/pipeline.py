@@ -295,6 +295,9 @@ def analyze_tokens(
         std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
         std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
         y_tr, y_te = y[tr], y[te]
+        # this fold's smooth-term blocks, shared by the models: a label
+        # names one column within a fold
+        blocks: dict = {}
 
         for spec in specs:
             cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
@@ -335,7 +338,9 @@ def analyze_tokens(
                 ortho_diag[key] = max(ortho_diag.get(key, 0.0), abs(corr))
 
             if smooth:
-                sfit = fit_smooth(cols_tr, y_tr, k=smooth_k, lambda_grid=lambda_grid)
+                sfit = fit_smooth(
+                    cols_tr, y_tr, k=smooth_k, lambda_grid=lambda_grid, blocks=blocks
+                )
                 spred_te = sfit.predict(cols_te)
                 sdelta = delta_loglik(y_tr, sfit.fitted, y_te, spred_te)
                 smooth_deltas[spec.name].append(sdelta.per_token)

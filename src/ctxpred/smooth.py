@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +43,51 @@ DEFAULT_KNOTS = 6
 KNOT_MERGE_TOL = 1e-9
 LAMBDA_GRID: tuple[float, ...] = tuple(float(v) for v in np.logspace(-4.0, 4.0, 17))
 MAX_SWEEPS = 10
+
+
+def _cardinal_coefficients(knots: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the k cardinal natural cubic splines.
+
+    Entry [m, i, j] multiplies (x - knots[i])**(3 - m) on interval i of
+    basis function j.  The arithmetic is that of scipy's
+    ``CubicSpline(knots, np.eye(k), bc_type="natural")`` step for step,
+    so every value equals scipy's bit for bit: the slopes solve the same
+    tridiagonal system by LAPACK dgtsv's elimination, row interchanges
+    included, and the coefficients follow ``CubicHermiteSpline``.
+    """
+    k = knots.size
+    dx = np.diff(knots)
+    dxr = dx[:, None]
+    y = np.eye(k)
+    slope = np.diff(y, axis=0) / dxr
+    # the slopes' system, zero second derivative at both ends; upper ends
+    # in a spare 0.0 that the last interchange may move into lower
+    diag = [2 * dx[0], *(2 * (dx[:-1] + dx[1:])).tolist(), 2 * dx[-1]]
+    upper = [dx[0], *dx[:-1].tolist(), 0.0]
+    lower = [*dx[1:].tolist(), dx[-1]]
+    rhs = np.empty((k, k))
+    rhs[[0, -1]] = 3 * (y[[1, -1]] - y[[0, -2]])
+    rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # dgtsv's forward pass: partial pivoting, where an interchange leaves
+    # a second superdiagonal entry of row i in lower[i]
+    for i in range(k - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            rhs[i + 1] -= fact * rhs[i]
+            lower[i] = 0.0
+        else:
+            fact = diag[i] / lower[i]
+            diag[i], lower[i], below = lower[i], upper[i + 1], diag[i + 1]
+            diag[i + 1] = upper[i] - fact * below
+            upper[i], upper[i + 1] = below, -fact * lower[i]
+            rhs[i], rhs[i + 1] = rhs[i + 1].copy(), rhs[i] - fact * rhs[i + 1]
+    rhs[k - 1] /= diag[k - 1]
+    rhs[k - 2] = (rhs[k - 2] - upper[k - 2] * rhs[k - 1]) / diag[k - 2]
+    for i in range(k - 3, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1] - lower[i] * rhs[i + 2]) / diag[i]
+    t = (rhs[:-1] + rhs[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - rhs[:-1]) / dxr - t, rhs[:-1], y[:-1]))
 
 
 @dataclass(frozen=True)
@@ -70,6 +114,7 @@ class SplineBasis:
                 "knots must be strictly increasing; too few distinct "
                 "predictor values for the requested basis size"
             )
+        object.__setattr__(self, "_coefficients", _cardinal_coefficients(knots))
 
     @classmethod
     def from_quantiles(cls, x: np.ndarray, k: int = DEFAULT_KNOTS) -> "SplineBasis":
@@ -97,27 +142,51 @@ class SplineBasis:
     def k(self) -> int:
         return int(self.knots.size)
 
-    @cached_property
-    def _spline(self):
-        # imported here: scipy.interpolate is the slowest import of the
-        # package, and only smooth fits need it
-        from scipy.interpolate import CubicSpline
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The k basis values at each x in [knots[0], knots[-1]].
 
-        return CubicSpline(self.knots, np.eye(self.k), bc_type="natural")
+        Each x falls in the interval whose left knot is the last one at
+        or below it (the last interval is closed on the right), and the
+        power sum runs in the order of scipy's ``PPoly``: ``c3``,
+        ``+ c2*s``, ``+ c1*(s*s)``, ``+ c0*((s*s)*s)``.  (``PPoly`` starts
+        from 0.0, which changes nothing: c3 holds knot values, 1.0 or 0.0.)
+        """
+        knots, c = self.knots, self._coefficients
+        interval = np.zeros(x.size, dtype=np.intp)
+        for knot in knots[1:-1]:
+            interval += x >= knot
+        s = (x - np.take(knots, interval))[:, None]
+        out = np.take(c[3], interval, axis=0)
+        term = np.take(c[2], interval, axis=0)
+        term *= s
+        out += term
+        power = s * s
+        for coeff in (c[1], c[0]):
+            # the indices are in range, so "clip" changes nothing; it
+            # spares the copy that take(out=...) makes under "raise"
+            np.take(coeff, interval, axis=0, out=term, mode="clip")
+            term *= power
+            out += term
+            power *= s
+        return out
 
     def design(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise AlignmentError("basis input must be one-dimensional")
-        spline = self._spline
-        lo, hi = self.knots[0], self.knots[-1]
-        out = spline(np.clip(x, lo, hi))
-        below = x < lo
-        if np.any(below):
-            out[below] = spline(lo) + np.outer(x[below] - lo, spline(lo, nu=1))
-        above = x > hi
-        if np.any(above):
-            out[above] = spline(hi) + np.outer(x[above] - hi, spline(hi, nu=1))
+        ends = self.knots[[0, -1]]
+        out = self._evaluate(np.clip(x, *ends))
+        below, above = x < ends[0], x > ends[1]
+        if np.any(below) or np.any(above):
+            # the value and slope at the end knot, the slope summed as
+            # PPoly sums a derivative
+            c, interval = self._coefficients, [0, self.k - 2]
+            s = (ends - self.knots[interval])[:, None]
+            slopes = (0.0 + c[2, interval]) + (c[1, interval] * s) * 2.0
+            slopes += (c[0, interval] * (s * s)) * 3.0
+            values = self._evaluate(ends)
+            for end, outside in enumerate((below, above)):
+                out[outside] = values[end] + np.outer(x[outside] - ends[end], slopes[end])
         return out
 
     def penalty(self) -> np.ndarray:
@@ -170,7 +239,9 @@ class SmoothFit:
                     f"column {name!r} has {x.size} rows, expected {xs[0].size}"
                 )
             xs.append(x)
-        return _centred_design(self.bases, xs, self.term_means)[0]
+        blocks = [basis.design(x)[:, 1:] - means
+                  for basis, x, means in zip(self.bases, xs, self.term_means)]
+        return np.hstack([np.ones((xs[0].size, 1)), *blocks])
 
     def predict(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         return self._design(columns) @ self.coefficients
@@ -184,34 +255,31 @@ class SmoothFit:
         ]
 
 
-def _term_slices(bases: Sequence[SplineBasis]) -> list[slice]:
-    """Each term's columns in the design, after the intercept column."""
-    slices = []
-    offset = 1
-    for basis in bases:
-        slices.append(slice(offset, offset + basis.k - 1))
-        offset += basis.k - 1
-    return slices
+class TermBlock(NamedTuple):
+    """One term's training block, built from the column ``values`` and
+    basis size ``k``: the basis on the column's quantile knots, and its
+    design without the first basis function, centred on its ``means``."""
+
+    values: np.ndarray
+    k: int
+    basis: SplineBasis
+    centred: np.ndarray
+    means: np.ndarray
 
 
-def _centred_design(
-    bases: Sequence[SplineBasis],
-    xs: Sequence[np.ndarray],
-    means: Sequence[np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The design (intercept, then each term's basis without its first
-    column, centred on ``means``) and the means used; ``means=None``
-    centres each column on its own mean."""
-    slices = _term_slices(bases)
-    x = np.empty((xs[0].size, slices[-1].stop))
-    x[:, 0] = 1.0
-    used = []
-    for term, (basis, values, sl) in enumerate(zip(bases, xs, slices)):
-        raw = basis.design(values)[:, 1:]
-        centre = raw.mean(axis=0) if means is None else means[term]
-        np.subtract(raw, centre, out=x[:, sl])
-        used.append(centre)
-    return x, used
+def _term_block(name: str, x: np.ndarray, k: int, blocks: dict) -> TermBlock:
+    """The block ``blocks`` holds under ``name``, if it was built from
+    the same values and basis size; else a new one, stored there."""
+    block = blocks.get(name)
+    if block is None or block.k != k or not np.array_equal(block.values, x):
+        try:
+            basis = SplineBasis.from_quantiles(x, k)
+        except BasisError as exc:
+            raise BasisError(f"term {name!r}: {exc}") from None
+        raw = basis.design(x)[:, 1:]
+        means = raw.mean(axis=0)
+        block = blocks[name] = TermBlock(x, k, basis, raw - means, means)
+    return block
 
 
 def _validate_columns(
@@ -226,18 +294,14 @@ def _validate_columns(
     for name, values in columns.items():
         x = np.asarray(values, dtype=float)
         if x.shape != y.shape:
-            raise AlignmentError(
-                f"column {name!r} has {x.size} rows, response has {y.size}"
-            )
+            raise AlignmentError(f"column {name!r} has {x.size} rows, response has {y.size}")
         if not np.all(np.isfinite(x)):
             raise DegenerateError(f"column {name!r} contains non-finite values")
         clean[name] = x
     return clean, y
 
 
-def _term_sizes(
-    columns: Mapping[str, np.ndarray], k
-) -> dict[str, int]:
+def _term_sizes(columns: Mapping[str, np.ndarray], k) -> dict[str, int]:
     if isinstance(k, int):
         return {name: k for name in columns}
     sizes = dict(k)
@@ -245,6 +309,19 @@ def _term_sizes(
     if missing:
         raise ConfigError(f"no basis size given for terms {sorted(missing)}")
     return sizes
+
+
+def check_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
+    """The smoothing grid as floats; it must be non-empty, finite,
+    nonnegative and ascending, else ``ConfigError``."""
+    grid = tuple(float(v) for v in values)
+    if not grid:
+        raise ConfigError("lambda grid must be non-empty")
+    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
+        raise ConfigError(f"lambda grid must be finite and nonnegative, got {list(grid)}")
+    if list(grid) != sorted(grid):
+        raise ConfigError(f"lambda grid must be sorted ascending, got {list(grid)}")
+    return grid
 
 
 class _PenalizedProblem:
@@ -256,7 +333,7 @@ class _PenalizedProblem:
     selected lambdas.
     """
 
-    def __init__(self, columns, y, sizes):
+    def __init__(self, columns, y, sizes, blocks):
         # imported here, so that commands without smooth terms skip it.
         # These are the LAPACK routines behind scipy's cho_factor and
         # cho_solve; called directly they skip the per-call wrapper work
@@ -269,14 +346,12 @@ class _PenalizedProblem:
         self.names = tuple(columns)
         self.y = y
         self.n = y.size
-        self.bases = []
-        for name in self.names:
-            try:
-                self.bases.append(SplineBasis.from_quantiles(columns[name], sizes[name]))
-            except BasisError as exc:
-                raise BasisError(f"term {name!r}: {exc}") from None
-        self.x, self.means = _centred_design(self.bases, [columns[name] for name in self.names])
-        self.slices = _term_slices(self.bases)
+        terms = [_term_block(name, columns[name], sizes[name], blocks) for name in self.names]
+        self.bases = [term.basis for term in terms]
+        self.means = [term.means for term in terms]
+        self.x = np.hstack([np.ones((self.n, 1)), *(term.centred for term in terms)])
+        stops = np.cumsum([1] + [b.k - 1 for b in self.bases]).tolist()
+        self.slices = [slice(a, b) for a, b in zip(stops, stops[1:])]
         self.penalties = [b.penalty()[1:, 1:] for b in self.bases]
         self.xtx = self.x.T @ self.x
         centered = y - y.mean()
@@ -363,6 +438,7 @@ def fit_smooth(
     k=DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
     max_sweeps: int = MAX_SWEEPS,
+    blocks: dict[str, TermBlock] | None = None,
 ) -> SmoothFit:
     """Fit intercept + one penalized spline term per column.
 
@@ -376,17 +452,16 @@ def fit_smooth(
     selected lambdas are solved once more with the n-row residual, which
     gives ``sse``, ``gcv`` and ``fitted``.
     ``k`` may be a single basis size or a mapping from term name to size.
+
+    ``blocks`` lets fits on the same training rows share their terms'
+    bases and centred designs: a term reuses the block stored under its
+    name if it was built from equal values and the same basis size, and
+    blocks built here are stored in it.
     """
     clean, y = _validate_columns(columns, y)
     sizes = _term_sizes(clean, k)
-    grid = [float(v) for v in lambda_grid]
-    if not grid:
-        raise ConfigError("lambda grid must be non-empty")
-    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
-        raise ConfigError(f"lambda grid must be finite and nonnegative, got {grid}")
-    if sorted(grid) != grid:
-        raise ConfigError("lambda grid must be sorted ascending")
-    problem = _PenalizedProblem(clean, y, sizes)
+    grid = check_lambda_grid(lambda_grid)
+    problem = _PenalizedProblem(clean, y, sizes, {} if blocks is None else blocks)
     t = len(problem.names)
 
     # A term's scan depends only on the other terms' lambdas.  Once every

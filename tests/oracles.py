@@ -431,3 +431,17 @@ def natural_spline_eval(knots, values, x):
         )
 
     return np.array([eval_one(t) for t in np.atleast_1d(np.asarray(x, dtype=float))])
+
+
+def scipy_natural_design(knots, x):
+    """Cardinal natural cubic basis at x from scipy's ``CubicSpline``,
+    continued linearly beyond the end knots with the end value and slope."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(knots, np.eye(knots.size), bc_type="natural")
+    lo, hi = knots[0], knots[-1]
+    out = spline(np.clip(x, lo, hi))
+    for edge, outside in ((lo, x < lo), (hi, x > hi)):
+        if np.any(outside):
+            out[outside] = spline(edge) + np.outer(x[outside] - edge, spline(edge, nu=1))
+    return out

@@ -413,6 +413,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "lambda grid" in err
+        # rejected with the other options, before any input is read, and
+        # also without --smooth (the manifest would record it)
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "out"), f"--lambda-grid={grid}",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "lambda grid" in err and "missing.tsv" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sd", ["nan", "inf"])
+    def test_non_finite_noise_sd(self, tmp_path, capsys, sd):
+        code = main([
+            "gen", "--lm", MIXTURE, "--out", str(tmp_path / "out"), "--seed", "1",
+            "--n-docs", "3", "--doc-len", "10", f"--noise-sd={sd}",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "noise_sd" in err
+        assert not (tmp_path / "out" / "corpus.tsv").exists()
 
     def test_token_idx_gap(self, gen_dir, tmp_path, capsys):
         lines = (gen_dir / "corpus.tsv").read_text().splitlines()
@@ -639,6 +660,25 @@ def test_import_leaves_out_spline_interpolation():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_smooth_analysis_leaves_out_spline_interpolation(gen_dir, tmp_path):
+    # the spline basis is computed in numpy, so even a smooth analysis
+    # does not load scipy.interpolate
+    import subprocess
+    import sys
+
+    argv = ["analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path), "--smooth", "--folds", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ctxpred.cli import main; code = main(sys.argv[1:]); "
+         "print('scipy.interpolate' in sys.modules); sys.exit(code)", *argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "report.json").exists()
 
 
 def test_import_leaves_out_scipy_linalg():

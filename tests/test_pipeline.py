@@ -20,12 +20,21 @@ from ctxpred.corpus import (
     generate_synthetic,
     kfold,
     observation_table,
+    standardize_stats,
 )
 from ctxpred.errors import ConfigError
 from ctxpred.lm import load_lm_tsv
-from ctxpred.pipeline import analyze_observations, analyze_tokens, model_spec
+from ctxpred.pipeline import (
+    MODEL_KINDS,
+    _assemble,
+    _needed_sources,
+    analyze_observations,
+    analyze_tokens,
+    model_spec,
+)
 from ctxpred.predictors import build_predictor_table, table_columns
-from ctxpred.regression import fit_columns
+from ctxpred.regression import delta_loglik, fit_columns
+from ctxpred.smooth import fit_smooth
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -328,6 +337,37 @@ class TestSmoothPath:
         assert "surprisal" in terms and "prev_surprisal" in terms
         for t in fold0["terms"]:
             assert t["edf"] > 0.0
+
+
+class TestSharedSmoothBlocks:
+    """The models of a fold share its smooth-term blocks; each smooth fit
+    must equal a fit of its own on that model's fold columns."""
+
+    @pytest.mark.parametrize("swap", [None, "frequency"])
+    def test_fits_equal_unshared_fits(self, mixture_lm, synth, usable_rows, swap):
+        result = analyze_observations(
+            mixture_lm, synth.observations, seed=SEED, folds=FOLDS,
+            smooth=True, swap_ortho=swap,
+        )
+        models = {m["model"]: m for m in result.report["models"]}
+        specs = [model_spec(kind, True, swap) for kind in MODEL_KINDS]
+        names = _needed_sources(specs)
+        raw = table_columns(usable_rows, names)
+        y = usable_rows["rt_ms"]
+        assignment = kfold(len(usable_rows), FOLDS, SEED)
+        for f in range(FOLDS):
+            tr, te = assignment.train_idx(f), assignment.test_idx(f)
+            stats = {n: standardize_stats(raw[n][tr], n) for n in names}
+            std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
+            std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
+            for spec in specs:
+                cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
+                fit = fit_smooth(cols_tr, y[tr])
+                delta = delta_loglik(y[tr], fit.fitted, y[te], fit.predict(cols_te))
+                entry = models[f"{spec.name}_smooth"]["folds"][f]
+                assert entry["r2"] == fit.r2
+                assert entry["delta_llh"] == delta.per_token
+                assert entry["terms"] == fit.term_summary()
 
 
 class TestUnreadTokens:

@@ -10,7 +10,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gcv_search_nrow, gcv_search_reference, natural_spline_eval
+from oracles import (
+    gcv_search_nrow,
+    gcv_search_reference,
+    natural_spline_eval,
+    scipy_natural_design,
+)
 from ctxpred.errors import AlignmentError, BasisError, ConditioningError, ConfigError
 from ctxpred.regression import delta_loglik, fit_columns
 from ctxpred.smooth import (
@@ -113,6 +118,56 @@ class TestBasis:
         eigs = np.linalg.eigvalsh(pen)
         assert eigs.min() > -1e-12
         assert np.sum(eigs > 1e-10) == 3  # rank k-2
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def knot_sets(draw):
+    """3 to 10 knots whose gaps mix scales, so that the slopes' system
+    often needs dgtsv's row interchanges."""
+    k = draw(st.integers(min_value=3, max_value=10))
+    gap = st.one_of(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.sampled_from([0.01, 0.5, 1.0, 4.0, 100.0]),
+    )
+    gaps = draw(st.lists(gap, min_size=k - 1, max_size=k - 1))
+    start = draw(st.floats(min_value=-1e3, max_value=1e3))
+    return start + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestBasisMatchesScipy:
+    """The basis is computed in numpy with scipy's natural CubicSpline
+    arithmetic, so its design equals scipy's bit for bit."""
+
+    @given(knots=knot_sets(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_cubic_spline(self, knots, seed):
+        if np.any(np.diff(knots) <= 0.0):
+            return  # gaps lost to rounding at large offsets
+        rng = np.random.default_rng(seed)
+        lo, hi = knots[0], knots[-1]
+        span = hi - lo
+        x = np.concatenate([
+            knots, [lo, hi, lo - span, hi + span, np.nextafter(lo, -np.inf),
+                    np.nextafter(hi, np.inf)],
+            rng.uniform(lo - span, hi + span, size=50),
+        ])
+        assert same_bits(SplineBasis(knots).design(x), scipy_natural_design(knots, x))
+
+    @pytest.mark.parametrize("knots", [
+        [0.0, 1.0, 5.0, 6.0],  # |2 h0| < h1: the first step interchanges rows
+        [0.0, 1.0, 2.0],
+        [-3.0, -2.9, 0.0, 0.1, 7.0, 7.05, 20.0],
+        [0.0, 100.0, 100.5, 101.0, 300.0, 300.01, 300.02, 900.0, 901.0, 5000.0],
+    ])
+    def test_bit_equal_on_fixed_knots(self, knots):
+        knots = np.array(knots)
+        x = np.concatenate([knots, np.linspace(knots[0] - 5.0, knots[-1] + 5.0, 201)])
+        assert same_bits(SplineBasis(knots).design(x), scipy_natural_design(knots, x))
 
 
 class TestFit:
@@ -251,6 +306,28 @@ class TestFit:
         b = fit_smooth({"x": x}, y)
         assert a.lambdas == b.lambdas
         assert np.array_equal(a.coefficients, b.coefficients)
+
+
+class TestSharedBlocks:
+    def test_blocks_shared_by_name_and_values(self):
+        rng = np.random.default_rng(21)
+        a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
+        y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
+        blocks = {}
+        fit_smooth({"a": a, "b": b}, y, blocks=blocks)
+        first = blocks["a"]
+        shared = fit_smooth({"a": a, "c": c}, y, blocks=blocks)
+        assert blocks["a"] is first and set(blocks) == {"a", "b", "c"}
+        own = fit_smooth({"a": a, "c": c}, y)
+        assert shared.lambdas == own.lambdas
+        assert np.array_equal(shared.coefficients, own.coefficients)
+        assert np.array_equal(shared.fitted, own.fitted)
+        # other values or another basis size under a stored name: rebuilt
+        moved = fit_smooth({"a": a + 1.0}, y, blocks=blocks)
+        assert blocks["a"] is not first
+        assert np.array_equal(moved.bases[0].knots, SplineBasis.from_quantiles(a + 1.0).knots)
+        fit_smooth({"a": a}, y, k=4, blocks=blocks)
+        assert blocks["a"].basis.k == 4
 
 
 class TestKSpaceSearch:
