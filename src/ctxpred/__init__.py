@@ -67,12 +67,9 @@ from .lm import (
 from .pipeline import AnalyzeResult, analyze_observations, analyze_tokens, model_spec
 from .predictors import (
     build_predictor_table,
-    frequency,
     frequency_variable,
     parse_external_tsv,
-    pmi,
     pmi_variable,
-    surprisal,
     surprisal_variable,
     table_columns,
     write_external_tsv,

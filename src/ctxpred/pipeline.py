@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .regression import (
     FitResult,
     delta_loglik,
     equivalence_report,
-    gaussian_loglik_rows,
     lmg,
     ols_fit,
 )
@@ -101,14 +100,22 @@ def _spill(label: str) -> str:
     return f"prev_{label}"
 
 
+def _design_columns(spec: ModelSpec) -> Iterator[tuple[str, str, str | None]]:
+    """(label, source, anchor) of every design column of ``spec``: each
+    pair, then its spillover twin, which reads the ``prev_`` source and
+    anchors on the ``prev_`` anchor."""
+    for label, source, anchor in spec.pairs:
+        yield label, source, anchor
+        yield _spill(label), _spill(source), None if anchor is None else _spill(anchor)
+
+
 def _needed_sources(specs: Sequence[ModelSpec]) -> list[str]:
     names: list[str] = []
     for spec in specs:
-        for _, source, anchor in spec.pairs:
-            for base in filter(None, (source, anchor)):
-                for variant in (base, _spill(base)):
-                    if variant not in names:
-                        names.append(variant)
+        for _, source, anchor in _design_columns(spec):
+            for name in filter(None, (source, anchor)):
+                if name not in names:
+                    names.append(name)
     return names
 
 
@@ -127,21 +134,19 @@ def _assemble(
     cols_tr: dict[str, np.ndarray] = {}
     cols_te: dict[str, np.ndarray] = {}
     anchor_corr: dict[str, float] = {}
-    for label, source, anchor in spec.pairs:
-        for lab, src in ((label, source), (_spill(label), _spill(source))):
-            if anchor is None:
-                cols_tr[lab] = std_train[src]
-                cols_te[lab] = std_test[src]
-                continue
-            anc = anchor if lab == label else _spill(anchor)
-            coeff = fit_projection(std_train[src], std_train[anc], src, anc)
-            cols_tr[lab] = coeff.apply(std_train[src], std_train[anc])
-            cols_te[lab] = coeff.apply(std_test[src], std_test[anc])
-            denom = math.sqrt(
-                float(cols_tr[lab] @ cols_tr[lab]) * float(std_train[anc] @ std_train[anc])
-            )
-            num = float(cols_tr[lab] @ std_train[anc])
-            anchor_corr[lab] = 0.0 if denom == 0.0 else num / denom
+    for lab, src, anc in _design_columns(spec):
+        if anc is None:
+            cols_tr[lab] = std_train[src]
+            cols_te[lab] = std_test[src]
+            continue
+        coeff = fit_projection(std_train[src], std_train[anc], src, anc)
+        cols_tr[lab] = coeff.apply(std_train[src], std_train[anc])
+        cols_te[lab] = coeff.apply(std_test[src], std_test[anc])
+        denom = math.sqrt(
+            float(cols_tr[lab] @ cols_tr[lab]) * float(std_train[anc] @ std_train[anc])
+        )
+        num = float(cols_tr[lab] @ std_train[anc])
+        anchor_corr[lab] = 0.0 if denom == 0.0 else num / denom
     return cols_tr, cols_te, anchor_corr
 
 
@@ -164,15 +169,10 @@ def _raw_model_columns(
 ) -> dict[str, np.ndarray]:
     """Full-sample unstandardized columns (residualized where the model
     encoding calls for it) for the original-units pooled fit."""
-    cols: dict[str, np.ndarray] = {}
-    for label, source, anchor in spec.pairs:
-        for lab, src in ((label, source), (_spill(label), _spill(source))):
-            if anchor is None:
-                cols[lab] = raw[src]
-            else:
-                anc = anchor if lab == label else _spill(anchor)
-                cols[lab] = sample_orthogonalize(raw[src], raw[anc])
-    return cols
+    return {
+        lab: raw[src] if anc is None else sample_orthogonalize(raw[src], raw[anc])
+        for lab, src, anc in _design_columns(spec)
+    }
 
 
 def _fit_to_raw_scale(
@@ -190,12 +190,11 @@ def _fit_to_raw_scale(
         return None
     coeffs: dict[str, float] = {}
     intercept = fit.coef("intercept")
-    for label, source, _ in spec.pairs:
-        for lab, src in ((label, source), (_spill(label), _spill(source))):
-            mean, sd = stats[src]
-            beta = fit.coef(lab)
-            coeffs[lab] = beta / sd
-            intercept -= beta * mean / sd
+    for lab, src, _ in _design_columns(spec):
+        mean, sd = stats[src]
+        beta = fit.coef(lab)
+        coeffs[lab] = beta / sd
+        intercept -= beta * mean / sd
     coeffs["intercept"] = intercept
     return coeffs
 
@@ -270,7 +269,13 @@ def analyze_tokens(
             "columns": [lab for lab, _, _ in spec.pairs]
             + [_spill(lab) for lab, _, _ in spec.pairs],
             "folds": [],
-            "lmg": None,
+            # the shares are appended fold by fold, the rest after the loop
+            "lmg": {
+                "groups": list(_groups(spec, lmg_grouping)),
+                "shares": None,
+                "total_r2": None,
+                "fold_shares": [],
+            },
             "delta_llh": None,
             "pooled_raw": None,
         }
@@ -281,12 +286,6 @@ def analyze_tokens(
                 "folds": [],
                 "delta_llh": None,
             }
-
-    fold_shares: dict[str, list[list[float]]] = {s.name: [] for s in specs}
-    fold_deltas: dict[str, list[float]] = {s.name: [] for s in specs}
-    smooth_deltas: dict[str, list[float]] = {s.name: [] for s in specs}
-    group_names: dict[str, list[str]] = {}
-    fold_r2: dict[str, list[float]] = {s.name: [] for s in specs}
 
     for f in range(folds):
         tr = assignment.train_idx(f)
@@ -300,20 +299,16 @@ def analyze_tokens(
         blocks: dict = {}
 
         for spec in specs:
+            model = model_entries[spec.name]
             cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
             design_tr = DesignMatrix.build(cols_tr)
             fit = ols_fit(design_tr, y_tr)
             fitted_tr = fit.predict(design_tr)
-            pred_te = _predict_columns(fit, cols_te)
+            pred_te = fit.predict(DesignMatrix.build(cols_te))
             delta = delta_loglik(y_tr, fitted_tr, y_te, pred_te)
-            held_rows = gaussian_loglik_rows(y_te, pred_te, fit.residual_variance)
 
-            groups = _groups(spec, lmg_grouping)
-            report_lmg = lmg(cols_tr, y_tr, groups)
-            group_names[spec.name] = list(report_lmg.groups)
-            fold_shares[spec.name].append([float(v) for v in report_lmg.shares])
-            fold_deltas[spec.name].append(delta.per_token)
-            fold_r2[spec.name].append(fit.r2)
+            report_lmg = lmg(cols_tr, y_tr, _groups(spec, lmg_grouping))
+            model["lmg"]["fold_shares"].append([float(v) for v in report_lmg.shares])
             for gname, share in zip(report_lmg.groups, report_lmg.shares):
                 lmg_rows.append(
                     {
@@ -324,15 +319,16 @@ def analyze_tokens(
                         "total_r2": report_lmg.total_r2,
                     }
                 )
-            entry = {
-                "fold": f,
-                "r2": fit.r2,
-                "coeffs": fit.coef_dict(),
-                "coeffs_raw": _fit_to_raw_scale(fit, spec, stats),
-                "llh": float(held_rows.mean()),
-                "delta_llh": delta.per_token,
-            }
-            model_entries[spec.name]["folds"].append(entry)
+            model["folds"].append(
+                {
+                    "fold": f,
+                    "r2": fit.r2,
+                    "coeffs": fit.coef_dict(),
+                    "coeffs_raw": _fit_to_raw_scale(fit, spec, stats),
+                    "llh": delta.model_loglik / delta.n_test,
+                    "delta_llh": delta.per_token,
+                }
+            )
             for lab, corr in anchor_corr.items():
                 key = f"{spec.name}:{lab}"
                 ortho_diag[key] = max(ortho_diag.get(key, 0.0), abs(corr))
@@ -343,34 +339,25 @@ def analyze_tokens(
                 )
                 spred_te = sfit.predict(cols_te)
                 sdelta = delta_loglik(y_tr, sfit.fitted, y_te, spred_te)
-                smooth_deltas[spec.name].append(sdelta.per_token)
                 smooth_entries[spec.name]["folds"].append(
                     {
                         "fold": f,
                         "r2": sfit.r2,
-                        "llh": float(
-                            gaussian_loglik_rows(
-                                y_te, spred_te, sfit.residual_variance
-                            ).mean()
-                        ),
+                        "llh": sdelta.model_loglik / sdelta.n_test,
                         "delta_llh": sdelta.per_token,
                         "terms": sfit.term_summary(),
                     }
                 )
 
     for spec in specs:
-        shares = np.asarray(fold_shares[spec.name])
-        entry = model_entries[spec.name]
-        entry["lmg"] = {
-            "groups": group_names[spec.name],
-            "shares": [float(v) for v in shares.mean(axis=0)],
-            "total_r2": float(np.mean(fold_r2[spec.name])),
-            "fold_shares": [list(map(float, row)) for row in shares],
-        }
-        entry["delta_llh"] = _mean_se(fold_deltas[spec.name])
+        model = model_entries[spec.name]
+        lmg_block = model["lmg"]
+        lmg_block["shares"] = [float(v) for v in np.mean(lmg_block["fold_shares"], axis=0)]
+        lmg_block["total_r2"] = float(np.mean([e["r2"] for e in model["folds"]]))
+        model["delta_llh"] = _mean_se([e["delta_llh"] for e in model["folds"]])
         raw_cols = _raw_model_columns(spec, raw)
         pooled = ols_fit(DesignMatrix.build(raw_cols), y)
-        entry["pooled_raw"] = {
+        model["pooled_raw"] = {
             "coeffs": pooled.coef_dict(),
             "std_errors": {
                 lab: float(se) for lab, se in zip(pooled.labels, pooled.std_errors)
@@ -378,7 +365,10 @@ def analyze_tokens(
             "r2": pooled.r2,
         }
         if smooth:
-            smooth_entries[spec.name]["delta_llh"] = _mean_se(smooth_deltas[spec.name])
+            smooth_entry = smooth_entries[spec.name]
+            smooth_entry["delta_llh"] = _mean_se(
+                [e["delta_llh"] for e in smooth_entry["folds"]]
+            )
 
     # reparameterization identities on the raw, unstandardized columns
     # (standardization would rescale away the exact coefficient algebra)
@@ -405,19 +395,6 @@ def analyze_tokens(
         },
     }
     return AnalyzeResult(report=report, lmg_rows=lmg_rows)
-
-
-def _predict_columns(fit: FitResult, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Predict without rebuilding a DesignMatrix (test folds may have
-    fewer rows than columns, which the rank gate would reject)."""
-    n = len(next(iter(columns.values())))
-    parts = []
-    for label in fit.labels:
-        if label == "intercept":
-            parts.append(np.ones(n))
-        else:
-            parts.append(np.asarray(columns[label], dtype=float))
-    return np.column_stack(parts) @ fit.coefficients
 
 
 def _mean_se(values: Sequence[float]) -> dict[str, float]:

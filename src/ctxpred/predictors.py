@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import TokenTable
 from .errors import CoverageError, DegenerateError, FormatError, SizeError, SymbolError
 from .hilbert import MeasureTable, RandomVariableTable
-from .lm import AutoregressiveLM, UnigramLM, conditional, unigram_minimizer
+from .lm import AutoregressiveLM, UnigramLM, unigram_minimizer
 
 PREDICTOR_NAMES = (
     "surprisal",
@@ -42,29 +42,6 @@ PREDICTOR_NAMES = (
 )
 
 EXTERNAL_HEADER = ("doc_id", "token_idx", "token", "surprisal", "frequency")
-
-
-def surprisal(lm: AutoregressiveLM, context: Iterable[str], unit: str) -> float:
-    """Negative log conditional probability of the unit after the context."""
-    p = conditional(lm, context, unit)
-    if p <= 0.0:
-        raise DegenerateError(
-            f"unit {unit!r} has zero conditional probability after {tuple(context)!r}"
-        )
-    return -math.log(p)
-
-
-def frequency(q: UnigramLM, unit: str) -> float:
-    """Negative log probability under the context-free distribution."""
-    p = q.prob(unit)
-    if p <= 0.0:
-        raise SymbolError(f"unit {unit!r} has no context-free probability")
-    return -math.log(p)
-
-
-def pmi(lm: AutoregressiveLM, q: UnigramLM, context: Iterable[str], unit: str) -> float:
-    """frequency minus surprisal; positive when context helps the unit."""
-    return frequency(q, unit) - surprisal(lm, context, unit)
 
 
 # -- external predictor files ------------------------------------------------
@@ -241,7 +218,10 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
     q = unigram_minimizer(lm)
     freq_of_unit = np.full(len(units), math.nan)
     for a in np.unique(unit).tolist():
-        freq_of_unit[a] = frequency(q, units[a])
+        p = q.prob(units[a])
+        if p <= 0.0:
+            raise SymbolError(f"unit {units[a]!r} has no context-free probability")
+        freq_of_unit[a] = -math.log(p)
     return surp, freq_of_unit[unit]
 
 

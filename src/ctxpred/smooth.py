@@ -301,16 +301,6 @@ def _validate_columns(
     return clean, y
 
 
-def _term_sizes(columns: Mapping[str, np.ndarray], k) -> dict[str, int]:
-    if isinstance(k, int):
-        return {name: k for name in columns}
-    sizes = dict(k)
-    missing = set(columns) - set(sizes)
-    if missing:
-        raise ConfigError(f"no basis size given for terms {sorted(missing)}")
-    return sizes
-
-
 def check_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
     """The smoothing grid as floats; it must be non-empty, finite,
     nonnegative and ascending, else ``ConfigError``."""
@@ -333,7 +323,7 @@ class _PenalizedProblem:
     selected lambdas.
     """
 
-    def __init__(self, columns, y, sizes, blocks):
+    def __init__(self, columns, y, k, blocks):
         # imported here, so that commands without smooth terms skip it.
         # These are the LAPACK routines behind scipy's cho_factor and
         # cho_solve; called directly they skip the per-call wrapper work
@@ -346,7 +336,7 @@ class _PenalizedProblem:
         self.names = tuple(columns)
         self.y = y
         self.n = y.size
-        terms = [_term_block(name, columns[name], sizes[name], blocks) for name in self.names]
+        terms = [_term_block(name, columns[name], k, blocks) for name in self.names]
         self.bases = [term.basis for term in terms]
         self.means = [term.means for term in terms]
         self.x = np.hstack([np.ones((self.n, 1)), *(term.centred for term in terms)])
@@ -435,7 +425,7 @@ class _PenalizedProblem:
 def fit_smooth(
     columns: Mapping[str, np.ndarray],
     y: np.ndarray,
-    k=DEFAULT_KNOTS,
+    k: int = DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
     max_sweeps: int = MAX_SWEEPS,
     blocks: dict[str, TermBlock] | None = None,
@@ -451,7 +441,7 @@ def fit_smooth(
     The search scores candidates from k-sized quantities only; the
     selected lambdas are solved once more with the n-row residual, which
     gives ``sse``, ``gcv`` and ``fitted``.
-    ``k`` may be a single basis size or a mapping from term name to size.
+    Every term gets a basis of size ``k``.
 
     ``blocks`` lets fits on the same training rows share their terms'
     bases and centred designs: a term reuses the block stored under its
@@ -459,9 +449,8 @@ def fit_smooth(
     blocks built here are stored in it.
     """
     clean, y = _validate_columns(columns, y)
-    sizes = _term_sizes(clean, k)
     grid = check_lambda_grid(lambda_grid)
-    problem = _PenalizedProblem(clean, y, sizes, {} if blocks is None else blocks)
+    problem = _PenalizedProblem(clean, y, k, {} if blocks is None else blocks)
     t = len(problem.names)
 
     # A term's scan depends only on the other terms' lambdas.  Once every

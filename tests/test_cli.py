@@ -448,6 +448,25 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "'d0000' skips from token_idx 2 to 4" in err
 
+    def test_frequency_aliased_with_length(self, continuous_files, tmp_path, capsys):
+        # an external frequency equal to the token length makes every
+        # design singular; the fit names the columns that add nothing
+        pred, corpus = continuous_files
+        header, *lines = pred.read_text().splitlines()
+        rows = [line.split("\t") for line in lines]
+        aliased = tmp_path / "pred.tsv"
+        aliased.write_text("\n".join(
+            [header] + ["\t".join([*r[:4], repr(float(len(r[2])))]) for r in rows]
+        ) + "\n")
+        code = main([
+            "analyze", "--external", str(aliased), "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"), "--seed", "3", "--folds", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "RankDeficiencyError" in err
+        assert "near-dependent columns: length, prev_length" in err
+
     def test_bad_fold_count(self, gen_dir, tmp_path, capsys):
         code = main([
             "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),

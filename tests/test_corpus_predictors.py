@@ -34,17 +34,13 @@ from ctxpred.lm import (
     EnumerationBudget,
     load_lm_tsv,
     sample_string,
-    unigram_minimizer,
 )
 from ctxpred.predictors import (
     PREDICTOR_NAMES,
     build_predictor_table,
-    frequency,
     frequency_variable,
     parse_external_tsv,
-    pmi,
     pmi_variable,
-    surprisal,
     surprisal_variable,
     table_columns,
     write_external_tsv,
@@ -409,26 +405,39 @@ class TestFolds:
             kfold(10, 5, seed=0, doc_ids=["d0"] * 10)
 
 
+def sentences(*units):
+    """One document whose sentences are the given unit sequences."""
+    rows, idx = [], 0
+    for sent, seq in enumerate(units):
+        for u in seq:
+            rows.append(("d0", idx, u, sent, 200.0))
+            idx += 1
+    return tokens(*rows)
+
+
 class TestScalarPredictors:
+    """Frozen per-token values, read off rows of the predictor table."""
+
     def test_m1_frozen_values(self, m1):
-        q = unigram_minimizer(m1)
-        s = surprisal(m1, (), "a")
-        f = frequency(q, "a")
+        recs = build_predictor_table(sentences(["a"]), m1)
+        s, f = recs["surprisal"][0], recs["frequency"][0]
         assert s == pytest.approx(0.2231435513, abs=1e-9)
         assert f == pytest.approx(math.log(31.0 / 16.0), abs=1e-12)
         assert f == pytest.approx(0.6613984822, abs=1e-9)
-        assert pmi(m1, q, (), "a") == pytest.approx(f - s, abs=1e-12)
-        assert pmi(m1, q, (), "a") == pytest.approx(0.4382549309, abs=1e-9)
+        assert recs["pmi"][0] == pytest.approx(f - s, abs=1e-12)
+        assert recs["pmi"][0] == pytest.approx(0.4382549309, abs=1e-9)
 
     def test_pmi_is_exactly_the_difference(self, m0):
-        q = unigram_minimizer(m0)
-        for ctx in [(), ("a",), ("b", "a")]:
-            for u in ("a", "b"):
-                assert pmi(m0, q, ctx, u) == frequency(q, u) - surprisal(m0, ctx, u)
+        # each unit after the contexts (), (a,) and (b, a)
+        recs = build_predictor_table(
+            sentences(["a"], ["b"], ["a", "a"], ["a", "b"], ["b", "a", "a"], ["b", "a", "b"]),
+            m0,
+        )
+        assert np.array_equal(recs["pmi"], recs["frequency"] - recs["surprisal"])
 
     def test_memoryless_pmi_is_zero(self, m0):
-        q = unigram_minimizer(m0)
-        assert pmi(m0, q, ("b", "b", "a"), "a") == pytest.approx(0.0, abs=1e-12)
+        recs = build_predictor_table(sentences(["b", "b", "a", "a"]), m0)
+        assert recs["pmi"][3] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTableInternal:

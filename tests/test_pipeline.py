@@ -32,8 +32,19 @@ from ctxpred.pipeline import (
     analyze_tokens,
     model_spec,
 )
-from ctxpred.predictors import build_predictor_table, table_columns
-from ctxpred.regression import delta_loglik, fit_columns
+from ctxpred.predictors import (
+    build_predictor_table,
+    parse_external_tsv,
+    table_columns,
+    write_external_tsv,
+)
+from ctxpred.regression import (
+    DesignMatrix,
+    delta_loglik,
+    fit_columns,
+    gaussian_loglik_rows,
+    ols_fit,
+)
 from ctxpred.smooth import fit_smooth
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -284,13 +295,13 @@ class TestOptions:
         assert a.lmg_rows == b.lmg_rows
 
 
-@pytest.fixture(scope="module")
-def continuous():
-    rng = np.random.default_rng(17)
+def continuous_tables(seed, n_docs, doc_len):
+    """Readings and external predictors with a nonlinear surprisal effect."""
+    rng = np.random.default_rng(seed)
     obs, recs = [], []
-    for d in range(12):
+    for d in range(n_docs):
         doc = f"doc{d:03d}"
-        for t in range(40):
+        for t in range(doc_len):
             surp = float(rng.gamma(4.0, 0.8))
             freq = float(rng.gamma(5.0, 0.5))
             token = "w" * int(rng.integers(1, 7))
@@ -305,16 +316,22 @@ def continuous():
     return observation_table(obs), table
 
 
+def external_source(recs, path):
+    write_external_tsv(recs, path)
+    return parse_external_tsv(path)
+
+
+@pytest.fixture(scope="module")
+def continuous():
+    return continuous_tables(17, 12, 40)
+
+
 @pytest.fixture(scope="module")
 def smooth_result(continuous, tmp_path_factory):
-    from ctxpred.predictors import parse_external_tsv, write_external_tsv
-
     obs, recs = continuous
-    path = tmp_path_factory.mktemp("ext") / "pred.tsv"
-    write_external_tsv(recs, path)
+    source = external_source(recs, tmp_path_factory.mktemp("ext") / "pred.tsv")
     return analyze_observations(
-        parse_external_tsv(path), obs, seed=2, folds=4,
-        predictors=("surprisal",), smooth=True,
+        source, obs, seed=2, folds=4, predictors=("surprisal",), smooth=True
     )
 
 
@@ -368,6 +385,48 @@ class TestSharedSmoothBlocks:
                 assert entry["r2"] == fit.r2
                 assert entry["delta_llh"] == delta.per_token
                 assert entry["terms"] == fit.term_summary()
+
+
+class TestSmallTestFolds:
+    """Test folds with fewer rows than design columns still predict, and
+    each fold's held-out log-likelihood is the mean log density of its
+    test rows."""
+
+    def test_llh_equals_direct_recomputation(self, tmp_path):
+        obs, recs = continuous_tables(31, 3, 20)
+        source = external_source(recs, tmp_path / "pred.tsv")
+        folds, seed = 10, 4
+        result = analyze_observations(
+            source, obs, seed=seed, folds=folds, predictors=MODEL_KINDS, smooth=True
+        )
+        models = {m["model"]: m for m in result.report["models"]}
+        specs = [model_spec(kind, True, None) for kind in MODEL_KINDS]
+        names = _needed_sources(specs)
+        rows = build_predictor_table(aggregate_participants(obs), source)
+        rows = rows.take(~np.isnan(rows["prev_surprisal"]))
+        raw = table_columns(rows, names)
+        y = rows["rt_ms"]
+        assignment = kfold(len(rows), folds, seed)
+        for f in range(folds):
+            tr, te = assignment.train_idx(f), assignment.test_idx(f)
+            stats = {n: standardize_stats(raw[n][tr], n) for n in names}
+            std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
+            std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
+            for spec in specs:
+                cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
+                design_te = DesignMatrix.build(cols_te)
+                assert design_te.n_obs < design_te.matrix.shape[1]
+                fit = ols_fit(DesignMatrix.build(cols_tr), y[tr])
+                llh = gaussian_loglik_rows(
+                    y[te], fit.predict(design_te), fit.residual_variance
+                )
+                assert models[spec.name]["folds"][f]["llh"] == float(llh.mean())
+                sfit = fit_smooth(cols_tr, y[tr])
+                sllh = gaussian_loglik_rows(
+                    y[te], sfit.predict(cols_te), sfit.residual_variance
+                )
+                entry = models[f"{spec.name}_smooth"]["folds"][f]
+                assert entry["llh"] == float(sllh.mean())
 
 
 class TestUnreadTokens:

@@ -272,17 +272,6 @@ class TestFit:
             1.0 + sum(row["edf"] for row in summary), abs=1e-9
         )
 
-    def test_per_term_basis_sizes(self):
-        rng = np.random.default_rng(7)
-        x1 = rng.uniform(0, 1, size=100)
-        x2 = rng.uniform(0, 1, size=100)
-        y = rng.normal(size=100)
-        fit = fit_smooth({"x1": x1, "x2": x2}, y, k={"x1": 4, "x2": 7})
-        assert fit.bases[0].k == 4
-        assert fit.bases[1].k == 7
-        with pytest.raises(ConfigError):
-            fit_smooth({"x1": x1, "x2": x2}, y, k={"x1": 4})
-
     def test_alignment_and_grid_validation(self):
         x = np.arange(20.0)
         y = np.arange(19.0)
