@@ -94,7 +94,6 @@ from .smooth import (
     SmoothFit,
     SplineBasis,
     fit_smooth,
-    smooth_delta_loglik,
 )
 
 __version__ = "0.1.0"

@@ -482,7 +482,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             }
         )
         surp = surprisal_variable(table)
-        freq = frequency_variable(table)
+        freq = frequency_variable(table, q)
         resid_var, coeff = project_complement(surp, freq, center=True)
         ortho_residual = abs(inner_product(resid_var, freq))
         checks.append(

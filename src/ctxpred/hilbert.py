@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConvergenceError, DegenerateError
-from .lm import AutoregressiveLM, EnumerationBudget, _chain_arrays, prefix_normalizer
+from .lm import AutoregressiveLM, EnumerationBudget, prefix_normalizer
 
 # Below this squared norm a projection direction is treated as zero.
 ZERO_NORM_TOL = 1e-24
@@ -67,12 +67,9 @@ class MeasureTable:
         tracked exactly; stopping is by whole levels, and each level is
         the previous one pushed through the unit transition matrix.
         """
-        states, index, trans, emit = _chain_arrays(lm)
-        eos_vec = np.array([lm.eos_prob(s) for s in states])
-
         z = prefix_normalizer(lm)
-        level = np.zeros(len(states))
-        level[index[()]] = 1.0
+        level = np.zeros(len(lm.states))
+        level[lm.index[()]] = 1.0
         state_mass = level.copy()
         covered = 1.0 / z
         depth = 0
@@ -83,7 +80,7 @@ class MeasureTable:
                     f"{budget.max_len}; tail_tol {budget.tail_tol:.3g} not met",
                     remaining=1.0 - covered,
                 )
-            level = trans.T @ level
+            level = lm.trans.T @ level
             if not np.any(level):
                 # no continuations anywhere; remaining mass is exactly zero
                 break
@@ -92,7 +89,7 @@ class MeasureTable:
             depth += 1
 
         # conditional probability of every symbol in every reached state
-        conds = np.concatenate([emit, eos_vec[:, None]], axis=1)
+        conds = np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
         keep = (conds > 0.0) & (state_mass > 0.0)[:, None]
         row_state, row_symbol = np.nonzero(keep)
         row_cond = conds[row_state, row_symbol]

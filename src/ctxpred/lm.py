@@ -8,6 +8,13 @@ transition operator strictly below one), which makes prefix masses,
 expected lengths, and the best unigram approximation exactly computable
 by small linear solves over the finite state space.
 
+A model indexes its chain once, at construction: the sorted states, the
+transition, emission and end-of-string tables, and the successor of
+every (state, unit) cell.  Sampling, corpus scoring and the truncated
+enumerations read those tables, and the expected visit counts behind the
+normalizer and the unigram minimizer are solved once per model, on
+first use.
+
 Conventions:
   * contexts and strings are tuples of unit strings; the empty tuple is
     the start context,
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -118,26 +126,46 @@ class AutoregressiveLM:
     ``cond`` maps each context state to a dict of symbol probabilities
     (units and/or the eos symbol).  Stored probabilities are strictly
     positive; per-state sums must equal one within ``COND_SUM_TOL``.
+
+    Construction indexes the chain once.  ``states`` are sorted by
+    length, then by units, so the start state is row 0, and ``index``
+    maps a state to its row.  ``trans[i, j]`` is the one-unit transition
+    probability from state i to state j, ``emit[i, a]`` the probability
+    of unit a (columns ordered like ``alphabet.units``) and ``eos[i]``
+    that of ending; ``succ[i, a]`` is the row of the state after unit a,
+    or -1 where the model defines no such state.
     """
 
     alphabet: UnitAlphabet
     cond: dict[State, dict[str, float]]
     order: int = field(init=False)
-    # per state: (symbols, cdf, successor state or None for eos)
-    sampler: dict = field(init=False, repr=False, compare=False)
+    states: tuple[State, ...] = field(init=False, repr=False, compare=False)
+    index: dict[State, int] = field(init=False, repr=False, compare=False)
+    trans: np.ndarray = field(init=False, repr=False, compare=False)
+    emit: np.ndarray = field(init=False, repr=False, compare=False)
+    eos: np.ndarray = field(init=False, repr=False, compare=False)
+    succ: np.ndarray = field(init=False, repr=False, compare=False)
+    # per state row: (symbols, cdf, successor row or None for eos)
+    sampler: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if () not in self.cond:
             raise FormatError("model must define the start state")
         object.__setattr__(self, "order", max(len(s) for s in self.cond))
-        units = set(self.alphabet.units)
+        states = tuple(sorted(self.cond, key=lambda s: (len(s), s)))
+        index = {s: i for i, s in enumerate(states)}
+        units = self.alphabet.units
+        unit_col = {u: a for a, u in enumerate(units)}
+        trans = np.zeros((len(states), len(states)))
+        emit = np.zeros((len(states), len(units)))
+        eos = np.zeros(len(states))
         for state, row in self.cond.items():
             for u in state:
-                if u not in units:
+                if u not in unit_col:
                     raise FormatError(f"state {state!r} uses unknown unit {u!r}")
             total = 0.0
             for sym, p in row.items():
-                if sym != self.alphabet.eos and sym not in units:
+                if sym != self.alphabet.eos and sym not in unit_col:
                     raise SymbolError(f"symbol {sym!r} is not in the alphabet")
                 if not (0.0 < p <= 1.0) or not math.isfinite(p):
                     raise FormatError(
@@ -148,34 +176,45 @@ class AutoregressiveLM:
                 raise FormatError(
                     f"conditionals for state {state!r} sum to {total!r}, not 1"
                 )
-            for sym in row:
-                if sym != self.alphabet.eos:
-                    nxt = self.next_state(state, sym)
-                    if nxt not in self.cond:
-                        raise FormatError(
-                            f"transition {state!r} --{sym!r}--> {nxt!r} has no defined state"
-                        )
-        rho = _spectral_radius(self)
+            i = index[state]
+            for sym, p in row.items():
+                if sym == self.alphabet.eos:
+                    eos[i] = p
+                    continue
+                nxt = self.next_state(state, sym)
+                if nxt not in index:
+                    raise FormatError(
+                        f"transition {state!r} --{sym!r}--> {nxt!r} has no defined state"
+                    )
+                emit[i, unit_col[sym]] = p
+                trans[i, index[nxt]] += p
+        succ = np.array(
+            [[index.get(self.next_state(s, u), -1) for u in units] for s in states],
+            dtype=np.int64,
+        )
+        chain = dict(states=states, index=index, trans=trans, emit=emit, eos=eos, succ=succ)
+        for name, value in chain.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        rho = float(np.max(np.abs(np.linalg.eigvals(trans))))
         if rho >= 1.0 - SPECTRAL_MARGIN:
             raise DivergenceError(
                 f"unit transition operator has spectral radius {rho:.12g}; "
                 "the model does not terminate almost surely"
             )
-        sampler = {}
-        for state, row in self.cond.items():
+        sampler = []
+        for i, state in enumerate(states):
+            row = self.cond[state]
             probs = np.array(list(row.values()))
             # the cdf exactly as Generator.choice(p=...) builds it
             cdf = (probs / probs.sum()).cumsum()
             cdf /= cdf[-1]
-            nxt = [None if s == self.alphabet.eos else self.next_state(state, s) for s in row]
-            sampler[state] = (list(row), cdf.tolist(), nxt)
-        object.__setattr__(self, "sampler", sampler)
+            nxt = [None if s == self.alphabet.eos else int(succ[i, unit_col[s]]) for s in row]
+            sampler.append((list(row), cdf.tolist(), nxt))
+        object.__setattr__(self, "sampler", tuple(sampler))
 
     # -- state space ----------------------------------------------------
-
-    @property
-    def states(self) -> list[State]:
-        return sorted(self.cond, key=lambda s: (len(s), s))
 
     def next_state(self, state: State, unit: str) -> State:
         if self.order == 0:
@@ -189,62 +228,28 @@ class AutoregressiveLM:
             raise SymbolError(f"context units not in the alphabet: {unknown!r}")
         return ctx[-self.order :] if self.order else ()
 
-    def eos_prob(self, state: State) -> float:
-        return self.cond[state].get(self.alphabet.eos, 0.0)
+    @cached_property
+    def visits(self) -> np.ndarray:
+        """Expected number of times each state is occupied before termination.
 
-
-def _spectral_radius(lm: AutoregressiveLM) -> float:
-    states, _, trans, _ = _chain_arrays(lm)
-    if len(states) == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(trans))))
-
-
-def _chain_arrays(lm: AutoregressiveLM):
-    """Index the state space and build the unit-step transition matrix.
-
-    Returns ``(states, index, trans, emit)`` where ``trans[i, j]`` is the
-    one-unit transition probability from state i to state j and
-    ``emit[i, a]`` is the probability of emitting unit a from state i
-    (columns ordered like ``lm.alphabet.units``).
-    """
-    states = lm.states
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    m = len(lm.alphabet.units)
-    trans = np.zeros((n, n))
-    emit = np.zeros((n, m))
-    unit_col = {u: a for a, u in enumerate(lm.alphabet.units)}
-    for s, row in lm.cond.items():
-        i = index[s]
-        for sym, p in row.items():
-            if sym == lm.alphabet.eos:
-                continue
-            emit[i, unit_col[sym]] = p
-            trans[i, index[lm.next_state(s, sym)]] += p
-    return states, index, trans, emit
-
-
-def _expected_visits(lm: AutoregressiveLM) -> tuple[list[State], np.ndarray]:
-    """Expected number of times each state is occupied before termination.
-
-    Solves (I - T)' v = e_start for the absorbing chain on context
-    states.  Every occupation emits exactly one symbol, so the visit
-    counts double as expected symbol emissions per state.
-    """
-    states, index, trans, _ = _chain_arrays(lm)
-    n = len(states)
-    system = np.eye(n) - trans.T
-    cond_number = np.linalg.cond(system)
-    if not np.isfinite(cond_number) or cond_number > SOLVE_CONDITION_LIMIT:
-        raise ConditioningError(
-            f"visit-count system condition number {cond_number:.3g} exceeds "
-            f"{SOLVE_CONDITION_LIMIT:.0e}"
-        )
-    start = np.zeros(n)
-    start[index[()]] = 1.0
-    visits = np.linalg.solve(system, start)
-    return states, visits
+        Solves (I - T)' v = e_start for the absorbing chain on context
+        states, once per model, on first use.  Every occupation emits
+        exactly one symbol, so the visit counts double as expected
+        symbol emissions per state.
+        """
+        n = len(self.states)
+        system = np.eye(n) - self.trans.T
+        cond_number = np.linalg.cond(system)
+        if not np.isfinite(cond_number) or cond_number > SOLVE_CONDITION_LIMIT:
+            raise ConditioningError(
+                f"visit-count system condition number {cond_number:.3g} exceeds "
+                f"{SOLVE_CONDITION_LIMIT:.0e}"
+            )
+        start = np.zeros(n)
+        start[self.index[()]] = 1.0
+        visits = np.linalg.solve(system, start)
+        visits.flags.writeable = False
+        return visits
 
 
 def expected_length(lm: AutoregressiveLM) -> float:
@@ -253,8 +258,7 @@ def expected_length(lm: AutoregressiveLM) -> float:
     Total symbol emissions count every unit plus the single terminating
     symbol, so the expectation is the summed visit mass minus one.
     """
-    _, visits = _expected_visits(lm)
-    return float(np.sum(visits) - 1.0)
+    return float(np.sum(lm.visits) - 1.0)
 
 
 def prefix_normalizer(lm: AutoregressiveLM) -> float:
@@ -296,11 +300,10 @@ def prefix_mass(
         base *= p
         state = lm.next_state(state, u)
 
-    states, index, trans, _ = _chain_arrays(lm)
-    alive = np.zeros(len(states))
-    alive[index[state]] = 1.0
+    alive = np.zeros(len(lm.states))
+    alive[lm.index[state]] = 1.0
     for _ in range(budget.max_len):
-        alive = trans.T @ alive
+        alive = lm.trans.T @ alive
         if base * float(np.sum(alive)) <= budget.tail_tol:
             break
     remaining = base * float(np.sum(alive))
@@ -321,9 +324,8 @@ def unigram_minimizer(lm: AutoregressiveLM) -> UnigramLM:
     the total prefix mass (1 + expected length) because every string of
     length n contributes n unit emissions plus one terminating symbol.
     """
-    states, visits = _expected_visits(lm)
     counts: dict[str, float] = {sym: 0.0 for sym in lm.alphabet.symbols}
-    for s, v in zip(states, visits):
+    for s, v in zip(lm.states, lm.visits):
         for sym, p in lm.cond[s].items():
             counts[sym] += v * p
     z = float(sum(counts.values()))
@@ -332,11 +334,24 @@ def unigram_minimizer(lm: AutoregressiveLM) -> UnigramLM:
 
 
 def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
-    """log q over ``lm.alphabet.symbols``; q must be positive on each."""
+    """log q over ``lm.alphabet.symbols``; q must be positive on each.
+
+    The minimizer gives a symbol no mass when only states that the chain
+    never reaches emit it; the error then names those states.
+    """
     for sym in lm.alphabet.symbols:
         if q.prob(sym) <= 0.0:
+            emitters = [s for s in lm.states if sym in lm.cond[s]]
+            reached = np.zeros(len(lm.states), dtype=bool)
+            reached[lm.index[()]] = True
+            for _ in lm.states:
+                reached |= lm.trans.T @ reached > 0.0
+            idle = [s for s in emitters if not reached[lm.index[s]]]
+            hint = ""
+            if idle and idle == emitters:
+                hint = f"; only unreachable states emit it: {idle!r}"
             raise DegenerateError(
-                f"q must be strictly positive on the alphabet; q({sym!r}) = {q.prob(sym)}"
+                f"q must be strictly positive on the alphabet; q({sym!r}) = {q.prob(sym)}{hint}"
             )
     return np.log([q.prob(sym) for sym in lm.alphabet.symbols])
 
@@ -357,17 +372,13 @@ def truncated_string_moments(
     number of occurrences of ``lm.alphabet.symbols[c]`` per string
     (units, then one eos per string), both over the enumerated strings.
     """
-    states, index, _, emit = _chain_arrays(lm)
+    emit, eos_p = lm.emit, lm.eos
     n, m = emit.shape
-    eos_p = np.array([lm.eos_prob(s) for s in states])
     log_eos_p = np.where(eos_p > 0.0, np.log(np.maximum(eos_p, 1e-300)), 0.0)
 
     # one edge per (state, unit) with positive probability
     src, unit = np.nonzero(emit)
-    tgt = np.array(
-        [index[lm.next_state(states[i], lm.alphabet.units[a])] for i, a in zip(src, unit)],
-        dtype=np.int64,
-    )
+    tgt = lm.succ[src, unit]
     w = emit[src, unit]
     log_w = np.log(w)
     # flat (target state, unit column) cells for scattering count rows
@@ -375,7 +386,7 @@ def truncated_string_moments(
     edges = np.arange(src.size)
 
     mass = np.zeros(n)
-    mass[index[()]] = 1.0
+    mass[lm.index[()]] = 1.0
     logp_acc = np.zeros(n)  # sum over alive paths of p(path) * log p(path)
     unit_acc = np.zeros((n, m))  # sum over alive paths of p(path) * count(unit)
     neg_entropy = 0.0
@@ -424,7 +435,7 @@ def sample_string(lm: AutoregressiveLM, rng: np.random.Generator) -> list[str]:
     One uniform per symbol, placed on the state's cdf: the same draws
     and the same stream as ``rng.choice(len(symbols), p=probs)``.
     """
-    state: State | None = ()
+    state: int | None = lm.index[()]
     out: list[str] = []
     # a.s. termination is validated at construction; the cap only guards
     # against astronomically unlucky draws

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import TokenTable
-from .errors import CoverageError, DegenerateError, FormatError, SizeError, SymbolError
+from .errors import CoverageError, DegenerateError, FormatError, SymbolError
 from .hilbert import MeasureTable, RandomVariableTable
 from .lm import AutoregressiveLM, UnigramLM, unigram_minimizer
 
@@ -158,9 +158,9 @@ def build_predictor_table(
 def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.ndarray]:
     """Surprisal and frequency of each row, by gathers over small tables.
 
-    A row's state is the last ``lm.order`` units of its sentence so far,
-    coded as a number in base (units + 1) with the latest unit lowest
-    and 0 for absent, so states of different lengths stay distinct.
+    A row's state is the model's start state at its sentence's first
+    token and otherwise the successor (``lm.succ``) of the row before
+    it, so the walk takes one vectorized step per sentence position.
     The logs are taken of the (state, unit) cells, not of the rows.
     """
     units = lm.alphabet.units
@@ -173,9 +173,6 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
             f"alphabet: {bad_vocab[:10]!r}",
             missing=bad_vocab,
         )
-    base = len(units) + 1
-    if base**lm.order >= 2**62:
-        raise SizeError(f"{len(units)} units at order {lm.order} overflow the state code")
     unit = np.array([unit_col.get(t, -1) for t in table.types], dtype=np.int64)
     unit = unit[table["token"]]
 
@@ -186,31 +183,20 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
     )
     sentence_start = np.maximum.accumulate(np.where(first, rows, 0))
     pos = rows - sentence_start
-    code = np.zeros(len(table), dtype=np.int64)
-    for d in range(1, lm.order + 1):
-        back = np.flatnonzero(pos >= d)
-        code[back] += (unit[back - d] + 1) * base ** (d - 1)
+    # a row's state is undefined (-1) only after a zero-probability row
+    # of the same sentence, which comes first and raises below
+    state = np.full(len(table), lm.index[()], dtype=np.int64)
+    for d in range(1, int(pos.max(initial=0)) + 1):
+        at = np.flatnonzero(pos == d)
+        state[at] = lm.succ[state[at - 1], unit[at - 1]]
 
-    states = list(lm.cond)
-    index = {
-        sum((unit_col[u] + 1) * base**j for j, u in enumerate(reversed(s))): i
-        for i, s in enumerate(states)
-    }
-    codes, inverse = np.unique(code, return_inverse=True)
-    state = np.array([index.get(c, -1) for c in codes.tolist()], dtype=np.int64)[inverse]
-    known = state >= 0
     neglog = np.array(
-        [[-math.log(lm.cond[s][u]) if u in lm.cond[s] else math.inf for u in units]
-         for s in states]
+        [[-math.log(p) if p > 0.0 else math.inf for p in row] for row in lm.emit.tolist()]
     )
-    surp = np.where(known, neglog[state, unit], math.inf)
+    surp = neglog[state, unit]
     if np.isinf(surp).any():
         i = int(np.argmax(np.isinf(surp)))
         context = tuple(table.types[c] for c in table["token"][sentence_start[i]:i].tolist())
-        if not known[i]:
-            raise DegenerateError(
-                f"context state {lm.state_of(context)!r} is unreachable under this model"
-            )
         raise DegenerateError(
             f"unit {units[unit[i]]!r} has zero conditional probability after {context!r}"
         )

@@ -76,11 +76,7 @@ class DesignMatrix:
     matrix: np.ndarray
 
     @classmethod
-    def build(
-        cls, columns: Mapping[str, np.ndarray], intercept: bool = True
-    ) -> "DesignMatrix":
-        if not columns and not intercept:
-            raise ConfigError("design needs at least one column")
+    def build(cls, columns: Mapping[str, np.ndarray]) -> "DesignMatrix":
         cols = []
         labels = []
         n = None
@@ -96,9 +92,8 @@ class DesignMatrix:
             cols.append(arr)
         if n is None:  # intercept-only design
             raise ConfigError("intercept-only designs need an explicit row count")
-        if intercept:
-            labels.insert(0, INTERCEPT_LABEL)
-            cols.insert(0, np.ones(n))
+        labels.insert(0, INTERCEPT_LABEL)
+        cols.insert(0, np.ones(n))
         return cls(labels=tuple(labels), matrix=np.column_stack(cols))
 
     def _dependent_labels(self) -> list[str]:

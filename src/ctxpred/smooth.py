@@ -32,7 +32,7 @@ from .errors import (
     ConfigError,
     DegenerateError,
 )
-from .regression import VARIANCE_FLOOR, DeltaLogLik, delta_loglik
+from .regression import VARIANCE_FLOOR
 
 DEFAULT_KNOTS = 6
 # Knots closer than this share of the predictor's range are one knot.
@@ -493,18 +493,3 @@ def fit_smooth(
         fitted=fitted,
     )
 
-
-def smooth_delta_loglik(
-    train_columns: Mapping[str, np.ndarray],
-    y_train: np.ndarray,
-    test_columns: Mapping[str, np.ndarray],
-    y_test: np.ndarray,
-    k=DEFAULT_KNOTS,
-    lambda_grid: Sequence[float] = LAMBDA_GRID,
-) -> tuple[DeltaLogLik, SmoothFit]:
-    """Held-out log-likelihood gain of a smooth fit over the
-    training-mean baseline, mirroring the linear-model contract."""
-    fit = fit_smooth(train_columns, y_train, k=k, lambda_grid=lambda_grid)
-    predicted_test = fit.predict(test_columns)
-    delta = delta_loglik(y_train, fit.fitted, np.asarray(y_test, float), predicted_test)
-    return delta, fit

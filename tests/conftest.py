@@ -38,6 +38,20 @@ def make_m1() -> AutoregressiveLM:
     )
 
 
+def make_m2_partial() -> AutoregressiveLM:
+    """Order-2 model whose short states are partly undefined: ('b',) is
+    never defined, yet ('b', 'a') is reached through ('a', 'b')."""
+    return AutoregressiveLM(
+        alphabet=UnitAlphabet(units=("a", "b")),
+        cond={
+            (): {"a": 0.5, "$": 0.5},
+            ("a",): {"b": 0.5, "$": 0.5},
+            ("a", "b"): {"a": 0.5, "$": 0.5},
+            ("b", "a"): {"b": 0.5, "$": 0.5},
+        },
+    )
+
+
 def random_lm(
     rng: np.random.Generator,
     max_units: int = 3,

@@ -50,7 +50,7 @@ from ctxpred.regression import (
     residualization_triplet,
 )
 from ctxpred.seeding import named_rng
-from ctxpred.smooth import SplineBasis, fit_smooth, smooth_delta_loglik
+from ctxpred.smooth import SplineBasis, fit_smooth
 
 from conftest import ACCEPTANCE_LINES, random_lm
 from oracles import lmg_by_orderings
@@ -395,9 +395,8 @@ def test_ac10_smooth_regression_behaviour():
         xv = rng.uniform(0, 1, size=400)
         yv = np.sin(2.0 * np.pi * xv) + 0.3 * rng.normal(size=400)
         tr, te = np.arange(300), np.arange(300, 400)
-        smooth_delta, _ = smooth_delta_loglik(
-            {"x": xv[tr]}, yv[tr], {"x": xv[te]}, yv[te]
-        )
+        sfit = fit_smooth({"x": xv[tr]}, yv[tr])
+        smooth_delta = delta_loglik(yv[tr], sfit.fitted, yv[te], sfit.predict({"x": xv[te]}))
         line = fit_columns({"x": xv[tr]}, yv[tr])
         lin_tr = line.coef("intercept") + line.coef("x") * xv[tr]
         lin_te = line.coef("intercept") + line.coef("x") * xv[te]

@@ -307,6 +307,7 @@ class TestOracle:
         failed = by_name.pop("minimizer_optimality")
         assert failed["residual"] is None and failed["passed"] is False
         assert "strictly positive" in failed["details"]["error"]
+        assert "only unreachable states emit it: [('b',)]" in failed["details"]["error"]
         assert all(c["passed"] for c in by_name.values())
 
     @pytest.mark.parametrize("lm_path", [M0, M1, MIXTURE])

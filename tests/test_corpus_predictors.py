@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_m1, random_lm
+from conftest import make_m1, make_m2_partial, random_lm
 from ctxpred.corpus import (
     TokenTable,
     aggregate_participants,
@@ -265,6 +265,43 @@ class TestColumnarMatchesPerRowPath:
             want = [math.nan if rec[name] is None else rec[name] for rec in ref_recs]
             assert np.array_equal(recs[name], want, equal_nan=True), name
         assert np.array_equal(recs["rt_ms"], want_rt, equal_nan=True)
+
+
+class TestPartlyUndefinedStates:
+    """An order-2 model that never defines ('b',) but reaches ('b', 'a')."""
+
+    def test_sampled_corpus_bit_equal_to_reference(self):
+        lm = make_m2_partial()
+        rng = np.random.default_rng(31)
+        rows, longest = [], 0
+        for d in range(6):
+            token_idx = 0
+            for sentence_id in range(40):
+                sentence = sample_string(lm, rng)
+                longest = max(longest, len(sentence))
+                for token in sentence:
+                    rows.append(obs("p0", f"d{d}", token_idx, token, 200.0, sent=sentence_id))
+                    token_idx += 1
+        assert longest >= 4  # the walk reaches ('b', 'a') and comes back
+        agg = aggregate_participants(observation_table(rows))
+        recs = build_predictor_table(agg, lm)
+        ref = reference_score(
+            list(zip(agg.decode("doc"), agg["sentence_id"].tolist(),
+                     agg["token_idx"].tolist(), agg.decode("token"))),
+            lm,
+        )
+        for name in PREDICTOR_NAMES:
+            want = [math.nan if rec[name] is None else rec[name] for rec in ref]
+            assert np.array_equal(recs[name], want, equal_nan=True), name
+
+    def test_undefined_successor_reports_the_zero_probability_row(self):
+        # ('b',) is undefined, so the row after the first 'b' has no
+        # state; the zero-probability row before it raises first
+        table = tokens(("d0", 0, "a", 0, 1.0), ("d0", 1, "b", 1, 1.0),
+                       ("d0", 2, "a", 1, 1.0), ("d0", 3, "b", 1, 1.0))
+        with pytest.raises(DegenerateError) as err:
+            build_predictor_table(table, make_m2_partial())
+        assert str(err.value) == "unit 'b' has zero conditional probability after ()"
 
 
 class TestSkippedTokensStayInTheText:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_m0, make_m1, random_lm
+from conftest import make_m0, make_m1, make_m2_partial, random_lm
 from ctxpred.errors import (
     ConfigError,
     ConvergenceError,
@@ -25,6 +25,7 @@ from ctxpred.errors import (
     FormatError,
     SymbolError,
 )
+from ctxpred.hilbert import MeasureTable
 from ctxpred.lm import (
     AutoregressiveLM,
     EnumerationBudget,
@@ -41,6 +42,7 @@ from ctxpred.lm import (
     unigram_minimizer,
     write_lm_tsv,
 )
+from ctxpred.predictors import frequency_variable
 
 BUDGET = EnumerationBudget(max_len=256, tail_tol=1e-9)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -337,14 +339,67 @@ class TestRandomModels:
         lens = [len(sample_string(m1, rng)) for _ in range(4000)]
         assert np.mean(lens) == pytest.approx(16.0 / 15.0, abs=0.05)
 
-    @pytest.mark.parametrize("name", ["m0", "m1", "mixture"])
+    @pytest.mark.parametrize("name", ["m0", "m1", "mixture", "m2_partial"])
     def test_sampling_matches_rng_choice(self, name):
-        lm = load_lm_tsv(FIXTURES / f"{name}.tsv")
+        if name == "m2_partial":
+            lm = make_m2_partial()
+        else:
+            lm = load_lm_tsv(FIXTURES / f"{name}.tsv")
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(500):
             assert sample_string(lm, fast) == oracles.choice_sample_string(lm, slow)
         # the same number of draws: the streams continue in step
         assert fast.random() == slow.random()
+
+
+class TestChainIndex:
+    """The one successor table that sampling, scoring and enumeration read."""
+
+    def test_m0_successors_are_all_start_state(self, m0):
+        assert m0.states == ((),)
+        assert m0.succ.shape == (1, 2)
+        assert np.all(m0.succ == m0.index[()])
+
+    def test_undefined_short_state_has_no_successor(self):
+        lm = make_m2_partial()
+        assert lm.states == ((), ("a",), ("a", "b"), ("b", "a"))
+        row = {s: [lm.states[j] if j >= 0 else None for j in lm.succ[i]]
+               for i, s in enumerate(lm.states)}
+        assert row[()] == [("a",), None]
+        assert row[("a",)] == [None, ("a", "b")]
+        assert row[("a", "b")] == [("b", "a"), None]
+        assert row[("b", "a")] == [None, ("a", "b")]
+        assert lm.emit.tolist() == [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]]
+        assert lm.eos.tolist() == [0.5] * 4
+        # each state's successor and transition rows agree
+        for i, s in enumerate(lm.states):
+            for a, u in enumerate(lm.alphabet.units):
+                if lm.emit[i, a] > 0.0:
+                    assert lm.trans[i, lm.succ[i, a]] == lm.emit[i, a]
+                    assert lm.states[lm.succ[i, a]] == lm.next_state(s, u)
+
+    def test_chain_tables_are_read_only(self, m1):
+        for arr in (m1.trans, m1.emit, m1.eos, m1.succ, m1.visits):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_visit_system_solved_once_per_model(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+        assert not calls  # solved on first use, not at load
+        z = prefix_normalizer(lm)
+        q = unigram_minimizer(lm)
+        table = MeasureTable.from_lm(lm, BUDGET)
+        frequency_variable(table)
+        assert len(calls) == 1
+        assert z == pytest.approx(q.normalizer, abs=1e-10)
 
 
 def test_math_is_in_nats(m1):

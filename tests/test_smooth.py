@@ -18,12 +18,7 @@ from oracles import (
 )
 from ctxpred.errors import AlignmentError, BasisError, ConditioningError, ConfigError
 from ctxpred.regression import delta_loglik, fit_columns
-from ctxpred.smooth import (
-    LAMBDA_GRID,
-    SplineBasis,
-    fit_smooth,
-    smooth_delta_loglik,
-)
+from ctxpred.smooth import LAMBDA_GRID, SplineBasis, fit_smooth
 
 
 class TestBasis:
@@ -421,9 +416,8 @@ class TestDelta:
             x = rng.uniform(0, 1, size=400)
             y = np.sin(2.0 * np.pi * x) + 0.3 * rng.normal(size=400)
             tr, te = np.arange(300), np.arange(300, 400)
-            smooth_delta, _ = smooth_delta_loglik(
-                {"x": x[tr]}, y[tr], {"x": x[te]}, y[te]
-            )
+            fit = fit_smooth({"x": x[tr]}, y[tr])
+            smooth_delta = delta_loglik(y[tr], fit.fitted, y[te], fit.predict({"x": x[te]}))
             linear = fit_columns({"x": x[tr]}, y[tr])
             lin_tr = linear.coef("intercept") + linear.coef("x") * x[tr]
             lin_te = linear.coef("intercept") + linear.coef("x") * x[te]
@@ -443,8 +437,7 @@ class TestDelta:
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, size=500)
         y = np.cos(3.0 * x) + 0.2 * rng.normal(size=500)
-        d, fit = smooth_delta_loglik(
-            {"x": x[:400]}, y[:400], {"x": x[400:]}, y[400:]
-        )
+        fit = fit_smooth({"x": x[:400]}, y[:400])
+        d = delta_loglik(y[:400], fit.fitted, y[400:], fit.predict({"x": x[400:]}))
         assert d.per_token > 0.5
         assert fit.n_obs == 400
