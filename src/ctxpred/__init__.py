@@ -45,7 +45,6 @@ from .hilbert import (
     fit_projection,
     inner_product,
     mean,
-    norm,
     project_complement,
     sample_orthogonalize,
 )

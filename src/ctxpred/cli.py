@@ -400,14 +400,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _uncomputed_check(name: str, tolerance: float, exc: Exception) -> dict:
-    """A failed oracle check that could not be computed."""
+def _check(
+    name: str, residual: float | None, tolerance: float, passed: bool, **details
+) -> dict:
+    """One oracle check record; an uncomputed check has residual None and
+    its error among the details."""
     return {
         "name": name,
-        "residual": None,
+        "residual": residual,
         "tolerance": tolerance,
-        "passed": False,
-        "details": {"error": str(exc)},
+        "passed": passed,
+        "details": details,
     }
 
 
@@ -420,13 +423,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
     q = unigram_minimizer(lm)
     residual = abs(z_prefix - q.normalizer)
     checks.append(
-        {
-            "name": "normalizer_identity",
-            "residual": residual,
-            "tolerance": 1e-10,
-            "passed": residual <= 1e-10,
-            "details": {"prefix_normalizer": z_prefix, "unigram_normalizer": q.normalizer},
-        }
+        _check(
+            "normalizer_identity", residual, 1e-10, residual <= 1e-10,
+            prefix_normalizer=z_prefix, unigram_normalizer=q.normalizer,
+        )
     )
 
     # the remaining checks enumerate strings and contexts up to the
@@ -438,7 +438,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         neg_entropy, counts = truncated_string_moments(lm, budget)
         log_q = unigram_log_probs(lm, q)
     except (ConvergenceError, DegenerateError) as exc:
-        checks.append(_uncomputed_check("minimizer_optimality", 1e-12, exc))
+        checks.append(_check("minimizer_optimality", None, 1e-12, False, error=str(exc)))
     else:
         # the truncated KL is affine in log q, so each perturbation's margin
         # over the minimizer is one dot product with the expected counts
@@ -450,49 +450,41 @@ def cmd_oracle(cfg: RunConfig) -> int:
         margins = -(np.log(probs) - log_q) @ counts
         worst = float(np.min(margins))
         violations = int(np.count_nonzero(margins < -1e-12))
+        # how far the worst margin falls below zero; subtracting from 0.0
+        # writes no shortfall as 0.0 rather than -0.0
         checks.append(
-            {
-                "name": "minimizer_optimality",
-                "residual": -min(worst, 0.0),
-                "tolerance": 1e-12,
-                "passed": violations == 0,
-                "details": {
-                    "kl_minimizer": kl_min,
-                    "worst_margin": worst,
-                    "perturbations": cfg.perturbations,
-                    "violations": violations,
-                },
-            }
+            _check(
+                "minimizer_optimality", 0.0 - min(worst, 0.0), 1e-12, violations == 0,
+                kl_minimizer=kl_min, worst_margin=worst,
+                perturbations=cfg.perturbations, violations=violations,
+            )
         )
 
     try:
         table = MeasureTable.from_lm(lm, budget)
     except ConvergenceError as exc:
-        checks.append(_uncomputed_check("context_mass", cfg.tail_tol, exc))
-        checks.append(_uncomputed_check("projection_orthogonality", 1e-9, exc))
+        checks.append(_check("context_mass", None, cfg.tail_tol, False, error=str(exc)))
+        checks.append(
+            _check("projection_orthogonality", None, 1e-9, False, error=str(exc))
+        )
     else:
         mass_residual = 1.0 - table.total_weight
         checks.append(
-            {
-                "name": "context_mass",
-                "residual": mass_residual,
-                "tolerance": cfg.tail_tol,
-                "passed": -1e-12 <= mass_residual <= cfg.tail_tol,
-                "details": {"rows": table.n_rows, "tail_mass": table.tail_mass},
-            }
+            _check(
+                "context_mass", mass_residual, cfg.tail_tol,
+                -1e-12 <= mass_residual <= cfg.tail_tol,
+                rows=table.n_rows, tail_mass=table.tail_mass,
+            )
         )
         surp = surprisal_variable(table)
         freq = frequency_variable(table, q)
-        resid_var, coeff = project_complement(surp, freq, center=True)
+        resid_var, coeff = project_complement(surp, freq)
         ortho_residual = abs(inner_product(resid_var, freq))
         checks.append(
-            {
-                "name": "projection_orthogonality",
-                "residual": ortho_residual,
-                "tolerance": 1e-9,
-                "passed": ortho_residual <= 1e-9,
-                "details": {"alpha": coeff.alpha},
-            }
+            _check(
+                "projection_orthogonality", ortho_residual, 1e-9, ortho_residual <= 1e-9,
+                alpha=coeff.alpha,
+            )
         )
 
     all_passed = True

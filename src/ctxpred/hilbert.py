@@ -18,6 +18,10 @@ algebra to empirical vectors (one entry per corpus token) with moments
 estimated on training rows only, so held-out rows never leak into the
 fit.
 
+The exact projection is always centred, so its residual is uncorrelated
+with, and orthogonal to, the anchor.  Both modes hand their first and
+second moments to one estimator of the coefficient.
+
 Reductions use numpy's pairwise summation in a fixed row order, keeping
 results reproducible bit for bit on a given platform.
 """
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import AlignmentError, ConvergenceError, DegenerateError
 from .lm import AutoregressiveLM, EnumerationBudget, prefix_normalizer
 
-# Below this squared norm a projection direction is treated as zero.
+# At or below this variance a projection direction is treated as zero.
 ZERO_NORM_TOL = 1e-24
 
 
@@ -137,25 +141,34 @@ class RandomVariableTable:
 
 @dataclass(frozen=True)
 class ProjectionCoefficient:
-    """Fitted scalar for removing one variable's component from another.
+    """Fitted scalar for removing one variable's centred component along
+    another.
 
-    Applies as (x - x_mean) - alpha * (z - z_mean); in uncentered mode
-    both means are zero.  The same record serves the exact measure-based
-    projection and the sample residualization, so a coefficient fitted
-    on training rows can be replayed on held-out rows.
+    Applies as (x - x_mean) - alpha * (z - z_mean).  The same record
+    serves the exact measure-based projection and the sample
+    residualization, so a coefficient fitted on training rows can be
+    replayed on held-out rows.
     """
 
     alpha: float
     x_mean: float
     z_mean: float
-    centered: bool
-    x_label: str = "x"
-    z_label: str = "z"
 
     def apply(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         return (x - self.x_mean) - self.alpha * (z - self.z_mean)
+
+
+def _coefficient(
+    x_mean: float, z_mean: float, cov: float, var: float, z_label: str
+) -> ProjectionCoefficient:
+    """The record for the centred moments cov(x, z) and var(z), which
+    both sources of moments scale alike; a direction whose variance is
+    at most ``ZERO_NORM_TOL`` is refused."""
+    if var <= ZERO_NORM_TOL:
+        raise DegenerateError(f"projection direction {z_label!r} has zero variance")
+    return ProjectionCoefficient(alpha=cov / var, x_mean=x_mean, z_mean=z_mean)
 
 
 def _require_same_measure(x: RandomVariableTable, y: RandomVariableTable) -> None:
@@ -175,10 +188,6 @@ def inner_product(x: RandomVariableTable, y: RandomVariableTable) -> float:
     return float(np.sum(x.measure.weights * x.values * y.values))
 
 
-def norm(x: RandomVariableTable) -> float:
-    return float(np.sqrt(inner_product(x, x)))
-
-
 def mean(x: RandomVariableTable) -> float:
     """Expectation under the (truncated, hence renormalized) measure."""
     w = x.measure.weights
@@ -186,41 +195,24 @@ def mean(x: RandomVariableTable) -> float:
 
 
 def project_complement(
-    x: RandomVariableTable,
-    z: RandomVariableTable,
-    center: bool = True,
+    x: RandomVariableTable, z: RandomVariableTable
 ) -> tuple[RandomVariableTable, ProjectionCoefficient]:
-    """Remove from x its component along z; returns residual and scalar.
+    """Remove from x its centred component along z; returns residual and
+    coefficient.
 
-    With ``center`` the variables are mean-centered first, which makes
-    the residual uncorrelated with z under the measure (not merely
-    orthogonal to it).
+    Both variables are centred under the measure first, so the residual
+    has mean zero and is uncorrelated with z as well as orthogonal to it.
     """
     _require_same_measure(x, z)
-    if center:
-        mx, mz = mean(x), mean(z)
-    else:
-        mx = mz = 0.0
+    mx, mz = mean(x), mean(z)
     xc = x.values - mx
     zc = z.values - mz
     w = x.measure.weights
-    denom = float(np.sum(w * zc * zc))
-    if denom <= ZERO_NORM_TOL:
-        raise DegenerateError(
-            f"projection direction {z.label!r} has zero norm after centering"
-        )
-    alpha = float(np.sum(w * xc * zc)) / denom
-    coeff = ProjectionCoefficient(
-        alpha=alpha,
-        x_mean=mx,
-        z_mean=mz,
-        centered=center,
-        x_label=x.label,
-        z_label=z.label,
-    )
+    cov, var = float(np.sum(w * xc * zc)), float(np.sum(w * zc * zc))
+    coeff = _coefficient(mx, mz, cov, var, z.label)
     residual = RandomVariableTable(
         measure=x.measure,
-        values=xc - alpha * zc,
+        values=coeff.apply(x.values, z.values),
         label=f"{x.label}_perp_{z.label}",
     )
     return residual, coeff
@@ -230,10 +222,7 @@ def project_complement(
 
 
 def fit_projection(
-    x_train: np.ndarray,
-    z_train: np.ndarray,
-    x_label: str = "x",
-    z_label: str = "z",
+    x_train: np.ndarray, z_train: np.ndarray, z_label: str = "z"
 ) -> ProjectionCoefficient:
     """Estimate the residualization coefficient from training rows only.
 
@@ -253,18 +242,9 @@ def fit_projection(
     mz = float(np.mean(z))
     xc = x - mx
     zc = z - mz
-    denom = float(np.sum(zc * zc) / (x.size - 1))
-    if denom <= ZERO_NORM_TOL:
-        raise DegenerateError(f"{z_label!r} has zero sample variance")
-    alpha = float(np.sum(xc * zc) / (x.size - 1)) / denom
-    return ProjectionCoefficient(
-        alpha=alpha,
-        x_mean=mx,
-        z_mean=mz,
-        centered=True,
-        x_label=x_label,
-        z_label=z_label,
-    )
+    dof = x.size - 1
+    cov, var = float(np.sum(xc * zc) / dof), float(np.sum(zc * zc) / dof)
+    return _coefficient(mx, mz, cov, var, z_label)
 
 
 def sample_orthogonalize(x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import TokenTable, aggregate_participants, kfold, standardize_stats
-from .errors import ConfigError, DegenerateError
+from .errors import ConfigError, DegenerateError, RankDeficiencyError
 from .hilbert import fit_projection, sample_orthogonalize
 from .predictors import PREDICTOR_NAMES, build_predictor_table, table_columns
 from .regression import (
@@ -46,7 +46,6 @@ from .regression import (
 from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, fit_smooth
 
 MODEL_KINDS = ("surprisal", "pmi", "ortho")
-BASE_PREDICTORS = ("surprisal", "pmi", "frequency", "length")
 
 
 @dataclass(frozen=True)
@@ -64,36 +63,28 @@ class ModelSpec:
 
 
 def model_spec(kind: str, include_length: bool, swap_ortho: str | None) -> ModelSpec:
-    if kind == "surprisal":
-        pairs = [("surprisal", "surprisal", None), ("frequency", "frequency", None)]
-        if include_length:
-            pairs.append(("length", "length", None))
-    elif kind == "pmi":
-        pairs = [("pmi", "pmi", None), ("frequency", "frequency", None)]
-        if include_length:
-            pairs.append(("length", "length", None))
-    elif kind == "ortho":
-        if swap_ortho is None:
-            pairs = [
-                ("ortho_surprisal", "surprisal", "frequency"),
-                ("frequency", "frequency", None),
-            ]
-            if include_length:
-                pairs.append(("ortho_length", "length", "frequency"))
-        elif swap_ortho == "frequency":
-            pairs = [
-                ("surprisal", "surprisal", None),
-                ("ortho_frequency", "frequency", "surprisal"),
-            ]
-            if include_length:
-                pairs.append(("ortho_length", "length", "surprisal"))
-        else:
-            raise ConfigError(f"unsupported swap-ortho target {swap_ortho!r}")
-    else:
+    """The sources are the focal predictor (``pmi`` for the PMI model,
+    else ``surprisal``), ``frequency``, and ``length`` if included.  The
+    ortho model residualizes each source but its anchor as
+    ``ortho_<source>``; the anchor is ``frequency``, or ``surprisal``
+    when ``swap_ortho`` is ``"frequency"``."""
+    if kind not in MODEL_KINDS:
         raise ConfigError(
             f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}"
         )
-    return ModelSpec(name=kind, pairs=tuple(pairs))
+    anchor = None
+    if kind == "ortho":
+        anchor = {None: "frequency", "frequency": "surprisal"}.get(swap_ortho)
+        if anchor is None:
+            raise ConfigError(f"unsupported swap-ortho target {swap_ortho!r}")
+    sources = ("pmi" if kind == "pmi" else "surprisal", "frequency")
+    if include_length:
+        sources += ("length",)
+    pairs = tuple(
+        (src, src, None) if anchor in (None, src) else (f"ortho_{src}", src, anchor)
+        for src in sources
+    )
+    return ModelSpec(name=kind, pairs=pairs)
 
 
 def _spill(label: str) -> str:
@@ -139,7 +130,7 @@ def _assemble(
             cols_tr[lab] = std_train[src]
             cols_te[lab] = std_test[src]
             continue
-        coeff = fit_projection(std_train[src], std_train[anc], src, anc)
+        coeff = fit_projection(std_train[src], std_train[anc], anc)
         cols_tr[lab] = coeff.apply(std_train[src], std_train[anc])
         cols_te[lab] = coeff.apply(std_test[src], std_test[anc])
         denom = math.sqrt(
@@ -156,11 +147,7 @@ def _groups(
     if grouping == "paired":
         return {label: [label, _spill(label)] for label, _, _ in spec.pairs}
     if grouping == "separate":
-        out: dict[str, list[str]] = {}
-        for label, _, _ in spec.pairs:
-            out[label] = [label]
-            out[_spill(label)] = [_spill(label)]
-        return out
+        return {label: [label] for label, _, _ in _design_columns(spec)}
     raise ConfigError(f"unknown grouping {grouping!r}; use 'paired' or 'separate'")
 
 
@@ -302,7 +289,17 @@ def analyze_tokens(
             model = model_entries[spec.name]
             cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
             design_tr = DesignMatrix.build(cols_tr)
-            fit = ols_fit(design_tr, y_tr)
+            try:
+                fit = ols_fit(design_tr, y_tr)
+            except RankDeficiencyError as exc:
+                # a token type that the training rows lack can make the
+                # type-level columns collinear
+                lacking = np.setdiff1d(rows["token"], rows["token"][tr])
+                names = ", ".join(sorted(repr(rows.types[c]) for c in lacking))
+                note = f"; the fold's training rows hold no {names}" if names else ""
+                raise RankDeficiencyError(
+                    f"fold {f}, model {spec.name}: {exc}{note}", columns=exc.columns
+                ) from exc
             fitted_tr = fit.predict(design_tr)
             pred_te = fit.predict(DesignMatrix.build(cols_te))
             delta = delta_loglik(y_tr, fitted_tr, y_te, pred_te)

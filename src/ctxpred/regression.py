@@ -54,6 +54,10 @@ VARIANCE_FLOOR = 1e-8
 
 MAX_GROUPS = 12
 
+# Tolerances of the structural identities: fits, then coefficients.
+FIT_TOL = 1e-10
+COEF_TOL = 1e-8
+
 
 def _as_column(values, label: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -404,17 +408,15 @@ def equivalence_report(
     frequency: np.ndarray,
     pmi: np.ndarray | None = None,
     extras: Mapping[str, np.ndarray] | None = None,
-    fit_tol: float = 1e-10,
-    coef_tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Fit the surprisal model and the pmi model on raw (unstandardized)
     columns and verify the exact reparameterization identities.
 
     Because pmi = frequency - surprisal pointwise, the two designs span
-    the same space: fits and R-squared must agree to ``fit_tol`` and the
+    the same space: fits and R-squared must agree to ``FIT_TOL`` and the
     coefficients must satisfy beta_pmi = -beta_surprisal and
     beta_freq(pmi model) = beta_freq(surprisal model) + beta_surprisal
-    to ``coef_tol``.  Standardizing the columns first would rescale the
+    to ``COEF_TOL``.  Standardizing the columns first would rescale the
     coefficients and break both identities, so callers must pass raw
     values.
     """
@@ -443,15 +445,14 @@ def equivalence_report(
         ),
         "intercept": abs(fit_ii.coef(INTERCEPT_LABEL) - fit_i.coef(INTERCEPT_LABEL)),
     }
-    broken = {}
-    if deltas["r2"] > fit_tol:
-        broken["r2"] = deltas["r2"]
-    if deltas["prediction"] > fit_tol:
-        broken["prediction"] = deltas["prediction"]
-    if deltas["beta_pmi_vs_neg_surprisal"] > coef_tol:
-        broken["beta_pmi_vs_neg_surprisal"] = deltas["beta_pmi_vs_neg_surprisal"]
-    if deltas["beta_frequency_shift"] > coef_tol:
-        broken["beta_frequency_shift"] = deltas["beta_frequency_shift"]
+    # the intercept delta is reported but has no tolerance
+    tolerances = {
+        "r2": FIT_TOL,
+        "prediction": FIT_TOL,
+        "beta_pmi_vs_neg_surprisal": COEF_TOL,
+        "beta_frequency_shift": COEF_TOL,
+    }
+    broken = {k: deltas[k] for k, tol in tolerances.items() if deltas[k] > tol}
     if broken:
         raise IdentityError(
             "model-equivalence identities violated: "
@@ -478,7 +479,6 @@ def residualization_triplet(
     x1: np.ndarray,
     x2: np.ndarray,
     labels: tuple[str, str] = ("x1", "x2"),
-    coef_tol: float = 1e-8,
 ) -> TripletReport:
     """Check the two coefficient-preservation identities of sample
     residualization.
@@ -486,7 +486,7 @@ def residualization_triplet(
     With x1 replaced by its residual against x2, the coefficient on the
     residualized column equals the raw model's x1 coefficient, and the
     x2 coefficient collapses to the slope of the x2-only model.  Both
-    must hold to ``coef_tol``, otherwise ``IdentityError`` is raised.
+    must hold to ``COEF_TOL``, otherwise ``IdentityError`` is raised.
     """
     l1, l2 = labels
     x1 = _as_column(x1, l1)
@@ -505,7 +505,7 @@ def residualization_triplet(
         "first_coefficient": abs(fit_a.coef(l1) - fit_b.coef(f"{l1}_perp")),
         "second_coefficient": abs(fit_b.coef(l2) - fit_c.coef(l2)),
     }
-    broken = {k: v for k, v in deltas.items() if v > coef_tol}
+    broken = {k: v for k, v in deltas.items() if v > COEF_TOL}
     if broken:
         raise IdentityError(
             "residualization identities violated: "

@@ -19,7 +19,8 @@ from ctxpred.cli import (
     parse_config_file,
     resolve_config,
 )
-from ctxpred.errors import ConfigError
+from ctxpred.corpus import parse_corpus
+from ctxpred.errors import ConfigError, RankDeficiencyError
 from ctxpred.lm import (
     EnumerationBudget,
     UnigramLM,
@@ -27,6 +28,7 @@ from ctxpred.lm import (
     load_lm_tsv,
     unigram_minimizer,
 )
+from ctxpred.pipeline import analyze_observations
 from ctxpred.seeding import named_rng
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -348,6 +350,23 @@ class TestOracle:
         assert details["worst_margin"] == pytest.approx(worst, abs=1e-12)
         assert details["violations"] == violations
 
+    def test_passing_minimizer_residual_is_positive_zero(self, tmp_path, capsys):
+        # a passing check has no shortfall below the minimizer, written 0.0
+        code = main([
+            "oracle", "--lm", M1, "--seed", "4", "--perturbations", "100",
+            "--out", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        residual = next(
+            c["residual"]
+            for c in json.loads((tmp_path / "oracle.json").read_text())["checks"]
+            if c["name"] == "minimizer_optimality"
+        )
+        assert residual == 0.0
+        assert math.copysign(1.0, residual) == 1.0
+        assert "PASS minimizer_optimality residual=0.000e+00" in out
+
 
 class TestReport:
     def test_summarizes_and_writes_plot_csv(self, analyze_dir, capsys):
@@ -467,6 +486,32 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "RankDeficiencyError" in err
         assert "near-dependent columns: length, prev_length" in err
+
+    def test_refused_fold_names_itself_and_the_missing_type(self, tmp_path, capsys):
+        # fold 1's training documents hold no 'cccc'; with two types left,
+        # frequency and length are both functions of the unit and collinear
+        gen = tmp_path / "gen"
+        assert main([
+            "gen", "--lm", MIXTURE, "--out", str(gen), "--seed", "7",
+            "--n-docs", "10", "--doc-len", "40", "--noise-sd", "1.0",
+        ]) == EXIT_OK
+        capsys.readouterr()
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(gen / "corpus.tsv"),
+            "--out", str(tmp_path / "out"), "--seed", "7",
+            "--fold-by", "document", "--folds", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "RankDeficiencyError: fold 1, model surprisal:" in err
+        assert "near-dependent columns: prev_frequency, length" in err
+        assert "the fold's training rows hold no 'cccc'" in err
+        observations, _ = parse_corpus(gen / "corpus.tsv")
+        with pytest.raises(RankDeficiencyError) as exc:
+            analyze_observations(
+                load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document"
+            )
+        assert exc.value.columns == ["prev_frequency", "length"]
 
     def test_bad_fold_count(self, gen_dir, tmp_path, capsys):
         code = main([

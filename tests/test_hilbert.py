@@ -17,7 +17,6 @@ from ctxpred.hilbert import (
     fit_projection,
     inner_product,
     mean,
-    norm,
     project_complement,
     sample_orthogonalize,
 )
@@ -146,10 +145,9 @@ class TestExactProjection:
         t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=128, tail_tol=1e-6))
         ii = surprisal_var(t)
         yy = frequency_var(t, unigram_minimizer(m0))
-        for center in (False, True):
-            resid, coeff = project_complement(ii, yy, center=center)
-            assert norm(resid) <= 1e-10
-            assert coeff.alpha == pytest.approx(1.0, abs=1e-9)
+        resid, coeff = project_complement(ii, yy)
+        assert np.sqrt(inner_product(resid, resid)) <= 1e-10
+        assert coeff.alpha == pytest.approx(1.0, abs=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -159,17 +157,17 @@ class TestExactProjection:
         t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
         ii = surprisal_var(t)
         yy = frequency_var(t, unigram_minimizer(lm))
-        if inner_product(yy, yy) <= 1e-20:
-            return  # single-symbol alphabet can make frequency constant-zero
-        resid, _ = project_complement(ii, yy, center=False)
-        assert abs(inner_product(resid, yy)) <= 1e-10
         try:
-            resid_c, _ = project_complement(ii, yy, center=True)
+            resid, _ = project_complement(ii, yy)
         except DegenerateError:
-            return  # constant frequency has zero centered norm
-        cov = inner_product(resid_c, yy) - mean(resid_c) * mean(yy) * t.total_weight
+            return  # a single-symbol alphabet makes frequency constant
+        # orthogonal to the anchor: what the oracle's
+        # projection_orthogonality check reports
+        assert abs(inner_product(resid, yy)) <= 1e-10
+        # and uncorrelated with it
+        cov = inner_product(resid, yy) - mean(resid) * mean(yy) * t.total_weight
         assert abs(cov) <= 1e-10
-        assert abs(mean(resid_c)) <= 1e-12
+        assert abs(mean(resid)) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -179,8 +177,8 @@ class TestExactProjection:
         t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
         x = RandomVariableTable(t, rng.normal(size=t.n_rows), "x")
         z = RandomVariableTable(t, rng.normal(size=t.n_rows), "z")
-        resid, _ = project_complement(x, z, center=False)
-        again, coeff2 = project_complement(resid, z, center=False)
+        resid, _ = project_complement(x, z)
+        again, coeff2 = project_complement(resid, z)
         assert coeff2.alpha == pytest.approx(0.0, abs=1e-10)
         assert np.allclose(again.values, resid.values, atol=1e-10)
 
@@ -189,11 +187,11 @@ class TestExactProjection:
         x = RandomVariableTable(t, np.ones(t.n_rows), "x")
         zero = RandomVariableTable(t, np.zeros(t.n_rows), "zero")
         with pytest.raises(DegenerateError):
-            project_complement(x, zero, center=False)
-        # a constant is nonzero but centers away to nothing
+            project_complement(x, zero)
+        # a constant is nonzero but centres away to nothing
         const = RandomVariableTable(t, np.full(t.n_rows, 3.0), "const")
         with pytest.raises(DegenerateError):
-            project_complement(x, const, center=True)
+            project_complement(x, const)
 
 
 class TestSampleMode:
@@ -244,8 +242,6 @@ class TestSampleMode:
             fit_projection(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_coefficient_roundtrip_fields(self):
-        c = ProjectionCoefficient(
-            alpha=0.5, x_mean=1.0, z_mean=2.0, centered=True, x_label="a", z_label="b"
-        )
+        c = ProjectionCoefficient(alpha=0.5, x_mean=1.0, z_mean=2.0)
         out = c.apply(np.array([2.0]), np.array([4.0]))
         assert out[0] == pytest.approx((2.0 - 1.0) - 0.5 * (4.0 - 2.0))

@@ -79,7 +79,38 @@ def usable_rows(mixture_lm, synth):
     )
 
 
+_S = ("surprisal", "surprisal", None)
+_P = ("pmi", "pmi", None)
+_F = ("frequency", "frequency", None)
+_L = ("length", "length", None)
+_ORTHO_S = ("ortho_surprisal", "surprisal", "frequency")
+_ORTHO_F = ("ortho_frequency", "frequency", "surprisal")
+
+# every encoding written out: (kind, include_length, swap_ortho, pairs);
+# only the ortho model reads swap_ortho
+SPEC_TABLE = [
+    ("surprisal", True, None, (_S, _F, _L)),
+    ("surprisal", False, None, (_S, _F)),
+    ("surprisal", True, "frequency", (_S, _F, _L)),
+    ("surprisal", False, "frequency", (_S, _F)),
+    ("pmi", True, None, (_P, _F, _L)),
+    ("pmi", False, None, (_P, _F)),
+    ("pmi", True, "frequency", (_P, _F, _L)),
+    ("pmi", False, "frequency", (_P, _F)),
+    ("ortho", True, None, (_ORTHO_S, _F, ("ortho_length", "length", "frequency"))),
+    ("ortho", False, None, (_ORTHO_S, _F)),
+    ("ortho", True, "frequency", (_S, _ORTHO_F, ("ortho_length", "length", "surprisal"))),
+    ("ortho", False, "frequency", (_S, _ORTHO_F)),
+]
+
+
 class TestModelSpec:
+    @pytest.mark.parametrize("kind, include_length, swap_ortho, pairs", SPEC_TABLE)
+    def test_rule_matches_written_out_table(self, kind, include_length, swap_ortho, pairs):
+        spec = model_spec(kind, include_length, swap_ortho)
+        assert spec.name == kind
+        assert spec.pairs == pairs
+
     def test_surprisal_spec(self):
         spec = model_spec("surprisal", True, None)
         assert [p[0] for p in spec.pairs] == ["surprisal", "frequency", "length"]
