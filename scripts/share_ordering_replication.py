@@ -27,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ctxpred.corpus import generate_synthetic, standardize  # noqa: E402
 from ctxpred.hilbert import sample_orthogonalize  # noqa: E402
 from ctxpred.lm import load_lm_tsv  # noqa: E402
-from ctxpred.regression import lmg  # noqa: E402
+from ctxpred.regression import DesignMatrix, Triangle, lmg  # noqa: E402
 from ctxpred.seeding import named_rng  # noqa: E402
 
 ENCODINGS = ("surprisal", "pmi", "ortho")
@@ -66,10 +66,9 @@ def replicate(lm, args, rep: int) -> tuple[dict, float]:
     }
     shares = {}
     for name, col in columns.items():
+        design = DesignMatrix.build({name: col, "frequency": f_raw})
         report = lmg(
-            {name: col, "frequency": f_raw},
-            y,
-            {name: [name], "frequency": ["frequency"]},
+            Triangle.factor(design, y), {name: [name], "frequency": ["frequency"]}
         )
         shares[name] = {
             "share": report.share(name),
@@ -96,6 +95,7 @@ def run(args: argparse.Namespace) -> int:
             rows.append({"rep": rep, "encoding": name, "corr": corr,
                          **shares[name]})
 
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()

@@ -79,6 +79,7 @@ from .regression import (
     EquivalenceReport,
     FitResult,
     LmgReport,
+    Triangle,
     delta_loglik,
     equivalence_report,
     fit_columns,

@@ -50,7 +50,7 @@ from .lm import (
     unigram_log_probs,
     unigram_minimizer,
 )
-from .pipeline import MODEL_KINDS, analyze_observations
+from .pipeline import MODEL_KINDS, analyze_observations, check_predictors
 from .predictors import frequency_variable, parse_external_tsv, surprisal_variable
 from .seeding import check_seed, named_rng
 from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, check_lambda_grid
@@ -109,17 +109,7 @@ def _to_bool(text: str) -> bool:
 
 
 def _parse_predictors(value: str) -> tuple[str, ...]:
-    parts = tuple(p.strip() for p in value.split(",") if p.strip())
-    if not parts:
-        raise ConfigError("predictor selection is empty")
-    for p in parts:
-        if p not in MODEL_KINDS:
-            raise ConfigError(
-                f"unknown predictor set {p!r}; choose from {', '.join(MODEL_KINDS)}"
-            )
-    if len(set(parts)) != len(parts):
-        raise ConfigError("duplicate entries in predictor selection")
-    return parts
+    return check_predictors(p.strip() for p in value.split(",") if p.strip())
 
 
 def _parse_lambda_grid(value: str) -> tuple[float, ...]:

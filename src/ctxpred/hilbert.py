@@ -55,7 +55,6 @@ class MeasureTable:
     """
 
     source: AutoregressiveLM
-    budget: EnumerationBudget
     symbols: tuple[str, ...]
     weights: np.ndarray
     row_state: np.ndarray
@@ -101,7 +100,6 @@ class MeasureTable:
 
         return cls(
             source=lm,
-            budget=budget,
             symbols=lm.alphabet.units + (lm.alphabet.eos,),
             weights=weights,
             row_state=row_state,

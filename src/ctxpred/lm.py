@@ -523,4 +523,4 @@ def write_lm_tsv(lm: AutoregressiveLM, path) -> None:
         for state in lm.states:
             row = lm.cond[state]
             for sym in sorted(row):
-                fh.write(f"{_format_state(state)}\t{sym}\t{row[sym]!r}\n")
+                fh.write(f"{_format_state(state)}\t{sym}\t{float(row[sym])!r}\n")

@@ -48,6 +48,21 @@ from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, fit_smooth
 MODEL_KINDS = ("surprisal", "pmi", "ortho")
 
 
+def check_predictors(predictors: Sequence[str]) -> tuple[str, ...]:
+    """The model selection: known model kinds, at least one, no repeats."""
+    selection = tuple(predictors)
+    if not selection:
+        raise ConfigError("predictor selection is empty")
+    for kind in selection:
+        if kind not in MODEL_KINDS:
+            raise ConfigError(
+                f"unknown predictor set {kind!r}; choose from {', '.join(MODEL_KINDS)}"
+            )
+    if len(set(selection)) != len(selection):
+        raise ConfigError(f"duplicate entries in predictor selection {selection}")
+    return selection
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Column recipe for one competing model.
@@ -186,6 +201,16 @@ def _fit_to_raw_scale(
     return coeffs
 
 
+def _usable_rows(aggregated: TokenTable, source) -> tuple[TokenTable, int, int]:
+    """The scored rows that enter the fits, and the counts of those
+    dropped as unread and as document-initial (no spillover values)."""
+    records = build_predictor_table(aggregated, source)
+    unread = np.isnan(records["rt_ms"])
+    initial = np.isnan(records["prev_surprisal"]) & ~unread
+    rows = records.take(~(unread | initial))
+    return rows, int(np.count_nonzero(unread)), int(np.count_nonzero(initial))
+
+
 @dataclass
 class AnalyzeResult:
     report: dict
@@ -213,19 +238,12 @@ def analyze_tokens(
     smooth_k: int = DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
 ) -> AnalyzeResult:
-    for kind in predictors:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(
-                f"unknown predictor set {kind!r}; expected subset of {MODEL_KINDS}"
-            )
+    predictors = check_predictors(predictors)
     if fold_by not in ("token", "document"):
         raise ConfigError(f"fold_by must be 'token' or 'document', got {fold_by!r}")
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
 
-    records = build_predictor_table(aggregated, source)
-    unread = np.isnan(records["rt_ms"])
-    initial = np.isnan(records["prev_surprisal"]) & ~unread
-    rows = records.take(~(unread | initial))
+    rows, n_unread, n_initial = _usable_rows(aggregated, source)
     if len(rows) < folds:
         raise ConfigError(
             f"only {len(rows)} usable rows after dropping document-initial "
@@ -237,12 +255,8 @@ def analyze_tokens(
     raw = table_columns(rows, PREDICTOR_NAMES)
     y = rows["rt_ms"]
 
-    assignment = kfold(
-        len(rows),
-        folds,
-        seed,
-        doc_ids=rows.decode("doc") if fold_by == "document" else None,
-    )
+    doc_ids = rows.decode("doc") if fold_by == "document" else None
+    assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
 
     model_entries: dict[str, dict] = {}
     smooth_entries: dict[str, dict] = {}
@@ -288,9 +302,8 @@ def analyze_tokens(
         for spec in specs:
             model = model_entries[spec.name]
             cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
-            design_tr = DesignMatrix.build(cols_tr)
             try:
-                fit = ols_fit(design_tr, y_tr)
+                fit = ols_fit(DesignMatrix.build(cols_tr), y_tr)
             except RankDeficiencyError as exc:
                 # a token type that the training rows lack can make the
                 # type-level columns collinear
@@ -300,22 +313,16 @@ def analyze_tokens(
                 raise RankDeficiencyError(
                     f"fold {f}, model {spec.name}: {exc}{note}", columns=exc.columns
                 ) from exc
-            fitted_tr = fit.predict(design_tr)
             pred_te = fit.predict(DesignMatrix.build(cols_te))
-            delta = delta_loglik(y_tr, fitted_tr, y_te, pred_te)
+            delta = delta_loglik(y_tr, fit.residual_variance, y_te, pred_te)
 
-            report_lmg = lmg(cols_tr, y_tr, _groups(spec, lmg_grouping))
+            report_lmg = lmg(fit.triangle, _groups(spec, lmg_grouping))
             model["lmg"]["fold_shares"].append([float(v) for v in report_lmg.shares])
-            for gname, share in zip(report_lmg.groups, report_lmg.shares):
-                lmg_rows.append(
-                    {
-                        "model": spec.name,
-                        "group": gname,
-                        "fold": f,
-                        "share": float(share),
-                        "total_r2": report_lmg.total_r2,
-                    }
-                )
+            lmg_rows.extend(
+                {"model": spec.name, "group": gname, "fold": f, "share": float(share),
+                 "total_r2": report_lmg.total_r2}
+                for gname, share in zip(report_lmg.groups, report_lmg.shares)
+            )
             model["folds"].append(
                 {
                     "fold": f,
@@ -335,7 +342,7 @@ def analyze_tokens(
                     cols_tr, y_tr, k=smooth_k, lambda_grid=lambda_grid, blocks=blocks
                 )
                 spred_te = sfit.predict(cols_te)
-                sdelta = delta_loglik(y_tr, sfit.fitted, y_te, spred_te)
+                sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, spred_te)
                 smooth_entries[spec.name]["folds"].append(
                     {
                         "fold": f,
@@ -356,9 +363,7 @@ def analyze_tokens(
         pooled = ols_fit(DesignMatrix.build(raw_cols), y)
         model["pooled_raw"] = {
             "coeffs": pooled.coef_dict(),
-            "std_errors": {
-                lab: float(se) for lab, se in zip(pooled.labels, pooled.std_errors)
-            },
+            "std_errors": dict(zip(pooled.labels, map(float, pooled.std_errors))),
             "r2": pooled.r2,
         }
         if smooth:
@@ -378,8 +383,8 @@ def analyze_tokens(
         models.extend(smooth_entries[s.name] for s in specs)
     report = {
         "n_rows": len(rows),
-        "n_dropped_document_initial": int(np.count_nonzero(initial)),
-        "n_dropped_unread": int(np.count_nonzero(unread)),
+        "n_dropped_document_initial": n_initial,
+        "n_dropped_unread": n_unread,
         "folds": folds,
         "fold_mode": assignment.mode,
         "seed": seed,

@@ -2,12 +2,13 @@
 
 The linear layer deliberately stays small: a design matrix with an
 explicit intercept column, whose construction only validates the
-columns (shape, finiteness); an OLS fit with a floored residual
-variance, whose condition-number gate runs at fit time on the singular
-values the least-squares solve computes anyway; Gaussian
-log-likelihoods for out-of-sample comparison against a mean-only
-baseline; and an averaged-over-orderings (Shapley) decomposition of
-R-squared into per-group shares.
+columns (shape, finiteness); one QR triangle of ``[X | y]`` per fitted
+design, from which the OLS fit, its standard errors, its
+condition-number gate and every subset fit of the variance
+decomposition are read; Gaussian log-likelihoods for out-of-sample
+comparison against a mean-only baseline; and an
+averaged-over-orderings (Shapley) decomposition of R-squared into
+per-group shares.
 
 Two structural identities are enforced as first-class checks rather
 than left to downstream eyeballing:
@@ -120,22 +121,61 @@ class DesignMatrix:
 
 
 @dataclass(frozen=True)
+class Triangle:
+    """Upper triangle R of ``[X | y] = QR`` for one design and response.
+    As Q is orthonormal, least squares of y on any of the design's
+    columns is the same problem on those columns of R and R's last
+    column: k+1 rows for the fit and every ``lmg`` subset, whatever n."""
+
+    labels: tuple[str, ...]
+    r: np.ndarray
+    n_obs: int
+    sst: float
+
+    @classmethod
+    def factor(cls, design: DesignMatrix, y: np.ndarray) -> "Triangle":
+        y = _as_column(y, "response")
+        n = design.n_obs
+        if y.size != n:
+            raise AlignmentError(f"response has {y.size} rows, design has {n}")
+        r = np.linalg.qr(np.column_stack([design.matrix, y]), mode="r")
+        r.flags.writeable = False  # shared by the fit and its lmg shares
+        centered = y - y.mean()
+        return cls(labels=design.labels, r=r, n_obs=n, sst=float(centered @ centered))
+
+    def solve(self, cols: list[int]) -> tuple[np.ndarray, float, np.ndarray]:
+        """Coefficients, SSE and singular values of the fit on the design
+        columns ``cols``, with the cutoff for negligible singular values
+        that lstsq would apply to the n-row system."""
+        r_s = self.r[:, cols]
+        r_y = self.r[:, -1]
+        beta, _, _, singular = np.linalg.lstsq(
+            r_s, r_y, rcond=np.finfo(float).eps * max(self.n_obs, len(cols))
+        )
+        resid = r_y - r_s @ beta
+        return beta, float(resid @ resid), singular
+
+    def r2(self, sse: float) -> float:
+        return 0.0 if self.sst == 0.0 else 1.0 - sse / self.sst
+
+
+@dataclass(frozen=True)
 class FitResult:
     """OLS estimates plus the training-scale quantities reused later.
 
     ``residual_variance`` is the maximum-likelihood estimate SSE/n
     floored at ``VARIANCE_FLOOR``; standard errors use the usual
-    degrees-of-freedom correction SSE/(n-k).
+    degrees-of-freedom correction SSE/(n-k).  ``triangle`` is the
+    factorization everything here was read from.
     """
 
     labels: tuple[str, ...]
     coefficients: np.ndarray
     std_errors: np.ndarray
-    n_obs: int
     sse: float
-    sst: float
     r2: float
     residual_variance: float
+    triangle: Triangle = field(repr=False)
 
     def coef(self, label: str) -> float:
         try:
@@ -156,19 +196,17 @@ class FitResult:
 
 
 def ols_fit(design: DesignMatrix, y: np.ndarray) -> FitResult:
-    y = _as_column(y, "response")
-    x = design.matrix
-    n, k = x.shape
-    if y.size != n:
-        raise AlignmentError(f"response has {y.size} rows, design has {n}")
+    triangle = Triangle.factor(design, y)
+    n, k = design.matrix.shape
     if n <= k:
         raise DegenerateError(
             f"need more rows ({n}) than columns ({k}) to fit and "
             "estimate residual scale"
         )
-    beta, _, _, singular = np.linalg.lstsq(x, y, rcond=None)
-    # the condition gate reads the singular values lstsq computed; a zero
-    # smallest one (0/0 included) counts as an infinite condition number
+    # the same solve as lmg's full-set subset, so fit.r2 == total_r2
+    beta, sse, singular = triangle.solve(list(range(k)))
+    # the gate reads the singular values of R's design block, which are
+    # X's; a zero smallest one (0/0 included) counts as infinite
     cond = singular[0] / singular[-1] if singular[-1] > 0.0 else math.inf
     if cond > CONDITION_LIMIT:
         culprits = design._dependent_labels()
@@ -178,23 +216,17 @@ def ols_fit(design: DesignMatrix, y: np.ndarray) -> FitResult:
             + ", ".join(culprits),
             columns=culprits,
         )
-    resid = y - x @ beta
-    sse = float(resid @ resid)
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    r2 = 0.0 if sst == 0.0 else 1.0 - sse / sst
-    sigma2_df = sse / (n - k)
-    xtx_inv = np.linalg.inv(x.T @ x)
-    std_errors = np.sqrt(np.clip(np.diag(xtx_inv), 0.0, None) * sigma2_df)
+    # inv(X'X) = inv(R) inv(R)' for R's k x k design block
+    r_inv = np.linalg.inv(triangle.r[:k, :k])
+    std_errors = np.sqrt(np.sum(r_inv * r_inv, axis=1) * (sse / (n - k)))
     return FitResult(
         labels=design.labels,
         coefficients=beta,
         std_errors=std_errors,
-        n_obs=n,
         sse=sse,
-        sst=sst,
-        r2=r2,
+        r2=triangle.r2(sse),
         residual_variance=max(sse / n, VARIANCE_FLOOR),
+        triangle=triangle,
     )
 
 
@@ -231,25 +263,23 @@ class DeltaLogLik:
 
 def delta_loglik(
     y_train: np.ndarray,
-    fitted_train: np.ndarray,
+    residual_variance: float,
     y_test: np.ndarray,
     predicted_test: np.ndarray,
 ) -> DeltaLogLik:
+    """Held-out gain of a model over the training-mean baseline.  The
+    model's variance is its floored training ``residual_variance``
+    (``FitResult``'s or ``SmoothFit``'s); the baseline's is the floored
+    training variance about the training mean."""
     y_train = _as_column(y_train, "y_train")
-    fitted_train = _as_column(fitted_train, "fitted_train")
     y_test = _as_column(y_test, "y_test")
     predicted_test = _as_column(predicted_test, "predicted_test")
-    if y_train.shape != fitted_train.shape:
-        raise AlignmentError("training response and fitted values differ in length")
     if y_test.shape != predicted_test.shape:
         raise AlignmentError("test response and predictions differ in length")
-    n_tr = y_train.size
-    dev_model = y_train - fitted_train
-    var_model = max(float(dev_model @ dev_model) / n_tr, VARIANCE_FLOOR)
     base_mean = float(y_train.mean())
     dev_base = y_train - base_mean
-    var_base = max(float(dev_base @ dev_base) / n_tr, VARIANCE_FLOOR)
-    model = gaussian_loglik(y_test, predicted_test, var_model)
+    var_base = max(float(dev_base @ dev_base) / y_train.size, VARIANCE_FLOOR)
+    model = gaussian_loglik(y_test, predicted_test, residual_variance)
     base = gaussian_loglik(y_test, base_mean, var_base)
     total = model - base
     return DeltaLogLik(
@@ -281,21 +311,18 @@ class LmgReport:
             raise AlignmentError(f"no group named {group!r}") from None
 
 
-def lmg(
-    columns: Mapping[str, np.ndarray],
-    y: np.ndarray,
-    groups: Mapping[str, Sequence[str]],
-) -> LmgReport:
+def lmg(triangle: Triangle, groups: Mapping[str, Sequence[str]]) -> LmgReport:
     """Decompose model R-squared into per-group shares.
 
-    Each group's share is its R-squared increment averaged over all
-    orders in which the groups could have been added, computed by
-    subset (Shapley) weighting from a cache of 2**p subset fits.  The
-    shares are nonnegative up to rounding and sum to the full-model
-    R-squared; a sum mismatch beyond 1e-10 or a share below -1e-10 is
-    reported as a numerical failure rather than silently clipped.
+    The groups partition the design columns of ``triangle`` but the
+    intercept.  Each group's share is its R-squared increment averaged
+    over all orders in which the groups could have been added, computed
+    by subset (Shapley) weighting from a cache of 2**p subset fits read
+    off the triangle.  The shares are nonnegative up to rounding and sum
+    to the full-model R-squared; a sum mismatch beyond 1e-10 or a share
+    below -1e-10 is reported as a numerical failure rather than silently
+    clipped.
     """
-    y = _as_column(y, "response")
     names = tuple(groups)
     p = len(names)
     if p == 0:
@@ -305,8 +332,9 @@ def lmg(
             f"{p} groups would need {2 ** p} subset fits; the limit is "
             f"{MAX_GROUPS} groups ({2 ** MAX_GROUPS} fits)"
         )
+    index = {label: i for i, label in enumerate(triangle.labels) if i > 0}
     seen: set[str] = set()
-    blocks = []
+    group_cols = []
     for gname in names:
         members = list(groups[gname])
         if not members:
@@ -315,43 +343,21 @@ def lmg(
         if overlap:
             raise ConfigError(f"columns {sorted(overlap)} appear in two groups")
         seen.update(members)
-        cols = []
         for m in members:
-            if m not in columns:
+            if m not in index:
                 raise ConfigError(f"group {gname!r} references unknown column {m!r}")
-            cols.append(_as_column(columns[m], m))
-        blocks.append(np.column_stack(cols))
-    unused = set(columns) - seen
+        group_cols.append([index[m] for m in members])
+    unused = set(index) - seen
     if unused:
         raise ConfigError(f"columns {sorted(unused)} belong to no group")
 
-    # One triangular factor serves all 2**p subsets: with [1 | X | y] = QR
-    # and Q orthonormal, least squares of y on any set of columns leaves
-    # the residual norm of R's last column on the same columns of R, so
-    # each subset fit is a (k+2)-row problem whatever n is.  The cutoff
-    # for negligible singular values is the one lstsq would apply to the
-    # n-row system, so rank-deficient subsets resolve the same way.
-    n = y.size
-    r = np.linalg.qr(np.column_stack([np.ones(n), *blocks, y]), mode="r")
-    r_y = r[:, -1]
-    group_cols = []
-    offset = 1
-    for block in blocks:
-        group_cols.append(list(range(offset, offset + block.shape[1])))
-        offset += block.shape[1]
-    centered = y - y.mean()
-    sst = float(centered @ centered)
-    eps = np.finfo(float).eps
     r2_cache = np.zeros(2 ** p)
     for mask in range(1, 2 ** p):
         cols = [0]
         for g in range(p):
             if mask >> g & 1:
                 cols.extend(group_cols[g])
-        r_s = r[:, cols]
-        beta, _, _, _ = np.linalg.lstsq(r_s, r_y, rcond=eps * max(n, len(cols)))
-        resid = r_y - r_s @ beta
-        r2_cache[mask] = 0.0 if sst == 0.0 else 1.0 - float(resid @ resid) / sst
+        r2_cache[mask] = triangle.r2(triangle.solve(cols)[1])
 
     # weight of a subset of size s when adding one more group
     fact = [math.factorial(i) for i in range(p + 1)]
@@ -424,10 +430,8 @@ def equivalence_report(
     f = _as_column(frequency, "frequency")
     p = f - s if pmi is None else _as_column(pmi, "pmi")
     extras = dict(extras or {})
-    cols_i = {"surprisal": s, "frequency": f, **extras}
-    cols_ii = {"pmi": p, "frequency": f, **extras}
-    design_i = DesignMatrix.build(cols_i)
-    design_ii = DesignMatrix.build(cols_ii)
+    design_i = DesignMatrix.build({"surprisal": s, "frequency": f, **extras})
+    design_ii = DesignMatrix.build({"pmi": p, "frequency": f, **extras})
     fit_i = ols_fit(design_i, y)
     fit_ii = ols_fit(design_ii, y)
 

@@ -43,6 +43,8 @@ from ctxpred.lm import (
 )
 from ctxpred.predictors import frequency_variable, surprisal_variable
 from ctxpred.regression import (
+    DesignMatrix,
+    Triangle,
     delta_loglik,
     equivalence_report,
     fit_columns,
@@ -258,7 +260,7 @@ def test_ac07_lmg_against_factorial_oracle():
         beta = rng.normal(size=len(columns))
         x = np.column_stack(list(columns.values()))
         y = x @ beta + rng.normal(size=n)
-        report = lmg(columns, y, groups)
+        report = lmg(Triangle.factor(DesignMatrix.build(columns), y), groups)
         worst_sum = max(
             worst_sum, abs(sum(report.raw_shares) - report.total_r2)
         )
@@ -303,8 +305,7 @@ def test_ac08_share_ordering_across_encodings(mixture):
             ("ortho", sample_orthogonalize(s_raw, f_raw)),
         ):
             rep_lmg = lmg(
-                {name: col, "frequency": f_raw},
-                y,
+                Triangle.factor(DesignMatrix.build({name: col, "frequency": f_raw}), y),
                 {name: [name], "frequency": ["frequency"]},
             )
             shares[name] = rep_lmg.share(name)
@@ -396,11 +397,12 @@ def test_ac10_smooth_regression_behaviour():
         yv = np.sin(2.0 * np.pi * xv) + 0.3 * rng.normal(size=400)
         tr, te = np.arange(300), np.arange(300, 400)
         sfit = fit_smooth({"x": xv[tr]}, yv[tr])
-        smooth_delta = delta_loglik(yv[tr], sfit.fitted, yv[te], sfit.predict({"x": xv[te]}))
+        smooth_delta = delta_loglik(
+            yv[tr], sfit.residual_variance, yv[te], sfit.predict({"x": xv[te]})
+        )
         line = fit_columns({"x": xv[tr]}, yv[tr])
-        lin_tr = line.coef("intercept") + line.coef("x") * xv[tr]
         lin_te = line.coef("intercept") + line.coef("x") * xv[te]
-        lin_delta = delta_loglik(yv[tr], lin_tr, yv[te], lin_te)
+        lin_delta = delta_loglik(yv[tr], line.residual_variance, yv[te], lin_te)
         wins += smooth_delta.per_token > lin_delta.per_token
     ok = linear_resid < 1e-6 and gcv_dev < 1e-10 and edf_dev < 1e-10 and wins >= 45
     _announce(

@@ -27,6 +27,7 @@ from ctxpred.errors import (
 )
 from ctxpred.hilbert import MeasureTable
 from ctxpred.lm import (
+    EOS_MARK,
     AutoregressiveLM,
     EnumerationBudget,
     UnigramLM,
@@ -246,6 +247,16 @@ class TestDefinitionFiles:
         back = load_lm_tsv(path)
         assert back.cond == m1.cond
         assert back.alphabet.units == m1.alphabet.units
+
+    def test_numpy_probabilities_roundtrip(self, tmp_path):
+        # probabilities that come out of numpy arithmetic are np.float64,
+        # whose repr under numpy 2 is "np.float64(0.7)"
+        cond = {(): {"a": np.float64(0.7), EOS_MARK: np.float64(1.0) - np.float64(0.7)}}
+        lm = AutoregressiveLM(alphabet=UnitAlphabet(units=("a",)), cond=cond)
+        path = tmp_path / "numpy.tsv"
+        write_lm_tsv(lm, path)
+        back = load_lm_tsv(path)
+        assert back.cond == lm.cond
 
     def test_bad_row_sum_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

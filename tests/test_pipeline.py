@@ -319,11 +319,56 @@ class TestOptions:
                 mixture_lm, synth.observations, seed=0, predictors=("entropy",)
             )
 
+    @pytest.mark.parametrize("selection", [("ortho", "ortho"), ()])
+    def test_duplicate_or_empty_selection_rejected(self, mixture_lm, synth, selection):
+        # a repeat would report one model twice, an empty one no model
+        aggregated = aggregate_participants(synth.observations)
+        with pytest.raises(ConfigError, match="predictor selection"):
+            analyze_tokens(mixture_lm, aggregated, seed=0, predictors=selection)
+
     def test_determinism(self, mixture_lm, synth):
         a = analyze_observations(mixture_lm, synth.observations, seed=3, folds=3)
         b = analyze_observations(mixture_lm, synth.observations, seed=3, folds=3)
         assert a.report == b.report
         assert a.lmg_rows == b.lmg_rows
+
+
+class TestOneFactorization:
+    """Each fold fit is factorized once: its R-squared, standard errors,
+    condition gate and variance shares all read one QR triangle."""
+
+    def test_fold_r2_is_lmg_total(self, result):
+        totals = {(row["model"], row["fold"]): row["total_r2"] for row in result.lmg_rows}
+        for model in result.report["models"]:
+            for entry in model["folds"]:
+                assert entry["r2"] == totals[model["model"], entry["fold"]]
+
+    def test_one_n_row_factorization_per_fit(self, mixture_lm, synth, monkeypatch):
+        # the row count of every matrix each routine is called on
+        linalg = {"qr": [], "lstsq": [], "inv": []}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapped(a, *args, **kwargs):
+                linalg[name].append(np.shape(a)[0])
+                return original(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in linalg:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        folds = 10
+        res = analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=folds)
+        n = res.report["n_rows"]
+        models = len(MODEL_KINDS)
+        # fold fits, pooled fits, the equivalence check's two fits
+        assert len(linalg["qr"]) == folds * models + models + 2
+        assert min(linalg["qr"]) >= n - n // folds - 1
+        # every other solve is on the (k+1)-row triangle
+        k = 1 + len(res.report["models"][0]["columns"])
+        assert linalg["lstsq"] and max(linalg["lstsq"]) <= k + 1
+        assert linalg["inv"] and max(linalg["inv"]) <= k
 
 
 def continuous_tables(seed, n_docs, doc_len):
@@ -411,7 +456,9 @@ class TestSharedSmoothBlocks:
             for spec in specs:
                 cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
                 fit = fit_smooth(cols_tr, y[tr])
-                delta = delta_loglik(y[tr], fit.fitted, y[te], fit.predict(cols_te))
+                delta = delta_loglik(
+                    y[tr], fit.residual_variance, y[te], fit.predict(cols_te)
+                )
                 entry = models[f"{spec.name}_smooth"]["folds"][f]
                 assert entry["r2"] == fit.r2
                 assert entry["delta_llh"] == delta.per_token

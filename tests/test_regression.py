@@ -21,6 +21,7 @@ from ctxpred.errors import (
 from ctxpred.regression import (
     VARIANCE_FLOOR,
     DesignMatrix,
+    Triangle,
     delta_loglik,
     equivalence_report,
     fit_columns,
@@ -29,6 +30,10 @@ from ctxpred.regression import (
     ols_fit,
     residualization_triplet,
 )
+
+
+def factor(cols, y):
+    return Triangle.factor(DesignMatrix.build(cols), y)
 
 
 def random_table(rng, n=60, p=3, noise=1.0):
@@ -137,7 +142,7 @@ class TestLoglik:
         design_tr = DesignMatrix.build({"x": x[tr]})
         fit = ols_fit(design_tr, y[tr])
         pred_te = fit.predict(DesignMatrix.build({"x": x[te]}))
-        d = delta_loglik(y[tr], fit.predict(design_tr), y[te], pred_te)
+        d = delta_loglik(y[tr], fit.residual_variance, y[te], pred_te)
         assert d.total > 0.0
         assert d.per_token == pytest.approx(d.total / 100.0, rel=1e-12)
 
@@ -145,10 +150,10 @@ class TestLoglik:
         # two training rows, one test row; everything small enough to do
         # with pencil and paper
         y_tr = np.array([0.0, 2.0])
-        fit_tr = np.array([0.0, 2.0])  # interpolates: variance floored
+        # the fit interpolates y_tr: variance floored
         y_te = np.array([1.0])
         pred_te = np.array([1.0])
-        d = delta_loglik(y_tr, fit_tr, y_te, pred_te)
+        d = delta_loglik(y_tr, VARIANCE_FLOOR, y_te, pred_te)
         model = normal_logpdf(1.0, 1.0, VARIANCE_FLOOR)
         base = normal_logpdf(1.0, 1.0, 1.0)  # mean 1, MLE variance 1
         assert d.model_loglik == pytest.approx(model, rel=1e-12)
@@ -163,7 +168,7 @@ class TestLmg:
         rng = np.random.default_rng(seed)
         cols, y = random_table(rng, n=50, p=4)
         groups = {"g0": ["x0"], "g1": ["x1", "x2"], "g2": ["x3"]}
-        rep = lmg(cols, y, groups)
+        rep = lmg(factor(cols, y), groups)
         ref = lmg_by_orderings(cols, y, groups)
         for g in groups:
             assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
@@ -182,7 +187,7 @@ class TestLmg:
             {"a": ["x0", "x2"], "b": ["x1"], "c": ["x3"]},
             {"a": ["x0", "x1", "x2"], "b": ["x3"]},
         ):
-            rep = lmg(cols, y, groups)
+            rep = lmg(factor(cols, y), groups)
             ref = lmg_by_orderings(cols, y, groups, r2=lstsq_rsquared)
             for g in groups:
                 assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
@@ -199,7 +204,7 @@ class TestLmg:
         cols = {"x0": x0, "x1": x1, "x2": x0 + x1 + 1e-14 * rng.normal(size=n), "x3": x3}
         y = 1.0 + x0 - 2.0 * x1 + 0.5 * x3 + rng.normal(size=n)
         groups = {g: [g] for g in cols}
-        rep = lmg(cols, y, groups)
+        rep = lmg(factor(cols, y), groups)
         ref = lmg_by_orderings(cols, y, groups, r2=lstsq_rsquared)
         for g in groups:
             assert rep.share(g) == pytest.approx(ref[g], abs=1e-12)
@@ -208,7 +213,7 @@ class TestLmg:
         rng = np.random.default_rng(11)
         cols, y = random_table(rng, n=80, p=5)
         groups = {f"g{i}": [f"x{i}"] for i in range(5)}
-        rep = lmg(cols, y, groups)
+        rep = lmg(factor(cols, y), groups)
         full = fit_columns(cols, y)
         assert rep.total_r2 == pytest.approx(full.r2, abs=1e-12)
         assert float(rep.shares.sum()) == pytest.approx(rep.total_r2, abs=1e-10)
@@ -220,7 +225,7 @@ class TestLmg:
         x0 = rng.normal(size=n)
         x1 = rng.normal(size=n)
         y = 1.0 * x0 + 2.0 * x1 + rng.normal(size=n)
-        rep = lmg({"x0": x0, "x1": x1}, y, {"a": ["x0"], "b": ["x1"]})
+        rep = lmg(factor({"x0": x0, "x1": x1}, y), {"a": ["x0"], "b": ["x1"]})
         r2_a = rsquared(x0.reshape(-1, 1), y)
         r2_b = rsquared(x1.reshape(-1, 1), y)
         # with near-orthogonal columns the share is close to the
@@ -234,24 +239,24 @@ class TestLmg:
         cols = {f"x{i}": rng.normal(size=n) for i in range(13)}
         y = rng.normal(size=n)
         with pytest.raises(SizeError):
-            lmg(cols, y, {f"g{i}": [f"x{i}"] for i in range(13)})
+            lmg(factor(cols, y), {f"g{i}": [f"x{i}"] for i in range(13)})
 
     def test_group_validation(self):
         rng = np.random.default_rng(14)
         cols, y = random_table(rng, n=30, p=2)
         with pytest.raises(ConfigError):
-            lmg(cols, y, {"a": ["x0", "x1"], "b": ["x1"]})  # overlap
+            lmg(factor(cols, y), {"a": ["x0", "x1"], "b": ["x1"]})  # overlap
         with pytest.raises(ConfigError):
-            lmg(cols, y, {"a": ["x0"]})  # x1 unused
+            lmg(factor(cols, y), {"a": ["x0"]})  # x1 unused
         with pytest.raises(ConfigError):
-            lmg(cols, y, {"a": ["x0"], "b": []})  # empty group
+            lmg(factor(cols, y), {"a": ["x0"], "b": []})  # empty group
         with pytest.raises(ConfigError):
-            lmg(cols, y, {"a": ["x0"], "b": ["nope", "x1"]})
+            lmg(factor(cols, y), {"a": ["x0"], "b": ["nope", "x1"]})
 
     def test_fit_count(self):
         rng = np.random.default_rng(15)
         cols, y = random_table(rng, n=30, p=3)
-        rep = lmg(cols, y, {f"g{i}": [f"x{i}"] for i in range(3)})
+        rep = lmg(factor(cols, y), {f"g{i}": [f"x{i}"] for i in range(3)})
         assert rep.n_fits == 8
 
 

@@ -417,11 +417,12 @@ class TestDelta:
             y = np.sin(2.0 * np.pi * x) + 0.3 * rng.normal(size=400)
             tr, te = np.arange(300), np.arange(300, 400)
             fit = fit_smooth({"x": x[tr]}, y[tr])
-            smooth_delta = delta_loglik(y[tr], fit.fitted, y[te], fit.predict({"x": x[te]}))
+            smooth_delta = delta_loglik(
+                y[tr], fit.residual_variance, y[te], fit.predict({"x": x[te]})
+            )
             linear = fit_columns({"x": x[tr]}, y[tr])
-            lin_tr = linear.coef("intercept") + linear.coef("x") * x[tr]
             lin_te = linear.coef("intercept") + linear.coef("x") * x[te]
-            linear_delta = delta_loglik(y[tr], lin_tr, y[te], lin_te)
+            linear_delta = delta_loglik(y[tr], linear.residual_variance, y[te], lin_te)
             wins += smooth_delta.per_token > linear_delta.per_token
         assert wins >= 45
 
@@ -429,8 +430,9 @@ class TestDelta:
         rng = np.random.default_rng(9)
         y_tr = rng.normal(size=50)
         y_te = rng.normal(size=20)
-        mean = np.full(50, y_tr.mean())
-        d = delta_loglik(y_tr, mean, y_te, np.full(20, y_tr.mean()))
+        # the mean-only fit's residual variance
+        variance = float(np.var(y_tr))
+        d = delta_loglik(y_tr, variance, y_te, np.full(20, y_tr.mean()))
         assert d.total == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_on_own_process(self):
@@ -438,6 +440,6 @@ class TestDelta:
         x = rng.uniform(-1, 1, size=500)
         y = np.cos(3.0 * x) + 0.2 * rng.normal(size=500)
         fit = fit_smooth({"x": x[:400]}, y[:400])
-        d = delta_loglik(y[:400], fit.fitted, y[400:], fit.predict({"x": x[400:]}))
+        d = delta_loglik(y[:400], fit.residual_variance, y[400:], fit.predict({"x": x[400:]}))
         assert d.per_token > 0.5
         assert fit.n_obs == 400
