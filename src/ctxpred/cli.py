@@ -50,7 +50,7 @@ from .lm import (
     unigram_log_probs,
     unigram_minimizer,
 )
-from .pipeline import MODEL_KINDS, analyze_observations, check_predictors
+from .pipeline import MODEL_KINDS, analyze_observations, check_predictors, check_swap_ortho
 from .predictors import frequency_variable, parse_external_tsv, surprisal_variable
 from .seeding import check_seed, named_rng
 from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, check_lambda_grid
@@ -165,7 +165,7 @@ OPTIONS = {opt.name: opt for opt in (
     Option("predictors", "analyze", _parse_predictors, MODEL_KINDS,
            "comma-separated subset of: " + ",".join(MODEL_KINDS)),
     Option("no_length", "analyze", _to_bool, False, "leave word length out"),
-    Option("swap_ortho", "analyze", _choice("frequency"), None,
+    Option("swap_ortho", "analyze", check_swap_ortho, None,
            "orthogonalize this predictor instead: frequency"),
     Option("smooth", "analyze", _to_bool, False, "also fit spline models"),
     Option("lmg_grouping", "analyze", _choice("paired", "separate"), "paired",

@@ -20,18 +20,27 @@ observations it:
 
 Nothing here touches the filesystem; the CLI layer serializes the
 returned structures.  Test rows never contribute to means, variances,
-projection coefficients, or fitted parameters.
+projection coefficients, or fitted parameters, so the folds are
+independent: they run in forked worker processes, one per usable CPU,
+and their records are merged in fold order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import TokenTable, aggregate_participants, kfold, standardize_stats
+from .corpus import (
+    FoldAssignment,
+    TokenTable,
+    aggregate_participants,
+    kfold,
+    standardize_stats,
+)
 from .errors import ConfigError, DegenerateError, RankDeficiencyError
 from .hilbert import fit_projection, sample_orthogonalize
 from .predictors import PREDICTOR_NAMES, build_predictor_table, table_columns
@@ -63,6 +72,16 @@ def check_predictors(predictors: Sequence[str]) -> tuple[str, ...]:
     return selection
 
 
+def check_swap_ortho(target: str | None) -> str | None:
+    """The swap target: None (the ortho model residualizes surprisal) or
+    ``"frequency"`` (it residualizes frequency instead)."""
+    if target not in (None, "frequency"):
+        raise ConfigError(
+            f"unsupported swap-ortho target {target!r}; the only target is 'frequency'"
+        )
+    return target
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Column recipe for one competing model.
@@ -89,9 +108,7 @@ def model_spec(kind: str, include_length: bool, swap_ortho: str | None) -> Model
         )
     anchor = None
     if kind == "ortho":
-        anchor = {None: "frequency", "frequency": "surprisal"}.get(swap_ortho)
-        if anchor is None:
-            raise ConfigError(f"unsupported swap-ortho target {swap_ortho!r}")
+        anchor = {None: "frequency", "frequency": "surprisal"}[check_swap_ortho(swap_ortho)]
     sources = ("pmi" if kind == "pmi" else "surprisal", "frequency")
     if include_length:
         sources += ("length",)
@@ -217,6 +234,155 @@ class AnalyzeResult:
     lmg_rows: list[dict] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _FoldContext:
+    """What every fold reads: the usable rows, their raw columns and
+    response, the fold assignment, and the model and smoothing options."""
+
+    rows: TokenTable
+    raw: Mapping[str, np.ndarray]
+    y: np.ndarray
+    assignment: FoldAssignment
+    specs: tuple[ModelSpec, ...]
+    lmg_grouping: str
+    smooth: bool
+    smooth_k: int
+    lambda_grid: Sequence[float]
+
+
+class _ModelFold(NamedTuple):
+    """One model's records from one fold: its fold entry, its ``lmg.csv``
+    rows (one per LMG group), the anchor correlations of its residualized
+    columns, and its smooth fold entry (None without ``smooth``)."""
+
+    entry: dict
+    lmg_rows: list[dict]
+    anchor_corr: dict[str, float]
+    smooth_entry: dict | None
+
+
+def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
+    """Fit every model on fold ``f``'s training rows and score its test
+    rows; each column is standardized with training statistics only."""
+    tr = context.assignment.train_idx(f)
+    te = context.assignment.test_idx(f)
+    raw, y = context.raw, context.y
+    stats = {n: standardize_stats(raw[n][tr], n) for n in _needed_sources(context.specs)}
+    std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
+    std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
+    y_tr, y_te = y[tr], y[te]
+    # this fold's smooth-term blocks, shared by the models: a label
+    # names one column within a fold
+    blocks: dict = {}
+    out = []
+    for spec in context.specs:
+        cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
+        try:
+            fit = ols_fit(DesignMatrix.build(cols_tr), y_tr)
+        except RankDeficiencyError as exc:
+            # a token type that the training rows lack can make the
+            # type-level columns collinear
+            tokens = context.rows["token"]
+            lacking = np.setdiff1d(tokens, tokens[tr])
+            names = ", ".join(sorted(repr(context.rows.types[c]) for c in lacking))
+            note = f"; the fold's training rows hold no {names}" if names else ""
+            raise RankDeficiencyError(
+                f"fold {f}, model {spec.name}: {exc}{note}", columns=exc.columns
+            ) from exc
+        pred_te = fit.predict(DesignMatrix.build(cols_te))
+        delta = delta_loglik(y_tr, fit.residual_variance, y_te, pred_te)
+        report_lmg = lmg(fit.triangle, _groups(spec, context.lmg_grouping))
+        entry = {
+            "fold": f,
+            "r2": fit.r2,
+            "coeffs": fit.coef_dict(),
+            "coeffs_raw": _fit_to_raw_scale(fit, spec, stats),
+            "llh": delta.model_loglik / delta.n_test,
+            "delta_llh": delta.per_token,
+        }
+        lmg_rows = [
+            {"model": spec.name, "group": gname, "fold": f, "share": float(share),
+             "total_r2": report_lmg.total_r2}
+            for gname, share in zip(report_lmg.groups, report_lmg.shares)
+        ]
+        smooth_entry = None
+        if context.smooth:
+            sfit = fit_smooth(
+                cols_tr, y_tr, k=context.smooth_k, lambda_grid=context.lambda_grid,
+                blocks=blocks,
+            )
+            sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, sfit.predict(cols_te))
+            smooth_entry = {
+                "fold": f,
+                "r2": sfit.r2,
+                "llh": sdelta.model_loglik / sdelta.n_test,
+                "delta_llh": sdelta.per_token,
+                "terms": sfit.term_summary(),
+            }
+        out.append(_ModelFold(entry, lmg_rows, anchor_corr, smooth_entry))
+    return out
+
+
+def _fold_workers(folds: int) -> int:
+    """Worker processes for the fold loop: one per CPU this process may
+    run on, at most one per fold; 1 (in-process) without fork or CPU
+    affinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(folds, len(os.sched_getaffinity(0)))
+
+
+# the fold context of a worker process, set by its pool's initializer
+_worker_context: _FoldContext | None = None
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _init_worker(context: _FoldContext) -> None:
+    """Adopt the fold context, and have glibc's malloc keep the memory a
+    fold frees for the next fold instead of unmapping it: page faults in
+    processes forked from one parent slow each other down, and on a
+    2-CPU Xeon the ten folds of a 50,000-row linear analysis took 0.33 s
+    on two workers without this, 0.27 s in-process and 0.22 s with it."""
+    global _worker_context
+    _worker_context = context
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+def _run_worker_fold(f: int) -> list[_ModelFold]:
+    return _run_fold(_worker_context, f)
+
+
+def _run_folds(context: _FoldContext, folds: int) -> list[list[_ModelFold]]:
+    """``_run_fold`` of every fold, in fold order.
+
+    With several workers the folds run in forked processes, which
+    inherit the context rather than receive it pickled; only the fold
+    records travel back.  A failure re-raises the exception of the
+    lowest failing fold once the pool has shut down.
+    """
+    workers = _fold_workers(folds)
+    if workers == 1:
+        return [_run_fold(context, f) for f in range(folds)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(context,),
+    ) as pool:
+        # map yields in fold order; leaving it early cancels the folds
+        # not yet started, and leaving the block joins the workers
+        return list(pool.map(_run_worker_fold, range(folds)))
+
+
 def analyze_observations(
     source, observations: TokenTable, seed: int, **options
 ) -> AnalyzeResult:
@@ -239,6 +405,7 @@ def analyze_tokens(
     lambda_grid: Sequence[float] = LAMBDA_GRID,
 ) -> AnalyzeResult:
     predictors = check_predictors(predictors)
+    check_swap_ortho(swap_ortho)
     if fold_by not in ("token", "document"):
         raise ConfigError(f"fold_by must be 'token' or 'document', got {fold_by!r}")
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
@@ -250,7 +417,6 @@ def analyze_tokens(
             f"tokens; need at least {folds}"
         )
 
-    source_names = _needed_sources(specs)
     # every column, for the identity check whatever the model selection
     raw = table_columns(rows, PREDICTOR_NAMES)
     y = rows["rt_ms"]
@@ -288,70 +454,22 @@ def analyze_tokens(
                 "delta_llh": None,
             }
 
-    for f in range(folds):
-        tr = assignment.train_idx(f)
-        te = assignment.test_idx(f)
-        stats = {name: standardize_stats(raw[name][tr], name) for name in source_names}
-        std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
-        std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
-        y_tr, y_te = y[tr], y[te]
-        # this fold's smooth-term blocks, shared by the models: a label
-        # names one column within a fold
-        blocks: dict = {}
-
-        for spec in specs:
+    context = _FoldContext(
+        rows=rows, raw=raw, y=y, assignment=assignment, specs=tuple(specs),
+        lmg_grouping=lmg_grouping, smooth=smooth, smooth_k=smooth_k,
+        lambda_grid=lambda_grid,
+    )
+    for fold_records in _run_folds(context, folds):
+        for spec, record in zip(specs, fold_records):
             model = model_entries[spec.name]
-            cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
-            try:
-                fit = ols_fit(DesignMatrix.build(cols_tr), y_tr)
-            except RankDeficiencyError as exc:
-                # a token type that the training rows lack can make the
-                # type-level columns collinear
-                lacking = np.setdiff1d(rows["token"], rows["token"][tr])
-                names = ", ".join(sorted(repr(rows.types[c]) for c in lacking))
-                note = f"; the fold's training rows hold no {names}" if names else ""
-                raise RankDeficiencyError(
-                    f"fold {f}, model {spec.name}: {exc}{note}", columns=exc.columns
-                ) from exc
-            pred_te = fit.predict(DesignMatrix.build(cols_te))
-            delta = delta_loglik(y_tr, fit.residual_variance, y_te, pred_te)
-
-            report_lmg = lmg(fit.triangle, _groups(spec, lmg_grouping))
-            model["lmg"]["fold_shares"].append([float(v) for v in report_lmg.shares])
-            lmg_rows.extend(
-                {"model": spec.name, "group": gname, "fold": f, "share": float(share),
-                 "total_r2": report_lmg.total_r2}
-                for gname, share in zip(report_lmg.groups, report_lmg.shares)
-            )
-            model["folds"].append(
-                {
-                    "fold": f,
-                    "r2": fit.r2,
-                    "coeffs": fit.coef_dict(),
-                    "coeffs_raw": _fit_to_raw_scale(fit, spec, stats),
-                    "llh": delta.model_loglik / delta.n_test,
-                    "delta_llh": delta.per_token,
-                }
-            )
-            for lab, corr in anchor_corr.items():
+            model["folds"].append(record.entry)
+            model["lmg"]["fold_shares"].append([row["share"] for row in record.lmg_rows])
+            lmg_rows.extend(record.lmg_rows)
+            for lab, corr in record.anchor_corr.items():
                 key = f"{spec.name}:{lab}"
                 ortho_diag[key] = max(ortho_diag.get(key, 0.0), abs(corr))
-
             if smooth:
-                sfit = fit_smooth(
-                    cols_tr, y_tr, k=smooth_k, lambda_grid=lambda_grid, blocks=blocks
-                )
-                spred_te = sfit.predict(cols_te)
-                sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, spred_te)
-                smooth_entries[spec.name]["folds"].append(
-                    {
-                        "fold": f,
-                        "r2": sfit.r2,
-                        "llh": sdelta.model_loglik / sdelta.n_test,
-                        "delta_llh": sdelta.per_token,
-                        "terms": sfit.term_summary(),
-                    }
-                )
+                smooth_entries[spec.name]["folds"].append(record.smooth_entry)
 
     for spec in specs:
         model = model_entries[spec.name]

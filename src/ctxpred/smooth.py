@@ -20,7 +20,7 @@ implied knot values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -132,9 +132,12 @@ class SplineBasis:
             raise BasisError(f"basis size must be at least 3, got {k}")
         if x.size < k:
             raise BasisError(f"need at least {k} rows to place {k} knots")
-        knots = np.unique(x)
+        # one sort gives the distinct values, and the quantiles of the
+        # sorted copy are those of x
+        ordered = np.sort(x)
+        knots = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
         if knots.size > k:
-            knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, k)))
+            knots = np.unique(np.quantile(ordered, np.linspace(0.0, 1.0, k)))
         gap = KNOT_MERGE_TOL * (knots[-1] - knots[0])
         return cls(knots=knots[np.concatenate([[True], np.diff(knots) > gap])])
 
@@ -208,11 +211,7 @@ class SplineBasis:
 
 @dataclass(frozen=True)
 class SmoothFit:
-    """One penalized additive fit: intercept plus per-term spline parts.
-
-    ``fitted`` holds the fitted values on the training rows, equal to
-    ``predict`` on the training columns without rebuilding the basis.
-    """
+    """One penalized additive fit: intercept plus per-term spline parts."""
 
     term_names: tuple[str, ...]
     bases: tuple[SplineBasis, ...]
@@ -226,7 +225,6 @@ class SmoothFit:
     r2: float
     residual_variance: float
     n_obs: int
-    fitted: np.ndarray = field(repr=False)
 
     def _design(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         xs = []
@@ -413,13 +411,12 @@ class _PenalizedProblem:
 
     def solve(self, lambdas: Sequence[float]):
         beta, influence = self._solve(self._penalized(lambdas), self.rhs, lambdas)
-        fitted = self.x @ beta
-        resid = self.y - fitted
+        resid = self.y - self.x @ beta
         sse = float(resid @ resid)
         edf_diag = np.diag(influence)
         edf = float(edf_diag.sum())
         term_edf = tuple(float(edf_diag[sl].sum()) for sl in self.slices)
-        return beta, fitted, sse, edf, term_edf, self._gcv(sse, edf)
+        return beta, sse, edf, term_edf, self._gcv(sse, edf)
 
 
 def fit_smooth(
@@ -440,7 +437,7 @@ def fit_smooth(
     smaller lambda; the grid must be finite, nonnegative and ascending.
     The search scores candidates from k-sized quantities only; the
     selected lambdas are solved once more with the n-row residual, which
-    gives ``sse``, ``gcv`` and ``fitted``.
+    gives ``sse`` and ``gcv``.
     Every term gets a basis of size ``k``.
 
     ``blocks`` lets fits on the same training rows share their terms'
@@ -471,7 +468,7 @@ def fit_smooth(
         if settled == t:
             break
 
-    beta, fitted, sse, edf, term_edf, gcv = problem.solve(current)
+    beta, sse, edf, term_edf, gcv = problem.solve(current)
     if not math.isfinite(gcv):
         raise ConditioningError(
             "GCV is not finite at the selected smoothing parameters"
@@ -490,6 +487,5 @@ def fit_smooth(
         r2=r2,
         residual_variance=max(sse / problem.n, VARIANCE_FLOOR),
         n_obs=problem.n,
-        fitted=fitted,
     )
 

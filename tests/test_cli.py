@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctxpred import pipeline
 from ctxpred.cli import (
     EXIT_CONFIG,
     EXIT_COVERAGE,
@@ -512,6 +514,41 @@ class TestExitCodes:
                 load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document"
             )
         assert exc.value.columns == ["prev_frequency", "length"]
+
+    def test_refused_fold_is_the_same_in_workers(self, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        assert main([
+            "gen", "--lm", MIXTURE, "--out", str(gen), "--seed", "7",
+            "--n-docs", "10", "--doc-len", "40", "--noise-sd", "1.0",
+        ]) == EXIT_OK
+        capsys.readouterr()
+        observations, _ = parse_corpus(gen / "corpus.tsv")
+        outcomes = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: workers)
+            code = main([
+                "analyze", "--lm", MIXTURE, "--corpus", str(gen / "corpus.tsv"),
+                "--out", str(tmp_path / f"out{workers}"), "--seed", "7",
+                "--fold-by", "document", "--folds", "3",
+            ])
+            with pytest.raises(RankDeficiencyError) as exc:
+                analyze_observations(
+                    load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document"
+                )
+            outcomes.append((code, capsys.readouterr().err, str(exc.value), exc.value.columns))
+            assert not multiprocessing.active_children()
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == EXIT_NUMERIC
+        assert outcomes[0][3] == ["prev_frequency", "length"]
+
+    def test_bad_swap_target(self, gen_dir, tmp_path, capsys):
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path), "--swap-ortho", "length",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "--swap-ortho: unsupported swap-ortho target 'length'" in err
 
     def test_bad_fold_count(self, gen_dir, tmp_path, capsys):
         code = main([

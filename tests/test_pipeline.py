@@ -9,6 +9,8 @@ raw-scale coefficient read-outs must match independent fits built
 outside the pipeline.
 """
 
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,8 @@ from ctxpred.corpus import (
     observation_table,
     standardize_stats,
 )
-from ctxpred.errors import ConfigError
+from ctxpred import pipeline
+from ctxpred.errors import ConfigError, RankDeficiencyError
 from ctxpred.lm import load_lm_tsv
 from ctxpred.pipeline import (
     MODEL_KINDS,
@@ -293,6 +296,16 @@ class TestOptions:
         assert all("ortho_" in k for k in diag)
         assert "ortho:ortho_frequency" in diag
 
+    @pytest.mark.parametrize("predictors", [("surprisal",), ("pmi",), MODEL_KINDS])
+    def test_unknown_swap_target_rejected_whatever_the_selection(
+        self, mixture_lm, synth, predictors
+    ):
+        with pytest.raises(ConfigError, match="swap-ortho target 'bogus'"):
+            analyze_observations(
+                mixture_lm, synth.observations, seed=SEED, folds=3,
+                predictors=predictors, swap_ortho="bogus",
+            )
+
     def test_document_folds(self, mixture_lm, synth):
         res = analyze_observations(
             mixture_lm, synth.observations, seed=SEED, folds=4,
@@ -358,6 +371,8 @@ class TestOneFactorization:
 
         for name in linalg:
             monkeypatch.setattr(np.linalg, name, counting(name))
+        # the counters see only calls made in this process
+        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 1)
         folds = 10
         res = analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=folds)
         n = res.report["n_rows"]
@@ -463,6 +478,64 @@ class TestSharedSmoothBlocks:
                 assert entry["r2"] == fit.r2
                 assert entry["delta_llh"] == delta.per_token
                 assert entry["terms"] == fit.term_summary()
+
+
+class TestParallelFolds:
+    """Folds run by worker processes give exactly the reports of folds run
+    in this process, and leave no process behind."""
+
+    CASES = {
+        "token": ("mixture_lm", dict(folds=5)),
+        "document": ("mixture_lm", dict(folds=4, fold_by="document")),
+        "separate": ("mixture_lm", dict(folds=5, lmg_grouping="separate",
+                                        swap_ortho="frequency")),
+        "smooth": ("mixture_lm", dict(folds=4, smooth=True)),
+        "smooth_external": ("continuous_source", dict(folds=4, smooth=True,
+                                                      lmg_grouping="separate")),
+    }
+
+    @pytest.fixture(scope="class")
+    def continuous_source(self, continuous, tmp_path_factory):
+        return external_source(continuous[1], tmp_path_factory.mktemp("ext") / "pred.tsv")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reports_equal_for_one_and_two_workers(
+        self, case, request, synth, continuous, monkeypatch
+    ):
+        source_name, options = self.CASES[case]
+        source = request.getfixturevalue(source_name)
+        observations = synth.observations if source_name == "mixture_lm" else continuous[0]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: workers)
+            results.append(analyze_observations(source, observations, seed=SEED, **options))
+        serial, parallel = results
+        assert parallel.report == serial.report
+        assert parallel.lmg_rows == serial.lmg_rows
+        assert not multiprocessing.active_children()
+
+    def test_default_workers_are_the_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert pipeline._fold_workers(10) == min(10, cpus)
+        assert pipeline._fold_workers(1) == 1
+
+    def test_lowest_failing_fold_is_raised(self, mixture_lm, synth, monkeypatch):
+        run_fold = pipeline._run_fold
+
+        def failing(context, f):
+            if f >= 2:
+                raise RankDeficiencyError(f"fold {f} in {os.getpid()}", columns=[f"c{f}"])
+            return run_fold(context, f)
+
+        monkeypatch.setattr(pipeline, "_run_fold", failing)
+        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 2)
+        with pytest.raises(RankDeficiencyError) as exc:
+            analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=5)
+        message = str(exc.value)
+        assert message.startswith("fold 2 in ") and exc.value.columns == ["c2"]
+        # raised in a worker, not here
+        assert message != f"fold 2 in {os.getpid()}"
+        assert not multiprocessing.active_children()
 
 
 class TestSmallTestFolds:

@@ -18,7 +18,7 @@ from oracles import (
 )
 from ctxpred.errors import AlignmentError, BasisError, ConditioningError, ConfigError
 from ctxpred.regression import delta_loglik, fit_columns
-from ctxpred.smooth import LAMBDA_GRID, SplineBasis, fit_smooth
+from ctxpred.smooth import KNOT_MERGE_TOL, LAMBDA_GRID, SplineBasis, fit_smooth
 
 
 class TestBasis:
@@ -103,6 +103,31 @@ class TestBasis:
         x = rng.normal(size=300)
         want = np.quantile(x, np.linspace(0.0, 1.0, 6))
         assert np.array_equal(SplineBasis.from_quantiles(x, 6).knots, want)
+
+    @pytest.mark.parametrize("shape", ["normal", "tied", "gamma"])
+    def test_knots_from_one_sort_equal_the_unique_route(self, shape):
+        # the distinct values read off one sorted copy, and the quantiles
+        # of that copy, give the knots that np.unique and np.quantile on
+        # the column itself give, bit for bit
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n, k = int(rng.integers(10, 2000)), int(rng.integers(3, 9))
+            if shape == "normal":
+                x = rng.normal(size=n)
+            elif shape == "tied":
+                x = rng.choice(np.round(rng.normal(size=int(rng.integers(2, 12))), 2), size=n)
+            else:
+                x = rng.gamma(2.0, size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            knots = np.unique(x)
+            if knots.size > k:
+                knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, k)))
+            gap = KNOT_MERGE_TOL * (knots[-1] - knots[0])
+            want = knots[np.concatenate([[True], np.diff(knots) > gap])]
+            if want.size < 3:
+                with pytest.raises(BasisError):
+                    SplineBasis.from_quantiles(x, k)
+            else:
+                assert same_bits(SplineBasis.from_quantiles(x, k).knots, want)
 
     def test_penalty_null_space_is_affine(self):
         basis = SplineBasis(np.array([0.0, 0.3, 1.0, 2.2, 5.0]))
@@ -300,12 +325,13 @@ class TestSharedBlocks:
         blocks = {}
         fit_smooth({"a": a, "b": b}, y, blocks=blocks)
         first = blocks["a"]
-        shared = fit_smooth({"a": a, "c": c}, y, blocks=blocks)
+        cols = {"a": a, "c": c}
+        shared = fit_smooth(cols, y, blocks=blocks)
         assert blocks["a"] is first and set(blocks) == {"a", "b", "c"}
-        own = fit_smooth({"a": a, "c": c}, y)
+        own = fit_smooth(cols, y)
         assert shared.lambdas == own.lambdas
         assert np.array_equal(shared.coefficients, own.coefficients)
-        assert np.array_equal(shared.fitted, own.fitted)
+        assert np.array_equal(shared.predict(cols), own.predict(cols))
         # other values or another basis size under a stored name: rebuilt
         moved = fit_smooth({"a": a + 1.0}, y, blocks=blocks)
         assert blocks["a"] is not first
@@ -336,8 +362,8 @@ class TestKSpaceSearch:
         cols = {"a": rng.uniform(0, 1, size=150), "b": rng.choice([1.0, 2.0, 5.0], size=150)}
         y = np.sin(4.0 * cols["a"]) + cols["b"] + 0.2 * rng.normal(size=150)
         fit = fit_smooth(cols, y)
-        assert np.array_equal(fit.fitted, fit.predict(cols))
-        assert fit.sse == float((y - fit.fitted) @ (y - fit.fitted))
+        resid = y - fit.predict(cols)
+        assert fit.sse == float(resid @ resid)
 
 
 @st.composite
