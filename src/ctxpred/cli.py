@@ -31,7 +31,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import generate_synthetic, parse_corpus, write_corpus_tsv
+from .corpus import generate_synthetic, malformed_examples, parse_corpus, write_corpus_tsv
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -341,7 +341,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         inputs["external"] = sha256_file(cfg.external)
     observations, malformed = parse_corpus(cfg.corpus)
     if malformed:
-        print(f"note: {len(malformed)} malformed corpus rows skipped", file=sys.stderr)
+        print(
+            f"note: {len(malformed)} malformed corpus rows skipped: "
+            f"{malformed_examples(malformed)}",
+            file=sys.stderr,
+        )
     result = analyze_observations(
         source,
         observations,

@@ -6,6 +6,9 @@ The corpus exchange format is TSV with a fixed header::
 
 one row per (participant, token).  Reading times stay in milliseconds
 end to end.  Every stage holds its rows in one columnar ``TokenTable``.
+``read_tsv`` reads this file and the external predictor file in bulk,
+a column at a time; ``corpus_row`` states what a malformed corpus row
+is, and only rows the bulk pass cannot convert go through it.
 Aggregation averages reading times over the participants who did not
 skip the token.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateError, FormatError
 from .lm import AutoregressiveLM, sample_string
@@ -73,14 +78,14 @@ class TokenTable:
         doc_ids = tuple(sorted(set(doc_id)))
         types = tuple(dict.fromkeys(token))
         cols = {
-            "doc": _codes(doc_id, doc_ids),
-            "token": _codes(token, types),
+            "doc": label_codes(doc_id, doc_ids),
+            "token": label_codes(token, types),
             **{name: np.asarray(values) for name, values in columns.items()},
         }
         participants: tuple[str, ...] = ()
         if participant is not None:
             participants = tuple(dict.fromkeys(participant))
-            cols["participant"] = _codes(participant, participants)
+            cols["participant"] = label_codes(participant, participants)
         return cls(cols, doc_ids, types, participants)
 
     def __len__(self) -> int:
@@ -100,71 +105,270 @@ class TokenTable:
         return np.asarray(labels[name], dtype=object)[self.columns[name]].tolist()
 
 
-def _codes(values: Sequence[str], labels: Sequence[str]) -> np.ndarray:
+def label_codes(values: Sequence[str], labels: Sequence[str]) -> np.ndarray:
+    """Each value's code in ``labels``; -1 where it is not among them."""
     index = {label: code for code, label in enumerate(labels)}
-    return np.array([index[v] for v in values], dtype=np.int64)
+    return np.array([index.get(v, -1) for v in values], dtype=np.int64)
+
+
+# how the bulk reader converts each column, by header name
+FIELD_KINDS = {
+    "participant": "label",
+    "doc_id": "label",
+    "token": "label",
+    "sentence_id": "index",
+    "token_idx": "index",
+    "rt_ms": "value",
+    "surprisal": "value",
+    "frequency": "value",
+    "skipped": "flag",
+}
+# the largest index a table holds (int64), and the longest the bulk
+# reader converts (18 digits always fit)
+MAX_INDEX = int(np.iinfo(np.int64).max)
+MAX_INDEX_DIGITS = 18
+# the longest field the bulk reader converts; longer ones go line by line
+MAX_FIELD_BYTES = 255
+# a value's plain spelling, digits[.digits][(e|E)[+|-]digits], as a
+# finite automaton: byte classes (digit, point, e, sign, other) and
+# each state's successor per class, 7 rejecting and 1, 3 and 6
+# accepting; flattened, with every state held times 5, so that
+# state + class indexes the table
+_CHAR_CLASS = np.full(256, 4, dtype=np.uint8)
+_CHAR_CLASS[[*range(48, 58), 46, 69, 101, 43, 45]] = [0] * 10 + [1, 2, 2, 3, 3]
+_DECIMAL_NEXT = np.array(
+    [
+        [1, 7, 7, 7, 7],  # start
+        [1, 2, 4, 7, 7],  # integer digits
+        [3, 7, 7, 7, 7],  # point
+        [3, 7, 4, 7, 7],  # fraction digits
+        [6, 7, 7, 5, 7],  # e
+        [6, 7, 7, 7, 7],  # exponent sign
+        [6, 7, 7, 7, 7],  # exponent digits
+        [7, 7, 7, 7, 7],  # rejected
+    ],
+    dtype=np.uint8,
+).ravel() * np.uint8(5)
+_DECIMAL_ACCEPT = (5 * 1, 5 * 3, 5 * 6)
+
+
+def read_tsv(
+    path, header: tuple[str, ...], parse_line: Callable[[str], tuple | str]
+) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]]]:
+    """Read a TSV file with a fixed header into a TokenTable.
+
+    Returns the table of the well-formed rows in file order, their line
+    numbers, and the (line, reason) pairs of the malformed lines.  Lines
+    end as in Python's text mode (at ``\\n``, ``\\r\\n`` or ``\\r``),
+    and blank lines are skipped.  ``parse_line`` holds the rules: given
+    one line, it returns the row's values in header order, or the reason
+    the line is malformed.
+
+    The file is converted a column at a time (kinds in FIELD_KINDS), and
+    only the lines with a field not in its plain form go through
+    ``parse_line``.  Plain forms, each of 1 to MAX_FIELD_BYTES bytes: any
+    label; an index of at most MAX_INDEX_DIGITS ASCII digits; a value
+    spelled ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag
+    of 0 or 1.  ``parse_line`` accepts every plain row with the same
+    values.
+    """
+    data = Path(path).read_bytes()
+    data.decode("utf-8")  # invalid UTF-8 raises, as reading the text would
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head = data.partition(b"\n")[0].decode("utf-8")
+    if tuple(head.split("\t")) != header:
+        raise FormatError(f"{path}: header must be {chr(9).join(header)!r}, got {head!r}")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # a field ends at a tab or at the newline ending its line; the one
+    # that ends at bounds[c] starts after bounds[c - 1], and bounds[0] is
+    # the newline ending the header
+    bounds = np.flatnonzero((buf == 9) | (buf == 10))[len(header) - 1:]
+    line_end = np.flatnonzero(buf[bounds[1:]] == 10) + 1
+    n_fields = np.diff(line_end, prepend=0)
+
+    def fields(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        start = bounds[ends - 1] + 1
+        return start, bounds[ends] - start
+
+    kinds = [FIELD_KINDS[name] for name in header]
+    lines = np.flatnonzero(n_fields == len(header))
+    first_end = line_end[lines] - (len(header) - 1)
+    plain = np.ones(lines.size, dtype=bool)
+    values = []
+    for j, kind in enumerate(kinds):
+        ok, col = _convert(kind, buf, *fields(first_end + j))
+        plain &= ok
+        values.append(col)
+    fast = lines[plain]
+    first_end = first_end[plain]
+
+    # the other lines that are not blank, through the rules
+    slow = (n_fields > 1) | (fields(line_end)[1] > 0)
+    slow[fast] = False
+    line_start = bounds[line_end - n_fields] + 1
+    rows: list[tuple[int, tuple]] = []
+    malformed: list[tuple[int, str]] = []
+    for i in np.flatnonzero(slow).tolist():
+        row = parse_line(data[line_start[i]:bounds[line_end[i]]].decode("utf-8"))
+        if isinstance(row, str):
+            malformed.append((i + 2, row))
+        else:
+            rows.append((i, row))
+
+    row_line = np.concatenate([fast, np.array([i for i, _ in rows], dtype=np.int64)])
+    order = np.argsort(row_line, kind="stable") if rows else slice(None)
+    labels: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
+    cols: dict[str, np.ndarray] = {}
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        rest = [row[j] for _, row in rows]
+        if kind == "label":
+            codes, found = _code_fields(buf, *fields(first_end + j))
+            if rows:
+                index = dict(zip(found, range(len(found))))
+                rest = [index.setdefault(label, len(index)) for label in rest]
+                codes = np.concatenate([codes, np.array(rest, dtype=np.int64)])[order]
+                found = list(index)
+            labels[name] = _relabel(codes, found, sort=name == "doc_id")
+        else:
+            fast_values = values[j][plain]
+            rest = np.array(rest, dtype=fast_values.dtype)
+            cols[name] = np.concatenate([fast_values, rest])[order]
+    (doc, doc_ids), (token, types) = labels["doc_id"], labels["token"]
+    cols = {"doc": doc, "token": token, **cols}
+    participants: tuple[str, ...] = ()
+    if "participant" in labels:
+        cols["participant"], participants = labels["participant"]
+    table = TokenTable(cols, doc_ids, types, participants)
+    return table, row_line[order] + 2, malformed
+
+
+def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """Which fields are plain, and the values of the plain ones (labels
+    are coded later, for the plain rows only)."""
+    ok = (length > 0) & (length <= MAX_FIELD_BYTES)
+    if kind == "label":
+        return ok, None
+    if kind == "flag":
+        byte = buf[start]
+        return (length == 1) & ((byte == 48) | (byte == 49)), byte == 49
+    if kind == "index":
+        ok &= length <= MAX_INDEX_DIGITS
+    candidates = np.flatnonzero(ok)
+    out = np.zeros(start.size, dtype=np.int64 if kind == "index" else float)
+    for rows, chars in _by_length(buf, start[candidates], length[candidates]):
+        rows = candidates[rows]
+        if kind == "index":
+            digits = chars - np.uint8(48)
+            good = (digits < 10).all(axis=1)
+            value = np.zeros(rows.size, dtype=np.int64)
+            for digit in digits.T:
+                value = value * 10 + digit
+            out[rows] = value
+        else:
+            state = np.zeros(rows.size, dtype=np.uint8)
+            for byte_class in _CHAR_CLASS[chars.T]:
+                state = _DECIMAL_NEXT.take(state + byte_class)
+            good = np.isin(state, _DECIMAL_ACCEPT)
+            # numpy reads bytes to float as float() does, bit for bit
+            with np.errstate(over="ignore"):
+                parsed = chars[good].view(f"S{chars.shape[1]}").ravel().astype(float)
+            out[rows[good]] = parsed
+            good[good] = np.isfinite(parsed)
+        ok[rows] = good
+    return ok, out
+
+
+def _by_length(buf: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The fields grouped by byte length (at most MAX_FIELD_BYTES): per
+    nonzero length, the fields' positions in ``start`` and their bytes
+    as an (n, length) uint8 array."""
+    for ell in np.flatnonzero(np.bincount(length)).tolist():
+        if ell:
+            rows = np.flatnonzero(length == ell)
+            yield rows, sliding_window_view(buf, ell)[start[rows]]
+
+
+def _code_fields(buf, start, length) -> tuple[np.ndarray, list[str]]:
+    """Codes of the fields, into the distinct labels they spell."""
+    codes = np.empty(start.size, dtype=np.int64)
+    labels: list[str] = []
+    for rows, chars in _by_length(buf, start, length):
+        ell = chars.shape[1]
+        if ell <= 8:  # one integer key per field: it sorts faster than bytes
+            chars = np.pad(chars, ((0, 0), (0, 8 - ell)))
+        keys = chars.view(np.uint64 if ell <= 8 else f"V{ell}").ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        raw, size = distinct.tobytes(), distinct.itemsize
+        codes[rows] = inverse.ravel() + len(labels)
+        labels += [raw[i:i + ell].decode("utf-8") for i in range(0, len(raw), size)]
+    return codes, labels
+
+
+def _relabel(codes: np.ndarray, labels: list[str], sort: bool):
+    """The codes and labels, labels sorted or in order of first appearance."""
+    if sort:
+        rank = sorted(range(len(labels)), key=labels.__getitem__)
+    else:
+        present, first = np.unique(codes, return_index=True)
+        rank = present[np.argsort(first)].tolist()
+    new = np.empty(len(labels), dtype=np.int64)
+    new[rank] = np.arange(len(rank))
+    return new[codes], tuple(map(labels.__getitem__, rank))
+
+
+def corpus_row(line: str) -> tuple | str:
+    """One corpus line as a (participant, doc_id, sentence_id, token_idx,
+    token, rt_ms, skipped) row, or the reason it is malformed.
+
+    A skipped row may give its ``rt_ms`` as ``NA`` or leave it empty; it
+    is read with ``rt_ms`` NaN.  A read row needs a reading time.
+    """
+    parts = line.split("\t")
+    if len(parts) != len(CORPUS_HEADER):
+        return f"expected {len(CORPUS_HEADER)} fields"
+    participant, doc_id, sent_s, idx_s, token, rt_s, skip_s = parts
+    try:
+        sentence_id, token_idx = int(sent_s), int(idx_s)
+        rt_ms = math.nan if skip_s == "1" and rt_s in MISSING_RT else float(rt_s)
+    except ValueError:
+        return "non-numeric sentence_id/token_idx/rt_ms"
+    if token_idx < 0 or sentence_id < 0:
+        return "negative index"
+    if max(token_idx, sentence_id) > MAX_INDEX:
+        return "index out of range"
+    if not 0.0 <= rt_ms < math.inf and rt_s not in MISSING_RT:
+        return f"rt_ms {rt_s!r} not finite and >= 0"
+    if skip_s not in ("0", "1"):
+        return f"skipped must be 0 or 1, got {skip_s!r}"
+    if not token:
+        return "empty token"
+    return participant, doc_id, sentence_id, token_idx, token, rt_ms, skip_s == "1"
+
+
+def malformed_examples(malformed: Sequence[tuple[int, str]]) -> str:
+    """The first five malformed lines, as ``line L: reason`` entries."""
+    return "; ".join(f"line {ln}: {why}" for ln, why in malformed[:5])
 
 
 def parse_corpus(path) -> tuple[TokenTable, list[tuple[int, str]]]:
     """Read a corpus TSV; returns (rows, malformed (line, reason) pairs).
 
-    Individual bad rows are tolerated and reported; more than
-    MALFORMED_LIMIT of the data rows being bad rejects the file.  A
-    skipped row may give its ``rt_ms`` as ``NA`` or leave it empty; it
-    is read with ``rt_ms`` NaN.  A read row needs a reading time.
+    Individual bad rows (by ``corpus_row``) are tolerated and reported;
+    more than MALFORMED_LIMIT of the data rows being bad rejects the file.
     """
-    rows: list[tuple] = []
-    malformed: list[tuple[int, str]] = []
-    n_data_lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != CORPUS_HEADER:
-            raise FormatError(
-                f"{path}: header must be {chr(9).join(CORPUS_HEADER)!r}, got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            n_data_lines += 1
-            parts = line.split("\t")
-            if len(parts) != len(CORPUS_HEADER):
-                malformed.append((lineno, f"expected {len(CORPUS_HEADER)} fields"))
-                continue
-            participant, doc_id, sent_s, idx_s, token, rt_s, skip_s = parts
-            try:
-                sentence_id, token_idx, rt_ms = int(sent_s), int(idx_s), float(rt_s)
-            except ValueError:
-                try:
-                    if skip_s != "1" or rt_s not in MISSING_RT:
-                        raise ValueError(rt_s)
-                    sentence_id, token_idx, rt_ms = int(sent_s), int(idx_s), math.nan
-                except ValueError:
-                    malformed.append((lineno, "non-numeric sentence_id/token_idx/rt_ms"))
-                    continue
-            if token_idx < 0 or sentence_id < 0:
-                why = "negative index"
-            elif not 0.0 <= rt_ms < math.inf and rt_s not in MISSING_RT:
-                why = f"rt_ms {rt_s!r} not finite and >= 0"
-            elif skip_s not in ("0", "1"):
-                why = f"skipped must be 0 or 1, got {skip_s!r}"
-            elif not token:
-                why = "empty token"
-            else:
-                rows.append(
-                    (participant, doc_id, sentence_id, token_idx, token, rt_ms, skip_s == "1")
-                )
-                continue
-            malformed.append((lineno, why))
+    rows, _, malformed = read_tsv(path, CORPUS_HEADER, corpus_row)
+    n_data_lines = len(rows) + len(malformed)
     if n_data_lines == 0:
         raise FormatError(f"{path}: corpus has no data rows")
     if len(malformed) > MALFORMED_LIMIT * n_data_lines:
-        examples = "; ".join(f"line {ln}: {why}" for ln, why in malformed[:5])
         raise FormatError(
             f"{path}: {len(malformed)} of {n_data_lines} rows malformed "
-            f"(limit {MALFORMED_LIMIT:.0%}): {examples}"
+            f"(limit {MALFORMED_LIMIT:.0%}): {malformed_examples(malformed)}"
         )
-    return observation_table(rows), malformed
+    return rows, malformed
 
 
 def observation_table(rows: Sequence[tuple]) -> TokenTable:

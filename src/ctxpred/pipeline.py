@@ -271,9 +271,10 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
     std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
     std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
     y_tr, y_te = y[tr], y[te]
-    # this fold's smooth-term blocks, shared by the models: a label
-    # names one column within a fold
+    # this fold's smooth-term blocks on its training and test rows,
+    # shared by the models: a label names one column within a fold
     blocks: dict = {}
+    test_blocks: dict = {}
     out = []
     for spec in context.specs:
         cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
@@ -311,7 +312,8 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
                 cols_tr, y_tr, k=context.smooth_k, lambda_grid=context.lambda_grid,
                 blocks=blocks,
             )
-            sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, sfit.predict(cols_te))
+            pred = sfit.predict(cols_te, blocks=test_blocks)
+            sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, pred)
             smooth_entry = {
                 "fold": f,
                 "r2": sfit.r2,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenTable
+from .corpus import MAX_INDEX, TokenTable, label_codes, read_tsv
 from .errors import CoverageError, DegenerateError, FormatError, SymbolError
 from .hilbert import MeasureTable, RandomVariableTable
 from .lm import AutoregressiveLM, UnigramLM, unigram_minimizer
@@ -49,58 +49,62 @@ EXTERNAL_HEADER = ("doc_id", "token_idx", "token", "surprisal", "frequency")
 
 @dataclass(frozen=True)
 class ExternalPredictorFile:
-    """Parsed per-token predictor estimates keyed by (doc_id, token_idx)."""
+    """Per-token predictor estimates: a table with one row per
+    (doc_id, token_idx) and columns ``doc``, ``token_idx``, ``token``,
+    ``surprisal`` and ``frequency``."""
 
-    rows: dict[tuple[str, int], tuple[str, float, float]]
+    table: TokenTable
+
+
+def external_row(line: str) -> tuple | str:
+    """One predictor line as a (doc_id, token_idx, token, surprisal,
+    frequency) row, or the reason it is malformed."""
+    parts = line.split("\t")
+    if len(parts) != len(EXTERNAL_HEADER):
+        return f"expected {len(EXTERNAL_HEADER)} fields"
+    doc_id, idx_s, token, surp_s, freq_s = parts
+    try:
+        token_idx, surp, freq = int(idx_s), float(surp_s), float(freq_s)
+    except ValueError:
+        return "non-numeric field"
+    if token_idx < 0:
+        return "negative token_idx"
+    if token_idx > MAX_INDEX:
+        return "token_idx out of range"
+    if not (math.isfinite(surp) and math.isfinite(freq)):
+        return "non-finite predictor value"
+    if surp < 0.0 or freq < 0.0:
+        return "surprisal and frequency must be >= 0 nats"
+    return doc_id, token_idx, token, surp, freq
 
 
 def parse_external_tsv(path) -> ExternalPredictorFile:
-    rows: dict[tuple[str, int], tuple[str, float, float]] = {}
-    last_idx: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != EXTERNAL_HEADER:
-            raise FormatError(
-                f"{path}: header must be {chr(9).join(EXTERNAL_HEADER)!r}, got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(EXTERNAL_HEADER):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(EXTERNAL_HEADER)} fields"
-                )
-            doc_id, idx_s, token, surp_s, freq_s = parts
-            try:
-                token_idx = int(idx_s)
-                surp = float(surp_s)
-                freq = float(freq_s)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric field") from None
-            if token_idx < 0:
-                raise FormatError(f"{path}:{lineno}: negative token_idx")
-            if not (math.isfinite(surp) and math.isfinite(freq)):
-                raise FormatError(f"{path}:{lineno}: non-finite predictor value")
-            if surp < 0.0 or freq < 0.0:
-                raise FormatError(
-                    f"{path}:{lineno}: surprisal and frequency must be >= 0 nats"
-                )
-            key = (doc_id, token_idx)
-            if key in rows:
-                raise FormatError(
-                    f"{path}:{lineno}: duplicate key ({doc_id!r}, {token_idx})"
-                )
-            if doc_id in last_idx and token_idx <= last_idx[doc_id]:
-                raise FormatError(
-                    f"{path}:{lineno}: token_idx must increase within {doc_id!r}"
-                )
-            last_idx[doc_id] = token_idx
-            rows[key] = (token, surp, freq)
-    if not rows:
+    """Read a predictor TSV.  The first malformed line (by
+    ``external_row``), or the first row whose token_idx does not
+    increase within its document, rejects the file."""
+    table, lineno, malformed = read_tsv(path, EXTERNAL_HEADER, external_row)
+    errors = malformed[:1]
+    # within a document, in file order, the first row not above the one
+    # before it; all rows before it increase, so it repeats a key exactly
+    # when its token_idx is among theirs
+    order = np.lexsort((lineno, table["doc"]))
+    doc, idx = table["doc"][order], table["token_idx"][order]
+    back = np.flatnonzero((doc[1:] == doc[:-1]) & (idx[1:] <= idx[:-1])) + 1
+    if back.size:
+        at = back[np.argmin(lineno[order][back])]
+        doc_id, token_idx = table.doc_ids[doc[at]], int(idx[at])
+        earlier = idx[np.searchsorted(doc, doc[at]):at]
+        why = (
+            f"duplicate key ({doc_id!r}, {token_idx})"
+            if token_idx in earlier
+            else f"token_idx must increase within {doc_id!r}"
+        )
+        errors.append((int(lineno[order][at]), why))
+    if errors:
+        raise FormatError("{}:{}: {}".format(path, *min(errors)))
+    if not len(table):
         raise FormatError(f"{path}: no predictor rows found")
-    return ExternalPredictorFile(rows=rows)
+    return ExternalPredictorFile(table)
 
 
 def write_external_tsv(records: TokenTable, path) -> None:
@@ -214,26 +218,31 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
 def _join_external(
     table: TokenTable, source: ExternalPredictorFile
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Surprisal and frequency of each row, looked up by key."""
-    n = len(table)
-    surp = np.empty(n)
-    freq = np.empty(n)
-    missing: list[tuple] = []
-    keys = zip(table.decode("doc"), table["token_idx"].tolist(), table.decode("token"))
-    for row, (doc_id, token_idx, token) in enumerate(keys):
-        hit = source.rows.get((doc_id, token_idx))
-        if hit is None or hit[0] != token:
-            missing.append((doc_id, token_idx, token))
-            continue
-        _, surp[row], freq[row] = hit
-    if missing:
-        shown = ", ".join(f"({d!r}, {i}, {tok!r})" for d, i, tok in missing[:10])
+    """Surprisal and frequency of each row, aligned by key."""
+    ext = source.table
+    # the external doc and token codes in the table's code spaces, -1
+    # where the table lacks the label
+    doc = label_codes(ext.doc_ids, table.doc_ids)[ext["doc"]]
+    token = label_codes(ext.types, table.types)[ext["token"]]
+    # (doc, rank of token_idx among both tables' values) as one integer
+    _, rank = np.unique(np.concatenate([ext["token_idx"], table["token_idx"]]),
+                        return_inverse=True)
+    width = int(rank.max(initial=0)) + 1
+    ext_key = doc * width + rank[:len(ext)]
+    key = table["doc"] * width + rank[len(ext):]
+    by_key = np.argsort(ext_key)
+    at = by_key[np.searchsorted(ext_key, key, sorter=by_key).clip(max=len(ext) - 1)]
+    missing = np.flatnonzero((ext_key[at] != key) | (token[at] != table["token"]))
+    if missing.size:
+        rows = table.take(missing)
+        shown = list(zip(rows.decode("doc"), rows["token_idx"].tolist(), rows.decode("token")))
+        listed = ", ".join(f"({d!r}, {i}, {tok!r})" for d, i, tok in shown[:10])
         raise CoverageError(
-            f"{len(missing)} corpus tokens have no matching external "
-            f"predictor row: {shown}",
-            missing=missing,
+            f"{len(shown)} corpus tokens have no matching external "
+            f"predictor row: {listed}",
+            missing=shown,
         )
-    return surp, freq
+    return ext["surprisal"][at], ext["frequency"][at]
 
 
 def table_columns(records: TokenTable, names: Sequence[str]) -> dict[str, np.ndarray]:

@@ -226,7 +226,7 @@ class SmoothFit:
     residual_variance: float
     n_obs: int
 
-    def _design(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    def _design(self, columns: Mapping[str, np.ndarray], blocks: dict) -> np.ndarray:
         xs = []
         for name in self.term_names:
             if name not in columns:
@@ -237,12 +237,19 @@ class SmoothFit:
                     f"column {name!r} has {x.size} rows, expected {xs[0].size}"
                 )
             xs.append(x)
-        blocks = [basis.design(x)[:, 1:] - means
-                  for basis, x, means in zip(self.bases, xs, self.term_means)]
-        return np.hstack([np.ones((xs[0].size, 1)), *blocks])
+        parts = [
+            _basis_block(name, x, basis, means, blocks).centred
+            for name, x, basis, means in zip(self.term_names, xs, self.bases, self.term_means)
+        ]
+        return np.hstack([np.ones((xs[0].size, 1)), *parts])
 
-    def predict(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        return self._design(columns) @ self.coefficients
+    def predict(
+        self, columns: Mapping[str, np.ndarray], blocks: dict[str, TermBlock] | None = None
+    ) -> np.ndarray:
+        """Fitted values at ``columns``.  ``blocks`` lets fits that share
+        a term's basis (those given one ``blocks`` in ``fit_smooth``)
+        share its centred design on the same rows too."""
+        return self._design(columns, {} if blocks is None else blocks) @ self.coefficients
 
     def term_summary(self) -> list[dict]:
         return [
@@ -254,9 +261,10 @@ class SmoothFit:
 
 
 class TermBlock(NamedTuple):
-    """One term's training block, built from the column ``values`` and
-    basis size ``k``: the basis on the column's quantile knots, and its
-    design without the first basis function, centred on its ``means``."""
+    """One term's block on some rows, built from the column ``values``:
+    the basis of size ``k`` (on the quantile knots of the training
+    column), and its design without the first basis function, centred
+    on the training column's ``means``."""
 
     values: np.ndarray
     k: int
@@ -277,6 +285,24 @@ def _term_block(name: str, x: np.ndarray, k: int, blocks: dict) -> TermBlock:
         raw = basis.design(x)[:, 1:]
         means = raw.mean(axis=0)
         block = blocks[name] = TermBlock(x, k, basis, raw - means, means)
+    return block
+
+
+def _basis_block(
+    name: str, x: np.ndarray, basis: SplineBasis, means: np.ndarray, blocks: dict
+) -> TermBlock:
+    """The block of ``x`` on a fitted term's ``basis`` and training
+    ``means``: the one ``blocks`` holds under ``name`` if it was built
+    from the same values, basis and means, else a new one, stored there."""
+    block = blocks.get(name)
+    if (
+        block is None
+        or block.basis is not basis
+        or block.means is not means
+        or not np.array_equal(block.values, x)
+    ):
+        centred = basis.design(x)[:, 1:] - means
+        block = blocks[name] = TermBlock(x, basis.k, basis, centred, means)
     return block
 
 

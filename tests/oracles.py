@@ -8,7 +8,8 @@ tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
 (``lstsq_rsquared`` and ``gcv_search_nrow``), the plain GCV search
 (``gcv_search_reference``) and the per-row token path
-(``reference_aggregate``, ``reference_score``, ``choice_sample_string``):
+(``reference_aggregate``, ``reference_score``, ``choice_sample_string``),
+and the per-line TSV readers (``reference_read``, ``reference_external``):
 they are the direct computations the fast forms replace, kept so that
 the fast forms can be held to them.
 """
@@ -163,6 +164,78 @@ def reference_score(tokens, lm):
             rec[f"prev_{name}"] = prev[name] if same_doc else None
         prev = rec
     return records
+
+
+# -- the per-line TSV readers ----------------------------------------------
+
+
+def reference_read(path, header, parse_line):
+    """``corpus.read_tsv`` as a loop over the lines of the text file,
+    every line through ``parse_line``: (table, line numbers, malformed)."""
+    from ctxpred.corpus import FIELD_KINDS, TokenTable
+    from ctxpred.errors import FormatError
+
+    rows, lines, malformed = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        head = fh.readline().rstrip("\n")
+        if tuple(head.split("\t")) != header:
+            raise FormatError(
+                f"{path}: header must be {chr(9).join(header)!r}, got {head!r}"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            row = parse_line(line)
+            if isinstance(row, str):
+                malformed.append((lineno, row))
+            else:
+                rows.append(row)
+                lines.append(lineno)
+    dtypes = {"index": np.int64, "value": float, "flag": bool}
+    columns = {}
+    for j, name in enumerate(header):
+        values = [row[j] for row in rows]
+        kind = FIELD_KINDS[name]
+        columns[name] = values if kind == "label" else np.array(values, dtype=dtypes[kind])
+    table = TokenTable.from_lists(**columns)
+    return table, np.array(lines, dtype=np.int64), malformed
+
+
+def reference_external(path):
+    """The predictor file as {(doc_id, token_idx): (token, surprisal,
+    frequency)}, read line by line; the first bad line raises."""
+    from ctxpred.errors import FormatError
+    from ctxpred.predictors import EXTERNAL_HEADER, external_row
+
+    rows, last_idx = {}, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if tuple(header.split("\t")) != EXTERNAL_HEADER:
+            raise FormatError(
+                f"{path}: header must be {chr(9).join(EXTERNAL_HEADER)!r}, got {header!r}"
+            )
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            row = external_row(line)
+            if isinstance(row, str):
+                raise FormatError(f"{path}:{lineno}: {row}")
+            doc_id, token_idx, token, surp, freq = row
+            if (doc_id, token_idx) in rows:
+                raise FormatError(
+                    f"{path}:{lineno}: duplicate key ({doc_id!r}, {token_idx})"
+                )
+            if doc_id in last_idx and token_idx <= last_idx[doc_id]:
+                raise FormatError(
+                    f"{path}:{lineno}: token_idx must increase within {doc_id!r}"
+                )
+            last_idx[doc_id] = token_idx
+            rows[doc_id, token_idx] = (token, surp, freq)
+    if not rows:
+        raise FormatError(f"{path}: no predictor rows found")
+    return rows
 
 
 def choice_sample_string(lm, rng):

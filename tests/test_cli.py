@@ -157,6 +157,24 @@ class TestAnalyze:
         ] == len(lines) - 2
         assert "1 unread by all, 1 malformed" in out
 
+    def test_note_names_the_first_skipped_rows(self, gen_dir, tmp_path, capsys):
+        lines = (gen_dir / "corpus.tsv").read_text().splitlines()
+        bad = [f"p00\tx\t0\t{i}\ta\t200.0\t2" for i in range(6)]
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("\n".join(lines + bad) + "\n")
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"), "--folds", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        shown = "; ".join(
+            f"line {len(lines) + 1 + i}: skipped must be 0 or 1, got '2'" for i in range(5)
+        )
+        assert f"note: 6 malformed corpus rows skipped: {shown}\n" in err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["n_malformed_rows"] == 6
+
     def test_smooth_on_discrete_predictors(self, gen_dir, tmp_path, capsys):
         # the mixture's frequency and length take 3 values each, fewer
         # than the 6 default knots: each term gets one knot per distinct

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_m1, make_m2_partial, random_lm
 from ctxpred.corpus import (
+    CORPUS_HEADER,
     TokenTable,
     aggregate_participants,
     generate_synthetic,
@@ -141,6 +142,15 @@ class TestParsing:
         rows, malformed = parse_corpus(path)
         assert len(malformed) == 1
 
+
+    def test_index_beyond_int64_is_malformed(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        lines = ["p0\td0\t0\t%d\ta\t200.0\t0" % i for i in range(30)]
+        lines.append(f"p0\td0\t0\t{2 ** 63}\ta\t200.0\t0")
+        path.write_text("\t".join(CORPUS_HEADER) + "\n" + "\n".join(lines) + "\n")
+        rows, malformed = parse_corpus(path)
+        assert malformed == [(32, "index out of range")]
+        assert len(rows) == 30
 
     def test_skipped_row_may_carry_no_reading_time(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -558,6 +568,15 @@ class TestTableExternal:
         assert "sat" in str(err.value)
         assert err.value.missing == [("d0", 1, "sat")]
 
+    def test_rows_of_other_documents_are_ignored(self, tmp_path):
+        path = self.write(
+            tmp_path, "d9\t0\tcat\t9.0\t9.0\nd0\t0\tcat\t2.5\t3.0\nd0\t1\tsat\t1.5\t2.0\n"
+        )
+        toks = tokens(("d0", 0, "cat", 0, 180.0), ("d0", 1, "sat", 0, 190.0))
+        recs = build_predictor_table(toks, parse_external_tsv(path))
+        assert recs["surprisal"].tolist() == [2.5, 1.5]
+        assert recs["frequency"].tolist() == [3.0, 2.0]
+
     def test_token_mismatch_is_missing(self, tmp_path):
         path = self.write(tmp_path, "d0\t0\tdog\t2.5\t3.0\n")
         ext = parse_external_tsv(path)
@@ -569,10 +588,12 @@ class TestTableExternal:
             parse_external_tsv(self.write(tmp_path, "d0\t0\tcat\t2.5\n"))
         with pytest.raises(FormatError):
             parse_external_tsv(self.write(tmp_path, "d0\t0\tcat\t-1.0\t3.0\n"))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="must increase"):
             parse_external_tsv(
                 self.write(tmp_path, "d0\t1\tcat\t1.0\t3.0\nd0\t0\tsat\t1.0\t2.0\n")
             )
+        with pytest.raises(FormatError, match=":2: token_idx out of range"):
+            parse_external_tsv(self.write(tmp_path, f"d0\t{2 ** 63}\tcat\t1.0\t3.0\n"))
         with pytest.raises(FormatError):
             parse_external_tsv(
                 self.write(tmp_path, "d0\t0\tcat\t1.0\t3.0\nd0\t0\tcat\t1.0\t2.0\n")

@@ -1,0 +1,292 @@
+"""The bulk TSV reader against the per-line rules it defers to.
+
+``corpus.read_tsv`` converts whole columns at once and sends only the
+lines it cannot vouch for through the line functions (``corpus_row``,
+``predictors.external_row``).  These tests hold it to the plain loop
+over the file's lines (``oracles.reference_read``) on corpora and
+predictor tables with injected defects: the same table, code order,
+line numbers and malformed list, or the same exception.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxpred.corpus import (
+    CORPUS_HEADER,
+    FIELD_KINDS,
+    corpus_row,
+    generate_synthetic,
+    parse_corpus,
+    read_tsv,
+    write_corpus_tsv,
+)
+from ctxpred.lm import load_lm_tsv
+from ctxpred.predictors import (
+    EXTERNAL_HEADER,
+    external_row,
+    parse_external_tsv,
+    write_external_tsv,
+)
+from oracles import reference_external, reference_read
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# odd forms of each kind of field (FIELD_KINDS); the long label is
+# longer than the bulk reader converts
+ODD = {
+    "label": [
+        "", "été", "a\x1cb", "x\x85", "a b", "\u2028", "a\x00", "\x00", "w" * 260,
+    ],
+    "index": [
+        "+5", " 5", "5 ", "٣", "1_000", "-1", "", "abc", "007", "-0",
+        "1234567890123456789", "999999999999999999", "9999999999999999999",
+    ],
+    "value": [
+        "NA", "", "nan", "inf", "-inf", "1e3", "1E+3", "2.5e-3", "-0.0", "0", " 5.0",
+        "5.", ".5", "1_000.5", "+5", "1e400", "-5.0", "5e", "1.2.3", "1e+", "٣",
+        "0.1e1.5", "12e-", "1.5E5", "5+3", "1e-400", "00.50",
+    ],
+    "flag": ["2", "", " 1", "01", "True", "-0"],
+}
+# a short string of these characters stands in for an odd field, too
+ODD_CHARS = {"index": "0123456789+-_ ", "value": "0123456789.eE+-"}
+# labels of up to 8 bytes, and longer ones, are coded in different ways
+PLAIN = {
+    "label": st.sampled_from(["p0", "p1", "d0", "a", "bb", "ccc", "d00000001", "éléments"]),
+    "index": st.integers(0, 40).map(str),
+    "value": st.floats(0.0, 1e6, allow_nan=False).map(repr),
+    "flag": st.sampled_from(["0", "1"]),
+}
+
+
+def odd(kind):
+    forms = st.sampled_from(ODD[kind])
+    if kind in ODD_CHARS:
+        forms = st.one_of(forms, st.text(alphabet=ODD_CHARS[kind], min_size=1, max_size=6))
+    return forms
+
+
+@st.composite
+def fields(draw, header):
+    """One row's fields: all plain, or (half the time) one of them odd."""
+    kinds = [FIELD_KINDS[name] for name in header]
+    row = [draw(PLAIN[kind]) for kind in kinds]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(row) - 1))
+        row[j] = draw(odd(kinds[j]))
+    return row
+
+
+@st.composite
+def tsv_file(draw, header):
+    """A TSV file as bytes: rows of ``fields`` with injected defects in
+    line structure, field counts and encoding."""
+    lines = []
+    for row in draw(st.lists(fields(header), max_size=25)):
+        shape = draw(st.sampled_from(["keep"] * 8 + ["drop", "extra", "blank", "nul"]))
+        if shape == "drop":
+            row.pop()
+        elif shape == "extra":
+            row.append("x")
+        elif shape == "blank":
+            lines.append("")
+        elif shape == "nul":
+            row[0] += "\x00"
+        lines.append("\t".join(row))
+    head = "\t".join(header)
+    if draw(st.integers(0, 3)) == 0:
+        head = "\ufeff" + head
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = ending.join([head, *lines])
+    if draw(st.booleans()):
+        text += ending
+    data = text.encode("utf-8")
+    if lines and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(len(head), len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"])) + data[at:]
+    return data
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except UnicodeDecodeError as exc:
+        # text-mode reading gives the position within the chunk it was
+        # decoding, so only the reason is compared
+        return "raised", (type(exc), exc.reason)
+    except Exception as exc:  # the same class and message
+        return "raised", (type(exc), str(exc))
+
+
+def assert_same_table(got, want):
+    assert list(got.columns) == list(want.columns)
+    assert got.doc_ids == want.doc_ids
+    assert got.types == want.types
+    assert got.participants == want.participants
+    for name in want.columns:
+        a, b = got[name], want[name]
+        assert a.dtype == b.dtype, name
+        if a.dtype.kind == "f":  # the bits, so -0.0 and NaN count
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), name
+
+
+def counting(parse_line):
+    """``parse_line`` that counts its calls in ``.calls``."""
+
+    def wrapped(line):
+        wrapped.calls += 1
+        return parse_line(line)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+class TestAgainstLineRules:
+    @settings(max_examples=300, deadline=None)
+    @given(data=tsv_file(CORPUS_HEADER))
+    def test_corpus(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("c") / "corpus.tsv"
+        path.write_bytes(data)
+        got = outcome(lambda p: read_tsv(p, CORPUS_HEADER, corpus_row), path)
+        want = outcome(lambda p: reference_read(p, CORPUS_HEADER, corpus_row), path)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got[1] == want[1]
+            return
+        (table, lines, malformed), (ref, ref_lines, ref_malformed) = got[1], want[1]
+        assert malformed == ref_malformed
+        assert lines.tolist() == ref_lines.tolist()
+        assert_same_table(table, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=tsv_file(EXTERNAL_HEADER))
+    def test_external(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("e") / "pred.tsv"
+        path.write_bytes(data)
+        got = outcome(parse_external_tsv, path)
+        want = outcome(reference_external, path)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got[1] == want[1]
+            return
+        ext = got[1].table
+        rows = zip(
+            ext.decode("doc"),
+            ext["token_idx"].tolist(),
+            ext.decode("token"),
+            ext["surprisal"].tolist(),
+            ext["frequency"].tolist(),
+        )
+        as_dict = {(d, i): (t, s, f) for d, i, t, s, f in rows}
+        assert list(as_dict.items()) == list(want[1].items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.tuples(st.sampled_from(["d0", "d1", "d2"]), st.integers(0, 6)),
+                         min_size=1, max_size=12))
+    def test_external_key_order(self, tmp_path_factory, keys):
+        """Plain rows only: repeated and decreasing keys decide alone."""
+        path = tmp_path_factory.mktemp("e") / "pred.tsv"
+        rows = [f"{doc}\t{idx}\ta\t1.5\t2.5" for doc, idx in keys]
+        path.write_text("\n".join(["\t".join(EXTERNAL_HEADER), *rows]) + "\n")
+        got = outcome(parse_external_tsv, path)
+        want = outcome(reference_external, path)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got[1] == want[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=tsv_file(EXTERNAL_HEADER))
+    def test_external_rows(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("e") / "pred.tsv"
+        path.write_bytes(data)
+        got = outcome(lambda p: read_tsv(p, EXTERNAL_HEADER, external_row), path)
+        want = outcome(lambda p: reference_read(p, EXTERNAL_HEADER, external_row), path)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raised":
+            assert got[1] == want[1]
+            return
+        assert got[1][2] == want[1][2]
+        assert got[1][1].tolist() == want[1][1].tolist()
+        assert_same_table(got[1][0], want[1][0])
+
+
+@pytest.mark.parametrize(
+    "header, parse_line, plain",
+    [
+        (CORPUS_HEADER, corpus_row, ["p0", "d0", "0", "{i}", "a", "200.5", "0"]),
+        (EXTERNAL_HEADER, external_row, ["d0", "{i}", "a", "2.5", "3.0"]),
+    ],
+)
+def test_each_odd_field(tmp_path, header, parse_line, plain):
+    """Every listed odd form, in each column, on a row of plain ones."""
+    path = tmp_path / "t.tsv"
+    for j, name in enumerate(header):
+        for form in ODD[FIELD_KINDS[name]]:
+            rows = [[f.format(i=i) for f in plain] for i in range(4)]
+            rows[2][j] = form
+            text = "\n".join(["\t".join(header), *("\t".join(row) for row in rows)])
+            path.write_text(text + "\n", encoding="utf-8")
+            got = outcome(lambda p: read_tsv(p, header, parse_line), path)
+            want = outcome(lambda p: reference_read(p, header, parse_line), path)
+            assert got[0] == want[0] == "ok", (name, form, got, want)
+            assert got[1][2] == want[1][2], (name, form)
+            assert got[1][1].tolist() == want[1][1].tolist(), (name, form)
+            assert_same_table(got[1][0], want[1][0])
+
+
+class TestBulkPath:
+    """The line functions see only the lines the bulk pass cannot read."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gen")
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+        coeffs = {"intercept": 200.0, "surprisal": 10.0, "frequency": 6.0, "length": 2.0}
+        result = generate_synthetic(lm, coeffs, 10.0, n_docs=6, doc_len=40, seed=3,
+                                    n_participants=2)
+        write_corpus_tsv(result.observations, root / "corpus.tsv")
+        write_external_tsv(result.records, root / "pred.tsv")
+        return root
+
+    def test_generated_corpus_reads_without_the_line_rules(self, generated):
+        rule = counting(corpus_row)
+        table, _, malformed = read_tsv(generated / "corpus.tsv", CORPUS_HEADER, rule)
+        assert rule.calls == 0
+        assert malformed == [] and len(table) > 0
+
+    def test_written_predictor_file_reads_without_the_line_rules(self, generated):
+        rule = counting(external_row)
+        table, _, malformed = read_tsv(generated / "pred.tsv", EXTERNAL_HEADER, rule)
+        assert rule.calls == 0
+        assert malformed == [] and len(table) > 0
+
+    def test_crlf_corpus_reads_without_the_line_rules(self, generated, tmp_path):
+        text = (generated / "corpus.tsv").read_bytes()
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(text.replace(b"\n", b"\r\n"))
+        rule = counting(corpus_row)
+        table, _, _ = read_tsv(path, CORPUS_HEADER, rule)
+        assert rule.calls == 0
+        want, _ = parse_corpus(generated / "corpus.tsv")
+        assert_same_table(table, want)
+
+    def test_na_rows_go_through_the_line_rules(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        rows = [f"p0\td0\t0\t{i}\ta\t{200.0 + i!r}\t0" for i in range(30)]
+        rows[4] = "p0\td0\t0\t4\ta\tNA\t1"
+        rows[9] = "p0\td0\t0\t9\ta\t\t1"
+        path.write_text("\t".join(CORPUS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        rule = counting(corpus_row)
+        table, lines, malformed = read_tsv(path, CORPUS_HEADER, rule)
+        assert rule.calls == 2
+        assert malformed == []
+        assert lines.tolist() == list(range(2, 32))
+        assert np.isnan(table["rt_ms"][[4, 9]]).all()
+        assert table["skipped"].tolist() == [i in (4, 9) for i in range(30)]

@@ -339,6 +339,29 @@ class TestSharedBlocks:
         fit_smooth({"a": a}, y, k=4, blocks=blocks)
         assert blocks["a"].basis.k == 4
 
+    def test_test_rows_share_blocks_of_a_shared_basis(self):
+        rng = np.random.default_rng(22)
+        a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
+        y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
+        train = {}
+        one = fit_smooth({"a": a[:150], "b": b[:150]}, y[:150], blocks=train)
+        two = fit_smooth({"a": a[:150], "c": c[:150]}, y[:150], blocks=train)
+        test = {"a": a[150:], "b": b[150:], "c": c[150:]}
+        shared = {}
+        pred_one = one.predict(test, blocks=shared)
+        first = shared["a"]
+        pred_two = two.predict(test, blocks=shared)
+        assert shared["a"] is first and set(shared) == {"a", "b", "c"}
+        assert np.array_equal(pred_one, one.predict(test))
+        assert np.array_equal(pred_two, two.predict(test))
+        # the same name on other rows, or on a basis fitted apart: rebuilt
+        two.predict({"a": a[:50], "c": c[:50]}, blocks=shared)
+        assert shared["a"] is not first
+        apart = fit_smooth({"a": a[:150]}, y[:150])
+        again = apart.predict(test, blocks=shared)
+        assert shared["a"].basis is apart.bases[0]
+        assert np.array_equal(again, apart.predict(test))
+
 
 class TestKSpaceSearch:
     @given(seed=st.integers(min_value=0, max_value=10_000))
