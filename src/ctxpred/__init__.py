@@ -92,6 +92,7 @@ from .regression import (
 from .seeding import check_seed, named_rng
 from .smooth import (
     SmoothFit,
+    SmoothTerm,
     SplineBasis,
     fit_smooth,
 )

@@ -510,7 +510,10 @@ def cmd_report(cfg: RunConfig) -> int:
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no report.json in {out}; run analyze first")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{report_path} is not valid JSON: {exc}") from None
     plot_rows: list[list] = []
     print(f"analysis of {report['n_rows']} rows, {report['folds']} folds")
     for model in report["models"]:
@@ -584,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[cfg.command][0](cfg)
-    except (ConfigError, FormatError, OSError) as exc:
+    except (ConfigError, FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IdentityError as exc:

@@ -26,6 +26,7 @@ returned as a sidecar record so recovery can be checked downstream.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -394,12 +395,21 @@ def write_corpus_tsv(rows: TokenTable, path) -> None:
         rows["rt_ms"].tolist(),
         rows["skipped"].tolist(),
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(CORPUS_HEADER) + "\n")
-        fh.writelines(
-            f"{p}\t{d}\t{s}\t{i}\t{t}\t{rt!r}\t{int(k)}\n"
-            for p, d, s, i, t, rt, k in columns
-        )
+    # written under a temporary name and renamed, so a failed write
+    # leaves an earlier file at ``path`` as it was
+    path = Path(path)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\t".join(CORPUS_HEADER) + "\n")
+            fh.writelines(
+                f"{p}\t{d}\t{s}\t{i}\t{t}\t{rt!r}\t{int(k)}\n"
+                for p, d, s, i, t, rt, k in columns
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def aggregate_participants(rows: TokenTable) -> TokenTable:

@@ -52,7 +52,7 @@ from .regression import (
     lmg,
     ols_fit,
 )
-from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, fit_smooth
+from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, SmoothTerm, fit_smooth
 
 MODEL_KINDS = ("surprisal", "pmi", "ortho")
 
@@ -183,17 +183,6 @@ def _groups(
     raise ConfigError(f"unknown grouping {grouping!r}; use 'paired' or 'separate'")
 
 
-def _raw_model_columns(
-    spec: ModelSpec, raw: Mapping[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Full-sample unstandardized columns (residualized where the model
-    encoding calls for it) for the original-units pooled fit."""
-    return {
-        lab: raw[src] if anc is None else sample_orthogonalize(raw[src], raw[anc])
-        for lab, src, anc in _design_columns(spec)
-    }
-
-
 def _fit_to_raw_scale(
     fit: FitResult,
     spec: ModelSpec,
@@ -237,14 +226,15 @@ class AnalyzeResult:
 @dataclass(frozen=True)
 class _FoldContext:
     """What every fold reads: the usable rows, their raw columns and
-    response, the fold assignment, and the model and smoothing options."""
+    response, the fold assignment, the models and their LMG groups, and
+    the smoothing options."""
 
     rows: TokenTable
     raw: Mapping[str, np.ndarray]
     y: np.ndarray
     assignment: FoldAssignment
     specs: tuple[ModelSpec, ...]
-    lmg_grouping: str
+    groups: tuple[dict[str, list[str]], ...]
     smooth: bool
     smooth_k: int
     lambda_grid: Sequence[float]
@@ -271,12 +261,11 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
     std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
     std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
     y_tr, y_te = y[tr], y[te]
-    # this fold's smooth-term blocks on its training and test rows,
-    # shared by the models: a label names one column within a fold
-    blocks: dict = {}
-    test_blocks: dict = {}
+    # the fold's smooth terms, shared by the models: a label names one
+    # column within a fold
+    terms: dict[str, SmoothTerm] = {}
     out = []
-    for spec in context.specs:
+    for spec, groups in zip(context.specs, context.groups):
         cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
         try:
             fit = ols_fit(DesignMatrix.build(cols_tr), y_tr)
@@ -292,7 +281,7 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
             ) from exc
         pred_te = fit.predict(DesignMatrix.build(cols_te))
         delta = delta_loglik(y_tr, fit.residual_variance, y_te, pred_te)
-        report_lmg = lmg(fit.triangle, _groups(spec, context.lmg_grouping))
+        report_lmg = lmg(fit.triangle, groups)
         entry = {
             "fold": f,
             "r2": fit.r2,
@@ -308,11 +297,14 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
         ]
         smooth_entry = None
         if context.smooth:
+            for label, x in cols_tr.items():
+                if label not in terms:
+                    terms[label] = SmoothTerm.fit(label, x, context.smooth_k)
             sfit = fit_smooth(
-                cols_tr, y_tr, k=context.smooth_k, lambda_grid=context.lambda_grid,
-                blocks=blocks,
+                {label: terms[label] for label in cols_tr}, y_tr,
+                lambda_grid=context.lambda_grid,
             )
-            pred = sfit.predict(cols_te, blocks=test_blocks)
+            pred = sfit.predict(cols_te)
             sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, pred)
             smooth_entry = {
                 "fold": f,
@@ -411,6 +403,7 @@ def analyze_tokens(
     if fold_by not in ("token", "document"):
         raise ConfigError(f"fold_by must be 'token' or 'document', got {fold_by!r}")
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
+    groups = tuple(_groups(spec, lmg_grouping) for spec in specs)
 
     rows, n_unread, n_initial = _usable_rows(aggregated, source)
     if len(rows) < folds:
@@ -426,71 +419,24 @@ def analyze_tokens(
     doc_ids = rows.decode("doc") if fold_by == "document" else None
     assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
 
-    model_entries: dict[str, dict] = {}
-    smooth_entries: dict[str, dict] = {}
-    lmg_rows: list[dict] = []
-    ortho_diag: dict[str, float] = {}
-
-    for spec in specs:
-        model_entries[spec.name] = {
-            "model": spec.name,
-            "kind": "linear",
-            "columns": [lab for lab, _, _ in spec.pairs]
-            + [_spill(lab) for lab, _, _ in spec.pairs],
-            "folds": [],
-            # the shares are appended fold by fold, the rest after the loop
-            "lmg": {
-                "groups": list(_groups(spec, lmg_grouping)),
-                "shares": None,
-                "total_r2": None,
-                "fold_shares": [],
-            },
-            "delta_llh": None,
-            "pooled_raw": None,
-        }
-        if smooth:
-            smooth_entries[spec.name] = {
-                "model": f"{spec.name}_smooth",
-                "kind": "smooth",
-                "folds": [],
-                "delta_llh": None,
-            }
-
     context = _FoldContext(
         rows=rows, raw=raw, y=y, assignment=assignment, specs=tuple(specs),
-        lmg_grouping=lmg_grouping, smooth=smooth, smooth_k=smooth_k,
-        lambda_grid=lambda_grid,
+        groups=groups, smooth=smooth, smooth_k=smooth_k, lambda_grid=lambda_grid,
     )
-    for fold_records in _run_folds(context, folds):
-        for spec, record in zip(specs, fold_records):
-            model = model_entries[spec.name]
-            model["folds"].append(record.entry)
-            model["lmg"]["fold_shares"].append([row["share"] for row in record.lmg_rows])
-            lmg_rows.extend(record.lmg_rows)
-            for lab, corr in record.anchor_corr.items():
-                key = f"{spec.name}:{lab}"
-                ortho_diag[key] = max(ortho_diag.get(key, 0.0), abs(corr))
-            if smooth:
-                smooth_entries[spec.name]["folds"].append(record.smooth_entry)
-
-    for spec in specs:
-        model = model_entries[spec.name]
-        lmg_block = model["lmg"]
-        lmg_block["shares"] = [float(v) for v in np.mean(lmg_block["fold_shares"], axis=0)]
-        lmg_block["total_r2"] = float(np.mean([e["r2"] for e in model["folds"]]))
-        model["delta_llh"] = _mean_se([e["delta_llh"] for e in model["folds"]])
-        raw_cols = _raw_model_columns(spec, raw)
-        pooled = ols_fit(DesignMatrix.build(raw_cols), y)
-        model["pooled_raw"] = {
-            "coeffs": pooled.coef_dict(),
-            "std_errors": dict(zip(pooled.labels, map(float, pooled.std_errors))),
-            "r2": pooled.r2,
-        }
-        if smooth:
-            smooth_entry = smooth_entries[spec.name]
-            smooth_entry["delta_llh"] = _mean_se(
-                [e["delta_llh"] for e in smooth_entry["folds"]]
-            )
+    fold_records = _run_folds(context, folds)
+    # each model's records, in fold order
+    model_records = list(zip(*fold_records))
+    models = [
+        _linear_entry(spec, model_groups, records, raw, y)
+        for spec, model_groups, records in zip(specs, groups, model_records)
+    ]
+    if smooth:
+        models += [_smooth_entry(spec, records) for spec, records in zip(specs, model_records)]
+    ortho_diag = {
+        f"{spec.name}:{lab}": max(abs(record.anchor_corr[lab]) for record in records)
+        for spec, records in zip(specs, model_records)
+        for lab in records[0].anchor_corr
+    }
 
     # reparameterization identities on the raw, unstandardized columns
     # (standardization would rescale away the exact coefficient algebra)
@@ -498,9 +444,6 @@ def analyze_tokens(
         y, raw["surprisal"], raw["frequency"], pmi=raw["pmi"]
     )
 
-    models = [model_entries[s.name] for s in specs]
-    if smooth:
-        models.extend(smooth_entries[s.name] for s in specs)
     report = {
         "n_rows": len(rows),
         "n_dropped_document_initial": n_initial,
@@ -516,7 +459,55 @@ def analyze_tokens(
             k: float(v) for k, v in sorted(ortho_diag.items())
         },
     }
+    lmg_rows = [row for records in fold_records for record in records for row in record.lmg_rows]
     return AnalyzeResult(report=report, lmg_rows=lmg_rows)
+
+
+def _linear_entry(
+    spec: ModelSpec, groups: Mapping[str, list[str]], records: Sequence[_ModelFold],
+    raw: Mapping[str, np.ndarray], y: np.ndarray,
+) -> dict:
+    """A linear model's report entry: its fold entries, their mean LMG
+    shares and held-out score, and a full-sample fit in original units
+    on the unstandardized columns (residualized where the encoding calls
+    for it)."""
+    folds = [record.entry for record in records]
+    fold_shares = [[row["share"] for row in record.lmg_rows] for record in records]
+    lmg_block = {
+        "groups": list(groups),
+        "shares": [float(v) for v in np.mean(fold_shares, axis=0)],
+        "total_r2": float(np.mean([e["r2"] for e in folds])),
+        "fold_shares": fold_shares,
+    }
+    delta_llh = _mean_se([e["delta_llh"] for e in folds])
+    pooled = ols_fit(DesignMatrix.build({
+        lab: raw[src] if anc is None else sample_orthogonalize(raw[src], raw[anc])
+        for lab, src, anc in _design_columns(spec)
+    }), y)
+    return {
+        "model": spec.name,
+        "kind": "linear",
+        "columns": [lab for lab, _, _ in spec.pairs] + [_spill(lab) for lab, _, _ in spec.pairs],
+        "folds": folds,
+        "lmg": lmg_block,
+        "delta_llh": delta_llh,
+        "pooled_raw": {
+            "coeffs": pooled.coef_dict(),
+            "std_errors": dict(zip(pooled.labels, map(float, pooled.std_errors))),
+            "r2": pooled.r2,
+        },
+    }
+
+
+def _smooth_entry(spec: ModelSpec, records: Sequence[_ModelFold]) -> dict:
+    """A model's smooth counterpart: its fold entries and held-out score."""
+    folds = [record.smooth_entry for record in records]
+    return {
+        "model": f"{spec.name}_smooth",
+        "kind": "smooth",
+        "folds": folds,
+        "delta_llh": _mean_se([e["delta_llh"] for e in folds]),
+    }
 
 
 def _mean_se(values: Sequence[float]) -> dict[str, float]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class SplineBasis:
     knots: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots = np.array(self.knots, dtype=float)
+        knots.flags.writeable = False
         object.__setattr__(self, "knots", knots)
         if knots.ndim != 1 or knots.size < 3:
             raise BasisError("need at least 3 knots for a cubic basis")
@@ -114,7 +115,9 @@ class SplineBasis:
                 "knots must be strictly increasing; too few distinct "
                 "predictor values for the requested basis size"
             )
-        object.__setattr__(self, "_coefficients", _cardinal_coefficients(knots))
+        coefficients = _cardinal_coefficients(knots)
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "_coefficients", coefficients)
 
     @classmethod
     def from_quantiles(cls, x: np.ndarray, k: int = DEFAULT_KNOTS) -> "SplineBasis":
@@ -210,12 +213,43 @@ class SplineBasis:
 
 
 @dataclass(frozen=True)
+class SmoothTerm:
+    """One smooth term, fitted to a training column: the basis on the
+    column's quantile knots, the training means of its basis functions
+    but the first, and the centred training block of those functions.
+    Its arrays are read-only, so fits on the same training rows can
+    share it."""
+
+    basis: SplineBasis
+    means: np.ndarray
+    centred: np.ndarray
+
+    @classmethod
+    def fit(cls, name: str, x: np.ndarray, k: int = DEFAULT_KNOTS) -> "SmoothTerm":
+        """The term of column ``x`` with a basis of size ``k`` (fewer
+        knots where quantiles coincide); ``name`` labels its errors."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise AlignmentError(f"column {name!r} must be one-dimensional")
+        if not np.all(np.isfinite(x)):
+            raise DegenerateError(f"column {name!r} contains non-finite values")
+        try:
+            basis = SplineBasis.from_quantiles(x, k)
+        except BasisError as exc:
+            raise BasisError(f"term {name!r}: {exc}") from None
+        raw = basis.design(x)[:, 1:]
+        means = raw.mean(axis=0)
+        centred = raw - means
+        means.flags.writeable = centred.flags.writeable = False
+        return cls(basis, means, centred)
+
+
+@dataclass(frozen=True)
 class SmoothFit:
     """One penalized additive fit: intercept plus per-term spline parts."""
 
     term_names: tuple[str, ...]
-    bases: tuple[SplineBasis, ...]
-    term_means: tuple[np.ndarray, ...]
+    terms: tuple[SmoothTerm, ...]
     coefficients: np.ndarray
     lambdas: tuple[float, ...]
     edf: float
@@ -226,7 +260,9 @@ class SmoothFit:
     residual_variance: float
     n_obs: int
 
-    def _design(self, columns: Mapping[str, np.ndarray], blocks: dict) -> np.ndarray:
+    def predict(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Fitted values at ``columns``, each term's block on its basis
+        and centred on its training means."""
         xs = []
         for name in self.term_names:
             if name not in columns:
@@ -237,92 +273,16 @@ class SmoothFit:
                     f"column {name!r} has {x.size} rows, expected {xs[0].size}"
                 )
             xs.append(x)
-        parts = [
-            _basis_block(name, x, basis, means, blocks).centred
-            for name, x, basis, means in zip(self.term_names, xs, self.bases, self.term_means)
-        ]
-        return np.hstack([np.ones((xs[0].size, 1)), *parts])
-
-    def predict(
-        self, columns: Mapping[str, np.ndarray], blocks: dict[str, TermBlock] | None = None
-    ) -> np.ndarray:
-        """Fitted values at ``columns``.  ``blocks`` lets fits that share
-        a term's basis (those given one ``blocks`` in ``fit_smooth``)
-        share its centred design on the same rows too."""
-        return self._design(columns, {} if blocks is None else blocks) @ self.coefficients
+        blocks = [term.basis.design(x)[:, 1:] - term.means for x, term in zip(xs, self.terms)]
+        return np.hstack([np.ones((xs[0].size, 1)), *blocks]) @ self.coefficients
 
     def term_summary(self) -> list[dict]:
         return [
-            {"term": name, "k": basis.k, "lambda": lam, "edf": edf}
-            for name, basis, lam, edf in zip(
-                self.term_names, self.bases, self.lambdas, self.term_edf
+            {"term": name, "k": term.basis.k, "lambda": lam, "edf": edf}
+            for name, term, lam, edf in zip(
+                self.term_names, self.terms, self.lambdas, self.term_edf
             )
         ]
-
-
-class TermBlock(NamedTuple):
-    """One term's block on some rows, built from the column ``values``:
-    the basis of size ``k`` (on the quantile knots of the training
-    column), and its design without the first basis function, centred
-    on the training column's ``means``."""
-
-    values: np.ndarray
-    k: int
-    basis: SplineBasis
-    centred: np.ndarray
-    means: np.ndarray
-
-
-def _term_block(name: str, x: np.ndarray, k: int, blocks: dict) -> TermBlock:
-    """The block ``blocks`` holds under ``name``, if it was built from
-    the same values and basis size; else a new one, stored there."""
-    block = blocks.get(name)
-    if block is None or block.k != k or not np.array_equal(block.values, x):
-        try:
-            basis = SplineBasis.from_quantiles(x, k)
-        except BasisError as exc:
-            raise BasisError(f"term {name!r}: {exc}") from None
-        raw = basis.design(x)[:, 1:]
-        means = raw.mean(axis=0)
-        block = blocks[name] = TermBlock(x, k, basis, raw - means, means)
-    return block
-
-
-def _basis_block(
-    name: str, x: np.ndarray, basis: SplineBasis, means: np.ndarray, blocks: dict
-) -> TermBlock:
-    """The block of ``x`` on a fitted term's ``basis`` and training
-    ``means``: the one ``blocks`` holds under ``name`` if it was built
-    from the same values, basis and means, else a new one, stored there."""
-    block = blocks.get(name)
-    if (
-        block is None
-        or block.basis is not basis
-        or block.means is not means
-        or not np.array_equal(block.values, x)
-    ):
-        centred = basis.design(x)[:, 1:] - means
-        block = blocks[name] = TermBlock(x, basis.k, basis, centred, means)
-    return block
-
-
-def _validate_columns(
-    columns: Mapping[str, np.ndarray], y: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    if not columns:
-        raise ConfigError("need at least one smooth term")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or not np.all(np.isfinite(y)):
-        raise DegenerateError("response must be a finite one-dimensional array")
-    clean = {}
-    for name, values in columns.items():
-        x = np.asarray(values, dtype=float)
-        if x.shape != y.shape:
-            raise AlignmentError(f"column {name!r} has {x.size} rows, response has {y.size}")
-        if not np.all(np.isfinite(x)):
-            raise DegenerateError(f"column {name!r} contains non-finite values")
-        clean[name] = x
-    return clean, y
 
 
 def check_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
@@ -347,7 +307,7 @@ class _PenalizedProblem:
     selected lambdas.
     """
 
-    def __init__(self, columns, y, k, blocks):
+    def __init__(self, terms: Sequence[SmoothTerm], y: np.ndarray):
         # imported here, so that commands without smooth terms skip it.
         # These are the LAPACK routines behind scipy's cho_factor and
         # cho_solve; called directly they skip the per-call wrapper work
@@ -357,16 +317,12 @@ class _PenalizedProblem:
         from scipy.linalg import lapack
 
         self._potrf, self._potrs = lapack.dpotrf, lapack.dpotrs
-        self.names = tuple(columns)
         self.y = y
         self.n = y.size
-        terms = [_term_block(name, columns[name], k, blocks) for name in self.names]
-        self.bases = [term.basis for term in terms]
-        self.means = [term.means for term in terms]
         self.x = np.hstack([np.ones((self.n, 1)), *(term.centred for term in terms)])
-        stops = np.cumsum([1] + [b.k - 1 for b in self.bases]).tolist()
+        stops = np.cumsum([1] + [term.basis.k - 1 for term in terms]).tolist()
         self.slices = [slice(a, b) for a, b in zip(stops, stops[1:])]
-        self.penalties = [b.penalty()[1:, 1:] for b in self.bases]
+        self.penalties = [term.basis.penalty()[1:, 1:] for term in terms]
         self.xtx = self.x.T @ self.x
         centered = y - y.mean()
         self.sst = float(np.sum(centered ** 2))
@@ -446,14 +402,14 @@ class _PenalizedProblem:
 
 
 def fit_smooth(
-    columns: Mapping[str, np.ndarray],
+    terms: Mapping[str, SmoothTerm],
     y: np.ndarray,
-    k: int = DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
     max_sweeps: int = MAX_SWEEPS,
-    blocks: dict[str, TermBlock] | None = None,
 ) -> SmoothFit:
-    """Fit intercept + one penalized spline term per column.
+    """Fit intercept + one penalized spline part per named term, on the
+    training rows the terms were fitted to, whose response is ``y``;
+    fits on the same rows can share terms.
 
     Each term's lambda is chosen from ``lambda_grid`` to minimize
     GCV = n*SSE/(n - edf)^2 with edf the trace of the influence
@@ -464,17 +420,20 @@ def fit_smooth(
     The search scores candidates from k-sized quantities only; the
     selected lambdas are solved once more with the n-row residual, which
     gives ``sse`` and ``gcv``.
-    Every term gets a basis of size ``k``.
-
-    ``blocks`` lets fits on the same training rows share their terms'
-    bases and centred designs: a term reuses the block stored under its
-    name if it was built from equal values and the same basis size, and
-    blocks built here are stored in it.
     """
-    clean, y = _validate_columns(columns, y)
+    if not terms:
+        raise ConfigError("need at least one smooth term")
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not np.all(np.isfinite(y)):
+        raise DegenerateError("response must be a finite one-dimensional array")
+    for name, term in terms.items():
+        if len(term.centred) != y.size:
+            raise AlignmentError(
+                f"term {name!r} has {len(term.centred)} rows, response has {y.size}"
+            )
     grid = check_lambda_grid(lambda_grid)
-    problem = _PenalizedProblem(clean, y, k, {} if blocks is None else blocks)
-    t = len(problem.names)
+    problem = _PenalizedProblem(tuple(terms.values()), y)
+    t = len(terms)
 
     # A term's scan depends only on the other terms' lambdas.  Once every
     # term has been scanned since the last change, any further scan would
@@ -501,9 +460,8 @@ def fit_smooth(
         )
     r2 = 0.0 if problem.sst == 0.0 else 1.0 - sse / problem.sst
     return SmoothFit(
-        term_names=problem.names,
-        bases=tuple(problem.bases),
-        term_means=tuple(problem.means),
+        term_names=tuple(terms),
+        terms=tuple(terms.values()),
         coefficients=beta,
         lambdas=tuple(current),
         edf=edf,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctxpred.lm import AutoregressiveLM, EnumerationBudget, UnitAlphabet
+from ctxpred.smooth import DEFAULT_KNOTS, SmoothTerm, fit_smooth
 
 FIXTURE_SEED = 20240915
 
@@ -17,6 +18,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def smooth_fit(columns, y, k=DEFAULT_KNOTS, **options):
+    """``fit_smooth`` with a term of its own fitted to each column."""
+    terms = {name: SmoothTerm.fit(name, x, k) for name, x in columns.items()}
+    return fit_smooth(terms, y, **options)
 
 
 def make_m0() -> AutoregressiveLM:

@@ -52,9 +52,9 @@ from ctxpred.regression import (
     residualization_triplet,
 )
 from ctxpred.seeding import named_rng
-from ctxpred.smooth import SplineBasis, fit_smooth
+from ctxpred.smooth import SplineBasis
 
-from conftest import ACCEPTANCE_LINES, random_lm
+from conftest import ACCEPTANCE_LINES, random_lm, smooth_fit
 from oracles import lmg_by_orderings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -369,14 +369,14 @@ def test_ac10_smooth_regression_behaviour():
     rng = np.random.default_rng(31)
     x = rng.uniform(0.0, 10.0, size=80)
     y_lin = 3.0 - 0.8 * x
-    fit_lin = fit_smooth({"x": x}, y_lin, k=6, lambda_grid=[1e8])
+    fit_lin = smooth_fit({"x": x}, y_lin, k=6, lambda_grid=[1e8])
     linear_resid = float(np.max(np.abs(fit_lin.predict({"x": x}) - y_lin)))
 
     # (b) selection score against plain linear algebra
     xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     ys = np.array([0.3, -0.1, 0.8, 1.9, 1.7])
     lam = 2.5
-    fit = fit_smooth({"x": xs}, ys, k=3, lambda_grid=[lam])
+    fit = smooth_fit({"x": xs}, ys, k=3, lambda_grid=[lam])
     basis = SplineBasis.from_quantiles(xs, 3)
     raw = basis.design(xs)[:, 1:]
     design = np.column_stack([np.ones(5), raw - raw.mean(axis=0)])
@@ -396,7 +396,7 @@ def test_ac10_smooth_regression_behaviour():
         xv = rng.uniform(0, 1, size=400)
         yv = np.sin(2.0 * np.pi * xv) + 0.3 * rng.normal(size=400)
         tr, te = np.arange(300), np.arange(300, 400)
-        sfit = fit_smooth({"x": xv[tr]}, yv[tr])
+        sfit = smooth_fit({"x": xv[tr]}, yv[tr])
         smooth_delta = delta_loglik(
             yv[tr], sfit.residual_variance, yv[te], sfit.predict({"x": xv[te]})
         )

@@ -403,6 +403,14 @@ class TestReport:
         capsys.readouterr()
         assert code == EXIT_CONFIG
 
+    def test_corrupt_report_is_format_error(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("{")
+        code = main(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "report.json" in err
+        assert not (tmp_path / "plot_lmg.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -575,6 +583,43 @@ class TestExitCodes:
         ])
         capsys.readouterr()
         assert code == EXIT_CONFIG
+
+    def test_corpus_not_utf8(self, gen_dir, tmp_path, capsys):
+        lines = (gen_dir / "corpus.tsv").read_bytes().split(b"\n")
+        fields = lines[3].split(b"\t")
+        fields[5] = b"\xff" + fields[5]
+        lines[3] = b"\t".join(fields)
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(b"\n".join(lines))
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "0xff" in err
+
+    def test_lm_not_utf8(self, gen_dir, tmp_path, capsys):
+        lm = tmp_path / "lm.tsv"
+        lm.write_bytes(b"# model \xff\n" + Path(MIXTURE).read_bytes())
+        code = main([
+            "analyze", "--lm", str(lm), "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "0xff" in err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed=\xff\n")
+        code = main([
+            "gen", "--config", str(config), "--lm", MIXTURE, "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "0xff" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -98,6 +98,29 @@ class TestParsing:
         assert malformed == []
         assert readings(back) == rows
 
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.tsv"
+        write_corpus_tsv(observation_table([obs("p0", "d0", 0, "a", 201.5)]), path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __format__(self, spec):
+                raise OSError("no space left on device")
+
+        # enough rows to pass the write buffer before the failing one
+        table = observation_table([obs("p0", "d0", i, "a", 200.0) for i in range(5000)])
+        decode = TokenTable.decode
+
+        def failing_decode(self, name):
+            values = decode(self, name)
+            return values[:-1] + [Unwritable()] if name == "token" else values
+
+        monkeypatch.setattr(TokenTable, "decode", failing_decode)
+        with pytest.raises(OSError, match="no space left"):
+            write_corpus_tsv(table, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("a\tb\n1\t2\n")

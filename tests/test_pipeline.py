@@ -30,6 +30,7 @@ from ctxpred.lm import load_lm_tsv
 from ctxpred.pipeline import (
     MODEL_KINDS,
     _assemble,
+    _design_columns,
     _needed_sources,
     analyze_observations,
     analyze_tokens,
@@ -48,7 +49,9 @@ from ctxpred.regression import (
     gaussian_loglik_rows,
     ols_fit,
 )
-from ctxpred.smooth import fit_smooth
+from ctxpred.smooth import SmoothTerm
+
+from conftest import smooth_fit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -448,8 +451,25 @@ class TestSmoothPath:
 
 
 class TestSharedSmoothBlocks:
-    """The models of a fold share its smooth-term blocks; each smooth fit
-    must equal a fit of its own on that model's fold columns."""
+    """The models of a fold share its smooth terms; each smooth fit must
+    equal a fit of its own on that model's fold columns."""
+
+    def test_one_term_per_label_per_fold(self, mixture_lm, synth, monkeypatch):
+        fit, labels = SmoothTerm.fit, []
+
+        def counted(cls, name, x, k):
+            labels.append(name)
+            return fit(name, x, k)
+
+        monkeypatch.setattr(SmoothTerm, "fit", classmethod(counted))
+        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 1)
+        analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=4, smooth=True)
+        distinct = {
+            label for kind in MODEL_KINDS
+            for label, _, _ in _design_columns(model_spec(kind, True, None))
+        }
+        assert len(distinct) == 12 and len(labels) == 48
+        assert [set(labels[f * 12:(f + 1) * 12]) for f in range(4)] == [distinct] * 4
 
     @pytest.mark.parametrize("swap", [None, "frequency"])
     def test_fits_equal_unshared_fits(self, mixture_lm, synth, usable_rows, swap):
@@ -470,7 +490,7 @@ class TestSharedSmoothBlocks:
             std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
             for spec in specs:
                 cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
-                fit = fit_smooth(cols_tr, y[tr])
+                fit = smooth_fit(cols_tr, y[tr])
                 delta = delta_loglik(
                     y[tr], fit.residual_variance, y[te], fit.predict(cols_te)
                 )
@@ -572,7 +592,7 @@ class TestSmallTestFolds:
                     y[te], fit.predict(design_te), fit.residual_variance
                 )
                 assert models[spec.name]["folds"][f]["llh"] == float(llh.mean())
-                sfit = fit_smooth(cols_tr, y[tr])
+                sfit = smooth_fit(cols_tr, y[tr])
                 sllh = gaussian_loglik_rows(
                     y[te], sfit.predict(cols_te), sfit.residual_variance
                 )

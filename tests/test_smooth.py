@@ -16,9 +16,17 @@ from oracles import (
     natural_spline_eval,
     scipy_natural_design,
 )
-from ctxpred.errors import AlignmentError, BasisError, ConditioningError, ConfigError
+from ctxpred.errors import (
+    AlignmentError,
+    BasisError,
+    ConditioningError,
+    ConfigError,
+    DegenerateError,
+)
 from ctxpred.regression import delta_loglik, fit_columns
-from ctxpred.smooth import KNOT_MERGE_TOL, LAMBDA_GRID, SplineBasis, fit_smooth
+from ctxpred.smooth import KNOT_MERGE_TOL, LAMBDA_GRID, SmoothTerm, SplineBasis, fit_smooth
+
+from conftest import smooth_fit
 
 
 class TestBasis:
@@ -195,7 +203,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, size=80)
         y = np.sin(6 * x) + 0.2 * rng.normal(size=80)
-        fit = fit_smooth({"x": x}, y, lambda_grid=[0.0])
+        fit = smooth_fit({"x": x}, y, lambda_grid=[0.0])
         basis = SplineBasis.from_quantiles(x, 6)
         raw = basis.design(x)[:, 1:]
         design = np.column_stack([np.ones(80), raw - raw.mean(axis=0)])
@@ -207,7 +215,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, size=120)
         y = 2.0 + 3.0 * x
-        fit = fit_smooth({"x": x}, y)
+        fit = smooth_fit({"x": x}, y)
         assert np.allclose(fit.predict({"x": x}), y, atol=1e-6)
         line = fit_columns({"x": x}, y)
         assert np.allclose(
@@ -222,7 +230,7 @@ class TestFit:
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         y = np.array([0.3, -0.1, 0.8, 1.9, 1.7])
         lam = 2.5
-        fit = fit_smooth({"x": x}, y, k=3, lambda_grid=[lam])
+        fit = smooth_fit({"x": x}, y, k=3, lambda_grid=[lam])
         basis = SplineBasis.from_quantiles(x, 3)
         raw = basis.design(x)[:, 1:]
         design = np.column_stack([np.ones(5), raw - raw.mean(axis=0)])
@@ -244,7 +252,7 @@ class TestFit:
         values = rng.normal(size=5)
         # each knot appears twice with the same response so that the fit
         # interpolates (zero residual) while keeping edf < n
-        fit = fit_smooth(
+        fit = smooth_fit(
             {"x": np.repeat(knots, 2)}, np.repeat(values, 2), k=5, lambda_grid=[0.0]
         )
         xq = np.array([-1.0, 0.2, 1.5, 2.7, 3.9, 5.5])
@@ -262,7 +270,7 @@ class TestFit:
             rng = np.random.default_rng(10_000 + trial)
             x = rng.uniform(0, 1000.0, size=150)
             y = rng.normal(size=150)
-            fit = fit_smooth({"x": x}, y)
+            fit = smooth_fit({"x": x}, y)
             hits += fit.lambdas[0] == LAMBDA_GRID[-1]
         assert hits >= 90
 
@@ -270,7 +278,7 @@ class TestFit:
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=300)
         y = np.sin(8.0 * x) + 0.1 * rng.normal(size=300)
-        fit = fit_smooth({"x": x}, y, k=8)
+        fit = smooth_fit({"x": x}, y, k=8)
         assert fit.lambdas[0] < LAMBDA_GRID[-1]
         assert fit.r2 > 0.9
 
@@ -280,7 +288,7 @@ class TestFit:
         x1 = rng.uniform(-1, 1, size=n)
         x2 = rng.uniform(-1, 1, size=n)
         y = np.sin(4.0 * x1) + x2 ** 2 + 0.15 * rng.normal(size=n)
-        fit = fit_smooth({"x1": x1, "x2": x2}, y)
+        fit = smooth_fit({"x1": x1, "x2": x2}, y)
         assert len(fit.lambdas) == 2
         assert fit.r2 > 0.85
         linear = fit_columns({"x1": x1, "x2": x2}, y)
@@ -296,71 +304,59 @@ class TestFit:
         x = np.arange(20.0)
         y = np.arange(19.0)
         with pytest.raises(AlignmentError):
-            fit_smooth({"x": x}, y)
+            smooth_fit({"x": x}, y)
         with pytest.raises(ConfigError):
-            fit_smooth({"x": x}, np.arange(20.0), lambda_grid=[])
+            smooth_fit({"x": x}, np.arange(20.0), lambda_grid=[])
         with pytest.raises(ConfigError):
-            fit_smooth({"x": x}, np.arange(20.0), lambda_grid=[1.0, 0.1])
+            smooth_fit({"x": x}, np.arange(20.0), lambda_grid=[1.0, 0.1])
         for grid in ([1.0, np.inf], [np.nan], [-1.0, 1.0], [0.0, np.nan, 1.0]):
             with pytest.raises(ConfigError, match="finite and nonnegative"):
-                fit_smooth({"x": x}, np.arange(20.0), lambda_grid=grid)
+                smooth_fit({"x": x}, np.arange(20.0), lambda_grid=grid)
         with pytest.raises(ConfigError):
-            fit_smooth({}, y)
+            smooth_fit({}, y)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=200)
         y = np.sin(5 * x) + 0.2 * rng.normal(size=200)
-        a = fit_smooth({"x": x}, y)
-        b = fit_smooth({"x": x}, y)
+        a = smooth_fit({"x": x}, y)
+        b = smooth_fit({"x": x}, y)
         assert a.lambdas == b.lambdas
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
-class TestSharedBlocks:
-    def test_blocks_shared_by_name_and_values(self):
+class TestSharedTerms:
+    def test_shared_term_gives_the_fit_of_an_own_term(self):
         rng = np.random.default_rng(21)
         a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
         y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
-        blocks = {}
-        fit_smooth({"a": a, "b": b}, y, blocks=blocks)
-        first = blocks["a"]
-        cols = {"a": a, "c": c}
-        shared = fit_smooth(cols, y, blocks=blocks)
-        assert blocks["a"] is first and set(blocks) == {"a", "b", "c"}
-        own = fit_smooth(cols, y)
-        assert shared.lambdas == own.lambdas
-        assert np.array_equal(shared.coefficients, own.coefficients)
-        assert np.array_equal(shared.predict(cols), own.predict(cols))
-        # other values or another basis size under a stored name: rebuilt
-        moved = fit_smooth({"a": a + 1.0}, y, blocks=blocks)
-        assert blocks["a"] is not first
-        assert np.array_equal(moved.bases[0].knots, SplineBasis.from_quantiles(a + 1.0).knots)
-        fit_smooth({"a": a}, y, k=4, blocks=blocks)
-        assert blocks["a"].basis.k == 4
-
-    def test_test_rows_share_blocks_of_a_shared_basis(self):
-        rng = np.random.default_rng(22)
-        a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
-        y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
-        train = {}
-        one = fit_smooth({"a": a[:150], "b": b[:150]}, y[:150], blocks=train)
-        two = fit_smooth({"a": a[:150], "c": c[:150]}, y[:150], blocks=train)
+        shared = SmoothTerm.fit("a", a[:150])
         test = {"a": a[150:], "b": b[150:], "c": c[150:]}
-        shared = {}
-        pred_one = one.predict(test, blocks=shared)
-        first = shared["a"]
-        pred_two = two.predict(test, blocks=shared)
-        assert shared["a"] is first and set(shared) == {"a", "b", "c"}
-        assert np.array_equal(pred_one, one.predict(test))
-        assert np.array_equal(pred_two, two.predict(test))
-        # the same name on other rows, or on a basis fitted apart: rebuilt
-        two.predict({"a": a[:50], "c": c[:50]}, blocks=shared)
-        assert shared["a"] is not first
-        apart = fit_smooth({"a": a[:150]}, y[:150])
-        again = apart.predict(test, blocks=shared)
-        assert shared["a"].basis is apart.bases[0]
-        assert np.array_equal(again, apart.predict(test))
+        for name, x in (("b", b), ("c", c)):
+            fit = fit_smooth({"a": shared, name: SmoothTerm.fit(name, x[:150])}, y[:150])
+            own = smooth_fit({"a": a[:150], name: x[:150]}, y[:150])
+            assert fit.terms[0] is shared
+            assert fit.lambdas == own.lambdas
+            assert np.array_equal(fit.coefficients, own.coefficients)
+            assert np.array_equal(fit.predict(test), own.predict(test))
+        # the basis is the one on the column's quantile knots, of size k
+        for k in (4, 6):
+            assert np.array_equal(
+                SmoothTerm.fit("a", a + 1.0, k).basis.knots,
+                SplineBasis.from_quantiles(a + 1.0, k).knots,
+            )
+
+    def test_term_arrays_are_read_only(self):
+        term = SmoothTerm.fit("a", np.linspace(-1.0, 1.0, 50))
+        for values in (term.means, term.centred, term.basis.knots):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_term_errors_name_the_column(self):
+        with pytest.raises(BasisError, match="term 'a'"):
+            SmoothTerm.fit("a", np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0]))
+        with pytest.raises(DegenerateError, match="column 'a'"):
+            SmoothTerm.fit("a", np.array([1.0, np.nan, 2.0, 3.0, 4.0, 5.0]))
 
 
 class TestKSpaceSearch:
@@ -375,8 +371,9 @@ class TestKSpaceSearch:
         y = 300.0 + rng.normal(scale=rng.uniform(0.05, 1.0), size=n)
         for x in cols.values():
             y += np.sin(rng.uniform(0.5, 3.0) * x)
-        fit = fit_smooth(cols, y, k=int(rng.integers(3, 8)))
-        lambdas, beta = gcv_search_nrow(cols, y, fit.bases, LAMBDA_GRID)
+        fit = smooth_fit(cols, y, k=int(rng.integers(3, 8)))
+        bases = [term.basis for term in fit.terms]
+        lambdas, beta = gcv_search_nrow(cols, y, bases, LAMBDA_GRID)
         assert fit.lambdas == lambdas
         assert np.array_equal(fit.coefficients, beta)
 
@@ -384,7 +381,7 @@ class TestKSpaceSearch:
         rng = np.random.default_rng(12)
         cols = {"a": rng.uniform(0, 1, size=150), "b": rng.choice([1.0, 2.0, 5.0], size=150)}
         y = np.sin(4.0 * cols["a"]) + cols["b"] + 0.2 * rng.normal(size=150)
-        fit = fit_smooth(cols, y)
+        fit = smooth_fit(cols, y)
         resid = y - fit.predict(cols)
         assert fit.sse == float(resid @ resid)
 
@@ -426,14 +423,15 @@ class TestSearchMatchesPlainSearch:
             want = gcv_search_reference(cols, y, bases, grid, max_sweeps)
         except scipy.linalg.LinAlgError:
             with pytest.raises(ConditioningError, match="singular at lambdas"):
-                fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+                smooth_fit(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
             return
         if not (math.isfinite(want["gcv"]) and np.all(np.isfinite(want["coefficients"]))):
             with pytest.raises(ConditioningError):
-                fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+                smooth_fit(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
             return
-        fit = fit_smooth(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
-        assert [b.knots.tolist() for b in fit.bases] == [b.knots.tolist() for b in bases]
+        fit = smooth_fit(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
+        knots = [term.basis.knots.tolist() for term in fit.terms]
+        assert knots == [b.knots.tolist() for b in bases]
         assert fit.lambdas == want["lambdas"]
         assert np.array_equal(fit.coefficients, want["coefficients"])
         assert fit.gcv == want["gcv"]
@@ -454,7 +452,7 @@ class TestSearchMatchesPlainSearch:
         with pytest.raises(scipy.linalg.LinAlgError):
             gcv_search_reference(cols, y, bases, [0.0])
         with pytest.raises(ConditioningError, match=r"singular at lambdas \(0\.0, 0\.0\)"):
-            fit_smooth(cols, y, lambda_grid=[0.0])
+            smooth_fit(cols, y, lambda_grid=[0.0])
 
 
 class TestDelta:
@@ -465,7 +463,7 @@ class TestDelta:
             x = rng.uniform(0, 1, size=400)
             y = np.sin(2.0 * np.pi * x) + 0.3 * rng.normal(size=400)
             tr, te = np.arange(300), np.arange(300, 400)
-            fit = fit_smooth({"x": x[tr]}, y[tr])
+            fit = smooth_fit({"x": x[tr]}, y[tr])
             smooth_delta = delta_loglik(
                 y[tr], fit.residual_variance, y[te], fit.predict({"x": x[te]})
             )
@@ -488,7 +486,7 @@ class TestDelta:
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, size=500)
         y = np.cos(3.0 * x) + 0.2 * rng.normal(size=500)
-        fit = fit_smooth({"x": x[:400]}, y[:400])
+        fit = smooth_fit({"x": x[:400]}, y[:400])
         d = delta_loglik(y[:400], fit.residual_variance, y[400:], fit.predict({"x": x[400:]}))
         assert d.per_token > 0.5
         assert fit.n_obs == 400
