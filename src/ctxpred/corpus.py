@@ -25,6 +25,7 @@ returned as a sidecar record so recovery can be checked downstream.
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 from dataclasses import dataclass, field
@@ -173,8 +174,36 @@ def read_tsv(
     of 0 or 1.  ``parse_line`` accepts every plain row with the same
     values.
     """
+    *read, unfinished = read_tsv_lines(path, header, parse_line)
+    if unfinished is not None:
+        raise unfinished
+    return tuple(read)
+
+
+def read_tsv_lines(
+    path, header: tuple[str, ...], parse_line: Callable[[str], tuple | str]
+) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]], UnicodeDecodeError | None]:
+    """``read_tsv``, with the error of a file that ends inside a UTF-8
+    character returned last instead of raised.
+
+    Reading the text in one piece, such an error comes only when the
+    reader goes on from the last line it has whole, so the rows read
+    before it are returned with it and their own errors come first.
+    Other invalid UTF-8 raises at once, before the header is checked.
+    """
     data = Path(path).read_bytes()
-    data.decode("utf-8")  # invalid UTF-8 raises, as reading the text would
+    _, n = codecs.utf_8_decode(data, "strict", False)
+    unfinished = None
+    if n < len(data):
+        unfinished = UnicodeDecodeError(
+            "utf-8", data, n, len(data), "unexpected end of data"
+        )
+        # the whole lines before it; a last "\r" is held back, since a
+        # "\n" may follow it
+        kept = data[:n - 1] if data[:n].endswith(b"\r") else data[:n]
+        data = data[:max(kept.rfind(b"\n"), kept.rfind(b"\r")) + 1]
+        if not data:
+            raise unfinished
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     head = data.partition(b"\n")[0].decode("utf-8")
@@ -243,7 +272,7 @@ def read_tsv(
     if "participant" in labels:
         cols["participant"], participants = labels["participant"]
     table = TokenTable(cols, doc_ids, types, participants)
-    return table, row_line[order] + 2, malformed
+    return table, row_line[order] + 2, malformed, unfinished
 
 
 def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):

@@ -241,6 +241,37 @@ def test_each_odd_field(tmp_path, header, parse_line, plain):
             assert_same_table(got[1][0], want[1][0])
 
 
+EXT_HEAD = "\t".join(EXTERNAL_HEADER).encode()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a bad header is found before a character left unfinished at the end
+        b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\nd0\t1\ta\t2.5\xe2\x82",
+        # a bad line before it, too; the line it ends is never read
+        EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xc3",
+        EXT_HEAD + b"\nd0\t1\ta\t2.5\t3.0\nd0\t0\ta\t2.5\t3.0\nd0\t1\tb\xe2\x82",
+        # a last "\r" is held back: the line it ends is not read before the error
+        EXT_HEAD + b"\rd0\t0\ta\t2.5\t3.0\rd0\t0\ta\t2.5\t3.0\r\xc3",
+        EXT_HEAD + b"\r\nd0\t0\ta\t2.5\t3.0\r\nd0\t0\ta\t2.5\t3.0\r\n\xc3",
+        # an unfinished header, and invalid bytes anywhere, raise at once
+        EXT_HEAD + b"\r\xc3",
+        b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\n\xff",
+        EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xe2\x82\n",
+    ],
+    ids=["bom", "bad-line", "key-order", "cr", "crlf", "open-header", "invalid", "invalid-mid"],
+)
+def test_unfinished_character_comes_after_the_lines_before_it(tmp_path, data):
+    path = tmp_path / "pred.tsv"
+    path.write_bytes(data)
+    got = outcome(parse_external_tsv, path)
+    assert got[0] == "raised"
+    assert got == outcome(reference_external, path)
+    rows = outcome(lambda p: read_tsv(p, EXTERNAL_HEADER, external_row), path)
+    assert rows == outcome(lambda p: reference_read(p, EXTERNAL_HEADER, external_row), path)
+
+
 class TestBulkPath:
     """The line functions see only the lines the bulk pass cannot read."""
 

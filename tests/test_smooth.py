@@ -325,27 +325,52 @@ class TestFit:
         assert np.array_equal(a.coefficients, b.coefficients)
 
 
-class TestSharedTerms:
-    def test_shared_term_gives_the_fit_of_an_own_term(self):
+class TestSharedBlocks:
+    """A SmoothTerm holds its column's training block, so the fits that
+    share it (one per model, for a design column within a fold) share
+    that block and its basis."""
+
+    def test_blocks_shared_by_name_and_values(self):
         rng = np.random.default_rng(21)
         a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
         y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
-        shared = SmoothTerm.fit("a", a[:150])
-        test = {"a": a[150:], "b": b[150:], "c": c[150:]}
+        shared = SmoothTerm.fit("a", a)
         for name, x in (("b", b), ("c", c)):
-            fit = fit_smooth({"a": shared, name: SmoothTerm.fit(name, x[:150])}, y[:150])
-            own = smooth_fit({"a": a[:150], name: x[:150]}, y[:150])
+            fit = fit_smooth({"a": shared, name: SmoothTerm.fit(name, x)}, y)
+            own = smooth_fit({"a": a, name: x}, y)
             assert fit.terms[0] is shared
             assert fit.lambdas == own.lambdas
             assert np.array_equal(fit.coefficients, own.coefficients)
-            assert np.array_equal(fit.predict(test), own.predict(test))
-        # the basis is the one on the column's quantile knots, of size k
+            cols = {"a": a, name: x}
+            assert np.array_equal(fit.predict(cols), own.predict(cols))
+        # other values, or another basis size: the basis on that column's
+        # quantile knots, of that size
         for k in (4, 6):
+            moved = SmoothTerm.fit("a", a + 1.0, k)
+            assert moved.basis.k == k
             assert np.array_equal(
-                SmoothTerm.fit("a", a + 1.0, k).basis.knots,
-                SplineBasis.from_quantiles(a + 1.0, k).knots,
+                moved.basis.knots, SplineBasis.from_quantiles(a + 1.0, k).knots
             )
 
+    def test_test_rows_share_blocks_of_a_shared_basis(self):
+        rng = np.random.default_rng(22)
+        a, b, c = (rng.uniform(-2.0, 2.0, size=200) for _ in range(3))
+        y = np.sin(2.0 * a) + b + 0.3 * rng.normal(size=200)
+        shared = SmoothTerm.fit("a", a[:150])
+        one = fit_smooth({"a": shared, "b": SmoothTerm.fit("b", b[:150])}, y[:150])
+        two = fit_smooth({"a": shared, "c": SmoothTerm.fit("c", c[:150])}, y[:150])
+        assert one.terms[0].basis is two.terms[0].basis
+        test = {"a": a[150:], "b": b[150:], "c": c[150:]}
+        first = one.predict(test)
+        for fit, name, x in ((one, "b", b), (two, "c", c)):
+            own = smooth_fit({"a": a[:150], name: x[:150]}, y[:150])
+            assert np.array_equal(fit.predict(test), own.predict(test))
+        # the same term on other rows leaves nothing behind
+        two.predict({"a": a[:50], "c": c[:50]})
+        assert np.array_equal(one.predict(test), first)
+
+
+class TestSharedTerms:
     def test_term_arrays_are_read_only(self):
         term = SmoothTerm.fit("a", np.linspace(-1.0, 1.0, 50))
         for values in (term.means, term.centred, term.basis.knots):
