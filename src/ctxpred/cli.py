@@ -22,7 +22,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +30,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import generate_synthetic, malformed_examples, parse_corpus, write_corpus_tsv
+from .corpus import generate_synthetic, malformed_examples, parse_corpus, read_text
+from .corpus import write_atomic, write_corpus_tsv
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -153,9 +153,9 @@ OPTIONS = {opt.name: opt for opt in (
     Option("lm", "gen analyze oracle", str, None, "LM definition TSV"),
     Option("seed", "gen analyze oracle", lambda text: check_seed(_number(int)(text)), 0,
            "master seed"),
-    Option("n_docs", "gen", _number(int), 50, "documents to sample"),
-    Option("doc_len", "gen", _number(int), 100, "minimum tokens per document"),
-    Option("participants", "gen", _number(int), 1, "readers of every token"),
+    Option("n_docs", "gen", _number(int, 1), 50, "documents to sample"),
+    Option("doc_len", "gen", _number(int, 1), 100, "minimum tokens per document"),
+    Option("participants", "gen", _number(int, 1), 1, "readers of every token"),
     Option("noise_sd", "gen", _number(float), 10.0, "reading-time noise SD (ms)"),
     Option("coeffs", "gen", _parse_coeffs, DEFAULT_COEFFS,
            "true coefficient (repeatable; config key coef.NAME); replaces the defaults"),
@@ -187,9 +187,8 @@ class RunConfig(SimpleNamespace):
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -244,11 +243,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def atomic_write_text(path: Path, text: str) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return write_atomic(path, [text])
 
 
 def dump_json(obj) -> str:
@@ -313,13 +308,10 @@ def cmd_gen(cfg: RunConfig) -> int:
         n_participants=cfg.participants,
     )
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / "corpus.tsv"
-    write_corpus_tsv(result.observations, corpus_path)
-    sidecar_sha = atomic_write_text(out / "sidecar.json", dump_json(result.sidecar))
     outputs = {
-        "corpus.tsv": sha256_file(corpus_path),
-        "sidecar.json": sidecar_sha,
+        "corpus.tsv": write_corpus_tsv(result.observations, corpus_path),
+        "sidecar.json": atomic_write_text(out / "sidecar.json", dump_json(result.sidecar)),
     }
     write_manifest(out, cfg, {"lm": sha256_file(cfg.lm)}, outputs)
     print(
@@ -511,27 +503,35 @@ def cmd_report(cfg: RunConfig) -> int:
     if not report_path.exists():
         raise ConfigError(f"no report.json in {out}; run analyze first")
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = json.loads(read_text(report_path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{report_path} is not valid JSON: {exc}") from None
+    # built whole before it is printed: a report of another shape prints nothing
     plot_rows: list[list] = []
-    print(f"analysis of {report['n_rows']} rows, {report['folds']} folds")
-    for model in report["models"]:
-        dll = model["delta_llh"]
-        print(f"\nmodel {model['model']} ({model['kind']})")
-        print(f"  delta log-likelihood per token: {dll['mean']:.4f} (se {dll['se']:.4f})")
-        mean_r2 = float(np.mean([f["r2"] for f in model["folds"]]))
-        print(f"  mean training R2: {mean_r2:.4f}")
-        lmg_block = model.get("lmg")
-        if lmg_block:
-            shares = np.asarray(lmg_block["fold_shares"], dtype=float)
-            ses = shares.std(axis=0, ddof=1) / math.sqrt(shares.shape[0])
-            for idx, group in enumerate(lmg_block["groups"]):
-                mean_share = float(np.mean(shares[:, idx]))
-                print(f"  share {group}: {mean_share:.4f} (se {ses[idx]:.4f})")
-                plot_rows.append(
-                    [model["model"], group, repr(mean_share), repr(float(ses[idx]))]
-                )
+    try:
+        lines = [f"analysis of {report['n_rows']} rows, {report['folds']} folds"]
+        for model in report["models"]:
+            dll = model["delta_llh"]
+            mean_r2 = float(np.mean([f["r2"] for f in model["folds"]]))
+            lines += [
+                f"\nmodel {model['model']} ({model['kind']})",
+                f"  delta log-likelihood per token: {dll['mean']:.4f} (se {dll['se']:.4f})",
+                f"  mean training R2: {mean_r2:.4f}",
+            ]
+            lmg_block = model.get("lmg")
+            if lmg_block:
+                shares = np.asarray(lmg_block["fold_shares"], dtype=float)
+                ses = shares.std(axis=0, ddof=1) / math.sqrt(shares.shape[0])
+                for idx, group in enumerate(lmg_block["groups"]):
+                    mean_share = float(np.mean(shares[:, idx]))
+                    lines.append(f"  share {group}: {mean_share:.4f} (se {ses[idx]:.4f})")
+                    plot_rows.append(
+                        [model["model"], group, repr(mean_share), repr(float(ses[idx]))]
+                    )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        why = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise FormatError(f"{report_path}: not an analyze report: {why}") from None
+    print("\n".join(lines))
     header = ["model", "group", "mean_share", "se_share"]
     atomic_write_text(out / "plot_lmg.csv", csv_text(header, plot_rows))
     print(f"\nwrote {out / 'plot_lmg.csv'}")
@@ -587,7 +587,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[cfg.command][0](cfg)
-    except (ConfigError, FormatError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IdentityError as exc:

@@ -7,8 +7,8 @@ The corpus exchange format is TSV with a fixed header::
 one row per (participant, token).  Reading times stay in milliseconds
 end to end.  Every stage holds its rows in one columnar ``TokenTable``.
 ``read_tsv`` reads this file and the external predictor file in bulk,
-a column at a time; ``corpus_row`` states what a malformed corpus row
-is, and only rows the bulk pass cannot convert go through it.
+a column at a time, and ``write_tsv`` writes both by the same column
+kinds; only rows the bulk pass cannot convert go through ``corpus_row``.
 Aggregation averages reading times over the participants who did not
 skip the token.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
@@ -25,12 +25,12 @@ returned as a sidecar record so recovery can be checked downstream.
 
 from __future__ import annotations
 
-import codecs
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,7 +97,7 @@ class TokenTable:
         return self.columns[name]
 
     def take(self, rows: np.ndarray) -> "TokenTable":
-        """The table restricted to ``rows`` (indices or a boolean mask)."""
+        """The table restricted to ``rows`` (indices, a boolean mask or a slice)."""
         cols = {name: col[rows] for name, col in self.columns.items()}
         return TokenTable(cols, self.doc_ids, self.types, self.participants)
 
@@ -131,6 +131,10 @@ MAX_INDEX = int(np.iinfo(np.int64).max)
 MAX_INDEX_DIGITS = 18
 # the longest field the bulk reader converts; longer ones go line by line
 MAX_FIELD_BYTES = 255
+# rows ``write_tsv`` formats at once: its strings stay a few MB
+WRITE_CHUNK_ROWS = 8192
+# how ``write_tsv`` spells each kind of number (FIELD_KINDS)
+_FORMAT = {"index": str, "flag": "01".__getitem__, "value": lambda v: "NA" if v != v else repr(v)}
 # a value's plain spelling, digits[.digits][(e|E)[+|-]digits], as a
 # finite automaton: byte classes (digit, point, e, sign, other) and
 # each state's successor per class, 7 rejecting and 1, 3 and 6
@@ -154,17 +158,55 @@ _DECIMAL_NEXT = np.array(
 _DECIMAL_ACCEPT = (5 * 1, 5 * 3, 5 * 6)
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text, its lines ending in ``\\n`` (where text-mode
+    reading ends them: at ``\\n``, ``\\r\\n`` or ``\\r``).  The file is
+    decoded whole and strictly: invalid UTF-8 anywhere, an unfinished
+    last character included, raises a FormatError naming the file, the
+    line and the byte."""
+    # no UTF-8 sequence holds a "\r" or "\n", so lines can end first
+    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def write_atomic(path, pieces: Iterable[str]) -> str:
+    """Write the pieces to ``path`` as UTF-8, creating its directory;
+    returns the SHA-256 digest of the bytes.  They go to a temporary
+    name beside ``path``, renamed over it once all are written, so a
+    failed write leaves an earlier file as it was and no temporary one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    digest = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for piece in pieces:
+                data = piece.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
+
+
 def read_tsv(
     path, header: tuple[str, ...], parse_line: Callable[[str], tuple | str]
 ) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]]]:
     """Read a TSV file with a fixed header into a TokenTable.
 
     Returns the table of the well-formed rows in file order, their line
-    numbers, and the (line, reason) pairs of the malformed lines.  Lines
-    end as in Python's text mode (at ``\\n``, ``\\r\\n`` or ``\\r``),
-    and blank lines are skipped.  ``parse_line`` holds the rules: given
-    one line, it returns the row's values in header order, or the reason
-    the line is malformed.
+    numbers, and the (line, reason) pairs of the malformed lines.  The
+    file is decoded by ``read_text``, and blank lines are skipped.
+    ``parse_line`` holds the rules: given one line, it returns the row's
+    values in header order, or the reason the line is malformed.
 
     The file is converted a column at a time (kinds in FIELD_KINDS), and
     only the lines with a field not in its plain form go through
@@ -174,38 +216,7 @@ def read_tsv(
     of 0 or 1.  ``parse_line`` accepts every plain row with the same
     values.
     """
-    *read, unfinished = read_tsv_lines(path, header, parse_line)
-    if unfinished is not None:
-        raise unfinished
-    return tuple(read)
-
-
-def read_tsv_lines(
-    path, header: tuple[str, ...], parse_line: Callable[[str], tuple | str]
-) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]], UnicodeDecodeError | None]:
-    """``read_tsv``, with the error of a file that ends inside a UTF-8
-    character returned last instead of raised.
-
-    Reading the text in one piece, such an error comes only when the
-    reader goes on from the last line it has whole, so the rows read
-    before it are returned with it and their own errors come first.
-    Other invalid UTF-8 raises at once, before the header is checked.
-    """
-    data = Path(path).read_bytes()
-    _, n = codecs.utf_8_decode(data, "strict", False)
-    unfinished = None
-    if n < len(data):
-        unfinished = UnicodeDecodeError(
-            "utf-8", data, n, len(data), "unexpected end of data"
-        )
-        # the whole lines before it; a last "\r" is held back, since a
-        # "\n" may follow it
-        kept = data[:n - 1] if data[:n].endswith(b"\r") else data[:n]
-        data = data[:max(kept.rfind(b"\n"), kept.rfind(b"\r")) + 1]
-        if not data:
-            raise unfinished
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = read_text(path).encode("utf-8")
     head = data.partition(b"\n")[0].decode("utf-8")
     if tuple(head.split("\t")) != header:
         raise FormatError(f"{path}: header must be {chr(9).join(header)!r}, got {head!r}")
@@ -272,7 +283,7 @@ def read_tsv_lines(
     if "participant" in labels:
         cols["participant"], participants = labels["participant"]
     table = TokenTable(cols, doc_ids, types, participants)
-    return table, row_line[order] + 2, malformed, unfinished
+    return table, row_line[order] + 2, malformed
 
 
 def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
@@ -413,32 +424,29 @@ def observation_table(rows: Sequence[tuple]) -> TokenTable:
     )
 
 
-def write_corpus_tsv(rows: TokenTable, path) -> None:
-    columns = zip(
-        rows.decode("participant"),
-        rows.decode("doc"),
-        rows["sentence_id"].tolist(),
-        rows["token_idx"].tolist(),
-        rows.decode("token"),
-        # Python floats, whose repr is the shortest round-tripping form
-        rows["rt_ms"].tolist(),
-        rows["skipped"].tolist(),
-    )
-    # written under a temporary name and renamed, so a failed write
-    # leaves an earlier file at ``path`` as it was
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\t".join(CORPUS_HEADER) + "\n")
-            fh.writelines(
-                f"{p}\t{d}\t{s}\t{i}\t{t}\t{rt!r}\t{int(k)}\n"
-                for p, d, s, i, t, rt, k in columns
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def write_tsv(table: TokenTable, path, header: tuple[str, ...]) -> str:
+    """Write the table's ``header`` columns as a TSV file that ``read_tsv``
+    reads back, WRITE_CHUNK_ROWS rows at a time; returns its SHA-256.
+    Each column is written by its kind in FIELD_KINDS: a label as its
+    text, an index in decimal digits, a value in its shortest
+    round-tripping form (``repr``) and NaN as ``NA``, a flag as 0 or 1."""
+
+    def fields(part: TokenTable, name: str) -> list[str]:
+        if FIELD_KINDS[name] == "label":
+            return part.decode("doc" if name == "doc_id" else name)
+        return list(map(_FORMAT[FIELD_KINDS[name]], part[name].tolist()))
+
+    def pieces():
+        yield "\t".join(header) + "\n"
+        for start in range(0, len(table), WRITE_CHUNK_ROWS):
+            part = table.take(slice(start, start + WRITE_CHUNK_ROWS))
+            yield "\n".join(map("\t".join, zip(*(fields(part, n) for n in header)))) + "\n"
+
+    return write_atomic(path, pieces())
+
+
+def write_corpus_tsv(rows: TokenTable, path) -> str:
+    return write_tsv(rows, path, CORPUS_HEADER)
 
 
 def aggregate_participants(rows: TokenTable) -> TokenTable:

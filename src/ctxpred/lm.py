@@ -464,34 +464,34 @@ def _format_state(state: State) -> str:
 
 def load_lm_tsv(path) -> AutoregressiveLM:
     """Read a model definition file, validating schema and row sums."""
+    from .corpus import read_text
+
     rows: list[tuple[int, State, str, float]] = []
     units: list[str] = []
     seen_units = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            state_text, unit_text, prob_text = parts
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: probability {prob_text!r} is not a number"
-                ) from None
-            if not math.isfinite(prob) or not (0.0 < prob <= 1.0):
-                raise FormatError(
-                    f"{path}:{lineno}: probability must be in (0, 1], got {prob}"
-                )
-            if unit_text != EOS_MARK and unit_text not in seen_units:
-                seen_units.add(unit_text)
-                units.append(unit_text)
-            rows.append((lineno, _parse_state_field(state_text), unit_text, prob))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FormatError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+            )
+        state_text, unit_text, prob_text = parts
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: probability {prob_text!r} is not a number"
+            ) from None
+        if not math.isfinite(prob) or not (0.0 < prob <= 1.0):
+            raise FormatError(
+                f"{path}:{lineno}: probability must be in (0, 1], got {prob}"
+            )
+        if unit_text != EOS_MARK and unit_text not in seen_units:
+            seen_units.add(unit_text)
+            units.append(unit_text)
+        rows.append((lineno, _parse_state_field(state_text), unit_text, prob))
     if not rows:
         raise FormatError(f"{path}: no model rows found")
 
@@ -518,9 +518,11 @@ def load_lm_tsv(path) -> AutoregressiveLM:
 
 
 def write_lm_tsv(lm: AutoregressiveLM, path) -> None:
-    """Write a model definition file (inverse of load_lm_tsv)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for state in lm.states:
-            row = lm.cond[state]
-            for sym in sorted(row):
-                fh.write(f"{_format_state(state)}\t{sym}\t{float(row[sym])!r}\n")
+    """Write a model definition file (inverse of load_lm_tsv), atomically."""
+    from .corpus import write_atomic
+
+    write_atomic(path, (
+        f"{_format_state(state)}\t{sym}\t{float(lm.cond[state][sym])!r}\n"
+        for state in lm.states
+        for sym in sorted(lm.cond[state])
+    ))

@@ -102,10 +102,7 @@ def model_spec(kind: str, include_length: bool, swap_ortho: str | None) -> Model
     ortho model residualizes each source but its anchor as
     ``ortho_<source>``; the anchor is ``frequency``, or ``surprisal``
     when ``swap_ortho`` is ``"frequency"``."""
-    if kind not in MODEL_KINDS:
-        raise ConfigError(
-            f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}"
-        )
+    check_predictors((kind,))
     anchor = None
     if kind == "ortho":
         anchor = {None: "frequency", "frequency": "surprisal"}[check_swap_ortho(swap_ortho)]

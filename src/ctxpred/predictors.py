@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import MAX_INDEX, TokenTable, label_codes, read_tsv_lines
+from .corpus import MAX_INDEX, TokenTable, label_codes, read_tsv, write_tsv
 from .errors import CoverageError, DegenerateError, FormatError, SymbolError
 from .hilbert import MeasureTable, RandomVariableTable
 from .lm import AutoregressiveLM, UnigramLM, unigram_minimizer
@@ -82,7 +82,7 @@ def parse_external_tsv(path) -> ExternalPredictorFile:
     """Read a predictor TSV.  The first malformed line (by
     ``external_row``), or the first row whose token_idx does not
     increase within its document, rejects the file."""
-    table, lineno, malformed, unfinished = read_tsv_lines(path, EXTERNAL_HEADER, external_row)
+    table, lineno, malformed = read_tsv(path, EXTERNAL_HEADER, external_row)
     errors = malformed[:1]
     # within a document, in file order, the first row not above the one
     # before it; all rows before it increase, so it repeats a key exactly
@@ -102,24 +102,13 @@ def parse_external_tsv(path) -> ExternalPredictorFile:
         errors.append((int(lineno[order][at]), why))
     if errors:
         raise FormatError("{}:{}: {}".format(path, *min(errors)))
-    if unfinished is not None:
-        raise unfinished
     if not len(table):
         raise FormatError(f"{path}: no predictor rows found")
     return ExternalPredictorFile(table)
 
 
-def write_external_tsv(records: TokenTable, path) -> None:
-    columns = zip(
-        records.decode("doc"),
-        records["token_idx"].tolist(),
-        records.decode("token"),
-        records["surprisal"].tolist(),
-        records["frequency"].tolist(),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(EXTERNAL_HEADER) + "\n")
-        fh.writelines(f"{d}\t{i}\t{t}\t{s!r}\t{f!r}\n" for d, i, t, s, f in columns)
+def write_external_tsv(records: TokenTable, path) -> str:
+    return write_tsv(records, path, EXTERNAL_HEADER)
 
 
 # -- table construction -------------------------------------------------------

@@ -9,15 +9,18 @@ point.  The exceptions are the n-row references for the k-space kernels
 (``lstsq_rsquared`` and ``gcv_search_nrow``), the plain GCV search
 (``gcv_search_reference``) and the per-row token path
 (``reference_aggregate``, ``reference_score``, ``choice_sample_string``),
-and the per-line TSV readers (``reference_read``, ``reference_external``):
+and the per-line TSV readers (``reference_read``, ``reference_external``,
+which decode the whole file before they read a line):
 they are the direct computations the fast forms replace, kept so that
 the fast forms can be held to them.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -169,6 +172,24 @@ def reference_score(tokens, lm):
 # -- the per-line TSV readers ----------------------------------------------
 
 
+def reference_text_file(path):
+    """The file as a text-mode file object, once the whole of it decodes
+    as UTF-8; else the FormatError naming the file, the line (as text-mode
+    reading counts lines) and the first byte that does not decode."""
+    from ctxpred.errors import FormatError
+
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.TextIOWrapper(io.BytesIO(data[:exc.start]), encoding="utf-8").read()
+        raise FormatError(
+            f"{path}:{before.count(chr(10)) + 1}: not UTF-8: "
+            f"byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def reference_read(path, header, parse_line):
     """``corpus.read_tsv`` as a loop over the lines of the text file,
     every line through ``parse_line``: (table, line numbers, malformed)."""
@@ -176,7 +197,7 @@ def reference_read(path, header, parse_line):
     from ctxpred.errors import FormatError
 
     rows, lines, malformed = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reference_text_file(path) as fh:
         head = fh.readline().rstrip("\n")
         if tuple(head.split("\t")) != header:
             raise FormatError(
@@ -209,7 +230,7 @@ def reference_external(path):
     from ctxpred.predictors import EXTERNAL_HEADER, external_row
 
     rows, last_idx = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with reference_text_file(path) as fh:
         header = fh.readline().rstrip("\n")
         if tuple(header.split("\t")) != EXTERNAL_HEADER:
             raise FormatError(

@@ -411,6 +411,27 @@ class TestReport:
         assert "report.json" in err
         assert not (tmp_path / "plot_lmg.csv").exists()
 
+    @pytest.mark.parametrize("report,key", [
+        ({}, "n_rows"),
+        ({"n_rows": 5, "folds": 2}, "models"),
+        ({"n_rows": 5, "folds": 2, "models": [{"model": "m", "kind": "k"}]}, "delta_llh"),
+    ])
+    def test_report_without_its_keys_is_format_error(self, tmp_path, capsys, report, key):
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        code = main(["report", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / 'report.json'}: not an analyze report: no key {key!r}" in err
+        assert out == ""
+        assert not (tmp_path / "plot_lmg.csv").exists()
+
+    def test_report_of_another_shape_is_format_error(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("[1, 2]")
+        code = main(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "report.json: not an analyze report" in err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -597,7 +618,7 @@ class TestExitCodes:
         ])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "0xff" in err
+        assert f"{corpus}:4: not UTF-8: byte 0xff" in err
 
     def test_lm_not_utf8(self, gen_dir, tmp_path, capsys):
         lm = tmp_path / "lm.tsv"
@@ -608,7 +629,7 @@ class TestExitCodes:
         ])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "0xff" in err
+        assert f"{lm}:1: not UTF-8: byte 0xff" in err
 
     def test_config_file_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -618,8 +639,31 @@ class TestExitCodes:
         ])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
-        assert "0xff" in err
+        assert f"{config}:1: not UTF-8: byte 0xff" in err
         assert not (tmp_path / "out").exists()
+
+    def test_external_file_not_utf8(self, gen_dir, tmp_path, capsys):
+        external = tmp_path / "pred.tsv"
+        external.write_bytes(
+            b"doc_id\ttoken_idx\ttoken\tsurprisal\tfrequency\n"
+            b"d0\t0\ta\t1.5\t2.5\nd0\t1\t\xff\t1.5\t2.5\n"
+        )
+        code = main([
+            "analyze", "--external", str(external), "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{external}:3: not UTF-8: byte 0xff" in err
+
+    def test_report_not_utf8(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b'{\n  "n_rows": "\xff"\n}\n')
+        code = main(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"{report}:2: not UTF-8: byte 0xff" in err
+        assert not (tmp_path / "plot_lmg.csv").exists()
 
 
 class TestConfigFile:
@@ -796,11 +840,14 @@ class TestOptionTable:
         assert f"configuration key {key!r}" in err
 
     @pytest.mark.parametrize("argv,message", [
-        (["gen", "--lm", M1, "--participants", "0"], "n_participants must be positive"),
+        (["gen", "--lm", M1, "--participants", "0"], "--participants: must be at least 1"),
         (["oracle", "--lm", M0, "--perturbations", "-1"], "--perturbations: must be at least 1"),
         (["oracle", "--lm", M0, "--perturbations", "0"], "--perturbations: must be at least 1"),
         (["analyze", "--lm", MIXTURE, "--corpus", "{corpus}", "--smooth", "--smooth-k", "2"],
          "--smooth-k: must be at least 3"),
+        # the counts are refused before the model is loaded
+        (["gen", "--lm", "missing.tsv", "--n-docs", "0"], "--n-docs: must be at least 1"),
+        (["gen", "--lm", "missing.tsv", "--doc-len", "0"], "--doc-len: must be at least 1"),
     ])
     def test_out_of_range_count(self, argv, message, gen_dir, tmp_path, capsys):
         corpus = str(gen_dir / "corpus.tsv")

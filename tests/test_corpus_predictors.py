@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_m1, make_m2_partial, random_lm
 from ctxpred.corpus import (
     CORPUS_HEADER,
+    WRITE_CHUNK_ROWS,
     TokenTable,
     aggregate_participants,
     generate_synthetic,
@@ -30,11 +31,15 @@ from ctxpred.errors import (
     FormatError,
 )
 from ctxpred.hilbert import MeasureTable
+from ctxpred.cli import atomic_write_text
 from ctxpred.lm import (
+    EOS_MARK,
     AutoregressiveLM,
     EnumerationBudget,
+    UnitAlphabet,
     load_lm_tsv,
     sample_string,
+    write_lm_tsv,
 )
 from ctxpred.predictors import (
     PREDICTOR_NAMES,
@@ -98,25 +103,15 @@ class TestParsing:
         assert malformed == []
         assert readings(back) == rows
 
-    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
         path = tmp_path / "c.tsv"
         write_corpus_tsv(observation_table([obs("p0", "d0", 0, "a", 201.5)]), path)
         before = path.read_bytes()
-
-        class Unwritable:
-            def __format__(self, spec):
-                raise OSError("no space left on device")
-
-        # enough rows to pass the write buffer before the failing one
-        table = observation_table([obs("p0", "d0", i, "a", 200.0) for i in range(5000)])
-        decode = TokenTable.decode
-
-        def failing_decode(self, name):
-            values = decode(self, name)
-            return values[:-1] + [Unwritable()] if name == "token" else values
-
-        monkeypatch.setattr(TokenTable, "decode", failing_decode)
-        with pytest.raises(OSError, match="no space left"):
+        # rows past the first chunks written, then one that cannot be
+        # encoded: a lone surrogate
+        rows = [obs("p0", "d0", i, "a", 200.0) for i in range(2 * WRITE_CHUNK_ROWS)]
+        table = observation_table(rows + [obs("p0", "d0", len(rows), "\ud800", 200.0)])
+        with pytest.raises(UnicodeEncodeError):
             write_corpus_tsv(table, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
@@ -630,6 +625,91 @@ class TestTableExternal:
         again = build_predictor_table(toks, parse_external_tsv(path))
         assert np.array_equal(recs["surprisal"], again["surprisal"])
         assert np.array_equal(recs["frequency"], again["frequency"])
+
+
+def _unit_model(units):
+    """An order-0 model over ``units``, evenly."""
+    p = 1.0 / (len(units) + 1)
+    return AutoregressiveLM(
+        alphabet=UnitAlphabet(units=tuple(units)),
+        cond={(): {**{u: p for u in units}, EOS_MARK: p}},
+    )
+
+
+def _token_table(labels):
+    n = len(labels)
+    return TokenTable.from_lists(
+        doc_id=["d0"] * n, token=labels, token_idx=np.arange(n), sentence_id=np.zeros(n, int),
+        surprisal=np.full(n, 1.5), frequency=np.full(n, 2.5),
+    )
+
+
+# each writer but the corpus one (TestParsing) with a good input and one
+# whose last item is a lone surrogate, which the UTF-8 encoder refuses
+# after the rest is written
+WRITERS = {
+    "external": (
+        write_external_tsv,
+        lambda bad: _token_table(["a"] * 3 * WRITE_CHUNK_ROWS + ["\ud800"] if bad else ["a"]),
+    ),
+    "lm": (
+        write_lm_tsv,
+        lambda bad: _unit_model([f"u{i:04d}" for i in range(2000)] + ["\ud800"] if bad else ["a"]),
+    ),
+    "text": (
+        lambda text, path: atomic_write_text(path, text),
+        lambda bad: "x" * (1 << 20) + "\ud800" if bad else "{}\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_leaves_the_earlier_file(tmp_path, writer):
+    write, make = WRITERS[writer]
+    path = tmp_path / "out"
+    write(make(False), path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write(make(True), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def _same_bits(a: TokenTable, b: TokenTable) -> bool:
+    return (
+        list(a.columns) == list(b.columns)
+        and (a.doc_ids, a.types, a.participants) == (b.doc_ids, b.types, b.participants)
+        and all(
+            a[n].dtype == b[n].dtype and a[n].tobytes() == b[n].tobytes() for n in a.columns
+        )
+    )
+
+
+class TestWrittenFilesReadBack:
+    def test_corpus_with_skips_without_times(self, tmp_path):
+        rows = [f"p{p}\td{i % 2}\t0\t{i // 2}\tab\t{200.0 + i / 7!r}\t0"
+                for p in range(2) for i in range(8)]
+        rows[3] = "p0\td1\t0\t1\tab\tNA\t1"
+        rows[12] = "p1\td0\t0\t2\tab\t\t1"
+        first = tmp_path / "first.tsv"
+        first.write_text("\t".join(CORPUS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        table, malformed = parse_corpus(first)
+        assert malformed == [] and np.isnan(table["rt_ms"]).sum() == 2
+        write_corpus_tsv(table, tmp_path / "again.tsv")
+        again, malformed = parse_corpus(tmp_path / "again.tsv")
+        assert malformed == []
+        assert _same_bits(again, table)
+
+    def test_predictor_table(self, tmp_path):
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+        result = generate_synthetic(lm, {"intercept": 200.0}, 10.0, n_docs=3, doc_len=30, seed=4)
+        write_external_tsv(result.records, tmp_path / "first.tsv")
+        table = parse_external_tsv(tmp_path / "first.tsv").table
+        for name in ("token_idx", "surprisal", "frequency"):
+            assert table[name].tobytes() == result.records[name].tobytes(), name
+        write_external_tsv(table, tmp_path / "again.tsv")
+        assert _same_bits(parse_external_tsv(tmp_path / "again.tsv").table, table)
+        assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "first.tsv").read_bytes()
 
 
 class TestExactVariables:

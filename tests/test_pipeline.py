@@ -143,7 +143,8 @@ class TestModelSpec:
         assert [p[0] for p in spec.pairs] == ["pmi", "frequency"]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        # the message of the --predictors check, the one rule for a kind
+        with pytest.raises(ConfigError, match="^unknown predictor set 'entropy'; choose from"):
             model_spec("entropy", True, None)
 
     def test_unknown_swap_target_rejected(self):

@@ -26,6 +26,7 @@ from ctxpred.corpus import (
     read_tsv,
     write_corpus_tsv,
 )
+from ctxpred.errors import FormatError
 from ctxpred.lm import load_lm_tsv
 from ctxpred.predictors import (
     EXTERNAL_HEADER,
@@ -116,10 +117,6 @@ def tsv_file(draw, header):
 def outcome(read, path):
     try:
         return "ok", read(path)
-    except UnicodeDecodeError as exc:
-        # text-mode reading gives the position within the chunk it was
-        # decoding, so only the reason is compared
-        return "raised", (type(exc), exc.reason)
     except Exception as exc:  # the same class and message
         return "raised", (type(exc), str(exc))
 
@@ -245,31 +242,41 @@ EXT_HEAD = "\t".join(EXTERNAL_HEADER).encode()
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, line, byte, reason",
     [
-        # a bad header is found before a character left unfinished at the end
-        b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\nd0\t1\ta\t2.5\xe2\x82",
-        # a bad line before it, too; the line it ends is never read
-        EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xc3",
-        EXT_HEAD + b"\nd0\t1\ta\t2.5\t3.0\nd0\t0\ta\t2.5\t3.0\nd0\t1\tb\xe2\x82",
-        # a last "\r" is held back: the line it ends is not read before the error
-        EXT_HEAD + b"\rd0\t0\ta\t2.5\t3.0\rd0\t0\ta\t2.5\t3.0\r\xc3",
-        EXT_HEAD + b"\r\nd0\t0\ta\t2.5\t3.0\r\nd0\t0\ta\t2.5\t3.0\r\n\xc3",
-        # an unfinished header, and invalid bytes anywhere, raise at once
-        EXT_HEAD + b"\r\xc3",
-        b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\n\xff",
-        EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xe2\x82\n",
+        # invalid UTF-8 is found before a bad header, a bad line or a
+        # repeated key, wherever it is; a character left unfinished at
+        # the end of the file included
+        (b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\nd0\t1\ta\t2.5\xe2\x82",
+         3, 0xe2, "unexpected end of data"),
+        (EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xc3",
+         4, 0xc3, "unexpected end of data"),
+        (EXT_HEAD + b"\nd0\t1\ta\t2.5\t3.0\nd0\t0\ta\t2.5\t3.0\nd0\t1\tb\xe2\x82",
+         4, 0xe2, "unexpected end of data"),
+        # lines end at "\r" and at "\r\n" as at "\n"
+        (EXT_HEAD + b"\rd0\t0\ta\t2.5\t3.0\rd0\t0\ta\t2.5\t3.0\r\xc3",
+         4, 0xc3, "unexpected end of data"),
+        (EXT_HEAD + b"\r\nd0\t0\ta\t2.5\t3.0\r\nd0\t0\ta\t2.5\t3.0\r\n\xc3",
+         4, 0xc3, "unexpected end of data"),
+        (EXT_HEAD + b"\r\xc3", 2, 0xc3, "unexpected end of data"),
+        (b"\xef\xbb\xbf" + EXT_HEAD + b"\nd0\t0\ta\t2.5\t3.0\n\xff",
+         3, 0xff, "invalid start byte"),
+        (EXT_HEAD + b"\nd0\t0\ta\tx\t3.0\nd0\t1\ta\t2.5\t3.0\n\xe2\x82\n",
+         4, 0xe2, "invalid continuation byte"),
     ],
     ids=["bom", "bad-line", "key-order", "cr", "crlf", "open-header", "invalid", "invalid-mid"],
 )
-def test_unfinished_character_comes_after_the_lines_before_it(tmp_path, data):
+def test_unfinished_character_comes_after_the_lines_before_it(tmp_path, data, line, byte, reason):
+    """The file is decoded whole before any line is read, so its first
+    invalid byte is the error, named by file, line and byte, even where
+    a text reader would first have met the lines before it."""
     path = tmp_path / "pred.tsv"
     path.write_bytes(data)
-    got = outcome(parse_external_tsv, path)
-    assert got[0] == "raised"
-    assert got == outcome(reference_external, path)
-    rows = outcome(lambda p: read_tsv(p, EXTERNAL_HEADER, external_row), path)
-    assert rows == outcome(lambda p: reference_read(p, EXTERNAL_HEADER, external_row), path)
+    error = (FormatError, f"{path}:{line}: not UTF-8: byte 0x{byte:02x} ({reason})")
+    assert outcome(parse_external_tsv, path) == ("raised", error)
+    assert outcome(reference_external, path) == ("raised", error)
+    for read in (read_tsv, reference_read):
+        assert outcome(lambda p: read(p, EXTERNAL_HEADER, external_row), path) == ("raised", error)
 
 
 class TestBulkPath:
