@@ -57,7 +57,6 @@ from .lm import (
     expected_length,
     forward_kl_unigram,
     load_lm_tsv,
-    prefix_mass,
     prefix_normalizer,
     sample_string,
     unigram_minimizer,

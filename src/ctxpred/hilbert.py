@@ -10,13 +10,12 @@ Every variable the package builds on that support (surprisal, frequency,
 PMI) depends on the context only through its state, so exact mode lumps
 the contexts of each state together: the support is the (state, symbol)
 cells with positive probability, weighted by the state's share of the
-truncated context mass.  The truncation runs level by level over context
-length until all but ``tail_tol`` of the context mass is covered, so
-every result comes with a certified tail bound, and lumping changes no
-value of any such variable.  Sample mode applies the same projection
-algebra to empirical vectors (one entry per corpus token) with moments
-estimated on training rows only, so held-out rows never leak into the
-fit.
+context mass.  That share is the state's expected visit count over the
+prefix normalizer, both read off the model's visit solve, so the measure
+is exact rather than truncated, and lumping changes no value of any such
+variable.  Sample mode applies the same projection algebra to empirical
+vectors (one entry per corpus token) with moments estimated on training
+rows only, so held-out rows never leak into the fit.
 
 The exact projection is always centred, so its residual is uncorrelated
 with, and orthogonal to, the anchor.  Both modes hand their first and
@@ -32,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConvergenceError, DegenerateError
-from .lm import AutoregressiveLM, EnumerationBudget, prefix_normalizer
+from .errors import AlignmentError, DegenerateError
+from .lm import AutoregressiveLM, prefix_normalizer
 
 # At or below this variance a projection direction is treated as zero.
 ZERO_NORM_TOL = 1e-24
@@ -41,17 +40,16 @@ ZERO_NORM_TOL = 1e-24
 
 @dataclass(frozen=True)
 class MeasureTable:
-    """Truncated joint context/next-symbol measure, lumped by state.
+    """Exact joint context/next-symbol measure, lumped by state.
 
-    Rows are the (state, symbol) cells of the reached states with
+    Rows are the (state, symbol) cells of the visited states with
     positive conditional probability, stored column-wise and ordered by
     state then symbol:
     ``row_state`` indexes ``source.states``, ``row_symbol`` indexes
     ``symbols`` (units followed by the end-of-string symbol),
     ``row_cond`` is the conditional probability of the symbol in that
-    state, and ``weights`` carries the joint mass of all enumerated
-    contexts in the state.  ``tail_mass`` bounds the context mass left
-    out of the enumeration.
+    state, and ``weights`` carries the joint mass of all contexts in the
+    state.
     """
 
     source: AutoregressiveLM
@@ -60,52 +58,24 @@ class MeasureTable:
     row_state: np.ndarray
     row_symbol: np.ndarray
     row_cond: np.ndarray
-    tail_mass: float
 
     @classmethod
-    def from_lm(cls, lm: AutoregressiveLM, budget: EnumerationBudget) -> "MeasureTable":
-        """Enumerate context mass by length until coverage, per state.
-
-        Total context mass equals the prefix normalizer, so coverage is
-        tracked exactly; stopping is by whole levels, and each level is
-        the previous one pushed through the unit transition matrix.
-        """
-        z = prefix_normalizer(lm)
-        level = np.zeros(len(lm.states))
-        level[lm.index[()]] = 1.0
-        state_mass = level.copy()
-        covered = 1.0 / z
-        depth = 0
-        while covered < 1.0 - budget.tail_tol:
-            if depth >= budget.max_len:
-                raise ConvergenceError(
-                    f"context mass {1.0 - covered:.3g} remains beyond length "
-                    f"{budget.max_len}; tail_tol {budget.tail_tol:.3g} not met",
-                    remaining=1.0 - covered,
-                )
-            level = lm.trans.T @ level
-            if not np.any(level):
-                # no continuations anywhere; remaining mass is exactly zero
-                break
-            state_mass += level
-            covered += float(np.sum(level)) / z
-            depth += 1
-
-        # conditional probability of every symbol in every reached state
+    def from_lm(cls, lm: AutoregressiveLM) -> "MeasureTable":
+        """The mass of a state's contexts is its expected visit count over
+        the prefix normalizer, both from the model's one visit solve."""
+        visits = lm.visits
         conds = np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
-        keep = (conds > 0.0) & (state_mass > 0.0)[:, None]
+        keep = (conds > 0.0) & (visits > 0.0)[:, None]
         row_state, row_symbol = np.nonzero(keep)
         row_cond = conds[row_state, row_symbol]
-        weights = (state_mass[row_state] / z) * row_cond
-
+        weights = (visits[row_state] / prefix_normalizer(lm)) * row_cond
         return cls(
             source=lm,
-            symbols=lm.alphabet.units + (lm.alphabet.eos,),
+            symbols=lm.alphabet.symbols,
             weights=weights,
             row_state=row_state,
             row_symbol=row_symbol,
             row_cond=row_cond,
-            tail_mass=float(max(1.0 - covered, 0.0)),
         )
 
     @property
@@ -119,7 +89,7 @@ class MeasureTable:
 
 @dataclass(frozen=True)
 class RandomVariableTable:
-    """A real variable on the enumerated support of one measure."""
+    """A real variable on the support of one measure."""
 
     measure: MeasureTable
     values: np.ndarray
@@ -187,7 +157,7 @@ def inner_product(x: RandomVariableTable, y: RandomVariableTable) -> float:
 
 
 def mean(x: RandomVariableTable) -> float:
-    """Expectation under the (truncated, hence renormalized) measure."""
+    """Expectation under the measure, renormalized by its total weight."""
     w = x.measure.weights
     return float(np.sum(w * x.values) / np.sum(w))
 

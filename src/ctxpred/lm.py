@@ -11,9 +11,9 @@ by small linear solves over the finite state space.
 A model indexes its chain once, at construction: the sorted states, the
 transition, emission and end-of-string tables, and the successor of
 every (state, unit) cell.  Sampling, corpus scoring and the truncated
-enumerations read those tables, and the expected visit counts behind the
-normalizer and the unigram minimizer are solved once per model, on
-first use.
+enumeration read those tables, and the expected visit counts behind the
+normalizer, the unigram minimizer and the exact context measure are
+solved once per model, on first use.
 
 Conventions:
   * contexts and strings are tuples of unit strings; the empty tuple is
@@ -67,7 +67,7 @@ SPECTRAL_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Horizon and certified tail bound for truncated enumerations."""
+    """Horizon and certified tail bound for the truncated enumeration."""
 
     max_len: int = 256
     tail_tol: float = 1e-9
@@ -278,44 +278,6 @@ def conditional(lm: AutoregressiveLM, context: Iterable[str], symbol: str) -> fl
     return lm.cond[state].get(symbol, 0.0)
 
 
-def prefix_mass(
-    lm: AutoregressiveLM, prefix: Iterable[str], budget: EnumerationBudget
-) -> float:
-    """Total probability of strings extending ``prefix`` (itself included).
-
-    The mass equals the product of unit conditionals along the prefix
-    because continuation mass from any state is exactly one for an
-    almost-surely terminating model.  The budget is used to certify that
-    enumeration to ``max_len`` further units would capture all but
-    ``tail_tol`` of that mass; if it cannot, a convergence error reports
-    the uncaptured bound.
-    """
-    ctx = tuple(prefix)
-    state: State = ()
-    base = 1.0
-    for u in ctx:
-        p = conditional(lm, state, u)
-        if p == 0.0:
-            return 0.0
-        base *= p
-        state = lm.next_state(state, u)
-
-    alive = np.zeros(len(lm.states))
-    alive[lm.index[state]] = 1.0
-    for _ in range(budget.max_len):
-        alive = lm.trans.T @ alive
-        if base * float(np.sum(alive)) <= budget.tail_tol:
-            break
-    remaining = base * float(np.sum(alive))
-    if remaining > budget.tail_tol:
-        raise ConvergenceError(
-            f"mass {remaining:.3g} beyond horizon {budget.max_len} exceeds "
-            f"tail_tol {budget.tail_tol:.3g}",
-            remaining=remaining,
-        )
-    return base
-
-
 def unigram_minimizer(lm: AutoregressiveLM) -> UnigramLM:
     """Best context-free approximation of the model in forward KL.
 
@@ -337,19 +299,14 @@ def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
     """log q over ``lm.alphabet.symbols``; q must be positive on each.
 
     The minimizer gives a symbol no mass when only states that the chain
-    never reaches emit it; the error then names those states.
+    never visits emit it; the error then names those states.
     """
     for sym in lm.alphabet.symbols:
         if q.prob(sym) <= 0.0:
             emitters = [s for s in lm.states if sym in lm.cond[s]]
-            reached = np.zeros(len(lm.states), dtype=bool)
-            reached[lm.index[()]] = True
-            for _ in lm.states:
-                reached |= lm.trans.T @ reached > 0.0
-            idle = [s for s in emitters if not reached[lm.index[s]]]
-            hint = ""
-            if idle and idle == emitters:
-                hint = f"; only unreachable states emit it: {idle!r}"
+            idle = [s for s in emitters if lm.visits[lm.index[s]] <= 0.0]
+            hint = (f"; only unreachable states emit it: {idle!r}"
+                    if idle and idle == emitters else "")
             raise DegenerateError(
                 f"q must be strictly positive on the alphabet; q({sym!r}) = {q.prob(sym)}{hint}"
             )
@@ -358,23 +315,31 @@ def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
 
 def truncated_string_moments(
     lm: AutoregressiveLM, budget: EnumerationBudget
-) -> tuple[float, np.ndarray]:
-    """Negative entropy and expected symbol counts of the enumerated strings.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative entropy, expected symbol counts and context mass of the
+    enumerated strings.
 
     Strings are enumerated by length in aggregate over context states:
     for each state we track the alive mass, the mass-weighted accumulated
     log probability under the model, and the mass-weighted count of each
     unit along the alive paths; at every length the terminating share of
-    each is added to the totals.  Enumeration stops once the alive mass
-    drops to ``tail_tol`` (or the horizon is hit, which raises).
+    each is added to the totals, and the mass to its state's context
+    mass.  Enumeration stops once the alive mass drops to ``tail_tol``
+    and the context mass covers all but ``tail_tol`` of the prefix
+    normalizer (or the horizon is hit, which raises): the contexts not
+    yet reached can outweigh the alive mass many times over.
 
-    Returns ``(sum p log p, counts)`` where ``counts[c]`` is the expected
-    number of occurrences of ``lm.alphabet.symbols[c]`` per string
-    (units, then one eos per string), both over the enumerated strings.
+    Returns ``(sum p log p, counts, context_mass)`` where ``counts[c]``
+    is the expected number of occurrences of ``lm.alphabet.symbols[c]``
+    per string (units, then one eos per string) and ``context_mass[i]``
+    the total prefix mass of the contexts in state ``lm.states[i]``, all
+    over the enumerated strings.  The exact context mass is ``lm.visits``,
+    so the enumeration is an independent check of the visit solve.
     """
     emit, eos_p = lm.emit, lm.eos
     n, m = emit.shape
     log_eos_p = np.where(eos_p > 0.0, np.log(np.maximum(eos_p, 1e-300)), 0.0)
+    z = prefix_normalizer(lm)
 
     # one edge per (state, unit) with positive probability
     src, unit = np.nonzero(emit)
@@ -391,14 +356,17 @@ def truncated_string_moments(
     unit_acc = np.zeros((n, m))  # sum over alive paths of p(path) * count(unit)
     neg_entropy = 0.0
     counts = np.zeros(m + 1)
+    context_mass = np.zeros(n)
     for _ in range(budget.max_len + 1):
         # terminate at this length
         neg_entropy += float(np.sum(eos_p * (logp_acc + mass * log_eos_p)))
         counts[:m] += eos_p @ unit_acc
         counts[m] += float(eos_p @ mass)
+        context_mass += mass
         alive = float(np.sum(mass * (1.0 - eos_p)))
-        if alive <= budget.tail_tol:
-            return neg_entropy, counts
+        uncovered = 1.0 - float(np.sum(context_mass)) / z
+        if alive <= budget.tail_tol and uncovered <= budget.tail_tol:
+            return neg_entropy, counts, context_mass
         flow = mass[src] * w
         # paths carry their unit counts along an edge and gain its unit
         moved = w[:, None] * unit_acc[src]
@@ -406,11 +374,10 @@ def truncated_string_moments(
         logp_acc = np.bincount(tgt, weights=w * logp_acc[src] + flow * log_w, minlength=n)
         unit_acc = np.bincount(cells, weights=moved.ravel(), minlength=n * m).reshape(n, m)
         mass = np.bincount(tgt, weights=flow, minlength=n)
-    remaining = float(np.sum(mass))
     raise ConvergenceError(
-        f"alive mass {remaining:.3g} after {budget.max_len} units exceeds "
-        f"tail_tol {budget.tail_tol:.3g}",
-        remaining=remaining,
+        f"alive mass {alive:.3g} and context mass {uncovered:.3g} remain after "
+        f"{budget.max_len} units; tail_tol {budget.tail_tol:.3g} not met",
+        remaining=max(alive, uncovered),
     )
 
 
@@ -425,7 +392,7 @@ def forward_kl_unigram(
     symbol counts from ``truncated_string_moments``.
     """
     log_q = unigram_log_probs(lm, q)
-    neg_entropy, counts = truncated_string_moments(lm, budget)
+    neg_entropy, counts, _ = truncated_string_moments(lm, budget)
     return neg_entropy - float(counts @ log_q)
 
 

@@ -39,6 +39,7 @@ from ctxpred.lm import (
     forward_kl_unigram,
     load_lm_tsv,
     prefix_normalizer,
+    truncated_string_moments,
     unigram_minimizer,
 )
 from ctxpred.predictors import frequency_variable, surprisal_variable
@@ -122,7 +123,8 @@ def test_ac02_context_mass_coverage(m0, m1):
     ok = True
     details = []
     for name, lm in (("m0", m0), ("m1", m1)):
-        total = MeasureTable.from_lm(lm, BUDGET).total_weight
+        _, _, enumerated = truncated_string_moments(lm, BUDGET)
+        total = float(np.sum(enumerated)) / prefix_normalizer(lm)
         ok &= (1.0 - 1e-6) <= total <= 1.0
         details.append(f"{name}: 1-{1.0 - total:.1e}")
     _announce(
@@ -171,7 +173,7 @@ def test_ac04_orthogonalization_exactness():
         lm = random_lm(rng, max_units=2, max_order=1, eos_floor=0.65)
         while len(lm.alphabet.units) < 2:
             lm = random_lm(rng, max_units=2, max_order=1, eos_floor=0.65)
-        table = MeasureTable.from_lm(lm, BUDGET)
+        table = MeasureTable.from_lm(lm)
         x = surprisal_variable(table)
         z = frequency_variable(table)
         resid, _ = project_complement(x, z)

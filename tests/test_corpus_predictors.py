@@ -35,7 +35,6 @@ from ctxpred.cli import atomic_write_text
 from ctxpred.lm import (
     EOS_MARK,
     AutoregressiveLM,
-    EnumerationBudget,
     UnitAlphabet,
     load_lm_tsv,
     sample_string,
@@ -714,14 +713,14 @@ class TestWrittenFilesReadBack:
 
 class TestExactVariables:
     def test_memoryless_surprisal_equals_frequency(self, m0):
-        t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        t = MeasureTable.from_lm(m0)
         s = surprisal_variable(t)
         f = frequency_variable(t)
         assert np.allclose(s.values, f.values, atol=1e-12)
         assert np.allclose(pmi_variable(t).values, 0.0, atol=1e-12)
 
     def test_pmi_identity_on_context_model(self, m1):
-        t = MeasureTable.from_lm(m1, EnumerationBudget(max_len=64, tail_tol=1e-6))
+        t = MeasureTable.from_lm(m1)
         p = pmi_variable(t)
         s = surprisal_variable(t)
         f = frequency_variable(t)

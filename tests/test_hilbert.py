@@ -20,9 +20,12 @@ from ctxpred.hilbert import (
     project_complement,
     sample_orthogonalize,
 )
-from ctxpred.lm import EnumerationBudget, unigram_minimizer
-
-BUDGET = EnumerationBudget(max_len=128, tail_tol=1e-9)
+from ctxpred.lm import (
+    EnumerationBudget,
+    prefix_normalizer,
+    truncated_string_moments,
+    unigram_minimizer,
+)
 
 
 def surprisal_var(measure: MeasureTable) -> RandomVariableTable:
@@ -43,48 +46,61 @@ def frequency_var(measure: MeasureTable, q) -> RandomVariableTable:
 
 class TestMeasureConstruction:
     def test_m0_mass_coverage(self, m0):
-        t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=128, tail_tol=1e-6))
-        assert 1.0 - 1e-6 <= t.total_weight <= 1.0
-        assert 0.0 <= t.tail_mass <= 1e-6
+        t = MeasureTable.from_lm(m0)
+        assert t.total_weight == pytest.approx(1.0, abs=1e-15)
         assert np.all(t.weights > 0.0)
 
     def test_m1_rows_match_literal_enumeration(self, m1):
-        t = MeasureTable.from_lm(m1, BUDGET)
-        # Z = 31/15 exactly for this fixture
-        table, _ = oracles.brute_context_measure(m1, 40, 31.0 / 15.0)
+        t = MeasureTable.from_lm(m1)
+        # Z = 31/15 exactly for this fixture; contexts of one unit up to
+        # length 120 leave out less than 1e-70 of the mass
+        table, captured = oracles.brute_context_measure(m1, 120, 31.0 / 15.0)
+        assert captured == pytest.approx(1.0, abs=1e-15)
         # every (state, symbol) row must match the literal context masses
-        # of that state times the conditional (the measure stops short of
-        # length 40, leaving out 4.8e-10 of the mass), and the rows must
-        # cover all but tail_tol of the mass
+        # of that state times the conditional
         state_mass: dict[tuple, float] = {}
         for ctx, pi in table.items():
             state = m1.state_of(ctx)
             state_mass[state] = state_mass.get(state, 0.0) + pi
         states = m1.states
-        checked = 0.0
         for s, c, w in zip(t.row_state, t.row_symbol, t.weights):
             state, sym = states[s], t.symbols[c]
             p = m1.cond[state][sym]
-            assert w == pytest.approx(state_mass[state] * p, rel=1e-9)
-            checked += w
-        assert checked >= 1.0 - BUDGET.tail_tol
+            assert w == pytest.approx(state_mass[state] * p, rel=1e-14)
+        assert t.total_weight == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_empty_model_has_single_row(self):
         from ctxpred.lm import AutoregressiveLM, UnitAlphabet
 
         lm = AutoregressiveLM(alphabet=UnitAlphabet(units=()), cond={(): {"$": 1.0}})
-        t = MeasureTable.from_lm(lm, BUDGET)
+        t = MeasureTable.from_lm(lm)
         assert t.n_rows == 1
         assert t.total_weight == pytest.approx(1.0)
 
     def test_budget_exhaustion(self, m0):
+        # the enumeration that checks the measure refuses a horizon too
+        # short for its tail bound
         with pytest.raises(ConvergenceError) as err:
-            MeasureTable.from_lm(m0, EnumerationBudget(max_len=2, tail_tol=1e-9))
+            truncated_string_moments(m0, EnumerationBudget(max_len=2, tail_tol=1e-9))
         assert err.value.remaining > 0
 
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_enumeration_checks_the_exact_measure(self, seed):
+        # the level-by-level enumeration never exceeds the visit solve in
+        # any state, and falls short of it by at most its tail in total
+        lm = random_lm(np.random.default_rng(seed), max_order=2)
+        budget = EnumerationBudget(max_len=256, tail_tol=1e-6)
+        _, _, enumerated = truncated_string_moments(lm, budget)
+        z = prefix_normalizer(lm)
+        assert np.all(enumerated <= lm.visits + 1e-12)
+        assert float(np.sum(lm.visits - enumerated)) <= budget.tail_tol * z
+        t = MeasureTable.from_lm(lm)
+        assert abs(t.total_weight - 1.0) <= 1e-15 * t.n_rows
+
     def test_row_order_is_reproducible(self, m0):
-        a = MeasureTable.from_lm(m0, EnumerationBudget(max_len=64, tail_tol=1e-4))
-        b = MeasureTable.from_lm(m0, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        a = MeasureTable.from_lm(m0)
+        b = MeasureTable.from_lm(m0)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.row_symbol, b.row_symbol)
 
@@ -97,12 +113,12 @@ class TestInnerProduct:
             0.3 * np.log(0.3) ** 2 + 0.2 * np.log(0.2) ** 2 + 0.5 * np.log(0.5) ** 2
         )
         assert expected == pytest.approx(1.1931497, abs=5e-7)
-        t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=128, tail_tol=1e-6))
+        t = MeasureTable.from_lm(m0)
         y = frequency_var(t, unigram_minimizer(m0))
         assert inner_product(y, y) == pytest.approx(expected, abs=1e-5)
 
     def test_matches_brute_enumeration_on_m1(self, m1):
-        t = MeasureTable.from_lm(m1, BUDGET)
+        t = MeasureTable.from_lm(m1)
         ii = surprisal_var(t)
         yy = frequency_var(t, unigram_minimizer(m1))
         table, _ = oracles.brute_context_measure(m1, 60, 31.0 / 15.0)
@@ -114,8 +130,8 @@ class TestInnerProduct:
         assert inner_product(ii, yy) == pytest.approx(brute, abs=1e-8)
 
     def test_alignment_required(self, m0, m1):
-        ta = MeasureTable.from_lm(m0, EnumerationBudget(max_len=64, tail_tol=1e-4))
-        tb = MeasureTable.from_lm(m1, BUDGET)
+        ta = MeasureTable.from_lm(m0)
+        tb = MeasureTable.from_lm(m1)
         with pytest.raises(AlignmentError):
             inner_product(surprisal_var(ta), surprisal_var(tb))
 
@@ -124,7 +140,7 @@ class TestInnerProduct:
     def test_bilinearity(self, seed):
         rng = np.random.default_rng(seed)
         lm = random_lm(rng, max_units=2)
-        t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        t = MeasureTable.from_lm(lm)
         x = t.weights.size
         a = RandomVariableTable(t, rng.normal(size=x), "a")
         b = RandomVariableTable(t, rng.normal(size=x), "b")
@@ -142,7 +158,7 @@ class TestExactProjection:
     def test_memoryless_surprisal_equals_frequency(self, m0):
         # with no context the surprisal and frequency variables coincide,
         # so projecting one off the other leaves the zero variable
-        t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=128, tail_tol=1e-6))
+        t = MeasureTable.from_lm(m0)
         ii = surprisal_var(t)
         yy = frequency_var(t, unigram_minimizer(m0))
         resid, coeff = project_complement(ii, yy)
@@ -154,7 +170,7 @@ class TestExactProjection:
     def test_residual_orthogonal_and_uncorrelated(self, seed):
         rng = np.random.default_rng(seed)
         lm = random_lm(rng, eos_floor=0.6)
-        t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        t = MeasureTable.from_lm(lm)
         ii = surprisal_var(t)
         yy = frequency_var(t, unigram_minimizer(lm))
         try:
@@ -174,7 +190,7 @@ class TestExactProjection:
     def test_projection_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         lm = random_lm(rng, max_units=3, eos_floor=0.6)
-        t = MeasureTable.from_lm(lm, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        t = MeasureTable.from_lm(lm)
         x = RandomVariableTable(t, rng.normal(size=t.n_rows), "x")
         z = RandomVariableTable(t, rng.normal(size=t.n_rows), "z")
         resid, _ = project_complement(x, z)
@@ -183,7 +199,7 @@ class TestExactProjection:
         assert np.allclose(again.values, resid.values, atol=1e-10)
 
     def test_zero_norm_direction_rejected(self, m0):
-        t = MeasureTable.from_lm(m0, EnumerationBudget(max_len=64, tail_tol=1e-4))
+        t = MeasureTable.from_lm(m0)
         x = RandomVariableTable(t, np.ones(t.n_rows), "x")
         zero = RandomVariableTable(t, np.zeros(t.n_rows), "zero")
         with pytest.raises(DegenerateError):
