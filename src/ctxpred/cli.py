@@ -425,7 +425,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     # it instead of aborting the others
     enumeration_error = minimizer_error = None
     try:
-        neg_entropy, enumerated_counts, enumerated_mass = truncated_string_moments(lm, budget)
+        _, _, enumerated_mass = truncated_string_moments(lm, budget)
         log_q = unigram_log_probs(lm, q)
     except ConvergenceError as exc:
         enumeration_error = minimizer_error = str(exc)
@@ -434,10 +434,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if minimizer_error:
         checks.append(_check("minimizer_optimality", None, 1e-12, False, error=minimizer_error))
     else:
-        # the KL is affine in log q, so each perturbation's margin over the
-        # minimizer is one dot product with the exact expected counts
-        counts = lm.visits @ np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
-        kl_min = neg_entropy - float(enumerated_counts @ log_q)
+        # the KL is affine in log q: the minimizer's KL and each
+        # perturbation's margin over it are dot products with the exact
+        # expected counts, and its negative entropy is the visits times
+        # each state's sum of p log p (0 where p is)
+        next_probs = np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
+        counts = lm.visits @ next_probs
+        plogp = next_probs * np.log(np.where(next_probs > 0.0, next_probs, 1.0))
+        kl_min = float(lm.visits @ plogp.sum(axis=1)) - float(counts @ log_q)
         rng = named_rng(cfg.seed, "simulations")
         logits = log_q + rng.normal(0.0, 0.25, size=(cfg.perturbations, log_q.size))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))

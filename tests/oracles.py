@@ -12,7 +12,10 @@ point.  The exceptions are the n-row references for the k-space kernels
 and the per-line TSV readers (``reference_read``, ``reference_external``,
 which decode the whole file before they read a line):
 they are the direct computations the fast forms replace, kept so that
-the fast forms can be held to them.
+the fast forms can be held to them.  The two GCV searches solve each
+candidate with ``cholesky_solve``, the smooth fit's own numpy solve
+applied to one system, so that they hold the search logic to the bit;
+``test_smooth.TestCholeskySolve`` holds that solve to scipy's.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+
+from ctxpred.smooth import _lower_inverse
 
 
 # -- literal string enumeration ------------------------------------------
@@ -346,13 +350,24 @@ def lmg_by_orderings(columns, y, groups, r2=rsquared):
     return {g: s / len(orderings) for g, s in shares.items()}
 
 
+def cholesky_solve(m, b):
+    """``m^-1 b`` for one symmetric positive definite ``m``, by the numpy
+    expression the smooth fit applies to a stack of systems: the
+    Cholesky factor L, its inverse by ``smooth._lower_inverse``, and
+    L^-T L^-1 b.  A matrix that is not positive definite raises
+    ``numpy.linalg.LinAlgError``."""
+    inverse_factor = _lower_inverse(np.linalg.cholesky(m)[None])[0]
+    return (inverse_factor.T @ inverse_factor) @ b
+
+
 def gcv_search_nrow(columns, y, bases, grid, max_sweeps=10):
     """Coordinate-descent GCV search scoring every grid point with the
     n-row residual.  Returns (lambdas, coefficients) of the final solve.
 
     ``bases`` are the fitted terms' ``SplineBasis`` objects, so the design
-    is the one the search runs on; the search itself, the Cholesky solves
-    and the residual follow the plain definition.
+    is the one the search runs on; the search itself and the residual
+    follow the plain definition, and each candidate is solved on its
+    own by ``cholesky_solve``.
     """
     n = y.size
     blocks, penalties, slices = [], [], []
@@ -365,15 +380,15 @@ def gcv_search_nrow(columns, y, bases, grid, max_sweeps=10):
         offset += basis.k - 1
     x = np.hstack([np.ones((n, 1))] + blocks)
     xtx = x.T @ x
-    xty = x.T @ y
+    rhs = np.column_stack([x.T @ y, xtx])
 
     def solve(lambdas):
         m = xtx.copy()
         for sl, pen, lam in zip(slices, penalties, lambdas):
             m[sl, sl] += lam * pen
-        factor = scipy.linalg.cho_factor(m, lower=True)
-        beta = scipy.linalg.cho_solve(factor, xty)
-        edf = float(np.trace(scipy.linalg.cho_solve(factor, xtx)))
+        sol = cholesky_solve(m, rhs)
+        beta = sol[:, 0]
+        edf = float(np.trace(sol[:, 1:]))
         resid = y - x @ beta
         denom = n - edf
         gcv = math.inf if denom <= 1e-8 else n * float(resid @ resid) / denom ** 2
@@ -398,13 +413,13 @@ def gcv_search_nrow(columns, y, bases, grid, max_sweeps=10):
 
 def gcv_search_reference(columns, y, bases, grid, max_sweeps=10):
     """The k-space coordinate-descent GCV search in its plain form: each
-    candidate adds every penalty to X'X afresh and is solved by one
-    ``cho_factor``/``cho_solve``, and the search runs full sweeps until
+    candidate adds every penalty to X'X afresh and is solved on its own
+    by ``cholesky_solve``, and the search runs full sweeps until
     a sweep changes nothing.  Returns the final fit's ``lambdas``,
     ``coefficients``, ``gcv``, ``edf`` and ``term_edf`` in a dict.
 
     ``bases`` are the terms' ``SplineBasis`` objects.  A singular
-    system raises ``scipy.linalg.LinAlgError``.
+    system raises ``numpy.linalg.LinAlgError``.
     """
     n = y.size
     blocks, penalties, slices = [], [], []
@@ -431,7 +446,7 @@ def gcv_search_reference(columns, y, bases, grid, max_sweeps=10):
         for sl, pen, lam in zip(slices, penalties, lambdas):
             if lam:
                 m[sl, sl] += lam * pen
-        sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
+        sol = cholesky_solve(m, b)
         return sol[:, 0], sol[:, 1:]
 
     def score(lambdas):

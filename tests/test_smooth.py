@@ -24,7 +24,14 @@ from ctxpred.errors import (
     DegenerateError,
 )
 from ctxpred.regression import delta_loglik, fit_columns
-from ctxpred.smooth import KNOT_MERGE_TOL, LAMBDA_GRID, SmoothTerm, SplineBasis, fit_smooth
+from ctxpred.smooth import (
+    KNOT_MERGE_TOL,
+    LAMBDA_GRID,
+    SmoothTerm,
+    SplineBasis,
+    _PenalizedProblem,
+    fit_smooth,
+)
 
 from conftest import smooth_fit
 
@@ -440,13 +447,14 @@ class TestSearchMatchesPlainSearch:
     @given(case=search_cases())
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_reference(self, case):
-        # one penalized base per scan, direct LAPACK calls and the early
-        # stop must leave every selected and reported number unchanged
+        # one penalized base per scan, one stack of systems per scan and
+        # the early stop must leave every selected and reported number
+        # unchanged
         cols, y, k, grid, max_sweeps = case
         bases = [SplineBasis.from_quantiles(x, k) for x in cols.values()]
         try:
             want = gcv_search_reference(cols, y, bases, grid, max_sweeps)
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             with pytest.raises(ConditioningError, match="singular at lambdas"):
                 smooth_fit(cols, y, k=k, lambda_grid=grid, max_sweeps=max_sweeps)
             return
@@ -474,10 +482,56 @@ class TestSearchMatchesPlainSearch:
         }
         y = 200.0 + 3.0 * types + rng.normal(size=120)
         bases = [SplineBasis.from_quantiles(x, 6) for x in cols.values()]
-        with pytest.raises(scipy.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError):
             gcv_search_reference(cols, y, bases, [0.0])
         with pytest.raises(ConditioningError, match=r"singular at lambdas \(0\.0, 0\.0\)"):
             smooth_fit(cols, y, lambda_grid=[0.0])
+
+
+@st.composite
+def positive_definite_stacks(draw):
+    """A stack of symmetric positive definite systems, each of condition
+    number at most 1e6, and a right-hand side [b | M] with M positive
+    semidefinite, shaped as the fit's [X'y | X'X]."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    k = draw(st.integers(min_value=1, max_value=40))
+    count = draw(st.integers(min_value=1, max_value=5))
+    systems = []
+    for _ in range(count):
+        rotation, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        spectrum = 10.0 ** rng.uniform(-3.0, 3.0) * np.logspace(
+            0.0, draw(st.floats(min_value=0.0, max_value=6.0)), k
+        )
+        system = (rotation * rng.permutation(spectrum)) @ rotation.T
+        systems.append((system + system.T) / 2.0)
+    rows = rng.normal(size=(k + 5, k))
+    rhs = np.column_stack([rng.normal(scale=10.0 ** rng.uniform(-2.0, 2.0), size=k), rows.T @ rows])
+    return np.array(systems), rhs
+
+
+class TestCholeskySolve:
+    @given(case=positive_definite_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_cho_solve(self, case):
+        # the stacked numpy solve against scipy's cho_factor/cho_solve on
+        # each system: coefficients b and edf tr(A^-1 M) within 1e-9
+        systems, rhs = case
+        candidates = [(float(i),) for i in range(len(systems))]
+        betas, influences = _PenalizedProblem._solve(systems, rhs, candidates)
+        for system, beta, influence in zip(systems, betas, influences):
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), rhs)
+            assert np.linalg.norm(beta - want[:, 0]) <= 1e-9 * np.linalg.norm(want[:, 0])
+            edf, want_edf = np.trace(influence), np.trace(want[:, 1:])
+            assert abs(edf - want_edf) <= 1e-9 * abs(want_edf)
+
+    def test_names_the_first_system_that_is_not_positive_definite(self):
+        good = np.eye(3)
+        bad = np.diag([1.0, -1.0, 1.0])
+        rhs = np.ones((3, 4))
+        with pytest.raises(ConditioningError, match=r"singular at lambdas \(1\.0, 2\.0\)"):
+            _PenalizedProblem._solve(
+                np.array([good, bad, bad]), rhs, [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+            )
 
 
 class TestDelta:
