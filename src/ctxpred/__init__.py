@@ -8,92 +8,69 @@ measure or by sample residualization; and quantifies each predictor's
 contribution to reading times with cross-validated linear and
 penalized-spline regressions, variance decomposition, and held-out
 log-likelihood gains.
+
+``__all__`` is the public API.  Each name, and each submodule such as
+``ctxpred.pipeline``, is imported on first use, so importing the
+package loads no numpy and a command loads only the modules it runs.
 """
 
-from .corpus import (
-    FoldAssignment,
-    TokenTable,
-    aggregate_participants,
-    generate_synthetic,
-    kfold,
-    observation_table,
-    parse_corpus,
-    standardize,
-    standardize_stats,
-    write_corpus_tsv,
-)
-from .errors import (
-    AlignmentError,
-    BasisError,
-    ConditioningError,
-    ConfigError,
-    ConvergenceError,
-    CoverageError,
-    CtxpredError,
-    DegenerateError,
-    DivergenceError,
-    FormatError,
-    IdentityError,
-    RankDeficiencyError,
-    SizeError,
-    SymbolError,
-)
-from .hilbert import (
-    MeasureTable,
-    ProjectionCoefficient,
-    RandomVariableTable,
-    fit_projection,
-    inner_product,
-    mean,
-    project_complement,
-    sample_orthogonalize,
-)
-from .lm import (
-    AutoregressiveLM,
-    EnumerationBudget,
-    UnigramLM,
-    UnitAlphabet,
-    conditional,
-    expected_length,
-    forward_kl_unigram,
-    load_lm_tsv,
-    prefix_normalizer,
-    sample_string,
-    unigram_minimizer,
-    write_lm_tsv,
-)
-from .pipeline import AnalyzeResult, analyze_observations, analyze_tokens, model_spec
-from .predictors import (
-    build_predictor_table,
-    frequency_variable,
-    parse_external_tsv,
-    pmi_variable,
-    surprisal_variable,
-    table_columns,
-    write_external_tsv,
-)
-from .regression import (
-    DeltaLogLik,
-    DesignMatrix,
-    EquivalenceReport,
-    FitResult,
-    LmgReport,
-    Triangle,
-    delta_loglik,
-    equivalence_report,
-    fit_columns,
-    gaussian_loglik,
-    gaussian_loglik_rows,
-    lmg,
-    ols_fit,
-    residualization_triplet,
-)
-from .seeding import check_seed, named_rng
-from .smooth import (
-    SmoothFit,
-    SmoothTerm,
-    SplineBasis,
-    fit_smooth,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
+
+# each submodule and the public names it defines
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "corpus": (
+        "FoldAssignment", "TokenTable", "aggregate_participants", "generate_synthetic",
+        "kfold", "observation_table", "parse_corpus", "standardize", "standardize_stats",
+        "write_corpus_tsv",
+    ),
+    "errors": (
+        "AlignmentError", "BasisError", "ConditioningError", "ConfigError",
+        "ConvergenceError", "CoverageError", "CtxpredError", "DegenerateError",
+        "DivergenceError", "FormatError", "IdentityError", "RankDeficiencyError",
+        "SizeError", "SymbolError",
+    ),
+    "hilbert": (
+        "MeasureTable", "ProjectionCoefficient", "RandomVariableTable", "fit_projection",
+        "inner_product", "mean", "project_complement", "sample_orthogonalize",
+    ),
+    "lm": (
+        "AutoregressiveLM", "EnumerationBudget", "UnigramLM", "UnitAlphabet",
+        "conditional", "expected_length", "forward_kl_unigram", "load_lm_tsv",
+        "prefix_normalizer", "sample_string", "unigram_minimizer", "write_lm_tsv",
+    ),
+    "pipeline": ("AnalyzeResult", "analyze_observations", "analyze_tokens", "model_spec"),
+    "predictors": (
+        "build_predictor_table", "frequency_variable", "parse_external_tsv",
+        "pmi_variable", "surprisal_variable", "table_columns", "write_external_tsv",
+    ),
+    "regression": (
+        "DeltaLogLik", "DesignMatrix", "EquivalenceReport", "FitResult", "LmgReport",
+        "Triangle", "delta_loglik", "equivalence_report", "fit_columns",
+        "gaussian_loglik", "gaussian_loglik_rows", "lmg", "ols_fit",
+        "residualization_triplet",
+    ),
+    "seeding": ("check_seed", "named_rng"),
+    "smooth": ("SmoothFit", "SmoothTerm", "SplineBasis", "fit_smooth"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # importing a submodule binds it here, so this runs once per module
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -19,19 +19,17 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from . import __version__
-from .corpus import generate_synthetic, malformed_examples, parse_corpus, read_text
-from .corpus import write_atomic, write_corpus_tsv
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -41,19 +39,7 @@ from .errors import (
     FormatError,
     IdentityError,
 )
-from .hilbert import MeasureTable, inner_product, project_complement
-from .lm import (
-    EnumerationBudget,
-    load_lm_tsv,
-    prefix_normalizer,
-    truncated_string_moments,
-    unigram_log_probs,
-    unigram_minimizer,
-)
-from .pipeline import MODEL_KINDS, analyze_observations, check_predictors, check_swap_ortho
-from .predictors import frequency_variable, parse_external_tsv, surprisal_variable
-from .seeding import check_seed, named_rng
-from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, check_lambda_grid
+from .files import read_text, write_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,6 +59,12 @@ DEFAULT_COEFFS = {
 # configuration: one table row per option; each converter takes the text of
 # a flag or a configuration-file value and returns the checked value
 # ---------------------------------------------------------------------------
+
+
+def _library(module: str, name: str):
+    """``name`` as module ``ctxpred.<module>`` defines it, imported when
+    first asked for, so that a command imports only the modules it runs."""
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _number(kind: type, least: float | None = None) -> Callable[[str], float]:
@@ -108,8 +100,21 @@ def _to_bool(text: str) -> bool:
     raise ConfigError(f"expects a boolean, got {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    return _library("seeding", "check_seed")(_number(int)(text))
+
+
+def _model_kinds() -> tuple[str, ...]:
+    return _library("pipeline", "MODEL_KINDS")
+
+
 def _parse_predictors(value: str) -> tuple[str, ...]:
-    return check_predictors(p.strip() for p in value.split(",") if p.strip())
+    check = _library("pipeline", "check_predictors")
+    return check(p.strip() for p in value.split(",") if p.strip())
+
+
+def _parse_swap_ortho(text: str) -> str | None:
+    return _library("pipeline", "check_swap_ortho")(text)
 
 
 def _parse_lambda_grid(value: str) -> tuple[float, ...]:
@@ -117,7 +122,7 @@ def _parse_lambda_grid(value: str) -> tuple[float, ...]:
         grid = [float(v) for v in value.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {value!r}: {exc}") from None
-    return check_lambda_grid(grid)
+    return _library("smooth", "check_lambda_grid")(grid)
 
 
 def _parse_coef_item(item: str) -> tuple[str, float]:
@@ -135,13 +140,29 @@ def _parse_coeffs(items: Sequence[str]) -> dict[str, float]:
 
 
 class Option(NamedTuple):
-    """One option: config key ``name``, flag ``--name-with-dashes``."""
+    """One option: config key ``name``, flag ``--name-with-dashes``.
+
+    A default or help text that quotes the library is given as a function
+    of no arguments, called only when a command that reads the option is
+    resolved: the library keeps the one definition, and other commands do
+    not import its module.
+    """
 
     name: str
     commands: str  # space-separated names of the commands that read it
     convert: Callable[[str], object]
-    default: object
-    help: str
+    given_default: object
+    given_help: str | Callable[[], str]
+
+    @property
+    def default(self):
+        given = self.given_default
+        return given() if callable(given) else given
+
+    @property
+    def help(self) -> str:
+        given = self.given_help
+        return given() if callable(given) else given
 
     @property
     def flag(self) -> str:
@@ -151,8 +172,7 @@ class Option(NamedTuple):
 OPTIONS = {opt.name: opt for opt in (
     Option("out", "gen analyze oracle report", str, None, "output directory"),
     Option("lm", "gen analyze oracle", str, None, "LM definition TSV"),
-    Option("seed", "gen analyze oracle", lambda text: check_seed(_number(int)(text)), 0,
-           "master seed"),
+    Option("seed", "gen analyze oracle", _parse_seed, 0, "master seed"),
     Option("n_docs", "gen", _number(int, 1), 50, "documents to sample"),
     Option("doc_len", "gen", _number(int, 1), 100, "minimum tokens per document"),
     Option("participants", "gen", _number(int, 1), 1, "readers of every token"),
@@ -162,18 +182,19 @@ OPTIONS = {opt.name: opt for opt in (
     Option("corpus", "analyze", str, None, "reading-time corpus TSV"),
     Option("external", "analyze", str, None, "external predictor TSV (instead of --lm)"),
     Option("folds", "analyze", _number(int, 2), 10, "cross-validation folds"),
-    Option("predictors", "analyze", _parse_predictors, MODEL_KINDS,
-           "comma-separated subset of: " + ",".join(MODEL_KINDS)),
+    Option("predictors", "analyze", _parse_predictors, _model_kinds,
+           lambda: "comma-separated subset of: " + ",".join(_model_kinds())),
     Option("no_length", "analyze", _to_bool, False, "leave word length out"),
-    Option("swap_ortho", "analyze", check_swap_ortho, None,
+    Option("swap_ortho", "analyze", _parse_swap_ortho, None,
            "orthogonalize this predictor instead: frequency"),
     Option("smooth", "analyze", _to_bool, False, "also fit spline models"),
     Option("lmg_grouping", "analyze", _choice("paired", "separate"), "paired",
            "variance-share groups: paired or separate"),
     Option("fold_by", "analyze", _choice("token", "document"), "token",
            "fold unit: token or document"),
-    Option("smooth_k", "analyze", _number(int, 3), DEFAULT_KNOTS, "spline basis size"),
-    Option("lambda_grid", "analyze", _parse_lambda_grid, LAMBDA_GRID,
+    Option("smooth_k", "analyze", _number(int, 3), lambda: _library("smooth", "DEFAULT_KNOTS"),
+           "spline basis size"),
+    Option("lambda_grid", "analyze", _parse_lambda_grid, lambda: _library("smooth", "LAMBDA_GRID"),
            "comma-separated smoothing grid"),
     Option("max_len", "oracle", _number(int), 256, "enumeration length budget"),
     Option("tail_tol", "oracle", _number(float), 1e-6, "enumeration tail tolerance"),
@@ -258,13 +279,39 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def installed_version(distribution: str) -> str | None:
+    """The ``Version`` in the metadata of the installed ``distribution``
+    (a lower-case name), or None if it is not installed.  The metadata is
+    the ``METADATA`` file of the first ``NAME-*.dist-info`` directory on
+    ``sys.path``, where ``importlib.metadata.version`` finds it; it is
+    read without importing that module or the distribution, as either
+    import takes longer than the whole manifest."""
+    for entry in sys.path:
+        try:
+            children = os.listdir(entry or ".")
+        except OSError:
+            continue
+        for child in children:
+            low = child.lower()
+            if low.endswith(".dist-info") and low.partition("-")[0] == distribution:
+                try:
+                    text = Path(entry or ".", child, "METADATA").read_text(encoding="utf-8")
+                except OSError:
+                    continue
+                # the headers end at the first blank line
+                for line in text.partition("\n\n")[0].splitlines():
+                    if line.startswith("Version:"):
+                        return line[len("Version:"):].strip()
+    return None
+
+
 def write_manifest(
     out_dir: Path,
     cfg: RunConfig,
     inputs: Mapping[str, str],
     outputs: Mapping[str, str],
 ) -> None:
-    from importlib.metadata import version  # read here, not at import time
+    import numpy as np  # the command that writes a manifest has loaded it
 
     config = {k: v for k, v in vars(cfg).items() if k not in ("command", "out")}
     # the input digests identify the files; their paths as typed stay out
@@ -280,7 +327,9 @@ def write_manifest(
         "inputs": dict(sorted(inputs.items())),
         "outputs": dict(sorted(outputs.items())),
         "versions": {
-            "ctxpred": __version__, "numpy": np.__version__, "scipy": version("scipy"),
+            "ctxpred": __version__,
+            "numpy": np.__version__,
+            "scipy": installed_version("scipy"),
         },
     }
     atomic_write_text(out_dir / "manifest.json", dump_json(manifest))
@@ -300,6 +349,9 @@ def csv_text(header: Sequence[str], rows) -> str:
 
 
 def cmd_gen(cfg: RunConfig) -> int:
+    from .corpus import generate_synthetic, write_corpus_tsv
+    from .lm import load_lm_tsv
+
     lm = load_lm_tsv(cfg.lm)
     result = generate_synthetic(
         lm,
@@ -327,6 +379,11 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    from .corpus import malformed_examples, parse_corpus
+    from .lm import load_lm_tsv
+    from .pipeline import analyze_observations
+    from .predictors import parse_external_tsv
+
     inputs: dict[str, str] = {"corpus": sha256_file(cfg.corpus)}
     if cfg.lm is not None:
         source = load_lm_tsv(cfg.lm)
@@ -373,7 +430,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     )
     for model in rep["models"]:
         dll = model["delta_llh"]
-        mean_r2 = float(np.mean([f["r2"] for f in model["folds"]]))
+        mean_r2 = _mean([f["r2"] for f in model["folds"]])
         line = (
             f"model {model['model']}: mean train R2 {mean_r2:.4f}, "
             f"delta_llh {dll['mean']:.4f} (se {dll['se']:.4f})"
@@ -387,6 +444,23 @@ def cmd_analyze(cfg: RunConfig) -> int:
         print(line)
     print(f"wrote {out / 'report.json'}, {out / 'lmg.csv'}, {out / 'manifest.json'}")
     return EXIT_OK
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean of fold values, from their correctly rounded sum."""
+    if not values:
+        raise ValueError("no folds to average")
+    return math.fsum(values) / len(values)
+
+
+def _standard_error(values: Sequence[float]) -> float:
+    """The sample standard deviation of fold values over the root of their
+    count, from correctly rounded sums."""
+    if len(values) < 2:
+        raise ValueError(f"{len(values)} folds give no standard error")
+    centre = _mean(values)
+    spread = math.fsum((v - centre) ** 2 for v in values) / (len(values) - 1)
+    return math.sqrt(spread) / math.sqrt(len(values))
 
 
 def _check(
@@ -404,6 +478,14 @@ def _check(
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .hilbert import MeasureTable, inner_product, project_complement
+    from .lm import EnumerationBudget, load_lm_tsv, prefix_normalizer
+    from .lm import truncated_string_moments, unigram_log_probs, unigram_minimizer
+    from .predictors import frequency_variable, surprisal_variable
+    from .seeding import named_rng
+
     lm = load_lm_tsv(cfg.lm)
     budget = EnumerationBudget(max_len=cfg.max_len, tail_tol=cfg.tail_tol)
     checks: list[dict] = []
@@ -525,7 +607,7 @@ def cmd_report(cfg: RunConfig) -> int:
         lines = [f"analysis of {report['n_rows']} rows, {report['folds']} folds"]
         for model in report["models"]:
             dll = model["delta_llh"]
-            mean_r2 = float(np.mean([f["r2"] for f in model["folds"]]))
+            mean_r2 = _mean([f["r2"] for f in model["folds"]])
             lines += [
                 f"\nmodel {model['model']} ({model['kind']})",
                 f"  delta log-likelihood per token: {dll['mean']:.4f} (se {dll['se']:.4f})",
@@ -533,14 +615,21 @@ def cmd_report(cfg: RunConfig) -> int:
             ]
             lmg_block = model.get("lmg")
             if lmg_block:
-                shares = np.asarray(lmg_block["fold_shares"], dtype=float)
-                ses = shares.std(axis=0, ddof=1) / math.sqrt(shares.shape[0])
-                for idx, group in enumerate(lmg_block["groups"]):
-                    mean_share = float(np.mean(shares[:, idx]))
-                    lines.append(f"  share {group}: {mean_share:.4f} (se {ses[idx]:.4f})")
-                    plot_rows.append(
-                        [model["model"], group, repr(mean_share), repr(float(ses[idx]))]
+                groups, shares = lmg_block["groups"], lmg_block["shares"]
+                fold_shares = lmg_block["fold_shares"]
+                if any(len(row) != len(groups) for row in [shares, *fold_shares]):
+                    raise ValueError(
+                        f"model {model['model']} has {len(groups)} groups and "
+                        "shares or fold shares of another length"
                     )
+                for idx, group in enumerate(groups):
+                    # the mean share as analyze stored it; the folds share
+                    # most training rows, so this standard error understates
+                    # the share's sampling error
+                    share = float(shares[idx])
+                    se = _standard_error([row[idx] for row in fold_shares])
+                    lines.append(f"  share {group}: {share:.4f} (se {se:.4f})")
+                    plot_rows.append([model["model"], group, repr(share), repr(se)])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         why = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise FormatError(f"{report_path}: not an analyze report: {why}") from None
@@ -565,6 +654,39 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  Its flags are added when it first parses,
+    so that only the command being run reads its options' defaults and
+    help texts, and with them the library modules they quote."""
+
+    def __init__(self, *, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self.command = command
+        self.has_options = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self.has_options:
+            self.has_options = True
+            self._add_options()
+        return super().parse_known_args(args, namespace)
+
+    def _add_options(self) -> None:
+        self.add_argument("--config", help="key=value configuration file")
+        # no argparse types or defaults: resolve_config converts the text
+        # of flags and file values alike, and None marks an unset flag
+        for opt in OPTIONS.values():
+            if self.command not in opt.commands.split():
+                continue
+            kwargs = {"dest": opt.name, "help": opt.help}
+            if type(opt.default) in (int, float, str):
+                kwargs["help"] += f" (default {opt.default})"
+            if opt.convert is _to_bool:
+                kwargs.update(action="store_const", const="true")
+            elif opt.name == "coeffs":
+                kwargs.update(action="append", metavar="NAME=VALUE")
+            self.add_argument(opt.flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxpred",
@@ -574,23 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
             "cross-validated reading-time regression."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for command, (_, _, summary) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", help="key=value configuration file")
-        # no argparse types or defaults: resolve_config converts the text
-        # of flags and file values alike, and None marks an unset flag
-        for opt in OPTIONS.values():
-            if command not in opt.commands.split():
-                continue
-            kwargs = {"dest": opt.name, "help": opt.help}
-            if type(opt.default) in (int, float, str):
-                kwargs["help"] += f" (default {opt.default})"
-            if opt.convert is _to_bool:
-                kwargs.update(action="store_const", const="true")
-            elif opt.name == "coeffs":
-                kwargs.update(action="append", metavar="NAME=VALUE")
-            p.add_argument(opt.flag, **kwargs)
+        sub.add_parser(command, help=summary, command=command)
     return parser
 
 

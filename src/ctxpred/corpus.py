@@ -25,17 +25,15 @@ returned as a sidecar record so recovery can be checked downstream.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateError, FormatError
+from .files import read_text, write_atomic
 from .lm import AutoregressiveLM, sample_string
 from .seeding import named_rng
 
@@ -156,45 +154,6 @@ _DECIMAL_NEXT = np.array(
     dtype=np.uint8,
 ).ravel() * np.uint8(5)
 _DECIMAL_ACCEPT = (5 * 1, 5 * 3, 5 * 6)
-
-
-def read_text(path) -> str:
-    """A UTF-8 file's text, its lines ending in ``\\n`` (where text-mode
-    reading ends them: at ``\\n``, ``\\r\\n`` or ``\\r``).  The file is
-    decoded whole and strictly: invalid UTF-8 anywhere, an unfinished
-    last character included, raises a FormatError naming the file, the
-    line and the byte."""
-    # no UTF-8 sequence holds a "\r" or "\n", so lines can end first
-    data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise FormatError(
-            f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
-        ) from None
-
-
-def write_atomic(path, pieces: Iterable[str]) -> str:
-    """Write the pieces to ``path`` as UTF-8, creating its directory;
-    returns the SHA-256 digest of the bytes.  They go to a temporary
-    name beside ``path``, renamed over it once all are written, so a
-    failed write leaves an earlier file as it was and no temporary one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            for piece in pieces:
-                data = piece.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return digest.hexdigest()
 
 
 def read_tsv(

@@ -49,6 +49,7 @@ from .errors import (
     FormatError,
     SymbolError,
 )
+from .files import read_text, write_atomic
 
 START_STATE_MARK = "^"
 EOS_MARK = "$"
@@ -431,8 +432,6 @@ def _format_state(state: State) -> str:
 
 def load_lm_tsv(path) -> AutoregressiveLM:
     """Read a model definition file, validating schema and row sums."""
-    from .corpus import read_text
-
     rows: list[tuple[int, State, str, float]] = []
     units: list[str] = []
     seen_units = set()
@@ -486,8 +485,6 @@ def load_lm_tsv(path) -> AutoregressiveLM:
 
 def write_lm_tsv(lm: AutoregressiveLM, path) -> None:
     """Write a model definition file (inverse of load_lm_tsv), atomically."""
-    from .corpus import write_atomic
-
     write_atomic(path, (
         f"{_format_state(state)}\t{sym}\t{float(lm.cond[state][sym])!r}\n"
         for state in lm.states

@@ -1,15 +1,20 @@
 """Command-line contract: subcommands, exit codes, deterministic artifacts."""
 
+import csv
 import hashlib
 import json
 import math
 import multiprocessing
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxpred import pipeline
+import ctxpred
+from ctxpred import pipeline, smooth
 from ctxpred.cli import (
     EXIT_CONFIG,
     EXIT_COVERAGE,
@@ -470,6 +475,49 @@ class TestReport:
         assert out == ""
         assert not (tmp_path / "plot_lmg.csv").exists()
 
+    def test_plot_share_is_the_stored_share(self, gen_dir, tmp_path, capsys):
+        # the mean share is the one analyze stored; averaged again over ten
+        # fold shares in another order, it differed in the last bit
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+                     "--out", str(out), "--seed", "9", "--folds", "10"]) == EXIT_OK
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "plot_lmg.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        blocks = [(m["model"], m["lmg"]) for m in report["models"] if m.get("lmg")]
+        assert [(r["model"], r["group"], r["mean_share"]) for r in rows] == [
+            (model, group, repr(share))
+            for model, block in blocks
+            for group, share in zip(block["groups"], block["shares"])
+        ]
+        ses = [
+            statistics.stdev(fold[i] for fold in block["fold_shares"])
+            / math.sqrt(len(block["fold_shares"]))
+            for _, block in blocks for i in range(len(block["groups"]))
+        ]
+        assert [float(r["se_share"]) for r in rows] == pytest.approx(ses, rel=1e-12)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lmg: lmg["groups"].append("extra"),
+        lambda lmg: lmg["shares"].pop(),
+        lambda lmg: lmg["fold_shares"][1].append(0.5),
+        lambda lmg: lmg.update(fold_shares=lmg["fold_shares"][:1]),
+    ], ids=["extra_group", "missing_share", "ragged_fold_shares", "one_fold"])
+    def test_lmg_block_without_a_summary_is_format_error(
+        self, analyze_dir, tmp_path, capsys, edit
+    ):
+        report = json.loads((analyze_dir / "report.json").read_text())
+        edit(report["models"][0]["lmg"])
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        code = main(["report", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "report.json: not an analyze report" in err
+        assert out == ""
+        assert not (tmp_path / "plot_lmg.csv").exists()
+
     def test_report_of_another_shape_is_format_error(self, tmp_path, capsys):
         (tmp_path / "report.json").write_text("[1, 2]")
         code = main(["report", "--out", str(tmp_path)])
@@ -822,6 +870,20 @@ class TestOptionTable:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_library_defaults_are_the_library_values(self, capsys):
+        # the table looks these up in the library when analyze is resolved
+        resolved = _resolved(BASE_ARGV["analyze"])
+        assert resolved["predictors"] == pipeline.MODEL_KINDS
+        assert resolved["smooth_k"] == smooth.DEFAULT_KNOTS
+        assert [v.hex() for v in resolved["lambda_grid"]] == [
+            v.hex() for v in smooth.LAMBDA_GRID
+        ]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "comma-separated subset of: " + ",".join(pipeline.MODEL_KINDS) in help_text
+        assert f"spline basis size (default {smooth.DEFAULT_KNOTS})" in help_text
+
     def test_manifest_config_holds_the_command_options(
         self, gen_dir, analyze_dir, tmp_path, capsys
     ):
@@ -970,6 +1032,98 @@ def test_import_leaves_out_scipy_linalg():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# prints, as JSON, the modules loaded when the command given as arguments returns
+MODULES_AFTER = (
+    "import json, sys\n"
+    "from ctxpred.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+REGRESSION_STACK = {"ctxpred.pipeline", "ctxpred.regression", "ctxpred.smooth"}
+
+
+def _modules_after(argv):
+    """The modules a fresh process has loaded once ``ctxpred ARGV`` returns."""
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _package_of(modules, name):
+    return {m for m in modules if m == name or m.startswith(name + ".")}
+
+
+def test_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import ctxpred; print('numpy' in sys.modules); "
+         "import ctxpred.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_report_loads_no_numpy(analyze_dir, tmp_path):
+    (tmp_path / "report.json").write_bytes((analyze_dir / "report.json").read_bytes())
+    modules = _modules_after(["report", "--out", str(tmp_path)])
+    assert "ctxpred.files" in modules
+    assert _package_of(modules, "numpy") == set()
+    assert (tmp_path / "plot_lmg.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--lm", MIXTURE, "--n-docs", "3", "--doc-len", "10"],
+    ["oracle", "--lm", M1, "--perturbations", "10"],
+])
+def test_gen_and_oracle_load_no_regression_stack(argv, tmp_path):
+    modules = _modules_after(argv + ["--out", str(tmp_path)])
+    assert "ctxpred.lm" in modules
+    assert modules & REGRESSION_STACK == set()
+
+
+def test_gen_reads_the_scipy_version_without_importing(tmp_path):
+    # the manifest's scipy version comes from the installed metadata,
+    # without scipy or importlib.metadata, whose import is the slower part
+    modules = _modules_after(
+        ["gen", "--lm", MIXTURE, "--n-docs", "3", "--doc-len", "10", "--out", str(tmp_path)]
+    )
+    assert json.loads((tmp_path / "manifest.json").read_text())["versions"]["scipy"]
+    assert _package_of(modules, "scipy") == set()
+    assert "importlib.metadata" not in modules
+
+
+def test_installed_version_reads_the_first_metadata_on_the_path(tmp_path, monkeypatch):
+    from ctxpred.cli import installed_version
+
+    for root, version in (("a", "1.2"), ("b", "9.9")):
+        info = tmp_path / root / f"Foo-{version}.dist-info"
+        info.mkdir(parents=True)
+        (info / "METADATA").write_text(
+            f"Metadata-Version: 2.1\nName: Foo\nVersion: {version}\n\nVersion: 0 in the body\n"
+        )
+    (tmp_path / "a" / "foobar-3.0.dist-info").mkdir()
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "missing"), str(tmp_path / "a"),
+                                      str(tmp_path / "b")])
+    assert installed_version("foo") == "1.2"
+    assert installed_version("foobar") is None
+
+
+def test_star_import_binds_the_public_api():
+    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 75
+    namespace: dict = {}
+    exec("from ctxpred import *", namespace)
+    assert set(ctxpred.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(ctxpred, name) for name in ctxpred.__all__)
+    assert set(ctxpred.__all__) <= set(dir(ctxpred))
+    assert ctxpred.pipeline is pipeline
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        ctxpred.not_a_name
 
 
 def test_console_entry_point_runs():
