@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines
 _EXPORTS: dict[str, tuple[str, ...]] = {
+    "choices": ("check_seed",),
     "corpus": (
         "FoldAssignment", "TokenTable", "aggregate_participants", "generate_synthetic",
         "kfold", "observation_table", "parse_corpus", "standardize", "standardize_stats",
@@ -53,7 +54,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "gaussian_loglik", "gaussian_loglik_rows", "lmg", "ols_fit",
         "residualization_triplet",
     ),
-    "seeding": ("check_seed", "named_rng"),
+    "seeding": ("named_rng",),
     "smooth": ("SmoothFit", "SmoothTerm", "SplineBasis", "fit_smooth"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,17 +19,30 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import importlib
 import io
 import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
+from .choices import (
+    DEFAULT_KNOTS,
+    FOLD_UNITS,
+    LAMBDA_GRID,
+    LMG_GROUPINGS,
+    MODEL_KINDS,
+    SWAP_TARGET,
+    check_choice,
+    check_lambda_grid,
+    check_predictors,
+    check_seed,
+    check_swap_ortho,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -61,12 +74,6 @@ DEFAULT_COEFFS = {
 # ---------------------------------------------------------------------------
 
 
-def _library(module: str, name: str):
-    """``name`` as module ``ctxpred.<module>`` defines it, imported when
-    first asked for, so that a command imports only the modules it runs."""
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
-
-
 def _number(kind: type, least: float | None = None) -> Callable[[str], float]:
     """Converter to ``int`` or ``float``, bounded below by ``least`` if given."""
 
@@ -82,15 +89,6 @@ def _number(kind: type, least: float | None = None) -> Callable[[str], float]:
     return convert
 
 
-def _choice(*allowed: str) -> Callable[[str], str]:
-    def convert(text: str) -> str:
-        if text not in allowed:
-            raise ConfigError(f"must be one of {', '.join(allowed)}; got {text!r}")
-        return text
-
-    return convert
-
-
 def _to_bool(text: str) -> bool:
     low = text.lower()
     if low in ("1", "true", "yes", "on"):
@@ -100,21 +98,8 @@ def _to_bool(text: str) -> bool:
     raise ConfigError(f"expects a boolean, got {text!r}")
 
 
-def _parse_seed(text: str) -> int:
-    return _library("seeding", "check_seed")(_number(int)(text))
-
-
-def _model_kinds() -> tuple[str, ...]:
-    return _library("pipeline", "MODEL_KINDS")
-
-
 def _parse_predictors(value: str) -> tuple[str, ...]:
-    check = _library("pipeline", "check_predictors")
-    return check(p.strip() for p in value.split(",") if p.strip())
-
-
-def _parse_swap_ortho(text: str) -> str | None:
-    return _library("pipeline", "check_swap_ortho")(text)
+    return check_predictors(p.strip() for p in value.split(",") if p.strip())
 
 
 def _parse_lambda_grid(value: str) -> tuple[float, ...]:
@@ -122,7 +107,7 @@ def _parse_lambda_grid(value: str) -> tuple[float, ...]:
         grid = [float(v) for v in value.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad lambda grid {value!r}: {exc}") from None
-    return _library("smooth", "check_lambda_grid")(grid)
+    return check_lambda_grid(grid)
 
 
 def _parse_coef_item(item: str) -> tuple[str, float]:
@@ -140,29 +125,13 @@ def _parse_coeffs(items: Sequence[str]) -> dict[str, float]:
 
 
 class Option(NamedTuple):
-    """One option: config key ``name``, flag ``--name-with-dashes``.
-
-    A default or help text that quotes the library is given as a function
-    of no arguments, called only when a command that reads the option is
-    resolved: the library keeps the one definition, and other commands do
-    not import its module.
-    """
+    """One option: config key ``name``, flag ``--name-with-dashes``."""
 
     name: str
     commands: str  # space-separated names of the commands that read it
     convert: Callable[[str], object]
-    given_default: object
-    given_help: str | Callable[[], str]
-
-    @property
-    def default(self):
-        given = self.given_default
-        return given() if callable(given) else given
-
-    @property
-    def help(self) -> str:
-        given = self.given_help
-        return given() if callable(given) else given
+    default: object
+    help: str
 
     @property
     def flag(self) -> str:
@@ -172,7 +141,8 @@ class Option(NamedTuple):
 OPTIONS = {opt.name: opt for opt in (
     Option("out", "gen analyze oracle report", str, None, "output directory"),
     Option("lm", "gen analyze oracle", str, None, "LM definition TSV"),
-    Option("seed", "gen analyze oracle", _parse_seed, 0, "master seed"),
+    Option("seed", "gen analyze oracle", lambda text: check_seed(_number(int)(text)), 0,
+           "master seed"),
     Option("n_docs", "gen", _number(int, 1), 50, "documents to sample"),
     Option("doc_len", "gen", _number(int, 1), 100, "minimum tokens per document"),
     Option("participants", "gen", _number(int, 1), 1, "readers of every token"),
@@ -182,19 +152,18 @@ OPTIONS = {opt.name: opt for opt in (
     Option("corpus", "analyze", str, None, "reading-time corpus TSV"),
     Option("external", "analyze", str, None, "external predictor TSV (instead of --lm)"),
     Option("folds", "analyze", _number(int, 2), 10, "cross-validation folds"),
-    Option("predictors", "analyze", _parse_predictors, _model_kinds,
-           lambda: "comma-separated subset of: " + ",".join(_model_kinds())),
+    Option("predictors", "analyze", _parse_predictors, MODEL_KINDS,
+           "comma-separated subset of: " + ",".join(MODEL_KINDS)),
     Option("no_length", "analyze", _to_bool, False, "leave word length out"),
-    Option("swap_ortho", "analyze", _parse_swap_ortho, None,
-           "orthogonalize this predictor instead: frequency"),
+    Option("swap_ortho", "analyze", check_swap_ortho, None,
+           f"orthogonalize this predictor instead: {SWAP_TARGET}"),
     Option("smooth", "analyze", _to_bool, False, "also fit spline models"),
-    Option("lmg_grouping", "analyze", _choice("paired", "separate"), "paired",
-           "variance-share groups: paired or separate"),
-    Option("fold_by", "analyze", _choice("token", "document"), "token",
-           "fold unit: token or document"),
-    Option("smooth_k", "analyze", _number(int, 3), lambda: _library("smooth", "DEFAULT_KNOTS"),
-           "spline basis size"),
-    Option("lambda_grid", "analyze", _parse_lambda_grid, lambda: _library("smooth", "LAMBDA_GRID"),
+    Option("lmg_grouping", "analyze", partial(check_choice, "lmg grouping", LMG_GROUPINGS),
+           LMG_GROUPINGS[0], "variance-share groups: " + " or ".join(LMG_GROUPINGS)),
+    Option("fold_by", "analyze", partial(check_choice, "fold unit", FOLD_UNITS),
+           FOLD_UNITS[0], "fold unit: " + " or ".join(FOLD_UNITS)),
+    Option("smooth_k", "analyze", _number(int, 3), DEFAULT_KNOTS, "spline basis size"),
+    Option("lambda_grid", "analyze", _parse_lambda_grid, LAMBDA_GRID,
            "comma-separated smoothing grid"),
     Option("max_len", "oracle", _number(int), 256, "enumeration length budget"),
     Option("tail_tol", "oracle", _number(float), 1e-6, "enumeration tail tolerance"),
@@ -490,31 +459,16 @@ def cmd_oracle(cfg: RunConfig) -> int:
     budget = EnumerationBudget(max_len=cfg.max_len, tail_tol=cfg.tail_tol)
     checks: list[dict] = []
 
-    z_prefix = prefix_normalizer(lm)
+    # a check that needs what the model may not give fails alone, with the
+    # error attached, instead of aborting the others: log q is undefined for
+    # a unit that only unreachable states emit, and the enumeration may not
+    # meet its tail tolerance within the budget's horizon on a model with
+    # little stopping mass
     q = unigram_minimizer(lm)
-    residual = abs(z_prefix - q.normalizer)
-    checks.append(
-        _check(
-            "normalizer_identity", residual, 1e-10, residual <= 1e-10,
-            prefix_normalizer=z_prefix, unigram_normalizer=q.normalizer,
-        )
-    )
-
-    # the enumeration walks strings and contexts up to the budget's
-    # horizon, which a model with little stopping mass may not reach, and
-    # the minimizer check needs log q, which is undefined for a unit that
-    # only unreachable states emit; either fails only the checks that need
-    # it instead of aborting the others
-    enumeration_error = minimizer_error = None
     try:
-        _, _, enumerated_mass = truncated_string_moments(lm, budget)
         log_q = unigram_log_probs(lm, q)
-    except ConvergenceError as exc:
-        enumeration_error = minimizer_error = str(exc)
     except DegenerateError as exc:
-        minimizer_error = str(exc)
-    if minimizer_error:
-        checks.append(_check("minimizer_optimality", None, 1e-12, False, error=minimizer_error))
+        checks.append(_check("minimizer_optimality", None, 1e-12, False, error=str(exc)))
     else:
         # the KL is affine in log q: the minimizer's KL and each
         # perturbation's margin over it are dot products with the exact
@@ -541,12 +495,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
             )
         )
 
-    if enumeration_error:
-        checks.append(_check("context_mass", None, cfg.tail_tol, False, error=enumeration_error))
+    try:
+        _, _, enumerated_mass = truncated_string_moments(lm, budget)
+    except ConvergenceError as exc:
+        checks.append(_check("context_mass", None, cfg.tail_tol, False, error=str(exc)))
     else:
         # the enumeration checks the visit solve state by state: it falls
         # short of the visits by at most the tail it left out, and exceeds
         # them by rounding at most; the residual is the worst of either
+        z_prefix = prefix_normalizer(lm)
         gaps = (lm.visits - enumerated_mass) / z_prefix
         mass_residual = float(gaps.max() if gaps.min() >= -1e-12 else gaps.min())
         checks.append(
@@ -654,39 +611,6 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser.  Its flags are added when it first parses,
-    so that only the command being run reads its options' defaults and
-    help texts, and with them the library modules they quote."""
-
-    def __init__(self, *, command: str, **kwargs):
-        super().__init__(**kwargs)
-        self.command = command
-        self.has_options = False
-
-    def parse_known_args(self, args=None, namespace=None):
-        if not self.has_options:
-            self.has_options = True
-            self._add_options()
-        return super().parse_known_args(args, namespace)
-
-    def _add_options(self) -> None:
-        self.add_argument("--config", help="key=value configuration file")
-        # no argparse types or defaults: resolve_config converts the text
-        # of flags and file values alike, and None marks an unset flag
-        for opt in OPTIONS.values():
-            if self.command not in opt.commands.split():
-                continue
-            kwargs = {"dest": opt.name, "help": opt.help}
-            if type(opt.default) in (int, float, str):
-                kwargs["help"] += f" (default {opt.default})"
-            if opt.convert is _to_bool:
-                kwargs.update(action="store_const", const="true")
-            elif opt.name == "coeffs":
-                kwargs.update(action="append", metavar="NAME=VALUE")
-            self.add_argument(opt.flag, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxpred",
@@ -696,11 +620,23 @@ def build_parser() -> argparse.ArgumentParser:
             "cross-validated reading-time regression."
         ),
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_CommandParser
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, _, summary) in COMMANDS.items():
-        sub.add_parser(command, help=summary, command=command)
+        command_parser = sub.add_parser(command, help=summary)
+        command_parser.add_argument("--config", help="key=value configuration file")
+        # no argparse types or defaults: resolve_config converts the text
+        # of flags and file values alike, and None marks an unset flag
+        for opt in OPTIONS.values():
+            if command not in opt.commands.split():
+                continue
+            kwargs = {"dest": opt.name, "help": opt.help}
+            if type(opt.default) in (int, float, str):
+                kwargs["help"] += f" (default {opt.default})"
+            if opt.convert is _to_bool:
+                kwargs.update(action="store_const", const="true")
+            elif opt.name == "coeffs":
+                kwargs.update(action="append", metavar="NAME=VALUE")
+            command_parser.add_argument(opt.flag, **kwargs)
     return parser
 
 

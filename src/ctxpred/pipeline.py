@@ -34,6 +34,17 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .choices import (
+    DEFAULT_KNOTS,
+    FOLD_UNITS,
+    LAMBDA_GRID,
+    LMG_GROUPINGS,
+    MODEL_KINDS,
+    SWAP_TARGET,
+    check_choice,
+    check_predictors,
+    check_swap_ortho,
+)
 from .corpus import (
     FoldAssignment,
     TokenTable,
@@ -52,34 +63,7 @@ from .regression import (
     lmg,
     ols_fit,
 )
-from .smooth import DEFAULT_KNOTS, LAMBDA_GRID, SmoothTerm, fit_smooth
-
-MODEL_KINDS = ("surprisal", "pmi", "ortho")
-
-
-def check_predictors(predictors: Sequence[str]) -> tuple[str, ...]:
-    """The model selection: known model kinds, at least one, no repeats."""
-    selection = tuple(predictors)
-    if not selection:
-        raise ConfigError("predictor selection is empty")
-    for kind in selection:
-        if kind not in MODEL_KINDS:
-            raise ConfigError(
-                f"unknown predictor set {kind!r}; choose from {', '.join(MODEL_KINDS)}"
-            )
-    if len(set(selection)) != len(selection):
-        raise ConfigError(f"duplicate entries in predictor selection {selection}")
-    return selection
-
-
-def check_swap_ortho(target: str | None) -> str | None:
-    """The swap target: None (the ortho model residualizes surprisal) or
-    ``"frequency"`` (it residualizes frequency instead)."""
-    if target not in (None, "frequency"):
-        raise ConfigError(
-            f"unsupported swap-ortho target {target!r}; the only target is 'frequency'"
-        )
-    return target
+from .smooth import SmoothTerm, fit_smooth
 
 
 @dataclass(frozen=True)
@@ -105,7 +89,7 @@ def model_spec(kind: str, include_length: bool, swap_ortho: str | None) -> Model
     check_predictors((kind,))
     anchor = None
     if kind == "ortho":
-        anchor = {None: "frequency", "frequency": "surprisal"}[check_swap_ortho(swap_ortho)]
+        anchor = {None: "frequency", SWAP_TARGET: "surprisal"}[check_swap_ortho(swap_ortho)]
     sources = ("pmi" if kind == "pmi" else "surprisal", "frequency")
     if include_length:
         sources += ("length",)
@@ -170,14 +154,10 @@ def _assemble(
     return cols_tr, cols_te, anchor_corr
 
 
-def _groups(
-    spec: ModelSpec, grouping: str
-) -> dict[str, list[str]]:
+def _groups(spec: ModelSpec, grouping: str) -> dict[str, list[str]]:
     if grouping == "paired":
         return {label: [label, _spill(label)] for label, _, _ in spec.pairs}
-    if grouping == "separate":
-        return {label: [label] for label, _, _ in _design_columns(spec)}
-    raise ConfigError(f"unknown grouping {grouping!r}; use 'paired' or 'separate'")
+    return {label: [label] for label, _, _ in _design_columns(spec)}
 
 
 def _fit_to_raw_scale(
@@ -390,15 +370,15 @@ def analyze_tokens(
     include_length: bool = True,
     swap_ortho: str | None = None,
     smooth: bool = False,
-    lmg_grouping: str = "paired",
-    fold_by: str = "token",
+    lmg_grouping: str = LMG_GROUPINGS[0],
+    fold_by: str = FOLD_UNITS[0],
     smooth_k: int = DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
 ) -> AnalyzeResult:
     predictors = check_predictors(predictors)
     check_swap_ortho(swap_ortho)
-    if fold_by not in ("token", "document"):
-        raise ConfigError(f"fold_by must be 'token' or 'document', got {fold_by!r}")
+    check_choice("lmg grouping", LMG_GROUPINGS, lmg_grouping)
+    check_choice("fold unit", FOLD_UNITS, fold_by)
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
     groups = tuple(_groups(spec, lmg_grouping) for spec in specs)
 

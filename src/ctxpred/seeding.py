@@ -12,17 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
-
-_MASK64 = (1 << 64) - 1
-
-
-def check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not (0 <= seed <= _MASK64):
-        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
-    return seed
+from .choices import check_seed
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:

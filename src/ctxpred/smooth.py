@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .choices import DEFAULT_KNOTS, LAMBDA_GRID, check_lambda_grid
 from .errors import (
     AlignmentError,
     BasisError,
@@ -34,14 +35,12 @@ from .errors import (
 )
 from .regression import VARIANCE_FLOOR
 
-DEFAULT_KNOTS = 6
 # Knots closer than this share of the predictor's range are one knot.
 # np.quantile's fractional positions carry rounding of about n * eps, so
 # a quantile that should sit exactly on a tied value can land a hair
 # past it, and arithmetic on equal values (residualization) can leave
 # values a few ulps apart; either would give a near-singular basis.
 KNOT_MERGE_TOL = 1e-9
-LAMBDA_GRID: tuple[float, ...] = tuple(float(v) for v in np.logspace(-4.0, 4.0, 17))
 MAX_SWEEPS = 10
 
 
@@ -283,19 +282,6 @@ class SmoothFit:
                 self.term_names, self.terms, self.lambdas, self.term_edf
             )
         ]
-
-
-def check_lambda_grid(values: Sequence[float]) -> tuple[float, ...]:
-    """The smoothing grid as floats; it must be non-empty, finite,
-    nonnegative and ascending, else ``ConfigError``."""
-    grid = tuple(float(v) for v in values)
-    if not grid:
-        raise ConfigError("lambda grid must be non-empty")
-    if not all(math.isfinite(v) and v >= 0.0 for v in grid):
-        raise ConfigError(f"lambda grid must be finite and nonnegative, got {list(grid)}")
-    if list(grid) != sorted(grid):
-        raise ConfigError(f"lambda grid must be sorted ascending, got {list(grid)}")
-    return grid
 
 
 class _PenalizedProblem:

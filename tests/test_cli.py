@@ -249,7 +249,7 @@ class TestOracle:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         passes = [l for l in out.splitlines() if l.startswith("PASS")]
-        assert len(passes) == 4
+        assert len(passes) == 3
         assert not any(l.startswith("FAIL") for l in out.splitlines())
 
     def test_writes_json_when_asked(self, tmp_path, capsys):
@@ -262,8 +262,7 @@ class TestOracle:
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["all_passed"] is True
         assert {c["name"] for c in payload["checks"]} == {
-            "normalizer_identity", "context_mass",
-            "minimizer_optimality", "projection_orthogonality",
+            "context_mass", "minimizer_optimality", "projection_orthogonality",
         }
 
     def test_bad_predictor_set_in_flag_is_clean_config_error(
@@ -289,13 +288,13 @@ class TestOracle:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         lines = out.splitlines()
-        assert sum(l.startswith("PASS") for l in lines) == 4
+        assert sum(l.startswith("PASS") for l in lines) == 3
         assert not any(l.startswith("FAIL") for l in lines)
 
     def test_unmeetable_budget_degrades_per_check(self, tmp_path, capsys):
-        # two units cannot cover m0's strings or contexts; the solve-based
-        # checks must still run, the two enumeration-dependent ones must
-        # fail with the error attached, and oracle.json must be written
+        # two units cannot cover m0's strings or contexts; only the context
+        # mass reads the enumeration, so it alone must fail, with the error
+        # attached, and oracle.json must be written
         code = main([
             "oracle", "--lm", M0, "--seed", "4", "--max-len", "2",
             "--out", str(tmp_path),
@@ -305,17 +304,16 @@ class TestOracle:
         lines = out.splitlines()
         assert sum(l.startswith("PASS") for l in lines) == 2
         fails = [l for l in lines if l.startswith("FAIL")]
-        assert len(fails) == 2
-        assert all("error=" in l and "tail_tol" in l for l in fails)
+        assert fails == [next(l for l in lines if "context_mass" in l)]
+        assert "error=" in fails[0] and "tail_tol" in fails[0]
         payload = json.loads((tmp_path / "oracle.json").read_text())
         assert payload["all_passed"] is False
         by_name = {c["name"]: c for c in payload["checks"]}
-        assert by_name["normalizer_identity"]["passed"] is True
+        assert by_name["minimizer_optimality"]["passed"] is True
         assert by_name["projection_orthogonality"]["passed"] is True
-        for name in ("minimizer_optimality", "context_mass"):
-            assert by_name[name]["passed"] is False
-            assert by_name[name]["residual"] is None
-            assert by_name[name]["details"]["error"]
+        assert by_name["context_mass"]["passed"] is False
+        assert by_name["context_mass"]["residual"] is None
+        assert by_name["context_mass"]["details"]["error"]
 
     def test_unreachable_unit_degrades_per_check(self, tmp_path, capsys):
         # 'b' is emitted only after 'b', which no string reaches, so the
@@ -330,7 +328,7 @@ class TestOracle:
         capsys.readouterr()
         assert code == EXIT_NUMERIC
         by_name = {c["name"]: c for c in json.loads((out_dir / "oracle.json").read_text())["checks"]}
-        assert len(by_name) == 4
+        assert len(by_name) == 3
         failed = by_name.pop("minimizer_optimality")
         assert failed["residual"] is None and failed["passed"] is False
         assert "strictly positive" in failed["details"]["error"]
@@ -870,8 +868,24 @@ class TestOptionTable:
         assert exc.value.code == EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,text,value", [
+        ("seed", "-1", -1), ("predictors", "bogus", ("bogus",)),
+        ("swap_ortho", "bogus", "bogus"), ("lmg_grouping", "bogus", "bogus"),
+        ("fold_by", "bogus", "bogus"),
+    ])
+    def test_flag_and_library_share_one_check(self, name, text, value, gen_dir):
+        with pytest.raises(ConfigError) as by_flag:
+            resolve_config(build_parser().parse_args(
+                BASE_ARGV["analyze"] + [OPTIONS[name].flag, text]
+            ))
+        observations, _ = parse_corpus(gen_dir / "corpus.tsv")
+        options = {"seed": 0, "folds": 3, name: value}
+        with pytest.raises(ConfigError) as by_library:
+            analyze_observations(load_lm_tsv(MIXTURE), observations, **options)
+        assert str(by_flag.value) == f"{OPTIONS[name].flag}: {by_library.value}"
+
     def test_library_defaults_are_the_library_values(self, capsys):
-        # the table looks these up in the library when analyze is resolved
+        # the table quotes the values the library runs with
         resolved = _resolved(BASE_ARGV["analyze"])
         assert resolved["predictors"] == pipeline.MODEL_KINDS
         assert resolved["smooth_k"] == smooth.DEFAULT_KNOTS
@@ -1042,13 +1056,22 @@ MODULES_AFTER = (
     "print(json.dumps(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
+
+
+# the same, once the options of the command given as arguments are resolved
+MODULES_AFTER_RESOLVING = (
+    "import json, sys\n"
+    "from ctxpred.cli import build_parser, resolve_config\n"
+    "resolve_config(build_parser().parse_args(sys.argv[1:]))\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
+)
 REGRESSION_STACK = {"ctxpred.pipeline", "ctxpred.regression", "ctxpred.smooth"}
 
 
-def _modules_after(argv):
-    """The modules a fresh process has loaded once ``ctxpred ARGV`` returns."""
+def _modules_after(argv, script=MODULES_AFTER):
+    """The modules a fresh process has loaded once ``script`` has run on ARGV."""
     proc = subprocess.run(
-        [sys.executable, "-c", MODULES_AFTER, *argv], capture_output=True, text=True
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -1075,6 +1098,17 @@ def test_report_loads_no_numpy(analyze_dir, tmp_path):
     assert "ctxpred.files" in modules
     assert _package_of(modules, "numpy") == set()
     assert (tmp_path / "plot_lmg.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGV))
+def test_option_resolution_loads_no_numpy(command):
+    # every option's default and check is in the command line's own modules
+    argv = BASE_ARGV[command] + ([] if command == "report" else ["--seed", "5"])
+    modules = _modules_after(argv, MODULES_AFTER_RESOLVING)
+    assert _package_of(modules, "numpy") == set()
+    assert _package_of(modules, "ctxpred") == {
+        "ctxpred", "ctxpred.choices", "ctxpred.cli", "ctxpred.errors", "ctxpred.files",
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -1136,4 +1170,4 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert proc.stdout.count("PASS") == 4
+    assert proc.stdout.count("PASS") == 3

@@ -322,6 +322,12 @@ class TestFit:
         with pytest.raises(ConfigError):
             smooth_fit({}, y)
 
+    def test_default_grid_is_the_log_spaced_grid(self):
+        # written as literals so that the option table needs no numpy
+        assert [v.hex() for v in LAMBDA_GRID] == [
+            float(v).hex() for v in np.logspace(-4.0, 4.0, 17)
+        ]
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=200)
