@@ -50,8 +50,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "regression": (
         "DeltaLogLik", "DesignMatrix", "EquivalenceReport", "FitResult", "LmgReport",
-        "Triangle", "delta_loglik", "equivalence_report", "fit_columns",
-        "gaussian_loglik", "gaussian_loglik_rows", "lmg", "ols_fit",
+        "Triangle", "delta_loglik", "equivalence_report", "fit_columns", "lmg", "ols_fit",
         "residualization_triplet",
     ),
     "seeding": ("named_rng",),

@@ -84,3 +84,22 @@ def check_lambda_grid(values: Iterable[float]) -> tuple[float, ...]:
     if list(grid) != sorted(grid):
         raise ConfigError(f"lambda grid must be sorted ascending, got {list(grid)}")
     return grid
+
+
+# the enumeration budget of ``oracle``, and the reading-time noise of ``gen``
+def check_max_len(value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"max_len must be >= 1, got {value}")
+    return value
+
+
+def check_tail_tol(value: float) -> float:
+    if not 0.0 < value <= 1e-3:
+        raise ConfigError(f"tail_tol must lie in (0, 1e-3], got {value}")
+    return value
+
+
+def check_noise_sd(value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {value}")
+    return value

@@ -39,9 +39,12 @@ from .choices import (
     SWAP_TARGET,
     check_choice,
     check_lambda_grid,
+    check_max_len,
+    check_noise_sd,
     check_predictors,
     check_seed,
     check_swap_ortho,
+    check_tail_tol,
 )
 from .errors import (
     ConfigError,
@@ -146,7 +149,8 @@ OPTIONS = {opt.name: opt for opt in (
     Option("n_docs", "gen", _number(int, 1), 50, "documents to sample"),
     Option("doc_len", "gen", _number(int, 1), 100, "minimum tokens per document"),
     Option("participants", "gen", _number(int, 1), 1, "readers of every token"),
-    Option("noise_sd", "gen", _number(float), 10.0, "reading-time noise SD (ms)"),
+    Option("noise_sd", "gen", lambda text: check_noise_sd(_number(float)(text)), 10.0,
+           "reading-time noise SD (ms)"),
     Option("coeffs", "gen", _parse_coeffs, DEFAULT_COEFFS,
            "true coefficient (repeatable; config key coef.NAME); replaces the defaults"),
     Option("corpus", "analyze", str, None, "reading-time corpus TSV"),
@@ -165,8 +169,10 @@ OPTIONS = {opt.name: opt for opt in (
     Option("smooth_k", "analyze", _number(int, 3), DEFAULT_KNOTS, "spline basis size"),
     Option("lambda_grid", "analyze", _parse_lambda_grid, LAMBDA_GRID,
            "comma-separated smoothing grid"),
-    Option("max_len", "oracle", _number(int), 256, "enumeration length budget"),
-    Option("tail_tol", "oracle", _number(float), 1e-6, "enumeration tail tolerance"),
+    Option("max_len", "oracle", lambda text: check_max_len(_number(int)(text)), 256,
+           "enumeration length budget"),
+    Option("tail_tol", "oracle", lambda text: check_tail_tol(_number(float)(text)), 1e-6,
+           "enumeration tail tolerance"),
     Option("perturbations", "oracle", _number(int, 1), 1000,
            "random unigram candidates the minimizer must beat"),
 )}

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .choices import check_noise_sd
 from .errors import ConfigError, DegenerateError, FormatError
 from .files import read_text, write_atomic
 from .lm import AutoregressiveLM, sample_string
@@ -580,8 +581,7 @@ def generate_synthetic(
 
     if min(n_docs, doc_len, n_participants) < 1:
         raise ConfigError("n_docs, doc_len and n_participants must be positive")
-    if not (math.isfinite(noise_sd) and noise_sd >= 0):
-        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
+    check_noise_sd(noise_sd)
     allowed = {"intercept", *PREDICTOR_NAMES}
     unknown = sorted(set(true_coeffs) - allowed)
     if unknown:

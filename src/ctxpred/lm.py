@@ -40,9 +40,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .choices import check_max_len, check_tail_tol
 from .errors import (
     ConditioningError,
-    ConfigError,
     ConvergenceError,
     DegenerateError,
     DivergenceError,
@@ -74,12 +74,8 @@ class EnumerationBudget:
     tail_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if not (0.0 < self.tail_tol <= 1e-3):
-            raise ConfigError(
-                f"tail_tol must lie in (0, 1e-3], got {self.tail_tol}"
-            )
+        check_max_len(self.max_len)
+        check_tail_tol(self.tail_tol)
 
 
 @dataclass(frozen=True)

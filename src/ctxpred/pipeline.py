@@ -7,22 +7,25 @@ observations it:
 1. aggregates participants and scores every token of the text,
 2. drops the tokens nobody read and the document-initial rows (no
    spillover values there), counting each,
-3. assigns folds, then per fold standardizes every column with
-   training-rows statistics only,
-4. fits the competing linear models (raw surprisal, PMI rewrite, and
-   the orthogonalized variant), decomposes training R-squared into
-   per-group shares, and scores held-out rows against the
-   training-mean baseline,
-5. optionally fits smooth (spline) counterparts of each model,
+3. builds U = [1 | predictors | response], assigns folds, and factors
+   each fold's rows of U into a small QR triangle, in one pass,
+4. per fold, reads the training means, SDs and projections off the QR
+   of the other folds' triangles, maps each competing linear model (raw
+   surprisal, PMI rewrite, and the orthogonalized variant) to a column
+   map T of U, fits it on the triangle of ``R T``, decomposes training
+   R-squared into per-group shares, and scores the held-out rows
+   against the training-mean baseline through the fold's triangle,
+5. optionally fits smooth (spline) counterparts of each model on the
+   fold's rows of U times T,
 6. runs the reparameterization-identity check on the raw columns and
    full-sample raw-scale fits for coefficient read-outs in original
    units.
 
 Nothing here touches the filesystem; the CLI layer serializes the
 returned structures.  Test rows never contribute to means, variances,
-projection coefficients, or fitted parameters, so the folds are
-independent: they run in forked worker processes, one per usable CPU,
-and their records are merged in fold order.
+projection coefficients, or fitted parameters.  Linear folds touch no
+row and run in this process; with smooth fits the folds run in forked
+worker processes, one per usable CPU, merged in fold order.
 """
 
 from __future__ import annotations
@@ -45,19 +48,14 @@ from .choices import (
     check_predictors,
     check_swap_ortho,
 )
-from .corpus import (
-    FoldAssignment,
-    TokenTable,
-    aggregate_participants,
-    kfold,
-    standardize_stats,
-)
+from .corpus import FoldAssignment, TokenTable, aggregate_participants, kfold
 from .errors import ConfigError, DegenerateError, RankDeficiencyError
-from .hilbert import fit_projection, sample_orthogonalize
-from .predictors import PREDICTOR_NAMES, build_predictor_table, table_columns
+from .hilbert import sample_orthogonalize
+from .predictors import PREDICTOR_NAMES, build_predictor_table
 from .regression import (
+    INTERCEPT_LABEL,
     DesignMatrix,
-    FitResult,
+    Triangle,
     delta_loglik,
     equivalence_report,
     lmg,
@@ -113,75 +111,10 @@ def _design_columns(spec: ModelSpec) -> Iterator[tuple[str, str, str | None]]:
         yield _spill(label), _spill(source), None if anchor is None else _spill(anchor)
 
 
-def _needed_sources(specs: Sequence[ModelSpec]) -> list[str]:
-    names: list[str] = []
-    for spec in specs:
-        for _, source, anchor in _design_columns(spec):
-            for name in filter(None, (source, anchor)):
-                if name not in names:
-                    names.append(name)
-    return names
-
-
-def _assemble(
-    spec: ModelSpec,
-    std_train: Mapping[str, np.ndarray],
-    std_test: Mapping[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, float]]:
-    """Build one model's train/test columns from standardized sources.
-
-    Residualization coefficients come from training rows only and are
-    applied unchanged to the held-out rows.  Returns the train columns,
-    test columns, and the training-fold correlation of each
-    residualized column with its anchor (a leak/exactness diagnostic).
-    """
-    cols_tr: dict[str, np.ndarray] = {}
-    cols_te: dict[str, np.ndarray] = {}
-    anchor_corr: dict[str, float] = {}
-    for lab, src, anc in _design_columns(spec):
-        if anc is None:
-            cols_tr[lab] = std_train[src]
-            cols_te[lab] = std_test[src]
-            continue
-        coeff = fit_projection(std_train[src], std_train[anc], anc)
-        cols_tr[lab] = coeff.apply(std_train[src], std_train[anc])
-        cols_te[lab] = coeff.apply(std_test[src], std_test[anc])
-        denom = math.sqrt(
-            float(cols_tr[lab] @ cols_tr[lab]) * float(std_train[anc] @ std_train[anc])
-        )
-        num = float(cols_tr[lab] @ std_train[anc])
-        anchor_corr[lab] = 0.0 if denom == 0.0 else num / denom
-    return cols_tr, cols_te, anchor_corr
-
-
 def _groups(spec: ModelSpec, grouping: str) -> dict[str, list[str]]:
     if grouping == "paired":
         return {label: [label, _spill(label)] for label, _, _ in spec.pairs}
     return {label: [label] for label, _, _ in _design_columns(spec)}
-
-
-def _fit_to_raw_scale(
-    fit: FitResult,
-    spec: ModelSpec,
-    stats: Mapping[str, tuple[float, float]],
-) -> dict[str, float] | None:
-    """Translate a standardized-column fit back to original units.
-
-    Only meaningful when every column is a plain standardized copy of a
-    raw source column (no residualization), i.e. for the surprisal and
-    PMI models.
-    """
-    if any(anchor is not None for _, _, anchor in spec.pairs):
-        return None
-    coeffs: dict[str, float] = {}
-    intercept = fit.coef("intercept")
-    for lab, src, _ in _design_columns(spec):
-        mean, sd = stats[src]
-        beta = fit.coef(lab)
-        coeffs[lab] = beta / sd
-        intercept -= beta * mean / sd
-    coeffs["intercept"] = intercept
-    return coeffs
 
 
 def _usable_rows(aggregated: TokenTable, source) -> tuple[TokenTable, int, int]:
@@ -200,16 +133,48 @@ class AnalyzeResult:
     lmg_rows: list[dict] = field(default_factory=list)
 
 
+# the union of source columns, U = [1 | predictors | response]: a
+# model's design on any rows is those rows of U times a column map
+_UNION = (INTERCEPT_LABEL, *PREDICTOR_NAMES, "rt_ms")
+_Y = len(_UNION) - 1
+
+
+def _union(rows: TokenTable) -> np.ndarray:
+    """U on ``rows``, column-major: each column is one contiguous array."""
+    return np.vstack([np.ones(len(rows)), *(rows[name] for name in _UNION[1:])]).T
+
+
+class _FoldRows(NamedTuple):
+    """Rows of U kept as their QR triangle (at most one row per column of
+    U), their count, and the least and greatest value of each column."""
+
+    triangle: np.ndarray
+    n_rows: int
+    low: np.ndarray
+    high: np.ndarray
+
+    @classmethod
+    def of(cls, u_rows: np.ndarray) -> "_FoldRows":
+        r = np.linalg.qr(u_rows, mode="r")
+        return cls(r, len(u_rows), u_rows.min(axis=0), u_rows.max(axis=0))
+
+    @classmethod
+    def merge(cls, parts: Sequence["_FoldRows"]) -> "_FoldRows":
+        """The union of disjoint rows: the QR of their stacked triangles."""
+        r = np.linalg.qr(np.vstack([p.triangle for p in parts]), mode="r")
+        low, high = np.min([p.low for p in parts], axis=0), np.max([p.high for p in parts], axis=0)
+        return cls(r, sum(p.n_rows for p in parts), low, high)
+
+
 @dataclass(frozen=True)
 class _FoldContext:
-    """What every fold reads: the usable rows, their raw columns and
-    response, the fold assignment, the models and their LMG groups, and
-    the smoothing options."""
+    """What every fold reads: the usable rows' codes, their U, the folds
+    and their rows of U, the models, their LMG groups, the smoothing."""
 
     rows: TokenTable
-    raw: Mapping[str, np.ndarray]
-    y: np.ndarray
+    u: np.ndarray
     assignment: FoldAssignment
+    fold_rows: tuple[_FoldRows, ...]
     specs: tuple[ModelSpec, ...]
     groups: tuple[dict[str, list[str]], ...]
     smooth: bool
@@ -228,42 +193,98 @@ class _ModelFold(NamedTuple):
     smooth_entry: dict | None
 
 
+def _model_map(train: _FoldRows, spec: ModelSpec) -> tuple[np.ndarray, dict[str, float]]:
+    """The column map T of ``spec``'s design ``U @ T``, and each
+    residualized column's training correlation with its anchor, from the
+    training triangle R: the means are ``R[0] / R[0, 0]``, the centred
+    cross-products those of ``R[1:]``.  A source constant on the
+    training rows, by their least and greatest value, is refused."""
+    r = train.triangle
+
+    def standardized(name: str) -> np.ndarray:
+        j = _UNION.index(name)
+        if not train.low[j] < train.high[j]:
+            raise DegenerateError(f"{name}: zero or non-finite variance")
+        sd = math.sqrt(float(r[1:, j] @ r[1:, j]) / (train.n_rows - 1))
+        t = np.zeros(len(_UNION))
+        t[0], t[j] = -(r[0, j] / r[0, 0]) / sd, 1.0 / sd
+        return t
+
+    columns, anchor_corr = [np.eye(len(_UNION))[0]], {}
+    for label, source, anchor in _design_columns(spec):
+        t = standardized(source)
+        if anchor is not None:
+            z = standardized(anchor)
+            tc, zc = r[1:] @ t, r[1:] @ z
+            t = t - float(tc @ zc) / float(zc @ zc) * z
+            v, w = r @ t, r @ z
+            denom = math.sqrt(float(v @ v) * float(w @ w))
+            anchor_corr[label] = 0.0 if denom == 0.0 else float(v @ w) / denom
+        columns.append(t)
+    return np.column_stack(columns), anchor_corr
+
+
+def _sse(rows: _FoldRows, coef: np.ndarray) -> float:
+    """Squared errors on ``rows`` of the fitted values ``U @ coef`` (``coef[_Y]`` 0), summed."""
+    e = rows.triangle @ coef - rows.triangle[:, _Y]
+    return float(e @ e)
+
+
+def _columns(spec: ModelSpec, u: np.ndarray, t: np.ndarray, rows: np.ndarray) -> dict:
+    """``spec``'s design columns but the intercept on the ``rows`` of U, by its map ``t``."""
+    x = u[rows] @ t[:, 1:]
+    return {label: x[:, i] for i, (label, _, _) in enumerate(_design_columns(spec))}
+
+
 def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
     """Fit every model on fold ``f``'s training rows and score its test
-    rows; each column is standardized with training statistics only."""
-    tr = context.assignment.train_idx(f)
-    te = context.assignment.test_idx(f)
-    raw, y = context.raw, context.y
-    stats = {n: standardize_stats(raw[n][tr], n) for n in _needed_sources(context.specs)}
-    std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
-    std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
-    y_tr, y_te = y[tr], y[te]
-    # the fold's smooth terms, shared by the models: a label names one
-    # column within a fold
-    terms: dict[str, SmoothTerm] = {}
+    rows; each column is standardized with training statistics only.  The
+    linear fits and scores read the triangles of the fold's rows of U."""
+    test = context.fold_rows[f]
+    train = _FoldRows.merge([rows for g, rows in enumerate(context.fold_rows) if g != f])
+    r, n_train = train.triangle, train.n_rows
+    sst = float(r[1:, _Y] @ r[1:, _Y])
+    # the training-mean baseline, shared by the models
+    base_sse = _sse(test, np.eye(len(_UNION))[0] * (r[0, _Y] / r[0, 0]))
+    if context.smooth:
+        tr, te = context.assignment.train_idx(f), context.assignment.test_idx(f)
+        y_tr = context.u[tr, _Y]
+        # the fold's smooth terms, shared by the models: a label names one
+        # column within a fold
+        terms: dict[str, SmoothTerm] = {}
+    # every map first: a source constant on training rows is refused before any fit
+    maps = [_model_map(train, spec) for spec in context.specs]
     out = []
-    for spec, groups in zip(context.specs, context.groups):
-        cols_tr, cols_te, anchor_corr = _assemble(spec, std_tr, std_te)
+    for spec, groups, (t, anchor_corr) in zip(context.specs, context.groups, maps):
+        columns = list(_design_columns(spec))
+        labels = (INTERCEPT_LABEL, *(label for label, _, _ in columns))
         try:
-            fit = ols_fit(DesignMatrix.build(cols_tr), y_tr)
+            fit = Triangle.of(labels, np.column_stack([r @ t, r[:, _Y]]), n_train, sst).fit()
         except RankDeficiencyError as exc:
             # a token type that the training rows lack can make the
             # type-level columns collinear
             tokens = context.rows["token"]
-            lacking = np.setdiff1d(tokens, tokens[tr])
-            names = ", ".join(sorted(repr(context.rows.types[c]) for c in lacking))
-            note = f"; the fold's training rows hold no {names}" if names else ""
+            lacking = np.setdiff1d(tokens, tokens[context.assignment.fold_of_row != f])
+            names = sorted(repr(context.rows.types[c]) for c in lacking)
+            more = f" ({len(names)} types in all)" if len(names) > 5 else ""
+            note = f"; the fold's training rows hold no {', '.join(names[:5])}{more}"
             raise RankDeficiencyError(
-                f"fold {f}, model {spec.name}: {exc}{note}", columns=exc.columns
+                f"fold {f}, model {spec.name}: {exc}{note if names else ''}", columns=exc.columns
             ) from exc
-        pred_te = fit.predict(DesignMatrix.build(cols_te))
-        delta = delta_loglik(y_tr, fit.residual_variance, y_te, pred_te)
+        t_beta = t @ fit.coefficients
+        delta = delta_loglik(
+            test.n_rows, _sse(test, t_beta), fit.residual_variance, base_sse, sst / n_train
+        )
         report_lmg = lmg(fit.triangle, groups)
+        coeffs_raw = None
+        if not anchor_corr:  # in original units, for designs without residualized columns
+            coeffs_raw = {label: float(t_beta[_UNION.index(src)]) for label, src, _ in columns}
+            coeffs_raw[INTERCEPT_LABEL] = float(t_beta[0])
         entry = {
             "fold": f,
             "r2": fit.r2,
             "coeffs": fit.coef_dict(),
-            "coeffs_raw": _fit_to_raw_scale(fit, spec, stats),
+            "coeffs_raw": coeffs_raw,
             "llh": delta.model_loglik / delta.n_test,
             "delta_llh": delta.per_token,
         }
@@ -274,15 +295,17 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
         ]
         smooth_entry = None
         if context.smooth:
-            for label, x in cols_tr.items():
+            for label, x in _columns(spec, context.u, t, tr).items():
                 if label not in terms:
                     terms[label] = SmoothTerm.fit(label, x, context.smooth_k)
             sfit = fit_smooth(
-                {label: terms[label] for label in cols_tr}, y_tr,
+                {label: terms[label] for label in labels[1:]}, y_tr,
                 lambda_grid=context.lambda_grid,
             )
-            pred = sfit.predict(cols_te)
-            sdelta = delta_loglik(y_tr, sfit.residual_variance, y_te, pred)
+            resid = context.u[te, _Y] - sfit.predict(_columns(spec, context.u, t, te))
+            sdelta = delta_loglik(
+                test.n_rows, float(resid @ resid), sfit.residual_variance, base_sse, sst / n_train
+            )
             smooth_entry = {
                 "fold": f,
                 "r2": sfit.r2,
@@ -295,9 +318,8 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
 
 
 def _fold_workers(folds: int) -> int:
-    """Worker processes for the fold loop: one per CPU this process may
-    run on, at most one per fold; 1 (in-process) without fork or CPU
-    affinity."""
+    """Worker processes for the fold loop: one per CPU this process may run
+    on, at most one per fold; 1 (in-process) without fork or CPU affinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return min(folds, len(os.sched_getaffinity(0)))
@@ -305,24 +327,11 @@ def _fold_workers(folds: int) -> int:
 
 # the fold context of a worker process, set by its pool's initializer
 _worker_context: _FoldContext | None = None
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _init_worker(context: _FoldContext) -> None:
-    """Adopt the fold context, and have glibc's malloc keep the memory a
-    fold frees for the next fold instead of unmapping it: page faults in
-    processes forked from one parent slow each other down, and on a
-    2-CPU Xeon the ten folds of a 50,000-row linear analysis took 0.33 s
-    on two workers without this, 0.27 s in-process and 0.22 s with it."""
     global _worker_context
     _worker_context = context
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _run_worker_fold(f: int) -> list[_ModelFold]:
@@ -330,24 +339,20 @@ def _run_worker_fold(f: int) -> list[_ModelFold]:
 
 
 def _run_folds(context: _FoldContext, folds: int) -> list[list[_ModelFold]]:
-    """``_run_fold`` of every fold, in fold order.
-
-    With several workers the folds run in forked processes, which
-    inherit the context rather than receive it pickled; only the fold
-    records travel back.  A failure re-raises the exception of the
-    lowest failing fold once the pool has shut down.
-    """
-    workers = _fold_workers(folds)
+    """``_run_fold`` of every fold, in fold order.  Linear folds run in
+    this process.  Smooth fits need the rows: their folds run in forked
+    workers, which inherit the context rather than receive it pickled,
+    and a failure re-raises the exception of the lowest failing fold
+    once the pool has shut down."""
+    workers = _fold_workers(folds) if context.smooth else 1
     if workers == 1:
         return [_run_fold(context, f) for f in range(folds)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(context,),
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(context,),
     ) as pool:
         # map yields in fold order; leaving it early cancels the folds
         # not yet started, and leaving the block joins the workers
@@ -389,15 +394,20 @@ def analyze_tokens(
             f"tokens; need at least {folds}"
         )
 
+    u = _union(rows)
+    # U holds the numbers, and the folds read only the codes
+    rows = TokenTable({name: rows[name] for name in ("doc", "token")}, rows.doc_ids, rows.types)
     # every column, for the identity check whatever the model selection
-    raw = table_columns(rows, PREDICTOR_NAMES)
-    y = rows["rt_ms"]
+    raw = {name: u[:, j] for j, name in enumerate(_UNION) if 0 < j < _Y}
+    y = u[:, _Y]
 
     doc_ids = rows.decode("doc") if fold_by == "document" else None
     assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
+    # the one pass over the rows of U that the linear folds need
+    fold_rows = tuple(_FoldRows.of(u[assignment.test_idx(f)]) for f in range(folds))
 
     context = _FoldContext(
-        rows=rows, raw=raw, y=y, assignment=assignment, specs=tuple(specs),
+        rows=rows, u=u, assignment=assignment, fold_rows=fold_rows, specs=tuple(specs),
         groups=groups, smooth=smooth, smooth_k=smooth_k, lambda_grid=lambda_grid,
     )
     fold_records = _run_folds(context, folds)
@@ -417,9 +427,7 @@ def analyze_tokens(
 
     # reparameterization identities on the raw, unstandardized columns
     # (standardization would rescale away the exact coefficient algebra)
-    equivalence = equivalence_report(
-        y, raw["surprisal"], raw["frequency"], pmi=raw["pmi"]
-    )
+    equivalence = equivalence_report(y, raw["surprisal"], raw["frequency"], pmi=raw["pmi"])
 
     report = {
         "n_rows": len(rows),
@@ -429,12 +437,8 @@ def analyze_tokens(
         "fold_mode": assignment.mode,
         "seed": seed,
         "models": models,
-        "equivalence": {
-            "deltas": {k: float(v) for k, v in equivalence.deltas.items()}
-        },
-        "ortho_train_correlations": {
-            k: float(v) for k, v in sorted(ortho_diag.items())
-        },
+        "equivalence": {"deltas": {k: float(v) for k, v in equivalence.deltas.items()}},
+        "ortho_train_correlations": {k: float(v) for k, v in sorted(ortho_diag.items())},
     }
     lmg_rows = [row for records in fold_records for record in records for row in record.lmg_rows]
     return AnalyzeResult(report=report, lmg_rows=lmg_rows)
@@ -491,7 +495,4 @@ def _mean_se(values: Sequence[float]) -> dict[str, float]:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise DegenerateError("need at least two folds for a standard error")
-    return {
-        "mean": float(arr.mean()),
-        "se": float(arr.std(ddof=1) / math.sqrt(arr.size)),
-    }
+    return {"mean": float(arr.mean()), "se": float(arr.std(ddof=1) / math.sqrt(arr.size))}

@@ -4,11 +4,13 @@ The linear layer deliberately stays small: a design matrix with an
 explicit intercept column, whose construction only validates the
 columns (shape, finiteness); one QR triangle of ``[X | y]`` per fitted
 design, from which the OLS fit, its standard errors, its
-condition-number gate and every subset fit of the variance
-decomposition are read; Gaussian log-likelihoods for out-of-sample
-comparison against a mean-only baseline; and an
-averaged-over-orderings (Shapley) decomposition of R-squared into
-per-group shares.
+condition-number gate, the names of the columns a refused fit depends
+on, and every subset fit of the variance decomposition are read; the
+held-out Gaussian log-likelihood gain over a mean-only baseline, in
+closed form from sums of squares; and an averaged-over-orderings
+(Shapley) decomposition of R-squared into per-group shares.  Any rows
+with the cross-products of ``[X | y]`` give its triangle
+(``Triangle.of``), so a fold may factor small matrices only.
 
 Two structural identities are enforced as first-class checks rather
 than left to downstream eyeballing:
@@ -73,9 +75,8 @@ def _as_column(values, label: str) -> np.ndarray:
 class DesignMatrix:
     """Labelled regressor matrix with a leading intercept column.
 
-    Building one only validates the columns; ``ols_fit`` gates on the
-    design's condition number, so a matrix that is only multiplied by
-    fitted coefficients (a small test fold) is never factorized."""
+    Building one only validates the columns (shape, finiteness);
+    ``ols_fit`` gates on the design's condition number."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
@@ -101,24 +102,6 @@ class DesignMatrix:
         cols.insert(0, np.ones(n))
         return cls(labels=tuple(labels), matrix=np.column_stack(cols))
 
-    def _dependent_labels(self) -> list[str]:
-        # Pivoted QR points at the columns that add (almost) nothing to
-        # the span of the ones already chosen.  scipy.linalg is imported
-        # only here, on the failure path: it is the costliest import left.
-        import scipy.linalg
-
-        _, r, piv = scipy.linalg.qr(self.matrix, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        if diag[0] == 0.0:
-            return list(self.labels)
-        weak = diag <= diag[0] / CONDITION_LIMIT
-        names = [self.labels[piv[i]] for i in range(diag.size) if weak[i]]
-        return names or [self.labels[piv[-1]]]
-
-    @property
-    def n_obs(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -135,13 +118,21 @@ class Triangle:
     @classmethod
     def factor(cls, design: DesignMatrix, y: np.ndarray) -> "Triangle":
         y = _as_column(y, "response")
-        n = design.n_obs
+        n = design.matrix.shape[0]
         if y.size != n:
             raise AlignmentError(f"response has {y.size} rows, design has {n}")
-        r = np.linalg.qr(np.column_stack([design.matrix, y]), mode="r")
-        r.flags.writeable = False  # shared by the fit and its lmg shares
         centered = y - y.mean()
-        return cls(labels=design.labels, r=r, n_obs=n, sst=float(centered @ centered))
+        return cls.of(
+            design.labels, np.column_stack([design.matrix, y]), n, float(centered @ centered)
+        )
+
+    @classmethod
+    def of(cls, labels: tuple[str, ...], rows: np.ndarray, n_obs: int, sst: float) -> "Triangle":
+        """The triangle of ``rows``: the n rows of ``[X | y]``, or any
+        rows with their cross-products, such as a triangle of theirs."""
+        r = np.linalg.qr(rows, mode="r")
+        r.flags.writeable = False  # shared by the fit and its lmg shares
+        return cls(labels=tuple(labels), r=r, n_obs=n_obs, sst=sst)
 
     def solve(self, cols: list[int]) -> tuple[np.ndarray, float, np.ndarray]:
         """Coefficients, SSE and singular values of the fit on the design
@@ -157,6 +148,50 @@ class Triangle:
 
     def r2(self, sse: float) -> float:
         return 0.0 if self.sst == 0.0 else 1.0 - sse / self.sst
+
+    def fit(self) -> "FitResult":
+        """The OLS fit on every design column; refused with
+        ``RankDeficiencyError`` above ``CONDITION_LIMIT``."""
+        n, k = self.n_obs, len(self.labels)
+        if n <= k:
+            raise DegenerateError(
+                f"need more rows ({n}) than columns ({k}) to fit and "
+                "estimate residual scale"
+            )
+        # the same solve as lmg's full-set subset, so fit.r2 == total_r2
+        beta, sse, singular = self.solve(list(range(k)))
+        # the gate reads the singular values of R's design block, which are
+        # X's; a zero smallest one (0/0 included) counts as infinite
+        cond = singular[0] / singular[-1] if singular[-1] > 0.0 else math.inf
+        if cond > CONDITION_LIMIT:
+            culprits = self.dependent_labels()
+            raise RankDeficiencyError(
+                f"design condition number {cond:.3e} exceeds "
+                f"{CONDITION_LIMIT:.0e}; near-dependent columns: "
+                + ", ".join(culprits),
+                columns=culprits,
+            )
+        # inv(X'X) = inv(R) inv(R)' for R's k x k design block
+        r_inv = np.linalg.inv(self.r[:k, :k])
+        std_errors = np.sqrt(np.sum(r_inv * r_inv, axis=1) * (sse / (n - k)))
+        return FitResult(
+            labels=self.labels, coefficients=beta, std_errors=std_errors, sse=sse,
+            r2=self.r2(sse), residual_variance=max(sse / n, VARIANCE_FLOOR), triangle=self,
+        )
+
+    def dependent_labels(self) -> list[str]:
+        """The design columns, in design order, whose part outside the
+        span of those before them (R's diagonal entry) is at most
+        1/``CONDITION_LIMIT`` of their norm, else the one with the least
+        such ratio: of two equal columns the later, whatever the rounding."""
+        k = len(self.labels)
+        block = self.r[:k, :k]
+        diag = np.abs(np.diag(block))
+        norms = np.sqrt(np.sum(block * block, axis=0))
+        weak = diag <= norms / CONDITION_LIMIT
+        if not weak.any():
+            weak[np.argmin(diag / norms)] = True
+        return [label for label, w in zip(self.labels, weak) if w]
 
 
 @dataclass(frozen=True)
@@ -186,67 +221,14 @@ class FitResult:
     def coef_dict(self) -> dict[str, float]:
         return {lab: float(b) for lab, b in zip(self.labels, self.coefficients)}
 
-    def predict(self, design: DesignMatrix) -> np.ndarray:
-        if design.labels != self.labels:
-            raise AlignmentError(
-                f"design columns {design.labels} do not match fitted "
-                f"columns {self.labels}"
-            )
-        return design.matrix @ self.coefficients
-
 
 def ols_fit(design: DesignMatrix, y: np.ndarray) -> FitResult:
-    triangle = Triangle.factor(design, y)
-    n, k = design.matrix.shape
-    if n <= k:
-        raise DegenerateError(
-            f"need more rows ({n}) than columns ({k}) to fit and "
-            "estimate residual scale"
-        )
-    # the same solve as lmg's full-set subset, so fit.r2 == total_r2
-    beta, sse, singular = triangle.solve(list(range(k)))
-    # the gate reads the singular values of R's design block, which are
-    # X's; a zero smallest one (0/0 included) counts as infinite
-    cond = singular[0] / singular[-1] if singular[-1] > 0.0 else math.inf
-    if cond > CONDITION_LIMIT:
-        culprits = design._dependent_labels()
-        raise RankDeficiencyError(
-            f"design condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; near-dependent columns: "
-            + ", ".join(culprits),
-            columns=culprits,
-        )
-    # inv(X'X) = inv(R) inv(R)' for R's k x k design block
-    r_inv = np.linalg.inv(triangle.r[:k, :k])
-    std_errors = np.sqrt(np.sum(r_inv * r_inv, axis=1) * (sse / (n - k)))
-    return FitResult(
-        labels=design.labels,
-        coefficients=beta,
-        std_errors=std_errors,
-        sse=sse,
-        r2=triangle.r2(sse),
-        residual_variance=max(sse / n, VARIANCE_FLOOR),
-        triangle=triangle,
-    )
+    return Triangle.factor(design, y).fit()
 
 
 def fit_columns(columns: Mapping[str, np.ndarray], y: np.ndarray) -> FitResult:
     """Convenience wrapper: build the design and fit in one step."""
     return ols_fit(DesignMatrix.build(columns), y)
-
-
-def gaussian_loglik_rows(y: np.ndarray, mean, variance: float) -> np.ndarray:
-    """Per-row Normal(mean, variance) log-densities."""
-    y = _as_column(y, "response")
-    if variance <= 0.0 or not math.isfinite(variance):
-        raise DegenerateError(f"variance must be positive, got {variance}")
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), y.shape)
-    return -0.5 * math.log(2.0 * math.pi * variance) - 0.5 * (y - mean) ** 2 / variance
-
-
-def gaussian_loglik(y: np.ndarray, mean, variance: float) -> float:
-    """Sum of Normal(mean, variance) log-densities over the sample."""
-    return float(np.sum(gaussian_loglik_rows(y, mean, variance)))
 
 
 @dataclass(frozen=True)
@@ -261,32 +243,29 @@ class DeltaLogLik:
     baseline_loglik: float
 
 
+def _gaussian_loglik(n: int, sse: float, variance: float) -> float:
+    """Sum of n Normal log densities of one variance, residuals' squares summing to ``sse``."""
+    if variance <= 0.0 or not math.isfinite(variance):
+        raise DegenerateError(f"variance must be positive, got {variance}")
+    return -0.5 * n * math.log(2.0 * math.pi * variance) - 0.5 * sse / variance
+
+
 def delta_loglik(
-    y_train: np.ndarray,
-    residual_variance: float,
-    y_test: np.ndarray,
-    predicted_test: np.ndarray,
+    n_test: int, sse: float, residual_variance: float,
+    baseline_sse: float, baseline_variance: float,
 ) -> DeltaLogLik:
-    """Held-out gain of a model over the training-mean baseline.  The
-    model's variance is its floored training ``residual_variance``
-    (``FitResult``'s or ``SmoothFit``'s); the baseline's is the floored
-    training variance about the training mean."""
-    y_train = _as_column(y_train, "y_train")
-    y_test = _as_column(y_test, "y_test")
-    predicted_test = _as_column(predicted_test, "predicted_test")
-    if y_test.shape != predicted_test.shape:
-        raise AlignmentError("test response and predictions differ in length")
-    base_mean = float(y_train.mean())
-    dev_base = y_train - base_mean
-    var_base = max(float(dev_base @ dev_base) / y_train.size, VARIANCE_FLOOR)
-    model = gaussian_loglik(y_test, predicted_test, residual_variance)
-    base = gaussian_loglik(y_test, base_mean, var_base)
+    """Held-out gain of a model over the training-mean baseline on
+    ``n_test`` rows: the model's squared test errors sum to ``sse``, with
+    its floored training ``residual_variance`` (``FitResult``'s or
+    ``SmoothFit``'s); the baseline's sum to ``baseline_sse``, with the
+    training variance about the training mean, floored here."""
+    if n_test < 1:
+        raise DegenerateError("need at least one test row")
+    model = _gaussian_loglik(n_test, sse, residual_variance)
+    base = _gaussian_loglik(n_test, baseline_sse, max(baseline_variance, VARIANCE_FLOOR))
     total = model - base
     return DeltaLogLik(
-        total=total,
-        per_token=total / y_test.size,
-        n_test=int(y_test.size),
-        model_loglik=model,
+        total=total, per_token=total / n_test, n_test=n_test, model_loglik=model,
         baseline_loglik=base,
     )
 
@@ -435,8 +414,8 @@ def equivalence_report(
     fit_i = ols_fit(design_i, y)
     fit_ii = ols_fit(design_ii, y)
 
-    pred_i = fit_i.predict(design_i)
-    pred_ii = fit_ii.predict(design_ii)
+    pred_i = design_i.matrix @ fit_i.coefficients
+    pred_ii = design_ii.matrix @ fit_ii.coefficients
     deltas = {
         "r2": abs(fit_i.r2 - fit_ii.r2),
         "prediction": float(np.max(np.abs(pred_i - pred_ii))),

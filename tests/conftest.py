@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctxpred.lm import AutoregressiveLM, EnumerationBudget, UnitAlphabet
+from ctxpred.regression import delta_loglik
 from ctxpred.smooth import DEFAULT_KNOTS, SmoothTerm, fit_smooth
 
 FIXTURE_SEED = 20240915
@@ -24,6 +25,17 @@ def smooth_fit(columns, y, k=DEFAULT_KNOTS, **options):
     """``fit_smooth`` with a term of its own fitted to each column."""
     terms = {name: SmoothTerm.fit(name, x, k) for name, x in columns.items()}
     return fit_smooth(terms, y, **options)
+
+
+def heldout_delta(y_train, residual_variance, y_test, predicted):
+    """``delta_loglik`` of the predictions ``predicted`` of ``y_test``,
+    against the mean and variance of ``y_train``."""
+    resid = y_test - predicted
+    base = y_test - y_train.mean()
+    return delta_loglik(
+        y_test.size, float(resid @ resid), residual_variance, float(base @ base),
+        float(np.var(y_train)),
+    )
 
 
 def make_m0() -> AutoregressiveLM:

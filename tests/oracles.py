@@ -6,7 +6,8 @@ regression coefficients from the pseudoinverse, variance shares from
 factorial ordering enumeration, and spline values from a hand-written
 tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
-(``lstsq_rsquared`` and ``gcv_search_nrow``), the plain GCV search
+(``lstsq_rsquared``, ``gcv_search_nrow`` and the fold recipe
+``nrow_fold``), the plain GCV search
 (``gcv_search_reference``) and the per-row token path
 (``reference_aggregate``, ``reference_score``, ``choice_sample_string``),
 and the per-line TSV readers (``reference_read``, ``reference_external``,
@@ -489,6 +490,58 @@ def normal_logpdf(x, mean, var):
     this file is imported by property tests that run it thousands of
     times, and the closed form is the textbook definition anyway)."""
     return -0.5 * math.log(2.0 * math.pi * var) - (x - mean) ** 2 / (2.0 * var)
+
+
+# -- the n-row fold recipe -------------------------------------------------
+
+
+def nrow_fold(raw, y, tr, te, columns):
+    """One cross-validation fold of one linear model, on the n rows.
+
+    Each source is standardized with its training mean and SD; an
+    anchored column is the standardized source minus its least-squares
+    component along the standardized anchor, both centred on the
+    training rows and the fit replayed on the test rows; OLS is lstsq on
+    the training rows, and the held-out score sums Normal log densities
+    row by row.  ``columns`` lists (label, source, anchor or None).
+    Returns the training R^2, the coefficients by label (intercept
+    first), the mean held-out log density, its mean gain over the
+    training-mean baseline, and each anchored column's training
+    correlation with its anchor.
+    """
+    def standardized(name):
+        mean, sd = raw[name][tr].mean(), raw[name][tr].std(ddof=1)
+        return (raw[name][tr] - mean) / sd, (raw[name][te] - mean) / sd
+
+    train, test, corr = [np.ones(tr.size)], [np.ones(te.size)], {}
+    for label, source, anchor in columns:
+        x_tr, x_te = standardized(source)
+        if anchor is not None:
+            z_tr, z_te = standardized(anchor)
+            x_mean, z_mean = x_tr.mean(), z_tr.mean()
+            alpha = ((x_tr - x_mean) @ (z_tr - z_mean)) / ((z_tr - z_mean) @ (z_tr - z_mean))
+            x_tr = (x_tr - x_mean) - alpha * (z_tr - z_mean)
+            x_te = (x_te - x_mean) - alpha * (z_te - z_mean)
+            corr[label] = (x_tr @ z_tr) / math.sqrt((x_tr @ x_tr) * (z_tr @ z_tr))
+        train.append(x_tr)
+        test.append(x_te)
+    x_tr, x_te = np.column_stack(train), np.column_stack(test)
+    beta = np.linalg.lstsq(x_tr, y[tr], rcond=None)[0]
+    resid = y[tr] - x_tr @ beta
+    centred = y[tr] - y[tr].mean()
+    variance = max(float(resid @ resid) / tr.size, 1e-8)
+    base_variance = max(float(centred @ centred) / tr.size, 1e-8)
+    pred = x_te @ beta
+    llh = sum(normal_logpdf(v, m, variance) for v, m in zip(y[te], pred)) / te.size
+    base = sum(normal_logpdf(v, y[tr].mean(), base_variance) for v in y[te]) / te.size
+    labels = ["intercept", *(label for label, _, _ in columns)]
+    return {
+        "r2": 1.0 - float(resid @ resid) / float(centred @ centred),
+        "coeffs": dict(zip(labels, map(float, beta))),
+        "llh": llh,
+        "delta_llh": llh - base,
+        "anchor_corr": corr,
+    }
 
 
 # -- natural cubic spline oracle -------------------------------------------

@@ -46,7 +46,6 @@ from ctxpred.predictors import frequency_variable, surprisal_variable
 from ctxpred.regression import (
     DesignMatrix,
     Triangle,
-    delta_loglik,
     equivalence_report,
     fit_columns,
     lmg,
@@ -55,7 +54,7 @@ from ctxpred.regression import (
 from ctxpred.seeding import named_rng
 from ctxpred.smooth import SplineBasis
 
-from conftest import ACCEPTANCE_LINES, random_lm, smooth_fit
+from conftest import ACCEPTANCE_LINES, heldout_delta, random_lm, smooth_fit
 from oracles import lmg_by_orderings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -399,12 +398,12 @@ def test_ac10_smooth_regression_behaviour():
         yv = np.sin(2.0 * np.pi * xv) + 0.3 * rng.normal(size=400)
         tr, te = np.arange(300), np.arange(300, 400)
         sfit = smooth_fit({"x": xv[tr]}, yv[tr])
-        smooth_delta = delta_loglik(
+        smooth_delta = heldout_delta(
             yv[tr], sfit.residual_variance, yv[te], sfit.predict({"x": xv[te]})
         )
         line = fit_columns({"x": xv[tr]}, yv[tr])
         lin_te = line.coef("intercept") + line.coef("x") * xv[te]
-        lin_delta = delta_loglik(yv[tr], line.residual_variance, yv[te], lin_te)
+        lin_delta = heldout_delta(yv[tr], line.residual_variance, yv[te], lin_te)
         wins += smooth_delta.per_token > lin_delta.per_token
     ok = linear_resid < 1e-6 and gcv_dev < 1e-10 and edf_dev < 1e-10 and wins >= 45
     _announce(

@@ -210,6 +210,17 @@ class TestAnalyze:
         assert "external" in manifest["inputs"]
 
 
+def frequency_as_length(pred, path):
+    """The predictor file ``pred`` written to ``path`` with each token's
+    frequency replaced by its length."""
+    header, *lines = pred.read_text().splitlines()
+    rows = [line.split("\t") for line in lines]
+    path.write_text("\n".join(
+        [header] + ["\t".join([*r[:4], repr(float(len(r[2])))]) for r in rows]
+    ) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def continuous_files(tmp_path_factory):
     import numpy as np
@@ -612,12 +623,7 @@ class TestExitCodes:
         # an external frequency equal to the token length makes every
         # design singular; the fit names the columns that add nothing
         pred, corpus = continuous_files
-        header, *lines = pred.read_text().splitlines()
-        rows = [line.split("\t") for line in lines]
-        aliased = tmp_path / "pred.tsv"
-        aliased.write_text("\n".join(
-            [header] + ["\t".join([*r[:4], repr(float(len(r[2])))]) for r in rows]
-        ) + "\n")
+        aliased = frequency_as_length(pred, tmp_path / "pred.tsv")
         code = main([
             "analyze", "--external", str(aliased), "--corpus", str(corpus),
             "--out", str(tmp_path / "out"), "--seed", "3", "--folds", "3",
@@ -644,14 +650,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
         assert "RankDeficiencyError: fold 1, model surprisal:" in err
-        assert "near-dependent columns: prev_frequency, length" in err
+        assert "near-dependent columns: length, prev_length" in err
         assert "the fold's training rows hold no 'cccc'" in err
         observations, _ = parse_corpus(gen / "corpus.tsv")
         with pytest.raises(RankDeficiencyError) as exc:
             analyze_observations(
                 load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document"
             )
-        assert exc.value.columns == ["prev_frequency", "length"]
+        assert exc.value.columns == ["length", "prev_length"]
 
     def test_refused_fold_is_the_same_in_workers(self, tmp_path, capsys, monkeypatch):
         gen = tmp_path / "gen"
@@ -662,22 +668,24 @@ class TestExitCodes:
         capsys.readouterr()
         observations, _ = parse_corpus(gen / "corpus.tsv")
         outcomes = []
+        # smooth fits run the folds in the workers
         for workers in (1, 2):
             monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: workers)
             code = main([
                 "analyze", "--lm", MIXTURE, "--corpus", str(gen / "corpus.tsv"),
                 "--out", str(tmp_path / f"out{workers}"), "--seed", "7",
-                "--fold-by", "document", "--folds", "3",
+                "--fold-by", "document", "--folds", "3", "--smooth",
             ])
             with pytest.raises(RankDeficiencyError) as exc:
                 analyze_observations(
-                    load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document"
+                    load_lm_tsv(MIXTURE), observations, seed=7, folds=3, fold_by="document",
+                    smooth=True,
                 )
             outcomes.append((code, capsys.readouterr().err, str(exc.value), exc.value.columns))
             assert not multiprocessing.active_children()
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == EXIT_NUMERIC
-        assert outcomes[0][3] == ["prev_frequency", "length"]
+        assert outcomes[0][3] == ["length", "prev_length"]
 
     def test_bad_swap_target(self, gen_dir, tmp_path, capsys):
         code = main([
@@ -996,6 +1004,24 @@ class TestOptionTable:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["oracle", "--lm", "missing.tsv", "--max-len", "0"],
+         "--max-len: max_len must be >= 1, got 0"),
+        (["gen", "--lm", "missing.tsv", "--noise-sd", "-1"],
+         "--noise-sd: noise_sd must be finite and >= 0, got -1.0"),
+        (["oracle", "--lm", M1, "--tail-tol", "1"],
+         "--tail-tol: tail_tol must lie in (0, 1e-3], got 1.0"),
+    ])
+    def test_library_bounds_checked_with_the_options(self, argv, message, tmp_path, capsys):
+        # the bounds the library checks are those of the option table:
+        # refused behind their flag, before any input is read
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err and "missing.tsv" not in err
+        assert not (tmp_path / "o").exists()
+
+
 def test_import_leaves_out_spline_interpolation():
     # scipy.interpolate is the slowest import of the package; only smooth
     # fits need it, so importing the command line must not load it
@@ -1034,8 +1060,8 @@ def test_smooth_analysis_leaves_out_spline_interpolation(gen_dir, tmp_path):
 
 
 def test_import_leaves_out_scipy_linalg():
-    # only the rank-failure message uses scipy.linalg, so importing the
-    # command line must not load it
+    # the package runs on numpy alone, so importing the command line must
+    # not load scipy.linalg
     import subprocess
     import sys
 
@@ -1111,6 +1137,20 @@ def test_option_resolution_loads_no_numpy(command):
     }
 
 
+def test_refused_analysis_loads_no_scipy(continuous_files, tmp_path):
+    # a refused fit names its culprits from its own triangle, in numpy
+    pred, corpus = continuous_files
+    aliased = frequency_as_length(pred, tmp_path / "pred.tsv")
+    argv = ["analyze", "--external", str(aliased), "--corpus", str(corpus),
+            "--out", str(tmp_path / "out"), "--folds", "3"]
+    proc = subprocess.run([sys.executable, "-c", MODULES_AFTER, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert "near-dependent columns: length, prev_length" in proc.stderr
+    modules = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "ctxpred.regression" in modules and _package_of(modules, "scipy") == set()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--lm", MIXTURE, "--n-docs", "3", "--doc-len", "10"],
     ["oracle", "--lm", M1, "--perturbations", "10"],
@@ -1149,7 +1189,7 @@ def test_installed_version_reads_the_first_metadata_on_the_path(tmp_path, monkey
 
 
 def test_star_import_binds_the_public_api():
-    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 75
+    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 73
     namespace: dict = {}
     exec("from ctxpred import *", namespace)
     assert set(ctxpred.__all__) <= set(namespace)

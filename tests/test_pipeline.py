@@ -22,36 +22,29 @@ from ctxpred.corpus import (
     generate_synthetic,
     kfold,
     observation_table,
-    standardize_stats,
 )
 from ctxpred import pipeline
-from ctxpred.errors import ConfigError, RankDeficiencyError
+from ctxpred.errors import ConfigError, DegenerateError, RankDeficiencyError
 from ctxpred.lm import load_lm_tsv
 from ctxpred.pipeline import (
     MODEL_KINDS,
-    _assemble,
     _design_columns,
-    _needed_sources,
     analyze_observations,
     analyze_tokens,
     model_spec,
 )
 from ctxpred.predictors import (
+    PREDICTOR_NAMES,
     build_predictor_table,
     parse_external_tsv,
     table_columns,
     write_external_tsv,
 )
-from ctxpred.regression import (
-    DesignMatrix,
-    delta_loglik,
-    fit_columns,
-    gaussian_loglik_rows,
-    ols_fit,
-)
+from ctxpred.regression import fit_columns
 from ctxpred.smooth import SmoothTerm
 
-from conftest import smooth_fit
+from conftest import heldout_delta, smooth_fit
+from oracles import normal_logpdf, nrow_fold
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -375,23 +368,103 @@ class TestOneFactorization:
 
         for name in linalg:
             monkeypatch.setattr(np.linalg, name, counting(name))
-        # the counters see only calls made in this process
-        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 1)
         folds = 10
         res = analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=folds)
         n = res.report["n_rows"]
         models = len(MODEL_KINDS)
-        # fold fits, pooled fits, the equivalence check's two fits
-        assert len(linalg["qr"]) == folds * models + models + 2
-        assert min(linalg["qr"]) >= n - n // folds - 1
+        fold_sizes = np.bincount(kfold(n, folds, SEED).fold_of_row).tolist()
+        # every other QR is of a stack of at most folds - 1 triangles of U
+        width = 2 + len(PREDICTOR_NAMES)
+        small = (folds - 1) * width
+        assert max(fold_sizes) > small
+        # one QR of each fold's test rows, the pooled fits, and the
+        # equivalence check's two fits
+        assert sorted(m for m in linalg["qr"] if m > small) == sorted(
+            fold_sizes + [n] * (models + 2)
+        )
+        # per fold, the training stack and one small QR per model
+        assert sum(1 for m in linalg["qr"] if m <= small) == folds * (1 + models)
         # every other solve is on the (k+1)-row triangle
         k = 1 + len(res.report["models"][0]["columns"])
         assert linalg["lstsq"] and max(linalg["lstsq"]) <= k + 1
         assert linalg["inv"] and max(linalg["inv"]) <= k
 
 
-def continuous_tables(seed, n_docs, doc_len):
-    """Readings and external predictors with a nonlinear surprisal effect."""
+class TestNrowReference:
+    """Every linear fold number equals the n-row recipe's, from
+    ``oracles.nrow_fold``, to rounding."""
+
+    @pytest.mark.parametrize("swap", [None, "frequency"])
+    def test_fold_numbers_match(self, mixture_lm, synth, usable_rows, swap):
+        result = analyze_observations(
+            mixture_lm, synth.observations, seed=SEED, folds=FOLDS, swap_ortho=swap
+        )
+        raw = table_columns(usable_rows, PREDICTOR_NAMES)
+        y = usable_rows["rt_ms"]
+        assignment = kfold(len(usable_rows), FOLDS, SEED)
+        for model in result.report["models"]:
+            spec = model_spec(model["model"], True, swap)
+            for f, entry in enumerate(model["folds"]):
+                ref = nrow_fold(
+                    raw, y, assignment.train_idx(f), assignment.test_idx(f),
+                    list(_design_columns(spec)),
+                )
+                assert entry["r2"] == pytest.approx(ref["r2"], rel=1e-13)
+                assert entry["coeffs"] == pytest.approx(ref["coeffs"], rel=1e-10, abs=1e-11)
+                assert entry["llh"] == pytest.approx(ref["llh"], rel=1e-13)
+                assert entry["delta_llh"] == pytest.approx(ref["delta_llh"], rel=1e-10, abs=1e-13)
+                for label, corr in ref["anchor_corr"].items():
+                    assert abs(corr) < 1e-13
+                    key = f"{spec.name}:{label}"
+                    assert abs(result.report["ortho_train_correlations"][key]) < 1e-13
+
+
+class TestConstantSources:
+    """A source that is constant on a fold's training rows is refused by
+    name, decided exactly from the folds' least and greatest values."""
+
+    def test_constant_tenth_is_refused_by_name(self, continuous, tmp_path):
+        # np.std of many copies of 0.1 need not be 0
+        obs, recs = continuous
+        source = external_source(
+            with_columns(recs, frequency=np.full(len(recs), 0.1)), tmp_path / "pred.tsv"
+        )
+        with pytest.raises(DegenerateError, match="^frequency: zero or non-finite variance$"):
+            analyze_observations(source, obs, seed=2, folds=4)
+
+    def test_constant_on_one_folds_training_rows(self, continuous, tmp_path):
+        # frequency varies in one document only: the fold that holds it
+        # out trains on a constant
+        obs, recs = continuous
+        frequency = np.where(recs["doc"] == 0, recs["frequency"], 0.1)
+        source = external_source(with_columns(recs, frequency=frequency), tmp_path / "pred.tsv")
+        assert analyze_observations(source, obs, seed=2, folds=4)  # token folds
+        with pytest.raises(DegenerateError, match="^frequency: zero or non-finite variance$"):
+            analyze_observations(source, obs, seed=2, folds=4, fold_by="document")
+
+
+class TestRankRefusalNote:
+    def test_names_at_most_five_lacking_types(self, tmp_path):
+        # every token a type of its own, and frequency affine in surprisal:
+        # fold 0's 47 test rows hold 47 types its training rows lack
+        obs, recs = continuous_tables(17, 12, 40, unique_tokens=True)
+        source = external_source(
+            with_columns(recs, frequency=2.0 * recs["surprisal"] + 1.0), tmp_path / "pred.tsv"
+        )
+        with pytest.raises(RankDeficiencyError) as exc:
+            analyze_observations(source, obs, seed=2, folds=10)
+        message = str(exc.value)
+        assert message.startswith("fold 0, model surprisal:")
+        assert "near-dependent columns: frequency, prev_frequency" in message
+        note = message.split("; the fold's training rows hold no ", 1)[1]
+        names, count = note.split(" (")
+        assert len(names.split(", ")) == 5
+        assert count == "47 types in all)"
+
+
+def continuous_tables(seed, n_docs, doc_len, unique_tokens=False):
+    """Readings and external predictors with a nonlinear surprisal effect;
+    with ``unique_tokens`` every token is a type of its own."""
     rng = np.random.default_rng(seed)
     obs, recs = [], []
     for d in range(n_docs):
@@ -400,6 +473,8 @@ def continuous_tables(seed, n_docs, doc_len):
             surp = float(rng.gamma(4.0, 0.8))
             freq = float(rng.gamma(5.0, 0.5))
             token = "w" * int(rng.integers(1, 7))
+            if unique_tokens:
+                token += f"{d}.{t}"
             rt = 180.0 + 30.0 * np.sin(surp) + 8.0 * freq + rng.normal(0.0, 5.0)
             obs.append(("p0", doc, 0, t, token, float(rt), False))
             recs.append((doc, t, token, surp, freq))
@@ -414,6 +489,23 @@ def continuous_tables(seed, n_docs, doc_len):
 def external_source(recs, path):
     write_external_tsv(recs, path)
     return parse_external_tsv(path)
+
+
+def column_maps(u, assignment, specs) -> dict:
+    """The column map of each (fold, model) of the fold loop, from U and
+    the fold triangles as the library makes them."""
+    parts = [pipeline._FoldRows.of(u[assignment.test_idx(f)]) for f in range(assignment.k)]
+    return {
+        (f, spec.name): pipeline._model_map(
+            pipeline._FoldRows.merge([p for g, p in enumerate(parts) if g != f]), spec
+        )[0]
+        for f in range(assignment.k) for spec in specs
+    }
+
+
+def with_columns(recs, **columns):
+    """``recs`` with the named columns replaced."""
+    return TokenTable({**recs.columns, **columns}, recs.doc_ids, recs.types, recs.participants)
 
 
 @pytest.fixture(scope="module")
@@ -479,26 +571,25 @@ class TestSharedSmoothBlocks:
             smooth=True, swap_ortho=swap,
         )
         models = {m["model"]: m for m in result.report["models"]}
-        specs = [model_spec(kind, True, swap) for kind in MODEL_KINDS]
-        names = _needed_sources(specs)
-        raw = table_columns(usable_rows, names)
+        u = pipeline._union(usable_rows)
         y = usable_rows["rt_ms"]
         assignment = kfold(len(usable_rows), FOLDS, SEED)
+        specs = [model_spec(kind, True, swap) for kind in MODEL_KINDS]
+        maps = column_maps(u, assignment, specs)
         for f in range(FOLDS):
             tr, te = assignment.train_idx(f), assignment.test_idx(f)
-            stats = {n: standardize_stats(raw[n][tr], n) for n in names}
-            std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
-            std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
             for spec in specs:
-                cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
+                kind = spec.name
+                cols_tr = pipeline._columns(spec, u, maps[f, kind], tr)
+                cols_te = pipeline._columns(spec, u, maps[f, kind], te)
                 fit = smooth_fit(cols_tr, y[tr])
-                delta = delta_loglik(
-                    y[tr], fit.residual_variance, y[te], fit.predict(cols_te)
-                )
+                delta = heldout_delta(y[tr], fit.residual_variance, y[te], fit.predict(cols_te))
                 entry = models[f"{spec.name}_smooth"]["folds"][f]
                 assert entry["r2"] == fit.r2
-                assert entry["delta_llh"] == delta.per_token
                 assert entry["terms"] == fit.term_summary()
+                # the baseline's training mean and variance come from the
+                # training triangle, not from the rows
+                assert entry["delta_llh"] == pytest.approx(delta.per_token, rel=1e-12)
 
 
 class TestParallelFolds:
@@ -540,6 +631,17 @@ class TestParallelFolds:
         assert pipeline._fold_workers(10) == min(10, cpus)
         assert pipeline._fold_workers(1) == 1
 
+    def test_linear_folds_start_no_process(self, mixture_lm, synth, monkeypatch):
+        def no_fork():
+            raise AssertionError("a linear analysis forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 2)
+        for options in ({}, {"lmg_grouping": "separate", "fold_by": "document"}):
+            assert analyze_observations(
+                mixture_lm, synth.observations, seed=SEED, folds=4, **options
+            )
+
     def test_lowest_failing_fold_is_raised(self, mixture_lm, synth, monkeypatch):
         run_fold = pipeline._run_fold
 
@@ -551,7 +653,8 @@ class TestParallelFolds:
         monkeypatch.setattr(pipeline, "_run_fold", failing)
         monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 2)
         with pytest.raises(RankDeficiencyError) as exc:
-            analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=5)
+            # smooth fits run the folds in the workers
+            analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=5, smooth=True)
         message = str(exc.value)
         assert message.startswith("fold 2 in ") and exc.value.columns == ["c2"]
         # raised in a worker, not here
@@ -560,9 +663,9 @@ class TestParallelFolds:
 
 
 class TestSmallTestFolds:
-    """Test folds with fewer rows than design columns still predict, and
-    each fold's held-out log-likelihood is the mean log density of its
-    test rows."""
+    """Test folds with fewer rows than design columns are still scored,
+    and each fold's held-out log-likelihood is the mean log density of
+    its test rows."""
 
     def test_llh_equals_direct_recomputation(self, tmp_path):
         obs, recs = continuous_tables(31, 3, 20)
@@ -572,33 +675,27 @@ class TestSmallTestFolds:
             source, obs, seed=seed, folds=folds, predictors=MODEL_KINDS, smooth=True
         )
         models = {m["model"]: m for m in result.report["models"]}
-        specs = [model_spec(kind, True, None) for kind in MODEL_KINDS]
-        names = _needed_sources(specs)
         rows = build_predictor_table(aggregate_participants(obs), source)
         rows = rows.take(~np.isnan(rows["prev_surprisal"]))
-        raw = table_columns(rows, names)
+        raw = table_columns(rows, PREDICTOR_NAMES)
+        u = pipeline._union(rows)
         y = rows["rt_ms"]
         assignment = kfold(len(rows), folds, seed)
+        specs = [model_spec(kind, True, None) for kind in MODEL_KINDS]
+        maps = column_maps(u, assignment, specs)
         for f in range(folds):
             tr, te = assignment.train_idx(f), assignment.test_idx(f)
-            stats = {n: standardize_stats(raw[n][tr], n) for n in names}
-            std_tr = {n: (raw[n][tr] - m) / s for n, (m, s) in stats.items()}
-            std_te = {n: (raw[n][te] - m) / s for n, (m, s) in stats.items()}
             for spec in specs:
-                cols_tr, cols_te, _ = _assemble(spec, std_tr, std_te)
-                design_te = DesignMatrix.build(cols_te)
-                assert design_te.n_obs < design_te.matrix.shape[1]
-                fit = ols_fit(DesignMatrix.build(cols_tr), y[tr])
-                llh = gaussian_loglik_rows(
-                    y[te], fit.predict(design_te), fit.residual_variance
-                )
-                assert models[spec.name]["folds"][f]["llh"] == float(llh.mean())
-                sfit = smooth_fit(cols_tr, y[tr])
-                sllh = gaussian_loglik_rows(
-                    y[te], sfit.predict(cols_te), sfit.residual_variance
-                )
-                entry = models[f"{spec.name}_smooth"]["folds"][f]
-                assert entry["llh"] == float(sllh.mean())
+                kind = spec.name
+                columns = list(_design_columns(spec))
+                assert te.size < 1 + len(columns)
+                ref = nrow_fold(raw, y, tr, te, columns)
+                assert models[kind]["folds"][f]["llh"] == pytest.approx(ref["llh"], rel=1e-12)
+                sfit = smooth_fit(pipeline._columns(spec, u, maps[f, kind], tr), y[tr])
+                pred = sfit.predict(pipeline._columns(spec, u, maps[f, kind], te))
+                sllh = [normal_logpdf(v, m, sfit.residual_variance) for v, m in zip(y[te], pred)]
+                entry = models[f"{kind}_smooth"]["folds"][f]
+                assert entry["llh"] == pytest.approx(float(np.mean(sllh)), rel=1e-12)
 
 
 class TestUnreadTokens:

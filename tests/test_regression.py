@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import heldout_delta
 from oracles import lmg_by_orderings, lstsq_rsquared, normal_logpdf, pinv_ols, rsquared
 from ctxpred.errors import (
     AlignmentError,
@@ -25,7 +26,6 @@ from ctxpred.regression import (
     delta_loglik,
     equivalence_report,
     fit_columns,
-    gaussian_loglik,
     lmg,
     ols_fit,
     residualization_triplet,
@@ -91,6 +91,23 @@ class TestOls:
             ols_fit(design, np.arange(30.0))
         assert set(err.value.columns) & {"a", "b"}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_later_of_two_identical_columns_is_named(self, seed):
+        # the culprits are read off the fit's own triangle in design
+        # order: the repeat adds nothing to the span before it, whatever
+        # the row order
+        rng = np.random.default_rng(seed)
+        w, x, y = rng.normal(size=(3, 50))
+        for order in (np.arange(50), rng.permutation(50), np.arange(50)[::-1]):
+            for first, later in (("a", "b"), ("b", "a")):
+                design = DesignMatrix.build(
+                    {"w": w[order], first: x[order], later: x[order].copy()}
+                )
+                with pytest.raises(RankDeficiencyError) as err:
+                    ols_fit(design, y[order])
+                assert err.value.columns == [later]
+                assert str(err.value).endswith(f"near-dependent columns: {later}")
+
     def test_near_dependence_rejected(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=40)
@@ -118,21 +135,26 @@ class TestLoglik:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_matches_pointwise_sum(self, seed):
+        # the closed form from sums of squares against the test rows'
+        # log densities, one by one
         rng = np.random.default_rng(seed)
-        y = rng.normal(size=17)
+        y_tr = rng.normal(size=23)
+        y_te = rng.normal(size=17)
         mu = rng.normal(size=17)
         var = float(rng.uniform(0.1, 4.0))
-        want = sum(normal_logpdf(v, m, var) for v, m in zip(y, mu))
-        assert gaussian_loglik(y, mu, var) == pytest.approx(want, rel=1e-12)
-
-    def test_scalar_mean_broadcasts(self):
-        y = np.array([0.0, 1.0])
-        want = normal_logpdf(0.0, 0.5, 2.0) + normal_logpdf(1.0, 0.5, 2.0)
-        assert gaussian_loglik(y, 0.5, 2.0) == pytest.approx(want, rel=1e-12)
+        base_var = float(np.var(y_tr))
+        base = y_te - y_tr.mean()
+        d = delta_loglik(17, float(np.sum((y_te - mu) ** 2)), var, float(base @ base), base_var)
+        model = sum(normal_logpdf(v, m, var) for v, m in zip(y_te, mu))
+        baseline = sum(normal_logpdf(v, y_tr.mean(), base_var) for v in y_te)
+        assert d.model_loglik == pytest.approx(model, rel=1e-12)
+        assert d.baseline_loglik == pytest.approx(baseline, rel=1e-12)
+        assert d.total == pytest.approx(model - baseline, rel=1e-9, abs=1e-12)
+        assert d.per_token == d.total / 17 and d.n_test == 17
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(DegenerateError):
-            gaussian_loglik(np.zeros(3), 0.0, 0.0)
+            delta_loglik(3, 0.0, 0.0, 1.0, 1.0)
 
     def test_informative_model_beats_baseline(self):
         rng = np.random.default_rng(3)
@@ -141,24 +163,26 @@ class TestLoglik:
         tr, te = np.arange(300), np.arange(300, 400)
         design_tr = DesignMatrix.build({"x": x[tr]})
         fit = ols_fit(design_tr, y[tr])
-        pred_te = fit.predict(DesignMatrix.build({"x": x[te]}))
-        d = delta_loglik(y[tr], fit.residual_variance, y[te], pred_te)
+        pred_te = fit.coef("intercept") + fit.coef("x") * x[te]
+        d = heldout_delta(y[tr], fit.residual_variance, y[te], pred_te)
         assert d.total > 0.0
         assert d.per_token == pytest.approx(d.total / 100.0, rel=1e-12)
 
     def test_delta_hand_computed(self):
         # two training rows, one test row; everything small enough to do
-        # with pencil and paper
-        y_tr = np.array([0.0, 2.0])
-        # the fit interpolates y_tr: variance floored
-        y_te = np.array([1.0])
-        pred_te = np.array([1.0])
-        d = delta_loglik(y_tr, VARIANCE_FLOOR, y_te, pred_te)
+        # with pencil and paper: the fit interpolates the training rows
+        # (0 and 2), so its variance is floored, and it predicts the
+        # test row (1) exactly; the baseline has mean 1, MLE variance 1
+        d = delta_loglik(1, 0.0, VARIANCE_FLOOR, 0.0, 1.0)
         model = normal_logpdf(1.0, 1.0, VARIANCE_FLOOR)
-        base = normal_logpdf(1.0, 1.0, 1.0)  # mean 1, MLE variance 1
+        base = normal_logpdf(1.0, 1.0, 1.0)
         assert d.model_loglik == pytest.approx(model, rel=1e-12)
         assert d.baseline_loglik == pytest.approx(base, rel=1e-12)
         assert d.total == pytest.approx(model - base, rel=1e-12)
+        # a baseline variance of 0 is floored too
+        assert delta_loglik(1, 0.0, 1.0, 0.0, 0.0).baseline_loglik == normal_logpdf(
+            0.0, 0.0, VARIANCE_FLOOR
+        )
 
 
 class TestLmg:

@@ -23,7 +23,7 @@ from ctxpred.errors import (
     ConfigError,
     DegenerateError,
 )
-from ctxpred.regression import delta_loglik, fit_columns
+from ctxpred.regression import fit_columns
 from ctxpred.smooth import (
     KNOT_MERGE_TOL,
     LAMBDA_GRID,
@@ -33,7 +33,7 @@ from ctxpred.smooth import (
     fit_smooth,
 )
 
-from conftest import smooth_fit
+from conftest import heldout_delta, smooth_fit
 
 
 class TestBasis:
@@ -549,12 +549,12 @@ class TestDelta:
             y = np.sin(2.0 * np.pi * x) + 0.3 * rng.normal(size=400)
             tr, te = np.arange(300), np.arange(300, 400)
             fit = smooth_fit({"x": x[tr]}, y[tr])
-            smooth_delta = delta_loglik(
+            smooth_delta = heldout_delta(
                 y[tr], fit.residual_variance, y[te], fit.predict({"x": x[te]})
             )
             linear = fit_columns({"x": x[tr]}, y[tr])
             lin_te = linear.coef("intercept") + linear.coef("x") * x[te]
-            linear_delta = delta_loglik(y[tr], linear.residual_variance, y[te], lin_te)
+            linear_delta = heldout_delta(y[tr], linear.residual_variance, y[te], lin_te)
             wins += smooth_delta.per_token > linear_delta.per_token
         assert wins >= 45
 
@@ -564,7 +564,7 @@ class TestDelta:
         y_te = rng.normal(size=20)
         # the mean-only fit's residual variance
         variance = float(np.var(y_tr))
-        d = delta_loglik(y_tr, variance, y_te, np.full(20, y_tr.mean()))
+        d = heldout_delta(y_tr, variance, y_te, np.full(20, y_tr.mean()))
         assert d.total == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_on_own_process(self):
@@ -572,6 +572,6 @@ class TestDelta:
         x = rng.uniform(-1, 1, size=500)
         y = np.cos(3.0 * x) + 0.2 * rng.normal(size=500)
         fit = smooth_fit({"x": x[:400]}, y[:400])
-        d = delta_loglik(y[:400], fit.residual_variance, y[400:], fit.predict({"x": x[400:]}))
+        d = heldout_delta(y[:400], fit.residual_variance, y[400:], fit.predict({"x": x[400:]}))
         assert d.per_token > 0.5
         assert fit.n_obs == 400
