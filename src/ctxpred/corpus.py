@@ -465,7 +465,7 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
     # np.mean over a bucket of equal-sized groups sums each row like
     # np.mean over that group alone (pairwise from 8 terms on), so the
     # means keep the bits of a per-token mean over the reads in file order
-    for count in np.unique(n_readers[n_readers > 0]).tolist():
+    for count in np.flatnonzero(np.bincount(n_readers[n_readers > 0])).tolist():
         groups = np.flatnonzero(n_readers == count)
         block = rt_read[offset[groups, None] + np.arange(count)]
         rt_ms[groups] = np.mean(block, axis=1)

@@ -8,7 +8,8 @@ observations it:
 2. drops the tokens nobody read and the document-initial rows (no
    spillover values there), counting each,
 3. builds U = [1 | predictors | response], assigns folds, and factors
-   each fold's rows of U into a small QR triangle, in one pass,
+   each fold's rows of U into a small QR triangle, in one pass; the QR
+   of the folds' triangles is the all-rows triangle,
 4. per fold, reads the training means, SDs and projections off the QR
    of the other folds' triangles, maps each competing linear model (raw
    surprisal, PMI rewrite, and the orthogonalized variant) to a column
@@ -17,9 +18,10 @@ observations it:
    against the training-mean baseline through the fold's triangle,
 5. optionally fits smooth (spline) counterparts of each model on the
    fold's rows of U times T,
-6. runs the reparameterization-identity check on the raw columns and
-   full-sample raw-scale fits for coefficient read-outs in original
-   units.
+6. fits each model in original units on the all-rows triangle, by the
+   same recipe with the map in the sources' units, and runs the
+   reparameterization-identity check on n rows of U's raw columns, apart
+   from the fold machinery.
 
 Nothing here touches the filesystem; the CLI layer serializes the
 returned structures.  Test rows never contribute to means, variances,
@@ -50,16 +52,14 @@ from .choices import (
 )
 from .corpus import FoldAssignment, TokenTable, aggregate_participants, kfold
 from .errors import ConfigError, DegenerateError, RankDeficiencyError
-from .hilbert import sample_orthogonalize
 from .predictors import PREDICTOR_NAMES, build_predictor_table
 from .regression import (
     INTERCEPT_LABEL,
-    DesignMatrix,
+    FitResult,
     Triangle,
     delta_loglik,
     equivalence_report,
     lmg,
-    ols_fit,
 )
 from .smooth import SmoothTerm, fit_smooth
 
@@ -168,13 +168,14 @@ class _FoldRows(NamedTuple):
 
 @dataclass(frozen=True)
 class _FoldContext:
-    """What every fold reads: the usable rows' codes, their U, the folds
-    and their rows of U, the models, their LMG groups, the smoothing."""
+    """What every fold reads: the usable rows' codes, their U, the folds,
+    their rows of U and all of them, the models, their groups, the smoothing."""
 
     rows: TokenTable
     u: np.ndarray
     assignment: FoldAssignment
     fold_rows: tuple[_FoldRows, ...]
+    all_rows: _FoldRows
     specs: tuple[ModelSpec, ...]
     groups: tuple[dict[str, list[str]], ...]
     smooth: bool
@@ -193,35 +194,49 @@ class _ModelFold(NamedTuple):
     smooth_entry: dict | None
 
 
-def _model_map(train: _FoldRows, spec: ModelSpec) -> tuple[np.ndarray, dict[str, float]]:
-    """The column map T of ``spec``'s design ``U @ T``, and each
-    residualized column's training correlation with its anchor, from the
-    training triangle R: the means are ``R[0] / R[0, 0]``, the centred
-    cross-products those of ``R[1:]``.  A source constant on the
-    training rows, by their least and greatest value, is refused."""
-    r = train.triangle
+def _model_map(rows: _FoldRows, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The column maps T of ``spec``'s design ``U @ T`` on ``rows``,
+    standardized and in original units (a residualized column in the
+    source's units), and each residualized column's correlation with its
+    anchor, from the rows' triangle R: the means are ``R[0] / R[0, 0]``,
+    the centred cross-products those of ``R[1:]``.  A source constant on
+    the rows, by their least and greatest value, is refused."""
+    r = rows.triangle
+    e = np.eye(len(_UNION))
 
-    def standardized(name: str) -> np.ndarray:
+    def standardized(name: str) -> tuple[np.ndarray, float]:
         j = _UNION.index(name)
-        if not train.low[j] < train.high[j]:
+        if not rows.low[j] < rows.high[j]:
             raise DegenerateError(f"{name}: zero or non-finite variance")
-        sd = math.sqrt(float(r[1:, j] @ r[1:, j]) / (train.n_rows - 1))
+        sd = math.sqrt(float(r[1:, j] @ r[1:, j]) / (rows.n_rows - 1))
         t = np.zeros(len(_UNION))
         t[0], t[j] = -(r[0, j] / r[0, 0]) / sd, 1.0 / sd
-        return t
+        return t, sd
 
-    columns, anchor_corr = [np.eye(len(_UNION))[0]], {}
+    columns, original, anchor_corr = [e[0]], [e[0]], {}
     for label, source, anchor in _design_columns(spec):
-        t = standardized(source)
-        if anchor is not None:
-            z = standardized(anchor)
+        t, sd = standardized(source)
+        if anchor is None:
+            original.append(e[_UNION.index(source)])
+        else:
+            z, _ = standardized(anchor)
             tc, zc = r[1:] @ t, r[1:] @ z
             t = t - float(tc @ zc) / float(zc @ zc) * z
             v, w = r @ t, r @ z
             denom = math.sqrt(float(v @ v) * float(w @ w))
             anchor_corr[label] = 0.0 if denom == 0.0 else float(v @ w) / denom
+            original.append(t * sd)
         columns.append(t)
-    return np.column_stack(columns), anchor_corr
+    return np.column_stack(columns), np.column_stack(original), anchor_corr
+
+
+def _fit(rows: _FoldRows, spec: ModelSpec, t: np.ndarray) -> FitResult:
+    """The OLS fit of ``rows``' response on ``spec``'s design ``U @ t``,
+    read off the rows' triangle R as the fit on ``[R t | R e_y]``."""
+    r = rows.triangle
+    labels = (INTERCEPT_LABEL, *(label for label, _, _ in _design_columns(spec)))
+    sst = float(r[1:, _Y] @ r[1:, _Y])
+    return Triangle.of(labels, np.column_stack([r @ t, r[:, _Y]]), rows.n_rows, sst).fit()
 
 
 def _sse(rows: _FoldRows, coef: np.ndarray) -> float:
@@ -242,10 +257,10 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
     linear fits and scores read the triangles of the fold's rows of U."""
     test = context.fold_rows[f]
     train = _FoldRows.merge([rows for g, rows in enumerate(context.fold_rows) if g != f])
-    r, n_train = train.triangle, train.n_rows
-    sst = float(r[1:, _Y] @ r[1:, _Y])
+    r = train.triangle
     # the training-mean baseline, shared by the models
     base_sse = _sse(test, np.eye(len(_UNION))[0] * (r[0, _Y] / r[0, 0]))
+    base_variance = float(r[1:, _Y] @ r[1:, _Y]) / train.n_rows
     if context.smooth:
         tr, te = context.assignment.train_idx(f), context.assignment.test_idx(f)
         y_tr = context.u[tr, _Y]
@@ -255,36 +270,27 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
     # every map first: a source constant on training rows is refused before any fit
     maps = [_model_map(train, spec) for spec in context.specs]
     out = []
-    for spec, groups, (t, anchor_corr) in zip(context.specs, context.groups, maps):
-        columns = list(_design_columns(spec))
-        labels = (INTERCEPT_LABEL, *(label for label, _, _ in columns))
+    for spec, groups, (t, original, anchor_corr) in zip(context.specs, context.groups, maps):
         try:
-            fit = Triangle.of(labels, np.column_stack([r @ t, r[:, _Y]]), n_train, sst).fit()
+            fit = _fit(train, spec, t)
         except RankDeficiencyError as exc:
-            # a token type that the training rows lack can make the
-            # type-level columns collinear
-            tokens = context.rows["token"]
-            lacking = np.setdiff1d(tokens, tokens[context.assignment.fold_of_row != f])
-            names = sorted(repr(context.rows.types[c]) for c in lacking)
-            more = f" ({len(names)} types in all)" if len(names) > 5 else ""
-            note = f"; the fold's training rows hold no {', '.join(names[:5])}{more}"
             raise RankDeficiencyError(
-                f"fold {f}, model {spec.name}: {exc}{note if names else ''}", columns=exc.columns
+                f"fold {f}, model {spec.name}: {exc}{_lacking_note(context, spec, f)}",
+                columns=exc.columns,
             ) from exc
         t_beta = t @ fit.coefficients
         delta = delta_loglik(
-            test.n_rows, _sse(test, t_beta), fit.residual_variance, base_sse, sst / n_train
+            test.n_rows, _sse(test, t_beta), fit.residual_variance, base_sse, base_variance
         )
         report_lmg = lmg(fit.triangle, groups)
-        coeffs_raw = None
-        if not anchor_corr:  # in original units, for designs without residualized columns
-            coeffs_raw = {label: float(t_beta[_UNION.index(src)]) for label, src, _ in columns}
-            coeffs_raw[INTERCEPT_LABEL] = float(t_beta[0])
         entry = {
             "fold": f,
             "r2": fit.r2,
             "coeffs": fit.coef_dict(),
-            "coeffs_raw": coeffs_raw,
+            # in original units, for designs without residualized columns
+            "coeffs_raw": None if anchor_corr else dict(
+                zip(fit.labels, map(float, t_beta @ original))
+            ),
             "llh": delta.model_loglik / delta.n_test,
             "delta_llh": delta.per_token,
         }
@@ -299,12 +305,12 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
                 if label not in terms:
                     terms[label] = SmoothTerm.fit(label, x, context.smooth_k)
             sfit = fit_smooth(
-                {label: terms[label] for label in labels[1:]}, y_tr,
+                {label: terms[label] for label in fit.labels[1:]}, y_tr,
                 lambda_grid=context.lambda_grid,
             )
             resid = context.u[te, _Y] - sfit.predict(_columns(spec, context.u, t, te))
             sdelta = delta_loglik(
-                test.n_rows, float(resid @ resid), sfit.residual_variance, base_sse, sst / n_train
+                test.n_rows, float(resid @ resid), sfit.residual_variance, base_sse, base_variance
             )
             smooth_entry = {
                 "fold": f,
@@ -315,6 +321,21 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
             }
         out.append(_ModelFold(entry, lmg_rows, anchor_corr, smooth_entry))
     return out
+
+
+def _lacking_note(context: _FoldContext, spec: ModelSpec, f: int) -> str:
+    """A refusal's note of the token types that fold ``f``'s training rows
+    lack.  A lacking type can make the type-level columns collinear, so
+    the note is made only where ``spec``'s design is full rank on all rows."""
+    try:
+        _fit(context.all_rows, spec, _model_map(context.all_rows, spec)[0])
+    except RankDeficiencyError:
+        return ""
+    tokens = context.rows["token"]
+    lacking = np.setdiff1d(tokens, tokens[context.assignment.fold_of_row != f])
+    names = sorted(repr(context.rows.types[c]) for c in lacking)
+    more = f" ({len(names)} types in all)" if len(names) > 5 else ""
+    return f"; the fold's training rows hold no {', '.join(names[:5])}{more}" if names else ""
 
 
 def _fold_workers(folds: int) -> int:
@@ -397,24 +418,23 @@ def analyze_tokens(
     u = _union(rows)
     # U holds the numbers, and the folds read only the codes
     rows = TokenTable({name: rows[name] for name in ("doc", "token")}, rows.doc_ids, rows.types)
-    # every column, for the identity check whatever the model selection
-    raw = {name: u[:, j] for j, name in enumerate(_UNION) if 0 < j < _Y}
-    y = u[:, _Y]
-
     doc_ids = rows.decode("doc") if fold_by == "document" else None
     assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
     # the one pass over the rows of U that the linear folds need
     fold_rows = tuple(_FoldRows.of(u[assignment.test_idx(f)]) for f in range(folds))
+    # the pooled fits, and a refusal's note, read the all-rows triangle
+    all_rows = _FoldRows.merge(fold_rows)
 
     context = _FoldContext(
-        rows=rows, u=u, assignment=assignment, fold_rows=fold_rows, specs=tuple(specs),
-        groups=groups, smooth=smooth, smooth_k=smooth_k, lambda_grid=lambda_grid,
+        rows=rows, u=u, assignment=assignment, fold_rows=fold_rows, all_rows=all_rows,
+        specs=tuple(specs), groups=groups, smooth=smooth, smooth_k=smooth_k,
+        lambda_grid=lambda_grid,
     )
     fold_records = _run_folds(context, folds)
     # each model's records, in fold order
     model_records = list(zip(*fold_records))
     models = [
-        _linear_entry(spec, model_groups, records, raw, y)
+        _linear_entry(spec, model_groups, records, all_rows)
         for spec, model_groups, records in zip(specs, groups, model_records)
     ]
     if smooth:
@@ -427,7 +447,8 @@ def analyze_tokens(
 
     # reparameterization identities on the raw, unstandardized columns
     # (standardization would rescale away the exact coefficient algebra)
-    equivalence = equivalence_report(y, raw["surprisal"], raw["frequency"], pmi=raw["pmi"])
+    surp, freq, pmi = (u[:, _UNION.index(name)] for name in ("surprisal", "frequency", "pmi"))
+    equivalence = equivalence_report(u[:, _Y], surp, freq, pmi=pmi)
 
     report = {
         "n_rows": len(rows),
@@ -446,12 +467,12 @@ def analyze_tokens(
 
 def _linear_entry(
     spec: ModelSpec, groups: Mapping[str, list[str]], records: Sequence[_ModelFold],
-    raw: Mapping[str, np.ndarray], y: np.ndarray,
+    all_rows: _FoldRows,
 ) -> dict:
     """A linear model's report entry: its fold entries, their mean LMG
     shares and held-out score, and a full-sample fit in original units
-    on the unstandardized columns (residualized where the encoding calls
-    for it)."""
+    (residualized where the encoding calls for it), read off the all-rows
+    triangle."""
     folds = [record.entry for record in records]
     fold_shares = [[row["share"] for row in record.lmg_rows] for record in records]
     lmg_block = {
@@ -461,10 +482,7 @@ def _linear_entry(
         "fold_shares": fold_shares,
     }
     delta_llh = _mean_se([e["delta_llh"] for e in folds])
-    pooled = ols_fit(DesignMatrix.build({
-        lab: raw[src] if anc is None else sample_orthogonalize(raw[src], raw[anc])
-        for lab, src, anc in _design_columns(spec)
-    }), y)
+    pooled = _fit(all_rows, spec, _model_map(all_rows, spec)[1])
     return {
         "model": spec.name,
         "kind": "linear",

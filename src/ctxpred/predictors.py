@@ -160,7 +160,7 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
     """
     units = lm.alphabet.units
     unit_col = {u: a for a, u in enumerate(units)}
-    present = [table.types[c] for c in np.unique(table["token"]).tolist()]
+    present = [table.types[c] for c in np.flatnonzero(np.bincount(table["token"])).tolist()]
     bad_vocab = sorted(set(present) - set(units))
     if bad_vocab:
         raise CoverageError(
@@ -198,7 +198,7 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
 
     q = unigram_minimizer(lm)
     freq_of_unit = np.full(len(units), math.nan)
-    for a in np.unique(unit).tolist():
+    for a in np.flatnonzero(np.bincount(unit)).tolist():
         p = q.prob(units[a])
         if p <= 0.0:
             raise SymbolError(f"unit {units[a]!r} has no context-free probability")
@@ -263,7 +263,7 @@ def frequency_variable(
     if q is None:
         q = unigram_minimizer(measure.source)
     probs = np.array([q.prob(sym) for sym in measure.symbols])
-    if np.any(probs[np.unique(measure.row_symbol)] <= 0.0):
+    if np.any(probs[np.flatnonzero(np.bincount(measure.row_symbol))] <= 0.0):
         raise DegenerateError("q must cover every symbol on the support")
     return RandomVariableTable(
         measure=measure, values=-np.log(probs[measure.row_symbol]), label="frequency"

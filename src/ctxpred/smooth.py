@@ -89,6 +89,16 @@ def _cardinal_coefficients(knots: np.ndarray) -> np.ndarray:
     return np.stack((t / dxr, (slope - rhs[:-1]) / dxr - t, rhs[:-1], y[:-1]))
 
 
+def _quantiles(ordered: np.ndarray, k: int) -> np.ndarray:
+    """``np.quantile(ordered, np.linspace(0, 1, k))`` of sorted values, bit
+    for bit, without the ``np.unique`` call that loads ``numpy.ma``."""
+    at = (ordered.size - 1) * np.linspace(0.0, 1.0, k)
+    below = np.floor(at).astype(np.intp)
+    gamma = at - below
+    a, b = ordered[below], ordered[np.minimum(below + 1, ordered.size - 1)]
+    return np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+
+
 @dataclass(frozen=True)
 class SplineBasis:
     """Cardinal natural cubic spline basis on fixed knots.
@@ -134,12 +144,12 @@ class SplineBasis:
             raise BasisError(f"basis size must be at least 3, got {k}")
         if x.size < k:
             raise BasisError(f"need at least {k} rows to place {k} knots")
-        # one sort gives the distinct values, and the quantiles of the
-        # sorted copy are those of x
-        ordered = np.sort(x)
-        knots = ordered[np.concatenate([[True], ordered[1:] != ordered[:-1]])]
-        if knots.size > k:
-            knots = np.unique(np.quantile(ordered, np.linspace(0.0, 1.0, k)))
+        # the distinct values of x, or of its k quantiles where x has more
+        # than k: sorted, each kept where it differs from the one before
+        knots = np.sort(x)
+        if np.count_nonzero(knots[1:] != knots[:-1]) >= k:
+            knots = np.sort(_quantiles(knots, k))
+        knots = knots[np.concatenate([[True], knots[1:] != knots[:-1]])]
         gap = KNOT_MERGE_TOL * (knots[-1] - knots[0])
         return cls(knots=knots[np.concatenate([[True], np.diff(knots) > gap])])
 

@@ -6,8 +6,8 @@ regression coefficients from the pseudoinverse, variance shares from
 factorial ordering enumeration, and spline values from a hand-written
 tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
-(``lstsq_rsquared``, ``gcv_search_nrow`` and the fold recipe
-``nrow_fold``), the plain GCV search
+(``lstsq_rsquared``, ``gcv_search_nrow``, the fold recipe
+``nrow_fold`` and the pooled recipe ``nrow_pooled``), the plain GCV search
 (``gcv_search_reference``) and the per-row token path
 (``reference_aggregate``, ``reference_score``, ``choice_sample_string``),
 and the per-line TSV readers (``reference_read``, ``reference_external``,
@@ -542,6 +542,23 @@ def nrow_fold(raw, y, tr, te, columns):
         "delta_llh": llh - base,
         "anchor_corr": corr,
     }
+
+
+def nrow_pooled(raw, y, columns):
+    """The pooled fit of one linear model in original units, on the n rows.
+
+    Each anchored column is the source's in-sample residual against the
+    anchor (``sample_orthogonalize``), and the fit is one QR of the n rows
+    of the design and response (``fit_columns``).  ``columns`` lists
+    (label, source, anchor or None).  Returns the ``FitResult``.
+    """
+    from ctxpred.hilbert import sample_orthogonalize
+    from ctxpred.regression import fit_columns
+
+    return fit_columns({
+        label: raw[source] if anchor is None else sample_orthogonalize(raw[source], raw[anchor])
+        for label, source, anchor in columns
+    }, y)
 
 
 # -- natural cubic spline oracle -------------------------------------------

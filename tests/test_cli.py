@@ -1161,6 +1161,23 @@ def test_gen_and_oracle_load_no_regression_stack(argv, tmp_path):
     assert modules & REGRESSION_STACK == set()
 
 
+@pytest.mark.parametrize("command", ["gen", "analyze", "analyze --smooth", "oracle"])
+def test_commands_load_no_masked_arrays(command, gen_dir, tmp_path):
+    # np.unique without a return_* flag loads numpy.ma, and np.quantile
+    # calls it; on one CPU a smooth analysis runs its folds in this process
+    corpus = ["--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"), "--folds", "3"]
+    argv = {
+        "gen": ["gen", "--lm", MIXTURE, "--n-docs", "3", "--doc-len", "10"],
+        "analyze": ["analyze", *corpus],
+        "analyze --smooth": ["analyze", *corpus, "--smooth"],
+        "oracle": ["oracle", "--lm", M1, "--perturbations", "10"],
+    }[command]
+    one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    modules = _modules_after(argv + ["--out", str(tmp_path)], one_cpu + MODULES_AFTER)
+    assert "ctxpred.smooth" in modules if command == "analyze --smooth" else "ctxpred.lm" in modules
+    assert _package_of(modules, "numpy.ma") == set()
+
+
 def test_gen_reads_the_scipy_version_without_importing(tmp_path):
     # the manifest's scipy version comes from the installed metadata,
     # without scipy or importlib.metadata, whose import is the slower part

@@ -44,7 +44,7 @@ from ctxpred.regression import fit_columns
 from ctxpred.smooth import SmoothTerm
 
 from conftest import heldout_delta, smooth_fit
-from oracles import normal_logpdf, nrow_fold
+from oracles import normal_logpdf, nrow_fold, nrow_pooled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -373,17 +373,15 @@ class TestOneFactorization:
         n = res.report["n_rows"]
         models = len(MODEL_KINDS)
         fold_sizes = np.bincount(kfold(n, folds, SEED).fold_of_row).tolist()
-        # every other QR is of a stack of at most folds - 1 triangles of U
+        # every other QR is of a stack of at most folds triangles of U
         width = 2 + len(PREDICTOR_NAMES)
-        small = (folds - 1) * width
+        small = folds * width
         assert max(fold_sizes) > small
-        # one QR of each fold's test rows, the pooled fits, and the
-        # equivalence check's two fits
-        assert sorted(m for m in linalg["qr"] if m > small) == sorted(
-            fold_sizes + [n] * (models + 2)
-        )
-        # per fold, the training stack and one small QR per model
-        assert sum(1 for m in linalg["qr"] if m <= small) == folds * (1 + models)
+        # one QR of each fold's test rows and the equivalence check's two fits
+        assert sorted(m for m in linalg["qr"] if m > small) == sorted(fold_sizes + [n] * 2)
+        # per fold, the training stack and one small QR per model; the
+        # all-rows stack and one small QR per pooled fit
+        assert sum(1 for m in linalg["qr"] if m <= small) == (folds + 1) * (1 + models)
         # every other solve is on the (k+1)-row triangle
         k = 1 + len(res.report["models"][0]["columns"])
         assert linalg["lstsq"] and max(linalg["lstsq"]) <= k + 1
@@ -419,6 +417,32 @@ class TestNrowReference:
                     assert abs(result.report["ortho_train_correlations"][key]) < 1e-13
 
 
+class TestPooledReference:
+    """Every pooled fit, read off the all-rows triangle, equals the n-row
+    recipe's, from ``oracles.nrow_pooled``, to rounding."""
+
+    @pytest.mark.parametrize("swap, include_length", [
+        (None, True), ("frequency", True), (None, False),
+    ])
+    def test_pooled_raw_matches(self, mixture_lm, synth, usable_rows, swap, include_length):
+        result = analyze_observations(
+            mixture_lm, synth.observations, seed=SEED, folds=FOLDS, swap_ortho=swap,
+            include_length=include_length,
+        )
+        raw = table_columns(usable_rows, PREDICTOR_NAMES)
+        y = usable_rows["rt_ms"]
+        for model in result.report["models"]:
+            spec = model_spec(model["model"], include_length, swap)
+            ref = nrow_pooled(raw, y, _design_columns(spec))
+            pooled = model["pooled_raw"]
+            assert list(pooled["coeffs"]) == list(ref.labels)
+            assert pooled["coeffs"] == pytest.approx(ref.coef_dict(), rel=1e-10, abs=1e-11)
+            assert pooled["std_errors"] == pytest.approx(
+                dict(zip(ref.labels, ref.std_errors)), rel=1e-10, abs=1e-11
+            )
+            assert pooled["r2"] == pytest.approx(ref.r2, rel=1e-10, abs=1e-11)
+
+
 class TestConstantSources:
     """A source that is constant on a fold's training rows is refused by
     name, decided exactly from the folds' least and greatest values."""
@@ -444,10 +468,11 @@ class TestConstantSources:
 
 
 class TestRankRefusalNote:
-    def test_names_at_most_five_lacking_types(self, tmp_path):
+    def test_no_note_where_every_rows_design_is_singular(self, tmp_path):
         # every token a type of its own, and frequency affine in surprisal:
-        # fold 0's 47 test rows hold 47 types its training rows lack
-        obs, recs = continuous_tables(17, 12, 40, unique_tokens=True)
+        # fold 0's test rows hold 47 types its training rows lack, but the
+        # design is singular on all rows, so no type is to blame
+        obs, recs = continuous_tables(17, 12, 40, tokens=lambda d, t: f"w{d}.{t}")
         source = external_source(
             with_columns(recs, frequency=2.0 * recs["surprisal"] + 1.0), tmp_path / "pred.tsv"
         )
@@ -455,16 +480,38 @@ class TestRankRefusalNote:
             analyze_observations(source, obs, seed=2, folds=10)
         message = str(exc.value)
         assert message.startswith("fold 0, model surprisal:")
-        assert "near-dependent columns: frequency, prev_frequency" in message
+        assert message.endswith("near-dependent columns: frequency, prev_frequency")
+
+    def test_names_at_most_five_lacking_types(self, tmp_path):
+        # fold 0's 47 test rows hold 47 types of their own; its training
+        # rows hold only 'a' and 'bb', on which frequency and length are
+        # collinear, while all rows' design is full rank
+        fold0 = kfold(12 * 39, 10, 2).fold_of_row == 0
+
+        def tokens(d, t):
+            if t > 0 and fold0[d * 39 + t - 1]:
+                return "x" * (1 + (d + t) % 4) + f"{d}.{t}"
+            return "a" if (3 * d + t) % 5 < 3 else "bb"
+
+        obs, recs = continuous_tables(17, 12, 40, tokens=tokens)
+        token = np.array(recs.decode("token"))
+        frequency = np.where(token == "a", 1.0, np.where(token == "bb", 3.0, recs["frequency"]))
+        source = external_source(with_columns(recs, frequency=frequency), tmp_path / "pred.tsv")
+        with pytest.raises(RankDeficiencyError) as exc:
+            analyze_observations(source, obs, seed=2, folds=10)
+        message = str(exc.value)
+        assert message.startswith("fold 0, model surprisal:")
+        assert "near-dependent columns: length;" in message
         note = message.split("; the fold's training rows hold no ", 1)[1]
         names, count = note.split(" (")
-        assert len(names.split(", ")) == 5
+        lacking = [tokens(d, t) for d in range(12) for t in range(1, 40) if fold0[d * 39 + t - 1]]
+        assert names.split(", ") == sorted(map(repr, lacking))[:5]
         assert count == "47 types in all)"
 
 
-def continuous_tables(seed, n_docs, doc_len, unique_tokens=False):
+def continuous_tables(seed, n_docs, doc_len, tokens=None):
     """Readings and external predictors with a nonlinear surprisal effect;
-    with ``unique_tokens`` every token is a type of its own."""
+    ``tokens(d, t)``, if given, names the token at position t of document d."""
     rng = np.random.default_rng(seed)
     obs, recs = [], []
     for d in range(n_docs):
@@ -473,8 +520,8 @@ def continuous_tables(seed, n_docs, doc_len, unique_tokens=False):
             surp = float(rng.gamma(4.0, 0.8))
             freq = float(rng.gamma(5.0, 0.5))
             token = "w" * int(rng.integers(1, 7))
-            if unique_tokens:
-                token += f"{d}.{t}"
+            if tokens is not None:
+                token = tokens(d, t)
             rt = 180.0 + 30.0 * np.sin(surp) + 8.0 * freq + rng.normal(0.0, 5.0)
             obs.append(("p0", doc, 0, t, token, float(rt), False))
             recs.append((doc, t, token, surp, freq))
