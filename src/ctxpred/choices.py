@@ -24,6 +24,8 @@ LMG_GROUPINGS = ("paired", "separate")
 # the cross-validation fold unit; the first is the default
 FOLD_UNITS = ("token", "document")
 DEFAULT_KNOTS = 6
+# the enumeration budget of ``oracle``: its horizon and tail tolerance
+DEFAULT_MAX_LEN, DEFAULT_TAIL_TOL = 256, 1e-6
 # np.logspace(-4.0, 4.0, 17), written out: 10.0 ** 2.5 is one ulp off
 # its 14th value
 LAMBDA_GRID: tuple[float, ...] = (

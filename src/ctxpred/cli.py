@@ -32,6 +32,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from . import __version__
 from .choices import (
     DEFAULT_KNOTS,
+    DEFAULT_MAX_LEN,
+    DEFAULT_TAIL_TOL,
     FOLD_UNITS,
     LAMBDA_GRID,
     LMG_GROUPINGS,
@@ -169,10 +171,10 @@ OPTIONS = {opt.name: opt for opt in (
     Option("smooth_k", "analyze", _number(int, 3), DEFAULT_KNOTS, "spline basis size"),
     Option("lambda_grid", "analyze", _parse_lambda_grid, LAMBDA_GRID,
            "comma-separated smoothing grid"),
-    Option("max_len", "oracle", lambda text: check_max_len(_number(int)(text)), 256,
+    Option("max_len", "oracle", lambda text: check_max_len(_number(int)(text)), DEFAULT_MAX_LEN,
            "enumeration length budget"),
-    Option("tail_tol", "oracle", lambda text: check_tail_tol(_number(float)(text)), 1e-6,
-           "enumeration tail tolerance"),
+    Option("tail_tol", "oracle", lambda text: check_tail_tol(_number(float)(text)),
+           DEFAULT_TAIL_TOL, "enumeration tail tolerance"),
     Option("perturbations", "oracle", _number(int, 1), 1000,
            "random unigram candidates the minimizer must beat"),
 )}
@@ -456,8 +458,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     import numpy as np
 
     from .hilbert import MeasureTable, inner_product, project_complement
-    from .lm import EnumerationBudget, load_lm_tsv, prefix_normalizer
-    from .lm import truncated_string_moments, unigram_log_probs, unigram_minimizer
+    from .lm import EnumerationBudget, enumerated_context_mass, expected_counts
+    from .lm import forward_kl_unigram, load_lm_tsv, prefix_normalizer
+    from .lm import unigram_log_probs, unigram_minimizer
     from .predictors import frequency_variable, surprisal_variable
     from .seeding import named_rng
 
@@ -476,19 +479,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except DegenerateError as exc:
         checks.append(_check("minimizer_optimality", None, 1e-12, False, error=str(exc)))
     else:
-        # the KL is affine in log q: the minimizer's KL and each
-        # perturbation's margin over it are dot products with the exact
-        # expected counts, and its negative entropy is the visits times
-        # each state's sum of p log p (0 where p is)
-        next_probs = np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
-        counts = lm.visits @ next_probs
-        plogp = next_probs * np.log(np.where(next_probs > 0.0, next_probs, 1.0))
-        kl_min = float(lm.visits @ plogp.sum(axis=1)) - float(counts @ log_q)
+        # the KL is affine in log q: each perturbation's margin over the
+        # minimizer is a dot product with the exact expected counts
         rng = named_rng(cfg.seed, "simulations")
         logits = log_q + rng.normal(0.0, 0.25, size=(cfg.perturbations, log_q.size))
         probs = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        margins = -(np.log(probs) - log_q) @ counts
+        margins = -(np.log(probs) - log_q) @ expected_counts(lm)
         worst = float(np.min(margins))
         violations = int(np.count_nonzero(margins < -1e-12))
         # how far the worst margin falls below zero; subtracting from 0.0
@@ -496,13 +493,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
         checks.append(
             _check(
                 "minimizer_optimality", 0.0 - min(worst, 0.0), 1e-12, violations == 0,
-                kl_minimizer=kl_min, worst_margin=worst,
+                kl_minimizer=forward_kl_unigram(lm, q), worst_margin=worst,
                 perturbations=cfg.perturbations, violations=violations,
             )
         )
 
     try:
-        _, _, enumerated_mass = truncated_string_moments(lm, budget)
+        enumerated_mass = enumerated_context_mass(lm, budget)
     except ConvergenceError as exc:
         checks.append(_check("context_mass", None, cfg.tail_tol, False, error=str(exc)))
     else:

@@ -63,8 +63,7 @@ class MeasureTable:
     def from_lm(cls, lm: AutoregressiveLM) -> "MeasureTable":
         """The mass of a state's contexts is its expected visit count over
         the prefix normalizer, both from the model's one visit solve."""
-        visits = lm.visits
-        conds = np.concatenate([lm.emit, lm.eos[:, None]], axis=1)
+        visits, conds = lm.visits, lm.next_probs
         keep = (conds > 0.0) & (visits > 0.0)[:, None]
         row_state, row_symbol = np.nonzero(keep)
         row_cond = conds[row_state, row_symbol]

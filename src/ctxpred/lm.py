@@ -5,15 +5,16 @@ the unit alphabet plus an end-of-string symbol, where the conditional
 depends on the context only through its last k units.  All models here
 must terminate almost surely (spectral radius of the unit-to-unit
 transition operator strictly below one), which makes prefix masses,
-expected lengths, and the best unigram approximation exactly computable
-by small linear solves over the finite state space.
+expected lengths, the best unigram approximation and its forward KL
+exactly computable by small linear solves over the finite state space.
 
 A model indexes its chain once, at construction: the sorted states, the
-transition, emission and end-of-string tables, and the successor of
-every (state, unit) cell.  Sampling, corpus scoring and the truncated
-enumeration read those tables, and the expected visit counts behind the
-normalizer, the unigram minimizer and the exact context measure are
-solved once per model, on first use.
+transition table, the next-symbol table ``[emit | eos]``, and the
+successor of every (state, unit) cell.  Sampling, corpus scoring and the
+enumeration that checks the context mass read those tables, and the
+expected visit counts behind the normalizer, the expected symbol counts,
+the unigram minimizer, its KL and the exact context measure are solved
+once per model, on first use.
 
 Conventions:
   * contexts and strings are tuples of unit strings; the empty tuple is
@@ -36,11 +37,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .choices import check_max_len, check_tail_tol
+from .choices import DEFAULT_MAX_LEN, DEFAULT_TAIL_TOL, check_max_len, check_tail_tol
 from .errors import (
     ConditioningError,
     ConvergenceError,
@@ -68,10 +69,10 @@ SPECTRAL_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Horizon and certified tail bound for the truncated enumeration."""
+    """Horizon and certified tail bound for the enumeration of contexts."""
 
-    max_len: int = 256
-    tail_tol: float = 1e-9
+    max_len: int = DEFAULT_MAX_LEN
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         check_max_len(self.max_len)
@@ -127,10 +128,11 @@ class AutoregressiveLM:
     Construction indexes the chain once.  ``states`` are sorted by
     length, then by units, so the start state is row 0, and ``index``
     maps a state to its row.  ``trans[i, j]`` is the one-unit transition
-    probability from state i to state j, ``emit[i, a]`` the probability
-    of unit a (columns ordered like ``alphabet.units``) and ``eos[i]``
-    that of ending; ``succ[i, a]`` is the row of the state after unit a,
-    or -1 where the model defines no such state.
+    probability from state i to state j, and ``next_probs[i, c]`` the
+    probability of symbol c in state i (columns ordered like
+    ``alphabet.symbols``); its views ``emit`` (the unit columns) and
+    ``eos`` (the last column) split it.  ``succ[i, a]`` is the row of the
+    state after unit a, or -1 where the model defines no such state.
     """
 
     alphabet: UnitAlphabet
@@ -139,6 +141,7 @@ class AutoregressiveLM:
     states: tuple[State, ...] = field(init=False, repr=False, compare=False)
     index: dict[State, int] = field(init=False, repr=False, compare=False)
     trans: np.ndarray = field(init=False, repr=False, compare=False)
+    next_probs: np.ndarray = field(init=False, repr=False, compare=False)
     emit: np.ndarray = field(init=False, repr=False, compare=False)
     eos: np.ndarray = field(init=False, repr=False, compare=False)
     succ: np.ndarray = field(init=False, repr=False, compare=False)
@@ -154,8 +157,7 @@ class AutoregressiveLM:
         units = self.alphabet.units
         unit_col = {u: a for a, u in enumerate(units)}
         trans = np.zeros((len(states), len(states)))
-        emit = np.zeros((len(states), len(units)))
-        eos = np.zeros(len(states))
+        next_probs = np.zeros((len(states), len(units) + 1))
         for state, row in self.cond.items():
             for u in state:
                 if u not in unit_col:
@@ -175,21 +177,21 @@ class AutoregressiveLM:
                 )
             i = index[state]
             for sym, p in row.items():
+                next_probs[i, unit_col.get(sym, -1)] = p  # eos: the last column
                 if sym == self.alphabet.eos:
-                    eos[i] = p
                     continue
                 nxt = self.next_state(state, sym)
                 if nxt not in index:
                     raise FormatError(
                         f"transition {state!r} --{sym!r}--> {nxt!r} has no defined state"
                     )
-                emit[i, unit_col[sym]] = p
                 trans[i, index[nxt]] += p
         succ = np.array(
             [[index.get(self.next_state(s, u), -1) for u in units] for s in states],
             dtype=np.int64,
         )
-        chain = dict(states=states, index=index, trans=trans, emit=emit, eos=eos, succ=succ)
+        chain = dict(states=states, index=index, trans=trans, next_probs=next_probs,
+                     emit=next_probs[:, :-1], eos=next_probs[:, -1], succ=succ)
         for name, value in chain.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -283,13 +285,16 @@ def unigram_minimizer(lm: AutoregressiveLM) -> UnigramLM:
     the total prefix mass (1 + expected length) because every string of
     length n contributes n unit emissions plus one terminating symbol.
     """
-    counts: dict[str, float] = {sym: 0.0 for sym in lm.alphabet.symbols}
-    for s, v in zip(lm.states, lm.visits):
-        for sym, p in lm.cond[s].items():
-            counts[sym] += v * p
-    z = float(sum(counts.values()))
-    probs = {sym: c / z for sym, c in counts.items() if c > 0.0}
+    counts = expected_counts(lm).tolist()
+    z = sum(counts)
+    probs = {sym: c / z for sym, c in zip(lm.alphabet.symbols, counts) if c > 0.0}
     return UnigramLM(probs=probs, normalizer=z)
+
+
+def expected_counts(lm: AutoregressiveLM) -> np.ndarray:
+    """Expected occurrences per string of each of ``lm.alphabet.symbols``
+    (units, then one eos per string): the visits times the next-symbol table."""
+    return lm.visits @ lm.next_probs
 
 
 def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
@@ -310,67 +315,31 @@ def unigram_log_probs(lm: AutoregressiveLM, q: UnigramLM) -> np.ndarray:
     return np.log([q.prob(sym) for sym in lm.alphabet.symbols])
 
 
-def truncated_string_moments(
-    lm: AutoregressiveLM, budget: EnumerationBudget
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative entropy, expected symbol counts and context mass of the
-    enumerated strings.
+def enumerated_context_mass(lm: AutoregressiveLM, budget: EnumerationBudget) -> np.ndarray:
+    """Total prefix mass of the contexts in each state, enumerated by
+    length: an independent check of ``lm.visits``, its exact value.
 
-    Strings are enumerated by length in aggregate over context states:
-    for each state we track the alive mass, the mass-weighted accumulated
-    log probability under the model, and the mass-weighted count of each
-    unit along the alive paths; at every length the terminating share of
-    each is added to the totals, and the mass to its state's context
-    mass.  Enumeration stops once the alive mass drops to ``tail_tol``
-    and the context mass covers all but ``tail_tol`` of the prefix
-    normalizer (or the horizon is hit, which raises): the contexts not
-    yet reached can outweigh the alive mass many times over.
-
-    Returns ``(sum p log p, counts, context_mass)`` where ``counts[c]``
-    is the expected number of occurrences of ``lm.alphabet.symbols[c]``
-    per string (units, then one eos per string) and ``context_mass[i]``
-    the total prefix mass of the contexts in state ``lm.states[i]``, all
-    over the enumerated strings.  The exact context mass is ``lm.visits``,
-    so the enumeration is an independent check of the visit solve.
+    At every length each state's alive mass adds to its context mass and
+    flows along the state's unit edges.  Enumeration stops once the alive
+    mass drops to ``tail_tol`` and the context mass covers all but
+    ``tail_tol`` of the prefix normalizer (or the horizon is hit, which
+    raises): the contexts not yet reached can outweigh the alive mass.
     """
-    emit, eos_p = lm.emit, lm.eos
-    n, m = emit.shape
-    log_eos_p = np.where(eos_p > 0.0, np.log(np.maximum(eos_p, 1e-300)), 0.0)
-    z = prefix_normalizer(lm)
-
+    eos_p, n, z = lm.eos, len(lm.states), prefix_normalizer(lm)
     # one edge per (state, unit) with positive probability
-    src, unit = np.nonzero(emit)
-    tgt = lm.succ[src, unit]
-    w = emit[src, unit]
-    log_w = np.log(w)
-    # flat (target state, unit column) cells for scattering count rows
-    cells = (tgt[:, None] * m + np.arange(m)).ravel()
-    edges = np.arange(src.size)
+    src, unit = np.nonzero(lm.emit)
+    tgt, w = lm.succ[src, unit], lm.emit[src, unit]
 
     mass = np.zeros(n)
     mass[lm.index[()]] = 1.0
-    logp_acc = np.zeros(n)  # sum over alive paths of p(path) * log p(path)
-    unit_acc = np.zeros((n, m))  # sum over alive paths of p(path) * count(unit)
-    neg_entropy = 0.0
-    counts = np.zeros(m + 1)
     context_mass = np.zeros(n)
     for _ in range(budget.max_len + 1):
-        # terminate at this length
-        neg_entropy += float(np.sum(eos_p * (logp_acc + mass * log_eos_p)))
-        counts[:m] += eos_p @ unit_acc
-        counts[m] += float(eos_p @ mass)
         context_mass += mass
         alive = float(np.sum(mass * (1.0 - eos_p)))
         uncovered = 1.0 - float(np.sum(context_mass)) / z
         if alive <= budget.tail_tol and uncovered <= budget.tail_tol:
-            return neg_entropy, counts, context_mass
-        flow = mass[src] * w
-        # paths carry their unit counts along an edge and gain its unit
-        moved = w[:, None] * unit_acc[src]
-        moved[edges, unit] += flow
-        logp_acc = np.bincount(tgt, weights=w * logp_acc[src] + flow * log_w, minlength=n)
-        unit_acc = np.bincount(cells, weights=moved.ravel(), minlength=n * m).reshape(n, m)
-        mass = np.bincount(tgt, weights=flow, minlength=n)
+            return context_mass
+        mass = np.bincount(tgt, weights=mass[src] * w, minlength=n)
     raise ConvergenceError(
         f"alive mass {alive:.3g} and context mass {uncovered:.3g} remain after "
         f"{budget.max_len} units; tail_tol {budget.tail_tol:.3g} not met",
@@ -378,19 +347,17 @@ def truncated_string_moments(
     )
 
 
-def forward_kl_unigram(
-    lm: AutoregressiveLM, q: UnigramLM, budget: EnumerationBudget
-) -> float:
-    """Truncated KL from the model to ``q`` read as a string distribution.
+def forward_kl_unigram(lm: AutoregressiveLM, q: UnigramLM) -> float:
+    """Exact KL from the model to ``q`` read as a string distribution.
 
     ``q`` scores a string as the product of its unit probabilities times
-    q(eos), so over the enumerated strings the divergence is affine in
-    log q: sum p log p - sum_sym N_sym log q(sym), with N the expected
-    symbol counts from ``truncated_string_moments``.
+    q(eos), so the KL is affine in log q: the visits times each state's
+    sum of p log p (0 where p is), minus the expected counts times log q.
     """
     log_q = unigram_log_probs(lm, q)
-    neg_entropy, counts, _ = truncated_string_moments(lm, budget)
-    return neg_entropy - float(counts @ log_q)
+    p = lm.next_probs
+    plogp = p * np.log(np.where(p > 0.0, p, 1.0))
+    return float(lm.visits @ plogp.sum(axis=1)) - float(expected_counts(lm) @ log_q)
 
 
 def sample_string(lm: AutoregressiveLM, rng: np.random.Generator) -> list[str]:

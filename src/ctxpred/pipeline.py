@@ -19,7 +19,7 @@ observations it:
 5. optionally fits smooth (spline) counterparts of each model on the
    fold's rows of U times T,
 6. fits each model in original units on the all-rows triangle, by the
-   same recipe with the map in the sources' units, and runs the
+   same recipe with the map in the sources' units, centred, and runs the
    reparameterization-identity check on n rows of U's raw columns, apart
    from the fold machinery.
 
@@ -470,9 +470,7 @@ def _linear_entry(
     all_rows: _FoldRows,
 ) -> dict:
     """A linear model's report entry: its fold entries, their mean LMG
-    shares and held-out score, and a full-sample fit in original units
-    (residualized where the encoding calls for it), read off the all-rows
-    triangle."""
+    shares and held-out score, and its full-sample fit in original units."""
     folds = [record.entry for record in records]
     fold_shares = [[row["share"] for row in record.lmg_rows] for record in records]
     lmg_block = {
@@ -481,20 +479,35 @@ def _linear_entry(
         "total_r2": float(np.mean([e["r2"] for e in folds])),
         "fold_shares": fold_shares,
     }
-    delta_llh = _mean_se([e["delta_llh"] for e in folds])
-    pooled = _fit(all_rows, spec, _model_map(all_rows, spec)[1])
     return {
         "model": spec.name,
         "kind": "linear",
         "columns": [lab for lab, _, _ in spec.pairs] + [_spill(lab) for lab, _, _ in spec.pairs],
         "folds": folds,
         "lmg": lmg_block,
-        "delta_llh": delta_llh,
-        "pooled_raw": {
-            "coeffs": pooled.coef_dict(),
-            "std_errors": dict(zip(pooled.labels, map(float, pooled.std_errors))),
-            "r2": pooled.r2,
-        },
+        "delta_llh": _mean_se([e["delta_llh"] for e in folds]),
+        "pooled_raw": _pooled_raw(all_rows, spec),
+    }
+
+
+def _pooled_raw(rows: _FoldRows, spec: ModelSpec) -> dict:
+    """``spec``'s fit on ``rows`` in original units, residualized where the
+    encoding calls for it.  It is made, and gated, on the centred columns,
+    so no source's offset from zero moves the gate; the raw intercept,
+    ``a @ beta`` with a = (1, -means), and its standard error are read back."""
+    r, t = rows.triangle, _model_map(rows, spec)[1]
+    a = np.r_[0.0, -(r[0] @ t[:, 1:]) / r[0, 0]]  # the means are R[0] t / R[0, 0]
+    fit = _fit(rows, spec, np.vstack([t[0] + a, t[1:]]))
+    a[0], k = 1.0, len(fit.labels)
+    coeffs, std_errors = fit.coefficients.copy(), fit.std_errors.copy()
+    coeffs[0] = a @ fit.coefficients
+    # Var(a @ beta) = s^2 |R^-T a|^2 for the fit's design block R
+    spread = np.linalg.norm(np.linalg.solve(fit.triangle.r[:k, :k].T, a))
+    std_errors[0] = math.sqrt(fit.sse / (rows.n_rows - k)) * float(spread)
+    return {
+        "coeffs": dict(zip(fit.labels, map(float, coeffs))),
+        "std_errors": dict(zip(fit.labels, map(float, std_errors))),
+        "r2": fit.r2,
     }
 
 

@@ -395,7 +395,9 @@ def equivalence_report(
     extras: Mapping[str, np.ndarray] | None = None,
 ) -> EquivalenceReport:
     """Fit the surprisal model and the pmi model on raw (unstandardized)
-    columns and verify the exact reparameterization identities.
+    columns and verify the exact reparameterization identities.  Each
+    column is centred first: that moves only the intercepts, and keeps
+    the condition gate off where a column's zero lies.
 
     Because pmi = frequency - surprisal pointwise, the two designs span
     the same space: fits and R-squared must agree to ``FIT_TOL`` and the
@@ -408,7 +410,8 @@ def equivalence_report(
     s = _as_column(surprisal, "surprisal")
     f = _as_column(frequency, "frequency")
     p = f - s if pmi is None else _as_column(pmi, "pmi")
-    extras = dict(extras or {})
+    s, f, p = s - s.mean(), f - f.mean(), p - p.mean()
+    extras = {k: np.subtract(v, np.mean(v)) for k, v in (extras or {}).items()}
     design_i = DesignMatrix.build({"surprisal": s, "frequency": f, **extras})
     design_ii = DesignMatrix.build({"pmi": p, "frequency": f, **extras})
     fit_i = ols_fit(design_i, y)

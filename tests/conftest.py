@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ctxpred.lm import AutoregressiveLM, EnumerationBudget, UnitAlphabet
+from ctxpred.lm import AutoregressiveLM, UnitAlphabet
 from ctxpred.regression import delta_loglik
 from ctxpred.smooth import DEFAULT_KNOTS, SmoothTerm, fit_smooth
 
@@ -109,8 +109,3 @@ def m0():
 @pytest.fixture
 def m1():
     return make_m1()
-
-
-@pytest.fixture
-def budget():
-    return EnumerationBudget(max_len=256, tail_tol=1e-9)

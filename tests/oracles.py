@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production code paths: string
 probabilities come from literal enumeration over the unit alphabet,
-regression coefficients from the pseudoinverse, variance shares from
-factorial ordering enumeration, and spline values from a hand-written
-tridiagonal natural-spline solve.  Slow is fine; independent is the
+divergences and symbol counts from the chain rule over the conditional
+tables and an enumerated context mass, regression coefficients from the
+pseudoinverse, variance shares from factorial ordering enumeration, and
+spline values from a hand-written tridiagonal natural-spline solve.  Slow is fine; independent is the
 point.  The exceptions are the n-row references for the k-space kernels
 (``lstsq_rsquared``, ``gcv_search_nrow``, the fold recipe
 ``nrow_fold`` and the pooled recipe ``nrow_pooled``), the plain GCV search
@@ -95,6 +96,31 @@ def brute_forward_kl(lm, q, max_len):
         for u in string:
             logq += math.log(q.prob(u))
         kl += p * (math.log(p) - logq)
+    return kl
+
+
+def chain_rule_counts(lm, context_mass):
+    """Expected symbol counts per string: each state's context mass times
+    its conditionals, one ``lm.cond`` entry at a time."""
+    counts = {sym: 0.0 for sym in lm.alphabet.symbols}
+    for state, mass in zip(lm.states, context_mass):
+        for sym, p in lm.cond[state].items():
+            counts[sym] += mass * p
+    return counts
+
+
+def chain_rule_kl(lm, q, context_mass):
+    """Forward KL from the model to q by the chain rule: each state's
+    context mass times the KL of its conditionals to q.
+
+    ``context_mass[i]`` is the prefix mass of the contexts in state
+    ``lm.states[i]``; pass ``enumerated_context_mass``'s, so that the
+    result does not read the visit solve.
+    """
+    kl = 0.0
+    for state, mass in zip(lm.states, context_mass):
+        for sym, p in lm.cond[state].items():
+            kl += mass * p * (math.log(p) - math.log(q.prob(sym)))
     return kl
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ctxpred
+import oracles
 from ctxpred import pipeline, smooth
 from ctxpred.cli import (
     EXIT_CONFIG,
@@ -31,7 +32,7 @@ from ctxpred.errors import ConfigError, RankDeficiencyError
 from ctxpred.lm import (
     EnumerationBudget,
     UnigramLM,
-    forward_kl_unigram,
+    enumerated_context_mass,
     load_lm_tsv,
     unigram_minimizer,
 )
@@ -42,6 +43,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MIXTURE = str(FIXTURES / "mixture.tsv")
 M0 = str(FIXTURES / "m0.tsv")
 M1 = str(FIXTURES / "m1.tsv")
+
+
+def reference_kl(lm_path: str):
+    """Forward KL to a unigram by a route apart from the visit solve:
+    literal string enumeration on m1 (its strings are a^n), else the chain
+    rule over the context mass enumerated far below the tolerances here."""
+    lm = load_lm_tsv(lm_path)
+    if lm_path == M1:
+        return lambda q: oracles.brute_forward_kl(lm, q, 120)
+    mass = enumerated_context_mass(lm, EnumerationBudget(max_len=1024, tail_tol=1e-15))
+    return lambda q: oracles.chain_rule_kl(lm, q, mass)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +362,7 @@ class TestOracle:
     def test_batched_margins_match_per_candidate_kl(self, lm_path, tmp_path, capsys):
         # the oracle prices every perturbation with one dot product on the
         # exact counts; the same draws scored one full KL at a time, each
-        # enumerated far below the comparison tolerance, must agree
+        # by a route apart from the visit solve, must agree
         code = main([
             "oracle", "--lm", lm_path, "--seed", "8", "--perturbations", "50",
             "--out", str(tmp_path),
@@ -364,10 +376,9 @@ class TestOracle:
         )
 
         lm = load_lm_tsv(lm_path)
-        # kl_minimizer is the exact KL, which the deep enumeration reaches
-        deep = EnumerationBudget(max_len=1024, tail_tol=1e-15)
+        kl = reference_kl(lm_path)
         q = unigram_minimizer(lm)
-        deep_kl_min = forward_kl_unigram(lm, q, deep)
+        ref_kl_min = kl(q)
         rng = named_rng(8, "simulations")
         symbols = lm.alphabet.symbols
         logq = np.log([q.prob(s) for s in symbols])
@@ -378,26 +389,25 @@ class TestOracle:
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             cand = UnigramLM(probs=dict(zip(symbols, map(float, probs))))
-            margin = forward_kl_unigram(lm, cand, deep) - deep_kl_min
+            margin = kl(cand) - ref_kl_min
             worst = min(worst, margin)
             violations += margin < -1e-12
-        assert details["kl_minimizer"] == pytest.approx(deep_kl_min, abs=1e-12)
+        assert details["kl_minimizer"] == pytest.approx(ref_kl_min, abs=1e-12)
         assert details["worst_margin"] == pytest.approx(worst, abs=1e-12)
         assert details["violations"] == violations
 
     @pytest.mark.parametrize("lm_path", [M1, MIXTURE])
     def test_kl_minimizer_is_exact_at_the_default_budget(self, lm_path, tmp_path, capsys):
-        # read off the default budget's enumeration, the KL fell short of
-        # the exact one by its left-out tail: 5.0e-6 on m1, 1.5e-5 on mixture
+        # the KL reads no enumeration; read off the default budget's, it
+        # fell short by the left-out tail: 5.0e-6 on m1, 1.5e-5 on mixture
         code = main(["oracle", "--lm", lm_path, "--perturbations", "10",
                      "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == EXIT_OK
         checks = json.loads((tmp_path / "oracle.json").read_text())["checks"]
         details = next(c["details"] for c in checks if c["name"] == "minimizer_optimality")
-        lm = load_lm_tsv(lm_path)
-        exact = forward_kl_unigram(lm, unigram_minimizer(lm), EnumerationBudget(2048, 1e-15))
-        assert details["kl_minimizer"] == pytest.approx(exact, abs=1e-12)
+        q = unigram_minimizer(load_lm_tsv(lm_path))
+        assert details["kl_minimizer"] == pytest.approx(reference_kl(lm_path)(q), abs=1e-12)
 
     @pytest.mark.parametrize("seed", ["42", "221"])
     def test_m1_minimizer_passes_at_seeds_truncation_failed(self, seed, capsys):
@@ -897,6 +907,9 @@ class TestOptionTable:
         resolved = _resolved(BASE_ARGV["analyze"])
         assert resolved["predictors"] == pipeline.MODEL_KINDS
         assert resolved["smooth_k"] == smooth.DEFAULT_KNOTS
+        oracle = _resolved(BASE_ARGV["oracle"])
+        budget = EnumerationBudget()
+        assert (oracle["max_len"], oracle["tail_tol"]) == (budget.max_len, budget.tail_tol)
         assert [v.hex() for v in resolved["lambda_grid"]] == [
             v.hex() for v in smooth.LAMBDA_GRID
         ]

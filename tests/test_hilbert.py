@@ -22,8 +22,8 @@ from ctxpred.hilbert import (
 )
 from ctxpred.lm import (
     EnumerationBudget,
+    enumerated_context_mass,
     prefix_normalizer,
-    truncated_string_moments,
     unigram_minimizer,
 )
 
@@ -81,7 +81,7 @@ class TestMeasureConstruction:
         # the enumeration that checks the measure refuses a horizon too
         # short for its tail bound
         with pytest.raises(ConvergenceError) as err:
-            truncated_string_moments(m0, EnumerationBudget(max_len=2, tail_tol=1e-9))
+            enumerated_context_mass(m0, EnumerationBudget(max_len=2, tail_tol=1e-9))
         assert err.value.remaining > 0
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -91,7 +91,7 @@ class TestMeasureConstruction:
         # any state, and falls short of it by at most its tail in total
         lm = random_lm(np.random.default_rng(seed), max_order=2)
         budget = EnumerationBudget(max_len=256, tail_tol=1e-6)
-        _, _, enumerated = truncated_string_moments(lm, budget)
+        enumerated = enumerated_context_mass(lm, budget)
         z = prefix_normalizer(lm)
         assert np.all(enumerated <= lm.visits + 1e-12)
         assert float(np.sum(lm.visits - enumerated)) <= budget.tail_tol * z

@@ -33,18 +33,21 @@ from ctxpred.lm import (
     UnigramLM,
     UnitAlphabet,
     conditional,
+    enumerated_context_mass,
+    expected_counts,
     expected_length,
     forward_kl_unigram,
     load_lm_tsv,
     prefix_normalizer,
     sample_string,
-    truncated_string_moments,
     unigram_minimizer,
     write_lm_tsv,
 )
 from ctxpred.predictors import frequency_variable
 
-BUDGET = EnumerationBudget(max_len=256, tail_tol=1e-9)
+# deep enough that the enumerated context mass leaves out less than
+# 1e-15 of the prefix normalizer
+DEEP = EnumerationBudget(max_len=1024, tail_tol=1e-15)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -107,65 +110,65 @@ class TestFrozenValues:
 
 
 class TestForwardKL:
+    """The exact KL, held to literal string enumeration on m1 and to the
+    chain rule over the enumerated context mass elsewhere."""
+
     def test_m0_against_own_minimizer_is_zero(self, m0):
         q = unigram_minimizer(m0)
-        assert abs(forward_kl_unigram(m0, q, BUDGET)) <= 1e-9
+        assert abs(forward_kl_unigram(m0, q)) <= 1e-9
 
     def test_matches_brute_enumeration(self, m1):
         q = UnigramLM(probs={"a": 0.4, "$": 0.6})
-        # tail_tol controls the truncation point, so drive it far below
-        # the comparison tolerance before checking against enumeration
-        ours = forward_kl_unigram(m1, q, EnumerationBudget(256, 1e-15))
         brute = oracles.brute_forward_kl(m1, q, 120)
-        assert ours == pytest.approx(brute, abs=1e-9)
+        assert forward_kl_unigram(m1, q) == pytest.approx(brute, abs=1e-12)
 
     def test_moments_match_brute_enumeration(self, m1):
-        budget = EnumerationBudget(256, 1e-15)
-        neg_entropy, counts, _ = truncated_string_moments(m1, budget)
         brute = oracles.brute_unigram_counts(m1, 120)
-        assert counts == pytest.approx(
-            [brute[s] for s in m1.alphabet.symbols], abs=1e-9
+        assert expected_counts(m1) == pytest.approx(
+            [brute[s] for s in m1.alphabet.symbols], abs=1e-12
         )
-        brute_neg_entropy = sum(
-            p * math.log(p) for _, p in oracles.enumerate_strings(m1, 120)
-        )
-        assert neg_entropy == pytest.approx(brute_neg_entropy, abs=1e-9)
         q = unigram_minimizer(m1)
-        assert forward_kl_unigram(m1, q, budget) == pytest.approx(
-            oracles.brute_forward_kl(m1, q, 120), abs=1e-9
+        assert forward_kl_unigram(m1, q) == pytest.approx(
+            oracles.brute_forward_kl(m1, q, 120), abs=1e-12
         )
 
     def test_counts_match_visit_solve_on_multi_unit_models(self, m0):
         mixture = load_lm_tsv(FIXTURES / "mixture.tsv")
         for lm in (m0, mixture):
-            _, counts, _ = truncated_string_moments(lm, EnumerationBudget(1024, 1e-15))
+            mass = enumerated_context_mass(lm, DEEP)
+            counts = oracles.chain_rule_counts(lm, mass)
             q = unigram_minimizer(lm)
             solved = [q.normalizer * q.prob(s) for s in lm.alphabet.symbols]
-            assert counts == pytest.approx(solved, abs=1e-9)
+            assert solved == pytest.approx([counts[s] for s in lm.alphabet.symbols], abs=1e-12)
+            assert forward_kl_unigram(lm, q) == pytest.approx(
+                oracles.chain_rule_kl(lm, q, mass), abs=1e-12
+            )
 
     def test_m1_minimizer_beats_random_unigrams(self, m1):
         q_star = unigram_minimizer(m1)
-        kl_star = forward_kl_unigram(m1, q_star, BUDGET)
+        kl_star = forward_kl_unigram(m1, q_star)
         rng = np.random.default_rng(7)
         for _ in range(50):
             w = rng.dirichlet(np.ones(2))
             q = UnigramLM(probs={"a": float(w[0]), "$": float(w[1])})
             if abs(q.prob("a") - q_star.prob("a")) < 1e-6:
                 continue
-            assert forward_kl_unigram(m1, q, BUDGET) > kl_star
+            assert forward_kl_unigram(m1, q) > kl_star
 
     def test_rejects_zero_support(self, m0):
         with pytest.raises(DegenerateError):
-            forward_kl_unigram(m0, UnigramLM(probs={"a": 0.5, "$": 0.5}), BUDGET)
+            forward_kl_unigram(m0, UnigramLM(probs={"a": 0.5, "$": 0.5}))
 
     def test_budget_exhaustion_raises(self, m1):
+        # the KL reads no enumeration: a budget the enumeration of
+        # contexts cannot meet leaves it defined
         with pytest.raises(ConvergenceError) as err:
-            forward_kl_unigram(
-                m1,
-                unigram_minimizer(m1),
-                EnumerationBudget(max_len=1, tail_tol=1e-9),
-            )
+            enumerated_context_mass(m1, EnumerationBudget(max_len=1, tail_tol=1e-9))
         assert err.value.remaining is not None
+        q = unigram_minimizer(m1)
+        assert forward_kl_unigram(m1, q) == pytest.approx(
+            oracles.brute_forward_kl(m1, q, 120), abs=1e-12
+        )
 
 
 class TestValidation:
@@ -295,9 +298,8 @@ class TestRandomModels:
     def test_minimizer_beats_perturbations(self, seed):
         rng = np.random.default_rng(seed)
         lm = random_lm(rng)
-        budget = EnumerationBudget(max_len=128, tail_tol=1e-9)
         q_star = unigram_minimizer(lm)
-        kl_star = forward_kl_unigram(lm, q_star, budget)
+        kl_star = forward_kl_unigram(lm, q_star)
         symbols = lm.alphabet.symbols
         for _ in range(5):
             w = rng.dirichlet(np.ones(len(symbols)))
@@ -305,7 +307,20 @@ class TestRandomModels:
             dist = max(abs(q.prob(s) - q_star.prob(s)) for s in symbols)
             if dist < 1e-6:
                 continue
-            assert forward_kl_unigram(lm, q, budget) >= kl_star - 1e-12
+            assert forward_kl_unigram(lm, q) >= kl_star - 1e-12
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_kl_matches_chain_rule_over_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        lm = random_lm(rng, max_order=2)
+        symbols = lm.alphabet.symbols
+        w = rng.dirichlet(np.ones(len(symbols)))
+        mass = enumerated_context_mass(lm, DEEP)
+        for q in (unigram_minimizer(lm), UnigramLM(probs=dict(zip(symbols, map(float, w))))):
+            assert forward_kl_unigram(lm, q) == pytest.approx(
+                oracles.chain_rule_kl(lm, q, mass), abs=1e-12
+            )
 
     def test_sampling_respects_alphabet(self, m0):
         rng = np.random.default_rng(0)
@@ -350,6 +365,8 @@ class TestChainIndex:
         assert row[("b", "a")] == [None, ("a", "b")]
         assert lm.emit.tolist() == [[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]]
         assert lm.eos.tolist() == [0.5] * 4
+        # the next-symbol table is the unit columns, then the eos column
+        assert lm.next_probs.tolist() == [row + [0.5] for row in lm.emit.tolist()]
         # each state's successor and transition rows agree
         for i, s in enumerate(lm.states):
             for a, u in enumerate(lm.alphabet.units):
@@ -358,7 +375,7 @@ class TestChainIndex:
                     assert lm.states[lm.succ[i, a]] == lm.next_state(s, u)
 
     def test_chain_tables_are_read_only(self, m1):
-        for arr in (m1.trans, m1.emit, m1.eos, m1.succ, m1.visits):
+        for arr in (m1.trans, m1.next_probs, m1.emit, m1.eos, m1.succ, m1.visits):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

@@ -443,6 +443,36 @@ class TestPooledReference:
             assert pooled["r2"] == pytest.approx(ref.r2, rel=1e-10, abs=1e-11)
 
 
+class TestPooledGate:
+    """The pooled fits gate on the centred design in original units, so
+    where a source's zero lies moves no gate: every fold fits the data
+    below, and the pooled fits once refused them (condition 1.853e10)."""
+
+    def test_shifted_frequency_moves_only_the_intercept(self, continuous, tmp_path):
+        obs, recs = continuous
+        shift = 1e5
+        shifted = with_columns(recs, frequency=recs["frequency"] + shift)
+        runs = [
+            analyze_observations(external_source(r, tmp_path / f"{i}.tsv"), obs, seed=2, folds=4)
+            for i, r in enumerate((recs, shifted))
+        ]
+        # pmi is frequency - surprisal, so it moves with frequency too
+        moved = {"frequency", "prev_frequency", "pmi", "prev_pmi"}
+        for base, model in zip(*(run.report["models"] for run in runs)):
+            before, after = base["pooled_raw"], model["pooled_raw"]
+            slopes = [label for label in before["coeffs"] if label != "intercept"]
+            for label in slopes:
+                assert after["coeffs"][label] == pytest.approx(before["coeffs"][label], rel=1e-9)
+                assert after["std_errors"][label] == pytest.approx(
+                    before["std_errors"][label], rel=1e-9
+                )
+            drop = shift * sum(before["coeffs"][label] for label in slopes if label in moved)
+            assert after["coeffs"]["intercept"] == pytest.approx(
+                before["coeffs"]["intercept"] - drop, rel=1e-9
+            )
+            assert after["r2"] == pytest.approx(before["r2"], rel=1e-9)
+
+
 class TestConstantSources:
     """A source that is constant on a fold's training rows is refused by
     name, decided exactly from the folds' least and greatest values."""

@@ -312,6 +312,18 @@ class TestEquivalence:
             equivalence_report(y, s, f, pmi=bad_pmi, extras={"length": ln})
         assert err.value.deltas
 
+    def test_an_offset_moves_no_gate(self):
+        # the columns are centred before the fits: left raw, frequency and
+        # length 1e5 away from zero gave a condition number past 1e10
+        rng = np.random.default_rng(23)
+        s, f, ln, y = self.make_columns(rng)
+        base = equivalence_report(y, s, f, extras={"length": ln})
+        shifted = equivalence_report(y, s, f + 1e5, extras={"length": ln + 1e5})
+        for label in ("surprisal", "frequency", "length"):
+            assert shifted.fit_surprisal.coef(label) == pytest.approx(
+                base.fit_surprisal.coef(label), rel=1e-9
+            )
+
     def test_standardized_columns_break_the_identity(self):
         # documents why the check must run on raw columns: rescaling
         # surprisal and pmi by different sds destroys beta_pmi = -beta_s
