@@ -356,9 +356,9 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    from .corpus import malformed_examples, parse_corpus
+    from .corpus import aggregate_participants, malformed_examples, parse_corpus
     from .lm import load_lm_tsv
-    from .pipeline import analyze_observations
+    from .pipeline import analyze_tokens
     from .predictors import parse_external_tsv
 
     inputs: dict[str, str] = {"corpus": sha256_file(cfg.corpus)}
@@ -375,9 +375,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
             f"{malformed_examples(malformed)}",
             file=sys.stderr,
         )
-    result = analyze_observations(
+    # the readings (about 1.25 times the corpus file) go once averaged
+    tokens = aggregate_participants(observations)
+    del observations
+    result = analyze_tokens(
         source,
-        observations,
+        tokens,
         seed=cfg.seed,
         folds=cfg.folds,
         predictors=cfg.predictors,

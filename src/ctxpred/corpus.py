@@ -6,9 +6,13 @@ The corpus exchange format is TSV with a fixed header::
 
 one row per (participant, token).  Reading times stay in milliseconds
 end to end.  Every stage holds its rows in one columnar ``TokenTable``.
-``read_tsv`` reads this file and the external predictor file in bulk,
-a column at a time, and ``write_tsv`` writes both by the same column
-kinds; only rows the bulk pass cannot convert go through ``corpus_row``.
+``read_tsv`` reads this file and the external predictor file a block of
+lines at a time, each block a column at a time, and ``write_tsv`` writes
+both by the same column kinds; only rows the bulk pass cannot convert go
+through ``corpus_row``.  Reading holds the file's bytes, the columns it
+keeps (for a corpus, about 1.25 times the file) and one block's arrays
+(about 7.5 times the block): some 3 times a corpus file of a few MB at
+its peak.
 Aggregation averages reading times over the participants who did not
 skip the token.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
@@ -34,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .choices import check_noise_sd
 from .errors import ConfigError, DegenerateError, FormatError
-from .files import read_text, write_atomic
+from .files import read_bytes, write_atomic
 from .lm import AutoregressiveLM, sample_string
 from .seeding import named_rng
 
@@ -132,6 +136,13 @@ MAX_INDEX_DIGITS = 18
 MAX_FIELD_BYTES = 255
 # rows ``write_tsv`` formats at once: its strings stay a few MB
 WRITE_CHUNK_ROWS = 8192
+# bytes of lines ``read_tsv`` converts at once; a block's arrays take
+# about 7.5 times its bytes.  On a 6.0 MB corpus (gen 200x250x3, 2-vCPU
+# Xeon) blocks of 128 KiB, 512 KiB and 2 MiB parsed in a median 291,
+# 244 and 236 ms at a tracemalloc peak of 15.6, 18.1 and 27.5 MB (the
+# whole file at once: about 250 ms, 45 MB): smaller blocks add per-block
+# work, larger ones memory
+READ_BLOCK_BYTES = 1 << 19
 # how ``write_tsv`` spells each kind of number (FIELD_KINDS)
 _FORMAT = {"index": str, "flag": "01".__getitem__, "value": lambda v: "NA" if v != v else repr(v)}
 # a value's plain spelling, digits[.digits][(e|E)[+|-]digits], as a
@@ -164,39 +175,99 @@ def read_tsv(
 
     Returns the table of the well-formed rows in file order, their line
     numbers, and the (line, reason) pairs of the malformed lines.  The
-    file is decoded by ``read_text``, and blank lines are skipped.
+    file is checked by ``read_bytes``, and blank lines are skipped.
     ``parse_line`` holds the rules: given one line, it returns the row's
     values in header order, or the reason the line is malformed.
 
-    The file is converted a column at a time (kinds in FIELD_KINDS), and
-    only the lines with a field not in its plain form go through
-    ``parse_line``.  Plain forms, each of 1 to MAX_FIELD_BYTES bytes: any
-    label; an index of at most MAX_INDEX_DIGITS ASCII digits; a value
-    spelled ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag
-    of 0 or 1.  ``parse_line`` accepts every plain row with the same
-    values.
+    The body is converted a block of whole lines at a time (at most
+    READ_BLOCK_BYTES each, or one longer line), a column at a time
+    (kinds in FIELD_KINDS), and only the lines with a field not in its
+    plain form go through ``parse_line``.  Plain forms, each of 1 to
+    MAX_FIELD_BYTES bytes: any label; an index of at most
+    MAX_INDEX_DIGITS ASCII digits; a value spelled
+    ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag of 0
+    or 1.  ``parse_line`` accepts every plain row with the same values.
+    Labels are coded in order of first appearance, doc ids sorted.
     """
-    data = read_text(path).encode("utf-8")
-    head = data.partition(b"\n")[0].decode("utf-8")
+    data = read_bytes(path)
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        head_end = len(data)
+    head = data[:head_end].decode("utf-8")
     if tuple(head.split("\t")) != header:
         raise FormatError(f"{path}: header must be {chr(9).join(header)!r}, got {head!r}")
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    kinds = [FIELD_KINDS[name] for name in header]
     buf = np.frombuffer(data, dtype=np.uint8)
+    # per label column, its labels and their codes, in order of first appearance
+    labels = {name: {} for name, kind in zip(header, kinds) if kind == "label"}
+    pieces: dict[str, list[np.ndarray]] = {name: [] for name in header}
+    row_lines: list[np.ndarray] = []
+    malformed: list[tuple[int, str]] = []
+    first_line = 2
+    for start, end in _blocks(data, min(head_end + 1, len(data))):
+        n_lines, lines, columns, bad = _read_block(data, buf, start, end, kinds, parse_line)
+        row_lines.append(lines + first_line)
+        malformed += [(first_line + i, why) for i, why in bad]
+        for name, column in zip(header, columns):
+            if name in labels:
+                column = _merge_labels(*column, labels[name])
+            pieces[name].append(column)
+        first_line += n_lines
+    del data, buf
+
+    def column(name: str) -> np.ndarray:
+        """The column, assembled once from its blocks, which it releases."""
+        return np.concatenate(pieces.pop(name))
+
+    # doc ids sorted, so ordering by doc code orders by doc_id
+    doc_ids = sorted(labels["doc_id"])
+    sorted_code = np.empty(len(doc_ids), dtype=np.int64)
+    sorted_code[[labels["doc_id"][d] for d in doc_ids]] = np.arange(len(doc_ids))
+    cols = {"doc": sorted_code[column("doc_id")], "token": column("token")}
+    cols.update((name, column(name)) for name in header if name not in labels)
+    participants: tuple[str, ...] = ()
+    if "participant" in labels:
+        cols["participant"], participants = column("participant"), tuple(labels["participant"])
+    table = TokenTable(cols, tuple(doc_ids), tuple(labels["token"]), participants)
+    return table, np.concatenate(row_lines), malformed
+
+
+def _blocks(data: bytes, start: int):
+    """The (start, end) spans of the lines from ``start`` on: whole lines
+    of at most READ_BLOCK_BYTES counting the newline at ``end``, or one
+    longer line.  The last span ends at the end of the data, and is
+    empty if ``start`` is there."""
+    while True:
+        end = data.rfind(b"\n", start, start + READ_BLOCK_BYTES)
+        if end < 0:
+            end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        yield start, end
+        if end == len(data):
+            return
+        start = end + 1
+
+
+def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse_line):
+    """The lines of ``data[start:end]``: their count, the (0-based) lines
+    of the rows in order, the rows' columns (a label column as its codes
+    and the labels they index), and the malformed (line, reason) pairs."""
+    view = buf[start:end]
+    sep = np.flatnonzero((view == 9) | (view == 10))
     # a field ends at a tab or at the newline ending its line; the one
-    # that ends at bounds[c] starts after bounds[c - 1], and bounds[0] is
-    # the newline ending the header
-    bounds = np.flatnonzero((buf == 9) | (buf == 10))[len(header) - 1:]
-    line_end = np.flatnonzero(buf[bounds[1:]] == 10) + 1
+    # that ends at bounds[c] starts after bounds[c - 1], bounds[0] is the
+    # newline before the block, and the last line ends at ``end``
+    bounds = np.concatenate([[-1], sep, [view.size]]) + start
+    line_end = np.append(np.flatnonzero(view[sep] == 10), sep.size) + 1
     n_fields = np.diff(line_end, prepend=0)
 
     def fields(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        start = bounds[ends - 1] + 1
-        return start, bounds[ends] - start
+        first = bounds[ends - 1] + 1
+        return first, bounds[ends] - first
 
-    kinds = [FIELD_KINDS[name] for name in header]
-    lines = np.flatnonzero(n_fields == len(header))
-    first_end = line_end[lines] - (len(header) - 1)
+    lines = np.flatnonzero(n_fields == len(kinds))
+    first_end = line_end[lines] - (len(kinds) - 1)
     plain = np.ones(lines.size, dtype=bool)
     values = []
     for j, kind in enumerate(kinds):
@@ -215,15 +286,14 @@ def read_tsv(
     for i in np.flatnonzero(slow).tolist():
         row = parse_line(data[line_start[i]:bounds[line_end[i]]].decode("utf-8"))
         if isinstance(row, str):
-            malformed.append((i + 2, row))
+            malformed.append((i, row))
         else:
             rows.append((i, row))
 
     row_line = np.concatenate([fast, np.array([i for i, _ in rows], dtype=np.int64)])
     order = np.argsort(row_line, kind="stable") if rows else slice(None)
-    labels: dict[str, tuple[np.ndarray, tuple[str, ...]]] = {}
-    cols: dict[str, np.ndarray] = {}
-    for j, (name, kind) in enumerate(zip(header, kinds)):
+    columns = []
+    for j, kind in enumerate(kinds):
         rest = [row[j] for _, row in rows]
         if kind == "label":
             codes, found = _code_fields(buf, *fields(first_end + j))
@@ -232,18 +302,12 @@ def read_tsv(
                 rest = [index.setdefault(label, len(index)) for label in rest]
                 codes = np.concatenate([codes, np.array(rest, dtype=np.int64)])[order]
                 found = list(index)
-            labels[name] = _relabel(codes, found, sort=name == "doc_id")
+            columns.append((codes, found))
         else:
             fast_values = values[j][plain]
             rest = np.array(rest, dtype=fast_values.dtype)
-            cols[name] = np.concatenate([fast_values, rest])[order]
-    (doc, doc_ids), (token, types) = labels["doc_id"], labels["token"]
-    cols = {"doc": doc, "token": token, **cols}
-    participants: tuple[str, ...] = ()
-    if "participant" in labels:
-        cols["participant"], participants = labels["participant"]
-    table = TokenTable(cols, doc_ids, types, participants)
-    return table, row_line[order] + 2, malformed
+            columns.append(np.concatenate([fast_values, rest])[order])
+    return line_end.size, row_line[order], columns, malformed
 
 
 def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
@@ -252,8 +316,8 @@ def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
     ok = (length > 0) & (length <= MAX_FIELD_BYTES)
     if kind == "label":
         return ok, None
-    if kind == "flag":
-        byte = buf[start]
+    if kind == "flag":  # a field that is empty may start at the end of the data
+        byte = buf.take(start, mode="clip")
         return (length == 1) & ((byte == 48) | (byte == 49)), byte == 49
     if kind == "index":
         ok &= length <= MAX_INDEX_DIGITS
@@ -308,16 +372,15 @@ def _code_fields(buf, start, length) -> tuple[np.ndarray, list[str]]:
     return codes, labels
 
 
-def _relabel(codes: np.ndarray, labels: list[str], sort: bool):
-    """The codes and labels, labels sorted or in order of first appearance."""
-    if sort:
-        rank = sorted(range(len(labels)), key=labels.__getitem__)
-    else:
-        present, first = np.unique(codes, return_index=True)
-        rank = present[np.argsort(first)].tolist()
-    new = np.empty(len(labels), dtype=np.int64)
-    new[rank] = np.arange(len(rank))
-    return new[codes], tuple(map(labels.__getitem__, rank))
+def _merge_labels(codes: np.ndarray, found: list[str], index: dict[str, int]) -> np.ndarray:
+    """A block's codes into ``found`` as codes into ``index`` (label to
+    code), which takes the block's new labels in order of first
+    appearance."""
+    present, first = np.unique(codes, return_index=True)
+    merged = np.empty(len(found), dtype=np.int64)
+    for code in present[np.argsort(first)].tolist():
+        merged[code] = index.setdefault(found[code], len(index))
+    return merged[codes]
 
 
 def corpus_row(line: str) -> tuple | str:

@@ -1,15 +1,18 @@
 """The bulk TSV reader against the per-line rules it defers to.
 
-``corpus.read_tsv`` converts whole columns at once and sends only the
-lines it cannot vouch for through the line functions (``corpus_row``,
-``predictors.external_row``).  These tests hold it to the plain loop
-over the file's lines (``oracles.reference_read``) on corpora and
-predictor tables with injected defects: the same table, code order,
-line numbers and malformed list, or the same exception.
+``corpus.read_tsv`` converts a block of lines at a time, a column at a
+time, and sends only the lines it cannot vouch for through the line
+functions (``corpus_row``, ``predictors.external_row``).  These tests
+hold it, at every block size from 1 to 64 bytes, to the plain loop over
+the file's lines (``oracles.reference_read``) on corpora and predictor
+tables with injected defects: the same table, code order, line numbers
+and malformed list, or the same exception.  Its peak memory is held to
+a bound on a corpus of a few MB.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxpred import corpus, files
 from ctxpred.corpus import (
     CORPUS_HEADER,
     FIELD_KINDS,
@@ -145,13 +149,30 @@ def counting(parse_line):
     return wrapped
 
 
+def in_blocks(size, read):
+    """``read`` with ``read_tsv`` converting, and ``read_bytes`` checking,
+    ``size`` bytes of lines at a time, so that lines longer than a block,
+    every kind of line ending and invalid UTF-8 fall across block edges."""
+
+    def wrapped(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "READ_BLOCK_BYTES", size)
+            patch.setattr(files, "CHECK_BYTES", size)
+            return read(path)
+
+    return wrapped
+
+
+BLOCK_BYTES = st.integers(1, 64)
+
+
 class TestAgainstLineRules:
     @settings(max_examples=300, deadline=None)
-    @given(data=tsv_file(CORPUS_HEADER))
-    def test_corpus(self, tmp_path_factory, data):
+    @given(data=tsv_file(CORPUS_HEADER), block=BLOCK_BYTES)
+    def test_corpus(self, tmp_path_factory, data, block):
         path = tmp_path_factory.mktemp("c") / "corpus.tsv"
         path.write_bytes(data)
-        got = outcome(lambda p: read_tsv(p, CORPUS_HEADER, corpus_row), path)
+        got = outcome(in_blocks(block, lambda p: read_tsv(p, CORPUS_HEADER, corpus_row)), path)
         want = outcome(lambda p: reference_read(p, CORPUS_HEADER, corpus_row), path)
         assert got[0] == want[0], (got, want)
         if got[0] == "raised":
@@ -163,11 +184,11 @@ class TestAgainstLineRules:
         assert_same_table(table, ref)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=tsv_file(EXTERNAL_HEADER))
-    def test_external(self, tmp_path_factory, data):
+    @given(data=tsv_file(EXTERNAL_HEADER), block=BLOCK_BYTES)
+    def test_external(self, tmp_path_factory, data, block):
         path = tmp_path_factory.mktemp("e") / "pred.tsv"
         path.write_bytes(data)
-        got = outcome(parse_external_tsv, path)
+        got = outcome(in_blocks(block, parse_external_tsv), path)
         want = outcome(reference_external, path)
         assert got[0] == want[0], (got, want)
         if got[0] == "raised":
@@ -199,11 +220,12 @@ class TestAgainstLineRules:
             assert got[1] == want[1]
 
     @settings(max_examples=100, deadline=None)
-    @given(data=tsv_file(EXTERNAL_HEADER))
-    def test_external_rows(self, tmp_path_factory, data):
+    @given(data=tsv_file(EXTERNAL_HEADER), block=BLOCK_BYTES)
+    def test_external_rows(self, tmp_path_factory, data, block):
         path = tmp_path_factory.mktemp("e") / "pred.tsv"
         path.write_bytes(data)
-        got = outcome(lambda p: read_tsv(p, EXTERNAL_HEADER, external_row), path)
+        read = in_blocks(block, lambda p: read_tsv(p, EXTERNAL_HEADER, external_row))
+        got = outcome(read, path)
         want = outcome(lambda p: reference_read(p, EXTERNAL_HEADER, external_row), path)
         assert got[0] == want[0], (got, want)
         if got[0] == "raised":
@@ -267,7 +289,7 @@ EXT_HEAD = "\t".join(EXTERNAL_HEADER).encode()
     ids=["bom", "bad-line", "key-order", "cr", "crlf", "open-header", "invalid", "invalid-mid"],
 )
 def test_unfinished_character_comes_after_the_lines_before_it(tmp_path, data, line, byte, reason):
-    """The file is decoded whole before any line is read, so its first
+    """The whole file is checked before any line is read, so its first
     invalid byte is the error, named by file, line and byte, even where
     a text reader would first have met the lines before it."""
     path = tmp_path / "pred.tsv"
@@ -328,3 +350,39 @@ class TestBulkPath:
         assert lines.tolist() == list(range(2, 32))
         assert np.isnan(table["rt_ms"][[4, 9]]).all()
         assert table["skipped"].tolist() == [i in (4, 9) for i in range(30)]
+
+
+class TestPeakMemory:
+    """The reader holds the file's bytes, the columns it keeps and one
+    block: at most 4 times the file's bytes, where converting the whole
+    file at once took about 7.5 times.  No decoded copy of the file is
+    held either."""
+
+    @pytest.fixture(scope="class")
+    def corpus_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("big") / "corpus.tsv"
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+        coeffs = {"intercept": 200.0, "surprisal": 10.0, "frequency": 6.0, "length": 2.0}
+        result = generate_synthetic(lm, coeffs, 10.0, n_docs=120, doc_len=250, seed=4,
+                                    n_participants=3)
+        write_corpus_tsv(result.observations, path)
+        # one participant name outside the BMP: decoded whole, the file
+        # would take 4 bytes a character
+        data = path.read_bytes().replace(b"\np00\t", "\np\U0001f600\t".encode(), 1)
+        path.write_bytes(data)
+        assert len(data) >= 3_000_000
+        return path
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_peak_within_four_times_the_file(self, corpus_file, tmp_path, final_newline):
+        data = corpus_file.read_bytes()
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(data if final_newline else data.removesuffix(b"\n"))
+        tracemalloc.start()
+        try:
+            rows, malformed = parse_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(rows), malformed) == (data.count(b"\n") - 1, [])
+        assert peak <= 4 * path.stat().st_size, peak / path.stat().st_size
