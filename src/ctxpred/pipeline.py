@@ -17,7 +17,10 @@ observations it:
    R-squared into per-group shares, and scores the held-out rows
    against the training-mean baseline through the fold's triangle,
 5. optionally fits smooth (spline) counterparts of each model on the
-   fold's rows of U times T,
+   fold's rows of U times T; the models share a fold's smooth terms,
+   each fitted at its first model's use and released after its last
+   model's fit, so a fold holds the terms of one model and those a later
+   model still reads (at most 6 of the 12 with the default models),
 6. fits each model in original units on the all-rows triangle, by the
    same recipe with the map in the sources' units, centred, and runs the
    reparameterization-identity check on n rows of U's raw columns, apart
@@ -265,12 +268,18 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
         tr, te = context.assignment.train_idx(f), context.assignment.test_idx(f)
         y_tr = context.u[tr, _Y]
         # the fold's smooth terms, shared by the models: a label names one
-        # column within a fold
+        # column within a fold; each is released after its last reader
         terms: dict[str, SmoothTerm] = {}
+        last_reader = {
+            label: i
+            for i, spec in enumerate(context.specs) for label, _, _ in _design_columns(spec)
+        }
     # every map first: a source constant on training rows is refused before any fit
     maps = [_model_map(train, spec) for spec in context.specs]
     out = []
-    for spec, groups, (t, original, anchor_corr) in zip(context.specs, context.groups, maps):
+    for i, (spec, groups, (t, original, anchor_corr)) in enumerate(
+        zip(context.specs, context.groups, maps)
+    ):
         try:
             fit = _fit(train, spec, t)
         except RankDeficiencyError as exc:
@@ -301,9 +310,11 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
         ]
         smooth_entry = None
         if context.smooth:
-            for label, x in _columns(spec, context.u, t, tr).items():
-                if label not in terms:
-                    terms[label] = SmoothTerm.fit(label, x, context.smooth_k)
+            # no loop variable keeps a view of the columns alive through the fit
+            terms.update({
+                label: SmoothTerm.fit(label, x, context.smooth_k)
+                for label, x in _columns(spec, context.u, t, tr).items() if label not in terms
+            })
             sfit = fit_smooth(
                 {label: terms[label] for label in fit.labels[1:]}, y_tr,
                 lambda_grid=context.lambda_grid,
@@ -319,6 +330,9 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
                 "delta_llh": sdelta.per_token,
                 "terms": sfit.term_summary(),
             }
+            # the fit holds its terms
+            del sfit
+            terms = {label: term for label, term in terms.items() if last_reader[label] > i}
         out.append(_ModelFold(entry, lmg_rows, anchor_corr, smooth_entry))
     return out
 
@@ -331,8 +345,11 @@ def _lacking_note(context: _FoldContext, spec: ModelSpec, f: int) -> str:
         _fit(context.all_rows, spec, _model_map(context.all_rows, spec)[0])
     except RankDeficiencyError:
         return ""
-    tokens = context.rows["token"]
-    lacking = np.setdiff1d(tokens, tokens[context.assignment.fold_of_row != f])
+    # the codes of the rows' types that no training row holds, by counts:
+    # np.setdiff1d would load numpy.ma
+    tokens, n_types = context.rows["token"], len(context.rows.types)
+    held = np.bincount(tokens[context.assignment.fold_of_row != f], minlength=n_types)
+    lacking = np.flatnonzero((np.bincount(tokens, minlength=n_types) > 0) & (held == 0)).tolist()
     names = sorted(repr(context.rows.types[c]) for c in lacking)
     more = f" ({len(names)} types in all)" if len(names) > 5 else ""
     return f"; the fold's training rows hold no {', '.join(names[:5])}{more}" if names else ""

@@ -1107,12 +1107,13 @@ MODULES_AFTER_RESOLVING = (
 REGRESSION_STACK = {"ctxpred.pipeline", "ctxpred.regression", "ctxpred.smooth"}
 
 
-def _modules_after(argv, script=MODULES_AFTER):
-    """The modules a fresh process has loaded once ``script`` has run on ARGV."""
+def _modules_after(argv, script=MODULES_AFTER, exit_code=EXIT_OK):
+    """The modules a fresh process has loaded once ``script`` has run on
+    ARGV and exited with ``exit_code``."""
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -1174,19 +1175,36 @@ def test_gen_and_oracle_load_no_regression_stack(argv, tmp_path):
     assert modules & REGRESSION_STACK == set()
 
 
-@pytest.mark.parametrize("command", ["gen", "analyze", "analyze --smooth", "oracle"])
+@pytest.mark.parametrize(
+    "command", ["gen", "analyze", "analyze --smooth", "analyze refused", "oracle"]
+)
 def test_commands_load_no_masked_arrays(command, gen_dir, tmp_path):
     # np.unique without a return_* flag loads numpy.ma, and np.quantile
-    # calls it; on one CPU a smooth analysis runs its folds in this process
+    # and np.setdiff1d call it; on one CPU a smooth analysis runs its
+    # folds in this process
     corpus = ["--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"), "--folds", "3"]
     argv = {
         "gen": ["gen", "--lm", MIXTURE, "--n-docs", "3", "--doc-len", "10"],
         "analyze": ["analyze", *corpus],
         "analyze --smooth": ["analyze", *corpus, "--smooth"],
         "oracle": ["oracle", "--lm", M1, "--perturbations", "10"],
-    }[command]
+    }.get(command)
+    exit_code = EXIT_OK
+    if command == "analyze refused":
+        # fold 1's training documents hold no 'cccc', and the refusal's
+        # note names the types they lack
+        gen = tmp_path / "gen"
+        assert main([
+            "gen", "--lm", MIXTURE, "--out", str(gen), "--seed", "7",
+            "--n-docs", "10", "--doc-len", "40", "--noise-sd", "1.0",
+        ]) == EXIT_OK
+        argv = ["analyze", "--lm", MIXTURE, "--corpus", str(gen / "corpus.tsv"),
+                "--seed", "7", "--fold-by", "document", "--folds", "3"]
+        exit_code = EXIT_NUMERIC
     one_cpu = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-    modules = _modules_after(argv + ["--out", str(tmp_path)], one_cpu + MODULES_AFTER)
+    modules = _modules_after(
+        argv + ["--out", str(tmp_path)], one_cpu + MODULES_AFTER, exit_code=exit_code
+    )
     assert "ctxpred.smooth" in modules if command == "analyze --smooth" else "ctxpred.lm" in modules
     assert _package_of(modules, "numpy.ma") == set()
 

@@ -11,6 +11,7 @@ outside the pipeline.
 
 import multiprocessing
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -621,8 +622,9 @@ class TestSmoothPath:
 
 
 class TestSharedSmoothBlocks:
-    """The models of a fold share its smooth terms; each smooth fit must
-    equal a fit of its own on that model's fold columns."""
+    """The models of a fold share its smooth terms, and the fold holds a
+    term only from its first reader's fit until its last reader's; each
+    smooth fit must equal a fit of its own on that model's fold columns."""
 
     def test_one_term_per_label_per_fold(self, mixture_lm, synth, monkeypatch):
         fit, labels = SmoothTerm.fit, []
@@ -641,17 +643,94 @@ class TestSharedSmoothBlocks:
         assert len(distinct) == 12 and len(labels) == 48
         assert [set(labels[f * 12:(f + 1) * 12]) for f in range(4)] == [distinct] * 4
 
+    # (options, most terms live at once): the terms each model fits
+    # first and those a later model still reads
+    LIVE_CASES = {
+        "default": (dict(), 6),
+        "ortho_first": (dict(predictors=("ortho", "pmi", "surprisal")), 6),
+        # the ortho model reads the surprisal model's terms: 8 at the pmi fit
+        "swap": (dict(swap_ortho="frequency"), 8),
+    }
+
+    @pytest.mark.parametrize("case", LIVE_CASES)
+    def test_live_terms_are_those_still_read(self, case, mixture_lm, synth, monkeypatch):
+        options, most = self.LIVE_CASES[case]
+        fit, fit_smooth = SmoothTerm.fit, pipeline.fit_smooth
+        fitted: list[tuple[str, weakref.ref]] = []
+        live_at_fits: list[list[str]] = []
+
+        def tracked(cls, name, x, k):
+            term = fit(name, x, k)
+            fitted.append((name, weakref.ref(term)))
+            return term
+
+        def counted(terms, y, **kwargs):
+            live_at_fits.append(sorted(name for name, ref in fitted if ref() is not None))
+            return fit_smooth(terms, y, **kwargs)
+
+        monkeypatch.setattr(SmoothTerm, "fit", classmethod(tracked))
+        monkeypatch.setattr(pipeline, "fit_smooth", counted)
+        monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: 1)
+        analyze_observations(
+            mixture_lm, synth.observations, seed=SEED, folds=4, smooth=True, **options
+        )
+        specs = [
+            model_spec(kind, True, options.get("swap_ortho"))
+            for kind in options.get("predictors", MODEL_KINDS)
+        ]
+        reads = [{label for label, _, _ in _design_columns(spec)} for spec in specs]
+        # the labels fitted so far that this model or a later one reads
+        expected = [
+            sorted(set().union(*reads[:i + 1]) & set().union(*reads[i:]))
+            for i in range(len(reads))
+        ]
+        assert live_at_fits == expected * 4
+        assert max(map(len, live_at_fits)) == most
+
+    # (source fixture, options): a source whose columns are continuous,
+    # and a model order in which the terms are released in another order
+    OTHER_CASES = {
+        "external_separate": ("continuous", dict(lmg_grouping="separate")),
+        "ortho_first": ("mixture", dict(predictors=("ortho", "pmi", "surprisal"))),
+        "ortho_first_swap": ("mixture", dict(predictors=("ortho", "surprisal"),
+                                             swap_ortho="frequency")),
+    }
+
     @pytest.mark.parametrize("swap", [None, "frequency"])
     def test_fits_equal_unshared_fits(self, mixture_lm, synth, usable_rows, swap):
+        self.assert_fits_equal_unshared_fits(
+            mixture_lm, synth.observations, usable_rows, swap_ortho=swap
+        )
+
+    @pytest.mark.parametrize("case", OTHER_CASES)
+    def test_fits_equal_unshared_fits_on_other_sources_and_orders(
+        self, case, mixture_lm, synth, continuous, tmp_path
+    ):
+        source_name, options = self.OTHER_CASES[case]
+        if source_name == "continuous":
+            observations, recs = continuous
+            source = external_source(recs, tmp_path / "pred.tsv")
+        else:
+            observations, source = synth.observations, mixture_lm
+        records = build_predictor_table(aggregate_participants(observations), source)
+        rows = records.take(~np.isnan(records["prev_surprisal"]) & ~np.isnan(records["rt_ms"]))
+        self.assert_fits_equal_unshared_fits(source, observations, rows, **options)
+
+    @staticmethod
+    def assert_fits_equal_unshared_fits(source, observations, usable_rows, **options):
+        """Each model's smooth fold entries equal those of a fit with terms
+        of its own on the model's fold columns of ``usable_rows``."""
         result = analyze_observations(
-            mixture_lm, synth.observations, seed=SEED, folds=FOLDS,
-            smooth=True, swap_ortho=swap,
+            source, observations, seed=SEED, folds=FOLDS, smooth=True, **options
         )
         models = {m["model"]: m for m in result.report["models"]}
         u = pipeline._union(usable_rows)
         y = usable_rows["rt_ms"]
         assignment = kfold(len(usable_rows), FOLDS, SEED)
-        specs = [model_spec(kind, True, swap) for kind in MODEL_KINDS]
+        specs = [
+            model_spec(kind, True, options.get("swap_ortho"))
+            for kind in options.get("predictors", MODEL_KINDS)
+        ]
         maps = column_maps(u, assignment, specs)
         for f in range(FOLDS):
             tr, te = assignment.train_idx(f), assignment.test_idx(f)
