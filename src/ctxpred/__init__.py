@@ -49,7 +49,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "pmi_variable", "surprisal_variable", "table_columns", "write_external_tsv",
     ),
     "regression": (
-        "DeltaLogLik", "DesignMatrix", "EquivalenceReport", "FitResult", "LmgReport",
+        "DeltaLogLik", "DesignMatrix", "FitResult", "IdentityReport", "LmgReport",
         "Triangle", "delta_loglik", "equivalence_report", "fit_columns", "lmg", "ols_fit",
         "residualization_triplet",
     ),

@@ -15,7 +15,11 @@ prefix normalizer, both read off the model's visit solve, so the measure
 is exact rather than truncated, and lumping changes no value of any such
 variable.  Sample mode applies the same projection algebra to empirical
 vectors (one entry per corpus token) with moments estimated on training
-rows only, so held-out rows never leak into the fit.
+rows only, so held-out rows never leak into the fit.  It is the
+row-level form: ``analyze`` reads its projections off the fold
+triangles (``pipeline._model_map``), while
+``regression.residualization_triplet`` and n-row reference
+computations call sample mode.
 
 The exact projection is always centred, so its residual is uncorrelated
 with, and orthogonal to, the anchor.  Both modes hand their first and

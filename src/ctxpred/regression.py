@@ -21,8 +21,11 @@ than left to downstream eyeballing:
 * residualizing one predictor against another preserves the first
   coefficient while turning the second into its single-predictor slope.
 
-Both checks raise ``IdentityError`` with the measured deltas when the
-algebra fails to hold numerically.
+Both run one recipe: each named design is fitted on its raw columns
+centred (which moves only the intercepts, wherever the columns' zero
+lies), the deltas are measured off the fits, and one ``IdentityReport``
+is returned, or ``IdentityError`` raised with the deltas beyond their
+tolerances.
 """
 
 from __future__ import annotations
@@ -378,26 +381,53 @@ def lmg(triangle: Triangle, groups: Mapping[str, Sequence[str]]) -> LmgReport:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """Deltas measured when trading surprisal for its pointwise-mutual-
-    information rewrite (frequency minus surprisal) in the same model."""
+class IdentityReport:
+    """The named fits of one identity check and the deltas it measured:
+    ``surprisal`` and ``pmi`` for the equivalence, ``raw``,
+    ``residualized`` and ``reduced`` for the residualization."""
 
-    fit_surprisal: FitResult
-    fit_pmi: FitResult
+    fits: dict[str, FitResult]
     deltas: dict[str, float] = field(repr=False)
 
 
+def _centred_fits(
+    designs: Mapping[str, Mapping[str, np.ndarray]], y: np.ndarray
+) -> tuple[dict[str, FitResult], dict[str, np.ndarray]]:
+    """Fit each named design on its raw columns centred, and take its
+    fitted values.  Centring moves only the intercepts, and keeps the
+    condition gate off where a column's zero lies.  One n-row design is
+    alive at a time."""
+    fits, fitted = {}, {}
+    for name, columns in designs.items():
+        design = DesignMatrix.build({k: np.subtract(v, np.mean(v)) for k, v in columns.items()})
+        fits[name] = ols_fit(design, y)
+        fitted[name] = design.matrix @ fits[name].coefficients
+        del design
+    return fits, fitted
+
+
+def _verified(
+    identities: str, fits: dict[str, FitResult], deltas: dict[str, float],
+    tolerances: Mapping[str, float],
+) -> IdentityReport:
+    """The report, once every delta with a tolerance is within it;
+    else ``IdentityError`` names the deltas beyond theirs."""
+    broken = {k: deltas[k] for k, tol in tolerances.items() if deltas[k] > tol}
+    if broken:
+        raise IdentityError(
+            f"{identities} identities violated: "
+            + ", ".join(f"{k}={v:.3e}" for k, v in broken.items()),
+            deltas=broken,
+        )
+    return IdentityReport(fits=fits, deltas=deltas)
+
+
 def equivalence_report(
-    y: np.ndarray,
-    surprisal: np.ndarray,
-    frequency: np.ndarray,
-    pmi: np.ndarray | None = None,
-    extras: Mapping[str, np.ndarray] | None = None,
-) -> EquivalenceReport:
+    y: np.ndarray, surprisal: np.ndarray, frequency: np.ndarray,
+    pmi: np.ndarray | None = None, extras: Mapping[str, np.ndarray] | None = None,
+) -> IdentityReport:
     """Fit the surprisal model and the pmi model on raw (unstandardized)
-    columns and verify the exact reparameterization identities.  Each
-    column is centred first: that moves only the intercepts, and keeps
-    the condition gate off where a column's zero lies.
+    columns and verify the exact reparameterization identities.
 
     Because pmi = frequency - surprisal pointwise, the two designs span
     the same space: fits and R-squared must agree to ``FIT_TOL`` and the
@@ -410,69 +440,39 @@ def equivalence_report(
     s = _as_column(surprisal, "surprisal")
     f = _as_column(frequency, "frequency")
     p = f - s if pmi is None else _as_column(pmi, "pmi")
-    s, f, p = s - s.mean(), f - f.mean(), p - p.mean()
-    extras = {k: np.subtract(v, np.mean(v)) for k, v in (extras or {}).items()}
-    design_i = DesignMatrix.build({"surprisal": s, "frequency": f, **extras})
-    design_ii = DesignMatrix.build({"pmi": p, "frequency": f, **extras})
-    fit_i = ols_fit(design_i, y)
-    fit_ii = ols_fit(design_ii, y)
-
-    pred_i = design_i.matrix @ fit_i.coefficients
-    pred_ii = design_ii.matrix @ fit_ii.coefficients
+    fits, fitted = _centred_fits({
+        "surprisal": {"surprisal": s, "frequency": f, **(extras or {})},
+        "pmi": {"pmi": p, "frequency": f, **(extras or {})},
+    }, y)
+    fit_s, fit_p = fits["surprisal"], fits["pmi"]
     deltas = {
-        "r2": abs(fit_i.r2 - fit_ii.r2),
-        "prediction": float(np.max(np.abs(pred_i - pred_ii))),
-        "beta_pmi_vs_neg_surprisal": abs(
-            fit_ii.coef("pmi") + fit_i.coef("surprisal")
-        ),
+        "r2": abs(fit_s.r2 - fit_p.r2),
+        "prediction": float(np.max(np.abs(fitted["surprisal"] - fitted["pmi"]))),
+        "beta_pmi_vs_neg_surprisal": abs(fit_p.coef("pmi") + fit_s.coef("surprisal")),
         "beta_frequency_shift": abs(
-            fit_ii.coef("frequency")
-            - (fit_i.coef("frequency") + fit_i.coef("surprisal"))
+            fit_p.coef("frequency") - (fit_s.coef("frequency") + fit_s.coef("surprisal"))
         ),
-        "intercept": abs(fit_ii.coef(INTERCEPT_LABEL) - fit_i.coef(INTERCEPT_LABEL)),
+        "intercept": abs(fit_p.coef(INTERCEPT_LABEL) - fit_s.coef(INTERCEPT_LABEL)),
     }
     # the intercept delta is reported but has no tolerance
-    tolerances = {
-        "r2": FIT_TOL,
-        "prediction": FIT_TOL,
-        "beta_pmi_vs_neg_surprisal": COEF_TOL,
-        "beta_frequency_shift": COEF_TOL,
-    }
-    broken = {k: deltas[k] for k, tol in tolerances.items() if deltas[k] > tol}
-    if broken:
-        raise IdentityError(
-            "model-equivalence identities violated: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in broken.items()),
-            deltas=broken,
-        )
-    return EquivalenceReport(fit_surprisal=fit_i, fit_pmi=fit_ii, deltas=deltas)
-
-
-@dataclass(frozen=True)
-class TripletReport:
-    """Three nested fits demonstrating what residualization does to
-    coefficients: A keeps both raw predictors, B residualizes the first
-    against the second, C drops the first entirely."""
-
-    fit_raw: FitResult
-    fit_residualized: FitResult
-    fit_reduced: FitResult
-    deltas: dict[str, float] = field(repr=False)
+    return _verified("model-equivalence", fits, deltas, {
+        "r2": FIT_TOL, "prediction": FIT_TOL,
+        "beta_pmi_vs_neg_surprisal": COEF_TOL, "beta_frequency_shift": COEF_TOL,
+    })
 
 
 def residualization_triplet(
-    y: np.ndarray,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    labels: tuple[str, str] = ("x1", "x2"),
-) -> TripletReport:
+    y: np.ndarray, x1: np.ndarray, x2: np.ndarray, labels: tuple[str, str] = ("x1", "x2"),
+) -> IdentityReport:
     """Check the two coefficient-preservation identities of sample
-    residualization.
+    residualization on three nested fits: ``raw`` keeps both
+    predictors, ``residualized`` replaces the first by its residual
+    against the second, ``reduced`` drops the first.
 
-    With x1 replaced by its residual against x2, the coefficient on the
-    residualized column equals the raw model's x1 coefficient, and the
-    x2 coefficient collapses to the slope of the x2-only model.  Both
-    must hold to ``COEF_TOL``, otherwise ``IdentityError`` is raised.
+    The residualized column's coefficient equals the raw model's x1
+    coefficient, and the x2 coefficient collapses to the slope of the
+    x2-only model.  Both must hold to ``COEF_TOL``, otherwise
+    ``IdentityError`` is raised.
     """
     l1, l2 = labels
     x1 = _as_column(x1, l1)
@@ -484,23 +484,12 @@ def residualization_triplet(
             f"{l1!r} is numerically collinear with {l2!r}: nothing is "
             "left after residualization"
         )
-    fit_a = fit_columns({l1: x1, l2: x2}, y)
-    fit_b = fit_columns({f"{l1}_perp": x1_perp, l2: x2}, y)
-    fit_c = fit_columns({l2: x2}, y)
+    fits, _ = _centred_fits({
+        "raw": {l1: x1, l2: x2}, "residualized": {f"{l1}_perp": x1_perp, l2: x2},
+        "reduced": {l2: x2},
+    }, y)
     deltas = {
-        "first_coefficient": abs(fit_a.coef(l1) - fit_b.coef(f"{l1}_perp")),
-        "second_coefficient": abs(fit_b.coef(l2) - fit_c.coef(l2)),
+        "first_coefficient": abs(fits["raw"].coef(l1) - fits["residualized"].coef(f"{l1}_perp")),
+        "second_coefficient": abs(fits["residualized"].coef(l2) - fits["reduced"].coef(l2)),
     }
-    broken = {k: v for k, v in deltas.items() if v > COEF_TOL}
-    if broken:
-        raise IdentityError(
-            "residualization identities violated: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in broken.items()),
-            deltas=broken,
-        )
-    return TripletReport(
-        fit_raw=fit_a,
-        fit_residualized=fit_b,
-        fit_reduced=fit_c,
-        deltas=deltas,
-    )
+    return _verified("residualization", fits, deltas, dict.fromkeys(deltas, COEF_TOL))

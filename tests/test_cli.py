@@ -15,10 +15,11 @@ import pytest
 
 import ctxpred
 import oracles
-from ctxpred import pipeline, smooth
+from ctxpred import pipeline, regression, smooth
 from ctxpred.cli import (
     EXIT_CONFIG,
     EXIT_COVERAGE,
+    EXIT_IDENTITY,
     EXIT_NUMERIC,
     EXIT_OK,
     OPTIONS,
@@ -573,6 +574,30 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == EXIT_CONFIG
 
+    def test_identity_violation(self, gen_dir, tmp_path, capsys, monkeypatch):
+        # no tolerance can be met, so the equivalence check refuses the run
+        monkeypatch.setattr(regression, "FIT_TOL", -1.0)
+        monkeypatch.setattr(regression, "COEF_TOL", -1.0)
+        code = main([
+            "analyze", "--lm", MIXTURE, "--corpus", str(gen_dir / "corpus.tsv"),
+            "--out", str(tmp_path), "--folds", "3",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_IDENTITY
+        assert "identity violation: model-equivalence identities violated" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--lm", MIXTURE, "--out", "D"], "analyze needs --corpus"),
+        (["gen", "--out", "D"], "gen needs --lm"),
+        (["report"], "report needs --out"),
+    ])
+    def test_required_input_missing(self, capsys, argv, message):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+
     def test_duplicate_participant_row(self, gen_dir, tmp_path, capsys):
         lines = (gen_dir / "corpus.tsv").read_text().splitlines()
         corpus = tmp_path / "corpus.tsv"
@@ -788,6 +813,31 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["seed"] == 7          # flag wins
         assert manifest["config"]["n_docs"] == 4  # config survives
+
+    def test_boolean_key_read_as_false(self, gen_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("smooth = off\n")
+        code = main([
+            "analyze", "--config", str(conf), "--lm", MIXTURE,
+            "--corpus", str(gen_dir / "corpus.tsv"), "--out", str(tmp_path / "o"),
+            "--folds", "3",
+        ])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["models"]
+        assert not [m for m in report["models"] if m["model"].endswith("_smooth")]
+
+    def test_boolean_key_not_a_boolean(self, gen_dir, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("no_length = maybe\n")
+        code = main([
+            "analyze", "--config", str(conf), "--lm", MIXTURE,
+            "--corpus", str(gen_dir / "corpus.tsv"), "--out", str(tmp_path / "o"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "configuration key 'no_length'" in err
 
     def test_unknown_key_rejected(self, tmp_path):
         conf = tmp_path / "bad.conf"

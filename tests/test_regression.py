@@ -20,6 +20,7 @@ from ctxpred.errors import (
     SizeError,
 )
 from ctxpred.regression import (
+    COEF_TOL,
     VARIANCE_FLOOR,
     DesignMatrix,
     Triangle,
@@ -107,6 +108,25 @@ class TestOls:
                     ols_fit(design, y[order])
                 assert err.value.columns == [later]
                 assert str(err.value).endswith(f"near-dependent columns: {later}")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weakest_column_is_named_when_none_is_dependent(self, seed):
+        # a condition number near 1e11 from the scales alone: no column
+        # lies within 1e-10 of the span of those before it, so the gate
+        # names the one with the least relative residual on that span
+        rng = np.random.default_rng(seed)
+        big, small, y = rng.normal(size=(3, 50))
+        cols = {"big": big * 1e6, "small": small * 1e-5}
+        with pytest.raises(RankDeficiencyError) as err:
+            fit_columns(cols, y)
+        before = np.ones((50, 1))
+        ratios = {}
+        for label, x in cols.items():
+            resid = x - before @ np.linalg.lstsq(before, x, rcond=None)[0]
+            ratios[label] = np.linalg.norm(resid) / np.linalg.norm(x)
+            before = np.column_stack([before, x])
+        assert min(ratios.values()) > 1e-10
+        assert err.value.columns == [min(ratios, key=ratios.get)]
 
     def test_near_dependence_rejected(self):
         rng = np.random.default_rng(2)
@@ -300,8 +320,8 @@ class TestEquivalence:
         rep = equivalence_report(y, s, f, extras={"length": ln})
         assert rep.deltas["r2"] <= 1e-10
         assert rep.deltas["prediction"] <= 1e-10
-        assert rep.fit_pmi.coef("pmi") == pytest.approx(
-            -rep.fit_surprisal.coef("surprisal"), abs=1e-8
+        assert rep.fits["pmi"].coef("pmi") == pytest.approx(
+            -rep.fits["surprisal"].coef("surprisal"), abs=1e-8
         )
 
     def test_corrupted_pmi_detected(self):
@@ -320,8 +340,8 @@ class TestEquivalence:
         base = equivalence_report(y, s, f, extras={"length": ln})
         shifted = equivalence_report(y, s, f + 1e5, extras={"length": ln + 1e5})
         for label in ("surprisal", "frequency", "length"):
-            assert shifted.fit_surprisal.coef(label) == pytest.approx(
-                base.fit_surprisal.coef(label), rel=1e-9
+            assert shifted.fits["surprisal"].coef(label) == pytest.approx(
+                base.fits["surprisal"].coef(label), rel=1e-9
             )
 
     def test_standardized_columns_break_the_identity(self):
@@ -348,7 +368,25 @@ class TestTriplet:
         assert rep.deltas["second_coefficient"] <= 1e-8
         # and the reduced-model slope really is the simple regression slope
         slope = np.cov(x2, y, ddof=1)[0, 1] / np.var(x2, ddof=1)
-        assert rep.fit_reduced.coef("x2") == pytest.approx(slope, abs=1e-10)
+        assert rep.fits["reduced"].coef("x2") == pytest.approx(slope, abs=1e-10)
+
+    @pytest.mark.parametrize("offset", [1e5, 1e8])
+    def test_an_offset_moves_no_gate(self, offset):
+        # the columns are centred before the fits: left raw, 1e5 away
+        # from zero gave a condition number past 1e10
+        rng = np.random.default_rng(23)
+        n = 200
+        x2 = rng.gamma(2.0, 1.0, size=n)
+        x1 = 0.5 * x2 + rng.gamma(2.0, 1.5, size=n)
+        y = 200.0 + 10.0 * x1 + 6.0 * x2 + rng.normal(0, 10.0, size=n)
+        base = residualization_triplet(y, x1, x2)
+        rep = residualization_triplet(y, x1 + offset, x2 + offset)
+        assert rep.deltas["first_coefficient"] <= COEF_TOL
+        assert rep.deltas["second_coefficient"] <= COEF_TOL
+        for name, label in (("raw", "x1"), ("raw", "x2"), ("reduced", "x2")):
+            assert rep.fits[name].coef(label) == pytest.approx(
+                base.fits[name].coef(label), rel=1e-6
+            )
 
     def test_labels_respected(self):
         rng = np.random.default_rng(23)
@@ -356,5 +394,5 @@ class TestTriplet:
         x1 = 0.3 * x2 + rng.normal(size=40)
         y = x1 + x2 + rng.normal(size=40)
         rep = residualization_triplet(y, x1, x2, labels=("surp", "freq"))
-        assert "surp_perp" in rep.fit_residualized.labels
-        assert rep.fit_raw.labels == ("intercept", "surp", "freq")
+        assert "surp_perp" in rep.fits["residualized"].labels
+        assert rep.fits["raw"].labels == ("intercept", "surp", "freq")
