@@ -43,7 +43,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "conditional", "expected_length", "forward_kl_unigram", "load_lm_tsv",
         "prefix_normalizer", "sample_string", "unigram_minimizer", "write_lm_tsv",
     ),
-    "pipeline": ("AnalyzeResult", "analyze_observations", "analyze_tokens", "model_spec"),
+    "pipeline": ("analyze_observations", "analyze_tokens", "model_spec"),
     "predictors": (
         "build_predictor_table", "frequency_variable", "parse_external_tsv",
         "pmi_variable", "surprisal_variable", "table_columns", "write_external_tsv",

@@ -378,7 +378,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # the readings (about 1.25 times the corpus file) go once averaged
     tokens = aggregate_participants(observations)
     del observations
-    result = analyze_tokens(
+    rep = analyze_tokens(
         source,
         tokens,
         seed=cfg.seed,
@@ -392,15 +392,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
         smooth_k=cfg.smooth_k,
         lambda_grid=cfg.lambda_grid,
     )
-    result.report["n_malformed_rows"] = len(malformed)
+    rep["n_malformed_rows"] = len(malformed)
     out = Path(cfg.out)
-    report_sha = atomic_write_text(out / "report.json", dump_json(result.report))
+    report_sha = atomic_write_text(out / "report.json", dump_json(rep))
     header = ["model", "group", "fold", "share", "total_r2"]
-    rows = ([r["model"], r["group"], r["fold"], repr(r["share"]), repr(r["total_r2"])]
-            for r in result.lmg_rows)
-    csv_sha = atomic_write_text(out / "lmg.csv", csv_text(header, rows))
+    csv_sha = atomic_write_text(out / "lmg.csv", csv_text(header, _lmg_rows(rep)))
     write_manifest(out, cfg, inputs, {"report.json": report_sha, "lmg.csv": csv_sha})
-    rep = result.report
     print(
         f"rows: {rep['n_rows']} "
         f"(dropped {rep['n_dropped_document_initial']} document-initial, "
@@ -424,6 +421,17 @@ def cmd_analyze(cfg: RunConfig) -> int:
         print(line)
     print(f"wrote {out / 'report.json'}, {out / 'lmg.csv'}, {out / 'manifest.json'}")
     return EXIT_OK
+
+
+def _lmg_rows(report: dict):
+    """``lmg.csv``'s rows from the report, by fold, linear model and group;
+    a fold's LMG total is its ``r2``, read off the one factorization."""
+    linear = [model for model in report["models"] if "lmg" in model]
+    for f in range(report["folds"]):
+        for model in linear:
+            entry, shares = model["folds"][f], model["lmg"]["fold_shares"][f]
+            for group, share in zip(model["lmg"]["groups"], shares):
+                yield [model["model"], group, entry["fold"], repr(share), repr(entry["r2"])]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -473,9 +481,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     # a check that needs what the model may not give fails alone, with the
     # error attached, instead of aborting the others: log q is undefined for
-    # a unit that only unreachable states emit, and the enumeration may not
+    # a unit that only unreachable states emit, the enumeration may not
     # meet its tail tolerance within the budget's horizon on a model with
-    # little stopping mass
+    # little stopping mass, and a constant frequency spans no projection
     q = unigram_minimizer(lm)
     try:
         log_q = unigram_log_probs(lm, q)
@@ -522,14 +530,18 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     table = MeasureTable.from_lm(lm)
     freq = frequency_variable(table, q)
-    resid_var, coeff = project_complement(surprisal_variable(table), freq)
-    ortho_residual = abs(inner_product(resid_var, freq))
-    checks.append(
-        _check(
-            "projection_orthogonality", ortho_residual, 1e-9, ortho_residual <= 1e-9,
-            alpha=coeff.alpha,
+    try:
+        resid_var, coeff = project_complement(surprisal_variable(table), freq)
+    except DegenerateError as exc:
+        checks.append(_check("projection_orthogonality", None, 1e-9, False, error=str(exc)))
+    else:
+        ortho_residual = abs(inner_product(resid_var, freq))
+        checks.append(
+            _check(
+                "projection_orthogonality", ortho_residual, 1e-9, ortho_residual <= 1e-9,
+                alpha=coeff.alpha,
+            )
         )
-    )
 
     all_passed = True
     for check in checks:

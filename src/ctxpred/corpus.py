@@ -9,10 +9,10 @@ end to end.  Every stage holds its rows in one columnar ``TokenTable``.
 ``read_tsv`` reads this file and the external predictor file a block of
 lines at a time, each block a column at a time, and ``write_tsv`` writes
 both by the same column kinds; only rows the bulk pass cannot convert go
-through ``corpus_row``.  Reading holds the file's bytes, the columns it
-keeps (for a corpus, about 1.25 times the file) and one block's arrays
-(about 7.5 times the block): some 3 times a corpus file of a few MB at
-its peak.
+through ``corpus_row``, each into its line's slot, so rows keep file
+order.  Reading holds the file's bytes, the columns it keeps (for a
+corpus, about 1.25 times the file) and one block's arrays (about 7.5
+times the block): some 3 times a corpus file of a few MB at its peak.
 Aggregation averages reading times over the participants who did not
 skip the token.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
@@ -186,7 +186,8 @@ def read_tsv(
     MAX_FIELD_BYTES bytes: any label; an index of at most
     MAX_INDEX_DIGITS ASCII digits; a value spelled
     ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag of 0
-    or 1.  ``parse_line`` accepts every plain row with the same values.
+    or 1.  ``parse_line`` accepts every plain row with the same values;
+    a row it accepts fills its line's slot among the header-width lines.
     Labels are coded in order of first appearance, doc ids sorted.
     """
     data = read_bytes(path)
@@ -274,40 +275,43 @@ def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse
         ok, col = _convert(kind, buf, *fields(first_end + j))
         plain &= ok
         values.append(col)
-    fast = lines[plain]
-    first_end = first_end[plain]
 
     # the other lines that are not blank, through the rules
     slow = (n_fields > 1) | (fields(line_end)[1] > 0)
-    slow[fast] = False
+    slow[lines[plain]] = False
     line_start = bounds[line_end - n_fields] + 1
-    rows: list[tuple[int, tuple]] = []
+    accepted: list[int] = []
+    rows: list[tuple] = []
     malformed: list[tuple[int, str]] = []
     for i in np.flatnonzero(slow).tolist():
         row = parse_line(data[line_start[i]:bounds[line_end[i]]].decode("utf-8"))
         if isinstance(row, str):
             malformed.append((i, row))
+        elif n_fields[i] != len(kinds):  # a line of another width has no slot
+            raise ValueError(
+                f"the line rules accepted a line of {n_fields[i]} fields; "
+                f"the header has {len(kinds)}"
+            )
         else:
-            rows.append((i, row))
-
-    row_line = np.concatenate([fast, np.array([i for i, _ in rows], dtype=np.int64)])
-    order = np.argsort(row_line, kind="stable") if rows else slice(None)
+            accepted.append(i)
+            rows.append(row)
+    # each accepted row fills its line's slot
+    slots = np.searchsorted(lines, accepted)
+    keep = plain.copy()
+    keep[slots] = True
     columns = []
     for j, kind in enumerate(kinds):
-        rest = [row[j] for _, row in rows]
+        rest = [row[j] for row in rows]
         if kind == "label":
-            codes, found = _code_fields(buf, *fields(first_end + j))
-            if rows:
-                index = dict(zip(found, range(len(found))))
-                rest = [index.setdefault(label, len(index)) for label in rest]
-                codes = np.concatenate([codes, np.array(rest, dtype=np.int64)])[order]
-                found = list(index)
-            columns.append((codes, found))
+            codes = np.empty(lines.size, dtype=np.int64)
+            codes[plain], found = _code_fields(buf, *fields(first_end[plain] + j))
+            index = dict(zip(found, range(len(found))))
+            codes[slots] = [index.setdefault(label, len(index)) for label in rest]
+            columns.append((codes[keep], list(index)))
         else:
-            fast_values = values[j][plain]
-            rest = np.array(rest, dtype=fast_values.dtype)
-            columns.append(np.concatenate([fast_values, rest])[order])
-    return line_end.size, row_line[order], columns, malformed
+            values[j][slots] = rest
+            columns.append(values[j][keep])
+    return line_end.size, lines[keep], columns, malformed
 
 
 def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
@@ -580,37 +584,29 @@ def kfold(
     n_rows: int,
     k: int,
     seed: int,
-    doc_ids: Sequence[str] | None = None,
+    doc_ids: np.ndarray | Sequence[str] | None = None,
 ) -> FoldAssignment:
-    """Seeded balanced fold assignment.
-
-    Token mode (default) shuffles rows and deals them out so fold sizes
-    differ by at most one.  Document mode (``doc_ids`` given) keeps each
-    document in a single fold, balancing document counts instead.
-    """
+    """Seeded balanced fold assignment: one seeded permutation of the units
+    deals them out in turn (``fold = position % k``), so fold sizes in
+    units differ by at most one.  The units are the rows (token mode, the
+    default) or the distinct ``doc_ids`` (document mode), labels that sort
+    as the documents do: doc ids, or their codes in a ``TokenTable``."""
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
     if n_rows < k:
         raise ConfigError(f"{n_rows} rows cannot fill {k} folds")
-    rng = named_rng(seed, "folds")
-    if doc_ids is None:
-        perm = rng.permutation(n_rows)
-        fold_of_row = np.empty(n_rows, dtype=np.int64)
-        fold_of_row[perm] = np.arange(n_rows, dtype=np.int64) % k
-        return FoldAssignment(
-            n_rows=n_rows, k=k, seed=seed, mode="token", fold_of_row=fold_of_row
-        )
-    if len(doc_ids) != n_rows:
-        raise ConfigError("doc_ids must align with rows")
-    docs = sorted(set(doc_ids))
-    if len(docs) < k:
-        raise ConfigError(f"{len(docs)} documents cannot fill {k} folds")
-    order = rng.permutation(len(docs))
-    fold_of_doc = {docs[int(d)]: i % k for i, d in enumerate(order)}
-    fold_of_row = np.array([fold_of_doc[d] for d in doc_ids], dtype=np.int64)
-    return FoldAssignment(
-        n_rows=n_rows, k=k, seed=seed, mode="document", fold_of_row=fold_of_row
-    )
+    n_units, mode = n_rows, "token"
+    if doc_ids is not None:
+        if len(doc_ids) != n_rows:
+            raise ConfigError("doc_ids must align with rows")
+        docs, doc_of_row = np.unique(np.asarray(doc_ids), return_inverse=True)
+        n_units, mode = len(docs), "document"
+        if n_units < k:
+            raise ConfigError(f"{n_units} documents cannot fill {k} folds")
+    fold_of_unit = np.empty(n_units, dtype=np.int64)
+    fold_of_unit[named_rng(seed, "folds").permutation(n_units)] = np.arange(n_units) % k
+    fold_of_row = fold_of_unit if doc_ids is None else fold_of_unit[doc_of_row]
+    return FoldAssignment(n_rows=n_rows, k=k, seed=seed, mode=mode, fold_of_row=fold_of_row)
 
 
 # -- synthesis --------------------------------------------------------------

@@ -442,8 +442,10 @@ def load_lm_tsv(path) -> AutoregressiveLM:
             )
         for sym in row:
             row[sym] /= total
-    alphabet = UnitAlphabet(units=tuple(units))
-    return AutoregressiveLM(alphabet=alphabet, cond=cond)
+    try:
+        return AutoregressiveLM(alphabet=UnitAlphabet(units=tuple(units)), cond=cond)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_lm_tsv(lm: AutoregressiveLM, path) -> None:

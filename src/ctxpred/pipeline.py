@@ -1,4 +1,4 @@
-"""Cross-validated analysis: predictor table to report structures.
+"""Cross-validated analysis: predictor table to report.
 
 This module owns the experiment recipe.  Given a predictor source (an
 internal LM or an external per-token file) and raw reading-time
@@ -7,9 +7,10 @@ observations it:
 1. aggregates participants and scores every token of the text,
 2. drops the tokens nobody read and the document-initial rows (no
    spillover values there), counting each,
-3. builds U = [1 | predictors | response], assigns folds, and factors
-   each fold's rows of U into a small QR triangle, in one pass; the QR
-   of the folds' triangles is the all-rows triangle,
+3. takes U = [1 | predictors | response] off the scored table, a column
+   at a time, deals rows or documents into folds, and factors each
+   fold's rows of U into a small QR triangle, in one pass; the QR of the
+   folds' triangles is the all-rows triangle,
 4. per fold, reads the training means, SDs and projections off the QR
    of the other folds' triangles, maps each competing linear model (raw
    surprisal, PMI rewrite, and the orthogonalized variant) to a column
@@ -26,8 +27,8 @@ observations it:
    reparameterization-identity check on n rows of U's raw columns, apart
    from the fold machinery.
 
-Nothing here touches the filesystem; the CLI layer serializes the
-returned structures.  Test rows never contribute to means, variances,
+Nothing here touches the filesystem; the CLI layer writes the returned
+report.  Test rows never contribute to means, variances,
 projection coefficients, or fitted parameters.  Linear folds touch no
 row and run in this process; with smooth fits the folds run in forked
 worker processes, one per usable CPU, merged in fold order.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -120,31 +121,27 @@ def _groups(spec: ModelSpec, grouping: str) -> dict[str, list[str]]:
     return {label: [label] for label, _, _ in _design_columns(spec)}
 
 
-def _usable_rows(aggregated: TokenTable, source) -> tuple[TokenTable, int, int]:
-    """The scored rows that enter the fits, and the counts of those
-    dropped as unread and as document-initial (no spillover values)."""
-    records = build_predictor_table(aggregated, source)
-    unread = np.isnan(records["rt_ms"])
-    initial = np.isnan(records["prev_surprisal"]) & ~unread
-    rows = records.take(~(unread | initial))
-    return rows, int(np.count_nonzero(unread)), int(np.count_nonzero(initial))
-
-
-@dataclass
-class AnalyzeResult:
-    report: dict
-    lmg_rows: list[dict] = field(default_factory=list)
-
-
 # the union of source columns, U = [1 | predictors | response]: a
 # model's design on any rows is those rows of U times a column map
 _UNION = (INTERCEPT_LABEL, *PREDICTOR_NAMES, "rt_ms")
 _Y = len(_UNION) - 1
 
 
-def _union(rows: TokenTable) -> np.ndarray:
-    """U on ``rows``, column-major: each column is one contiguous array."""
-    return np.vstack([np.ones(len(rows)), *(rows[name] for name in _UNION[1:])]).T
+def _usable_rows(aggregated: TokenTable, source) -> tuple[np.ndarray, TokenTable, int, int]:
+    """U on the scored rows that enter the fits, column-major, their
+    ``doc`` and ``token`` codes, and the counts of the rows dropped as
+    unread and as document-initial (no spillover values)."""
+    records = build_predictor_table(aggregated, source)
+    unread = np.isnan(records["rt_ms"])
+    initial = np.isnan(records["prev_surprisal"]) & ~unread
+    keep = ~(unread | initial)
+    u = np.empty((int(np.count_nonzero(keep)), len(_UNION)), order="F")
+    u[:, 0] = 1.0
+    for j, name in enumerate(_UNION[1:], start=1):
+        np.compress(keep, records[name], out=u[:, j])
+    codes = {name: records[name][keep] for name in ("doc", "token")}
+    n_unread, n_initial = int(np.count_nonzero(unread)), int(np.count_nonzero(initial))
+    return u, TokenTable(codes, records.doc_ids, records.types), n_unread, n_initial
 
 
 class _FoldRows(NamedTuple):
@@ -187,12 +184,12 @@ class _FoldContext:
 
 
 class _ModelFold(NamedTuple):
-    """One model's records from one fold: its fold entry, its ``lmg.csv``
-    rows (one per LMG group), the anchor correlations of its residualized
+    """One model's records from one fold: its fold entry, its LMG shares
+    (one per group), the anchor correlations of its residualized
     columns, and its smooth fold entry (None without ``smooth``)."""
 
     entry: dict
-    lmg_rows: list[dict]
+    shares: list[float]
     anchor_corr: dict[str, float]
     smooth_entry: dict | None
 
@@ -291,7 +288,7 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
         delta = delta_loglik(
             test.n_rows, _sse(test, t_beta), fit.residual_variance, base_sse, base_variance
         )
-        report_lmg = lmg(fit.triangle, groups)
+        shares = [float(share) for share in lmg(fit.triangle, groups).shares]
         entry = {
             "fold": f,
             "r2": fit.r2,
@@ -303,11 +300,6 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
             "llh": delta.model_loglik / delta.n_test,
             "delta_llh": delta.per_token,
         }
-        lmg_rows = [
-            {"model": spec.name, "group": gname, "fold": f, "share": float(share),
-             "total_r2": report_lmg.total_r2}
-            for gname, share in zip(report_lmg.groups, report_lmg.shares)
-        ]
         smooth_entry = None
         if context.smooth:
             # no loop variable keeps a view of the columns alive through the fit
@@ -333,7 +325,7 @@ def _run_fold(context: _FoldContext, f: int) -> list[_ModelFold]:
             # the fit holds its terms
             del sfit
             terms = {label: term for label, term in terms.items() if last_reader[label] > i}
-        out.append(_ModelFold(entry, lmg_rows, anchor_corr, smooth_entry))
+        out.append(_ModelFold(entry, shares, anchor_corr, smooth_entry))
     return out
 
 
@@ -397,9 +389,7 @@ def _run_folds(context: _FoldContext, folds: int) -> list[list[_ModelFold]]:
         return list(pool.map(_run_worker_fold, range(folds)))
 
 
-def analyze_observations(
-    source, observations: TokenTable, seed: int, **options
-) -> AnalyzeResult:
+def analyze_observations(source, observations: TokenTable, seed: int, **options) -> dict:
     """``analyze_tokens`` on the per-token means of the readings."""
     return analyze_tokens(source, aggregate_participants(observations), seed, **options)
 
@@ -417,7 +407,9 @@ def analyze_tokens(
     fold_by: str = FOLD_UNITS[0],
     smooth_k: int = DEFAULT_KNOTS,
     lambda_grid: Sequence[float] = LAMBDA_GRID,
-) -> AnalyzeResult:
+) -> dict:
+    """The report of the cross-validated analysis of ``aggregated`` (one
+    row per token) on the predictors of ``source``."""
     predictors = check_predictors(predictors)
     check_swap_ortho(swap_ortho)
     check_choice("lmg grouping", LMG_GROUPINGS, lmg_grouping)
@@ -425,17 +417,13 @@ def analyze_tokens(
     specs = [model_spec(kind, include_length, swap_ortho) for kind in predictors]
     groups = tuple(_groups(spec, lmg_grouping) for spec in specs)
 
-    rows, n_unread, n_initial = _usable_rows(aggregated, source)
+    u, rows, n_unread, n_initial = _usable_rows(aggregated, source)
     if len(rows) < folds:
         raise ConfigError(
             f"only {len(rows)} usable rows after dropping document-initial "
             f"tokens; need at least {folds}"
         )
-
-    u = _union(rows)
-    # U holds the numbers, and the folds read only the codes
-    rows = TokenTable({name: rows[name] for name in ("doc", "token")}, rows.doc_ids, rows.types)
-    doc_ids = rows.decode("doc") if fold_by == "document" else None
+    doc_ids = rows["doc"] if fold_by == "document" else None
     assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
     # the one pass over the rows of U that the linear folds need
     fold_rows = tuple(_FoldRows.of(u[assignment.test_idx(f)]) for f in range(folds))
@@ -467,7 +455,7 @@ def analyze_tokens(
     surp, freq, pmi = (u[:, _UNION.index(name)] for name in ("surprisal", "frequency", "pmi"))
     equivalence = equivalence_report(u[:, _Y], surp, freq, pmi=pmi)
 
-    report = {
+    return {
         "n_rows": len(rows),
         "n_dropped_document_initial": n_initial,
         "n_dropped_unread": n_unread,
@@ -478,8 +466,6 @@ def analyze_tokens(
         "equivalence": {"deltas": {k: float(v) for k, v in equivalence.deltas.items()}},
         "ortho_train_correlations": {k: float(v) for k, v in sorted(ortho_diag.items())},
     }
-    lmg_rows = [row for records in fold_records for record in records for row in record.lmg_rows]
-    return AnalyzeResult(report=report, lmg_rows=lmg_rows)
 
 
 def _linear_entry(
@@ -489,7 +475,7 @@ def _linear_entry(
     """A linear model's report entry: its fold entries, their mean LMG
     shares and held-out score, and its full-sample fit in original units."""
     folds = [record.entry for record in records]
-    fold_shares = [[row["share"] for row in record.lmg_rows] for record in records]
+    fold_shares = [record.shares for record in records]
     lmg_block = {
         "groups": list(groups),
         "shares": [float(v) for v in np.mean(fold_shares, axis=0)],

@@ -28,7 +28,7 @@ from ctxpred.cli import (
     parse_config_file,
     resolve_config,
 )
-from ctxpred.corpus import parse_corpus
+from ctxpred.corpus import CORPUS_HEADER, parse_corpus
 from ctxpred.errors import ConfigError, RankDeficiencyError
 from ctxpred.lm import (
     EnumerationBudget,
@@ -359,6 +359,29 @@ class TestOracle:
         assert "only unreachable states emit it: [('b',)]" in failed["details"]["error"]
         assert all(c["passed"] for c in by_name.values())
 
+    @pytest.mark.parametrize("rows", [
+        "^\ta\t0.3333333333333333\n^\tb\t0.3333333333333333\n^\t$\t0.3333333333333334\n",
+        "^\ta\t0.5\n^\t$\t0.5\n",
+    ], ids=["uniform", "one_unit"])
+    def test_constant_frequency_degrades_per_check(self, rows, tmp_path, capsys):
+        # every unit has one context-free probability, so frequency is
+        # constant and spans no direction: only the projection reads it
+        lm_path = tmp_path / "constant.tsv"
+        lm_path.write_text(rows)
+        out_dir = tmp_path / "out"
+        code = main(["oracle", "--lm", str(lm_path), "--seed", "4", "--out", str(out_dir)])
+        out = capsys.readouterr().out
+        assert code == EXIT_NUMERIC
+        assert "FAIL projection_orthogonality error=" in out
+        payload = json.loads((out_dir / "oracle.json").read_text())
+        assert payload["all_passed"] is False
+        by_name = {c["name"]: c for c in payload["checks"]}
+        assert len(by_name) == 3
+        failed = by_name.pop("projection_orthogonality")
+        assert failed["residual"] is None and failed["passed"] is False
+        assert "'frequency' has zero variance" in failed["details"]["error"]
+        assert all(c["passed"] for c in by_name.values())
+
     @pytest.mark.parametrize("lm_path", [M0, M1, MIXTURE])
     def test_batched_margins_match_per_candidate_kl(self, lm_path, tmp_path, capsys):
         # the oracle prices every perturbation with one dot product on the
@@ -597,6 +620,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert message in err
+
+    @pytest.mark.parametrize("argv, files, message", [
+        (["analyze", "--lm", MIXTURE, "--corpus", "corpus.tsv", "--lambda-grid", "1,abc"], {},
+         "bad lambda grid '1,abc'"),
+        (["gen", "--lm", MIXTURE, "--coef", "surprisal"], {}, "expected NAME=VALUE"),
+        (["gen", "--lm", MIXTURE, "--coef", "surprisal=abc"], {},
+         "has non-numeric value 'abc'"),
+        (["analyze", "--lm", MIXTURE, "--corpus", "corpus.tsv"],
+         {"corpus.tsv": "\t".join(CORPUS_HEADER) + "\n"}, "corpus.tsv: corpus has no data rows"),
+        (["oracle", "--lm", "m.tsv"], {"m.tsv": "^\ta\t1.5\n^\t$\t0.5\n"},
+         "m.tsv:1: probability must be in (0, 1], got 1.5"),
+        (["oracle", "--lm", "m.tsv"], {"m.tsv": "^\ta\t0.5\n^\t$\tnan\n"},
+         "m.tsv:2: probability must be in (0, 1], got nan"),
+        (["oracle", "--lm", "m.tsv"], {"m.tsv": "# a model\n# of no rows\n"},
+         "m.tsv: no model rows found"),
+    ], ids=[
+        "lambda_grid", "coef_without_value", "coef_not_a_number", "corpus_header_only",
+        "probability_above_one", "probability_nan", "model_comments_only",
+    ])
+    def test_bad_input_is_a_configuration_error(
+        self, tmp_path, monkeypatch, capsys, argv, files, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main(argv + ["--out", "out"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a\t$\t1.0\n", "model must define the start state"),
+        ("^\ta\t0.5\n^\t$\t0.5\na\tb\t0.5\na\t$\t0.5\n",
+         "transition ('a',) --'b'--> ('b',) has no defined state"),
+        ("^\ta b\t0.5\n^\t$\t0.5\n", "unit 'a b' is empty or contains whitespace"),
+        ("^\t^\t0.5\n^\t$\t0.5\n", "unit '^' collides with a reserved marker"),
+    ], ids=["no_start_state", "undefined_state", "unit_with_space", "reserved_unit"])
+    def test_model_errors_name_the_file(self, tmp_path, capsys, rows, message):
+        lm_path = tmp_path / "model.tsv"
+        lm_path.write_text(rows)
+        code = main(["oracle", "--lm", str(lm_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == f"error: {lm_path}: {message}\n"
 
     def test_duplicate_participant_row(self, gen_dir, tmp_path, capsys):
         lines = (gen_dir / "corpus.tsv").read_text().splitlines()
@@ -1287,7 +1355,7 @@ def test_installed_version_reads_the_first_metadata_on_the_path(tmp_path, monkey
 
 
 def test_star_import_binds_the_public_api():
-    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 73
+    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 72
     namespace: dict = {}
     exec("from ctxpred import *", namespace)
     assert set(ctxpred.__all__) <= set(namespace)

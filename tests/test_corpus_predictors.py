@@ -31,6 +31,7 @@ from ctxpred.errors import (
     FormatError,
 )
 from ctxpred.hilbert import MeasureTable
+from ctxpred.seeding import named_rng
 from ctxpred.cli import atomic_write_text
 from ctxpred.lm import (
     EOS_MARK,
@@ -459,6 +460,18 @@ class TestFolds:
         for d in set(doc_ids):
             rows = [i for i, x in enumerate(doc_ids) if x == d]
             assert len({int(fa.fold_of_row[i]) for i in rows}) == 1
+
+    def test_document_codes_deal_as_their_labels(self):
+        # codes that sort as the doc ids (gaps allowed) deal as the ids do:
+        # each document to the fold of its place in one seeded permutation
+        doc_ids = [f"d{(5 * i // 7) % 13:02d}" for i in range(91)]
+        labels = sorted(set(doc_ids))
+        codes = 3 * np.array([labels.index(d) for d in doc_ids])
+        by_label = kfold(91, 4, seed=3, doc_ids=doc_ids)
+        assert np.array_equal(kfold(91, 4, seed=3, doc_ids=codes).fold_of_row, by_label.fold_of_row)
+        order = named_rng(3, "folds").permutation(len(labels))
+        fold_of_doc = {labels[d]: i % 4 for i, d in enumerate(order)}
+        assert by_label.fold_of_row.tolist() == [fold_of_doc[d] for d in doc_ids]
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):

@@ -25,6 +25,7 @@ from ctxpred.corpus import (
     observation_table,
 )
 from ctxpred import pipeline
+from ctxpred.cli import _lmg_rows
 from ctxpred.errors import ConfigError, DegenerateError, RankDeficiencyError
 from ctxpred.lm import load_lm_tsv
 from ctxpred.pipeline import (
@@ -41,7 +42,7 @@ from ctxpred.predictors import (
     table_columns,
     write_external_tsv,
 )
-from ctxpred.regression import fit_columns
+from ctxpred.regression import fit_columns, lmg
 from ctxpred.smooth import SmoothTerm
 
 from conftest import heldout_delta, smooth_fit
@@ -152,7 +153,7 @@ class TestSpanEquality:
     def test_training_r2_identical_across_models(self, result):
         r2 = {
             m["model"]: [f["r2"] for f in m["folds"]]
-            for m in result.report["models"]
+            for m in result["models"]
         }
         surp = np.array(r2["surprisal"])
         assert np.max(np.abs(surp - np.array(r2["pmi"]))) < 1e-10
@@ -161,7 +162,7 @@ class TestSpanEquality:
     def test_heldout_delta_identical_across_models(self, result):
         deltas = {
             m["model"]: [f["delta_llh"] for f in m["folds"]]
-            for m in result.report["models"]
+            for m in result["models"]
         }
         surp = np.array(deltas["surprisal"])
         assert np.max(np.abs(surp - np.array(deltas["pmi"]))) < 1e-8
@@ -170,7 +171,7 @@ class TestSpanEquality:
     def test_decompositions_differ(self, result):
         shares = {
             m["model"]: dict(zip(m["lmg"]["groups"], m["lmg"]["shares"]))
-            for m in result.report["models"]
+            for m in result["models"]
         }
         assert shares["surprisal"]["surprisal"] != pytest.approx(
             shares["pmi"]["pmi"], abs=1e-3
@@ -180,7 +181,7 @@ class TestSpanEquality:
 
 class TestReportStructure:
     def test_row_accounting(self, result, synth):
-        rep = result.report
+        rep = result
         assert rep["n_rows"] + rep["n_dropped_document_initial"] == len(
             synth.observations
         )
@@ -188,35 +189,35 @@ class TestReportStructure:
         assert rep["n_dropped_unread"] == 0
 
     def test_ortho_columns_uncorrelated_with_anchor(self, result):
-        diag = result.report["ortho_train_correlations"]
+        diag = result["ortho_train_correlations"]
         assert diag  # ortho model ran
         assert max(abs(v) for v in diag.values()) < 1e-10
 
     def test_equivalence_deltas_small(self, result):
-        deltas = result.report["equivalence"]["deltas"]
+        deltas = result["equivalence"]["deltas"]
         assert deltas["r2"] < 1e-10
         assert deltas["beta_pmi_vs_neg_surprisal"] < 1e-8
         assert deltas["beta_frequency_shift"] < 1e-8
 
     def test_informative_predictors_beat_baseline(self, result):
-        for m in result.report["models"]:
+        for m in result["models"]:
             assert m["delta_llh"]["mean"] > 0.0
             assert m["delta_llh"]["se"] > 0.0
 
     def test_lmg_shares_sum_to_training_r2(self, result):
-        for m in result.report["models"]:
+        for m in result["models"]:
             assert sum(m["lmg"]["shares"]) == pytest.approx(
                 m["lmg"]["total_r2"], abs=1e-8
             )
 
     def test_lmg_rows_cover_models_groups_folds(self, result):
-        rows = result.lmg_rows
+        rows = list(_lmg_rows(result))
         assert len(rows) == 3 * FOLDS * 3
-        assert {r["model"] for r in rows} == {"surprisal", "pmi", "ortho"}
-        assert {r["fold"] for r in rows} == set(range(FOLDS))
+        assert {r[0] for r in rows} == {"surprisal", "pmi", "ortho"}
+        assert {r[2] for r in rows} == set(range(FOLDS))
 
     def test_raw_scale_coeffs_only_for_unresidualized_models(self, result):
-        by_name = {m["model"]: m for m in result.report["models"]}
+        by_name = {m["model"]: m for m in result["models"]}
         assert by_name["surprisal"]["folds"][0]["coeffs_raw"] is not None
         assert by_name["pmi"]["folds"][0]["coeffs_raw"] is not None
         assert by_name["ortho"]["folds"][0]["coeffs_raw"] is None
@@ -239,7 +240,7 @@ class TestRawScaleFits:
         y = usable_rows["rt_ms"]
         direct = fit_columns({c: raw[c] for c in self.COLS}, y)
         pooled = next(
-            m for m in result.report["models"] if m["model"] == "surprisal"
+            m for m in result["models"] if m["model"] == "surprisal"
         )["pooled_raw"]
         for label, value in direct.coef_dict().items():
             assert pooled["coeffs"][label] == pytest.approx(value, abs=1e-8)
@@ -252,14 +253,14 @@ class TestRawScaleFits:
         y = usable_rows["rt_ms"]
         direct = fit_columns({c: raw[c][tr] for c in self.COLS}, y[tr])
         fold0 = next(
-            m for m in result.report["models"] if m["model"] == "surprisal"
+            m for m in result["models"] if m["model"] == "surprisal"
         )["folds"][0]
         for label, value in direct.coef_dict().items():
             assert fold0["coeffs_raw"][label] == pytest.approx(value, abs=1e-8)
 
     def test_pooled_raw_recovers_truth_within_three_se(self, result):
         pooled = next(
-            m for m in result.report["models"] if m["model"] == "surprisal"
+            m for m in result["models"] if m["model"] == "surprisal"
         )["pooled_raw"]
         for name in ("surprisal", "frequency", "length", "intercept"):
             est = pooled["coeffs"][name]
@@ -273,14 +274,14 @@ class TestOptions:
             mixture_lm, synth.observations, seed=SEED, folds=3,
             predictors=("pmi",),
         )
-        assert [m["model"] for m in res.report["models"]] == ["pmi"]
+        assert [m["model"] for m in res["models"]] == ["pmi"]
 
     def test_no_length_drops_the_columns(self, mixture_lm, synth):
         res = analyze_observations(
             mixture_lm, synth.observations, seed=SEED, folds=3,
             predictors=("surprisal",), include_length=False,
         )
-        cols = res.report["models"][0]["columns"]
+        cols = res["models"][0]["columns"]
         assert "length" not in cols and "prev_length" not in cols
 
     def test_swap_ortho_labels(self, mixture_lm, synth):
@@ -288,9 +289,9 @@ class TestOptions:
             mixture_lm, synth.observations, seed=SEED, folds=3,
             predictors=("ortho",), swap_ortho="frequency",
         )
-        cols = res.report["models"][0]["columns"]
+        cols = res["models"][0]["columns"]
         assert "ortho_frequency" in cols and "surprisal" in cols
-        diag = res.report["ortho_train_correlations"]
+        diag = res["ortho_train_correlations"]
         assert all("ortho_" in k for k in diag)
         assert "ortho:ortho_frequency" in diag
 
@@ -309,14 +310,14 @@ class TestOptions:
             mixture_lm, synth.observations, seed=SEED, folds=4,
             fold_by="document",
         )
-        assert res.report["fold_mode"] == "document"
+        assert res["fold_mode"] == "document"
 
     def test_separate_grouping_splits_spillover(self, mixture_lm, synth):
         res = analyze_observations(
             mixture_lm, synth.observations, seed=SEED, folds=3,
             predictors=("surprisal",), lmg_grouping="separate",
         )
-        groups = res.report["models"][0]["lmg"]["groups"]
+        groups = res["models"][0]["lmg"]["groups"]
         assert "prev_surprisal" in groups and len(groups) == 6
 
     def test_too_few_rows_rejected(self, mixture_lm):
@@ -340,19 +341,33 @@ class TestOptions:
     def test_determinism(self, mixture_lm, synth):
         a = analyze_observations(mixture_lm, synth.observations, seed=3, folds=3)
         b = analyze_observations(mixture_lm, synth.observations, seed=3, folds=3)
-        assert a.report == b.report
-        assert a.lmg_rows == b.lmg_rows
+        assert a == b
 
 
 class TestOneFactorization:
     """Each fold fit is factorized once: its R-squared, standard errors,
     condition gate and variance shares all read one QR triangle."""
 
-    def test_fold_r2_is_lmg_total(self, result):
-        totals = {(row["model"], row["fold"]): row["total_r2"] for row in result.lmg_rows}
-        for model in result.report["models"]:
-            for entry in model["folds"]:
-                assert entry["r2"] == totals[model["model"], entry["fold"]]
+    def test_fold_r2_is_lmg_total(self, mixture_lm, synth, monkeypatch):
+        # lmg.csv writes a fold entry's r2 as the fold's LMG total: every
+        # fold fit's R-squared is its decomposition's total, to the bit
+        totals = []
+
+        def recording(triangle, groups):
+            report = lmg(triangle, groups)
+            assert report.total_r2 == triangle.fit().r2
+            totals.append(report.total_r2)
+            return report
+
+        monkeypatch.setattr(pipeline, "lmg", recording)
+        for options in ({}, {"lmg_grouping": "separate"}, {"swap_ortho": "frequency"}):
+            totals.clear()
+            res = analyze_observations(
+                mixture_lm, synth.observations, seed=SEED, folds=FOLDS, **options
+            )
+            # the linear folds run in this process, fold by fold, model by model
+            r2 = [model["folds"][f]["r2"] for f in range(FOLDS) for model in res["models"]]
+            assert totals == r2
 
     def test_one_n_row_factorization_per_fit(self, mixture_lm, synth, monkeypatch):
         # the row count of every matrix each routine is called on
@@ -371,7 +386,7 @@ class TestOneFactorization:
             monkeypatch.setattr(np.linalg, name, counting(name))
         folds = 10
         res = analyze_observations(mixture_lm, synth.observations, seed=SEED, folds=folds)
-        n = res.report["n_rows"]
+        n = res["n_rows"]
         models = len(MODEL_KINDS)
         fold_sizes = np.bincount(kfold(n, folds, SEED).fold_of_row).tolist()
         # every other QR is of a stack of at most folds triangles of U
@@ -384,7 +399,7 @@ class TestOneFactorization:
         # all-rows stack and one small QR per pooled fit
         assert sum(1 for m in linalg["qr"] if m <= small) == (folds + 1) * (1 + models)
         # every other solve is on the (k+1)-row triangle
-        k = 1 + len(res.report["models"][0]["columns"])
+        k = 1 + len(res["models"][0]["columns"])
         assert linalg["lstsq"] and max(linalg["lstsq"]) <= k + 1
         assert linalg["inv"] and max(linalg["inv"]) <= k
 
@@ -401,7 +416,7 @@ class TestNrowReference:
         raw = table_columns(usable_rows, PREDICTOR_NAMES)
         y = usable_rows["rt_ms"]
         assignment = kfold(len(usable_rows), FOLDS, SEED)
-        for model in result.report["models"]:
+        for model in result["models"]:
             spec = model_spec(model["model"], True, swap)
             for f, entry in enumerate(model["folds"]):
                 ref = nrow_fold(
@@ -415,7 +430,7 @@ class TestNrowReference:
                 for label, corr in ref["anchor_corr"].items():
                     assert abs(corr) < 1e-13
                     key = f"{spec.name}:{label}"
-                    assert abs(result.report["ortho_train_correlations"][key]) < 1e-13
+                    assert abs(result["ortho_train_correlations"][key]) < 1e-13
 
 
 class TestPooledReference:
@@ -432,7 +447,7 @@ class TestPooledReference:
         )
         raw = table_columns(usable_rows, PREDICTOR_NAMES)
         y = usable_rows["rt_ms"]
-        for model in result.report["models"]:
+        for model in result["models"]:
             spec = model_spec(model["model"], include_length, swap)
             ref = nrow_pooled(raw, y, _design_columns(spec))
             pooled = model["pooled_raw"]
@@ -459,7 +474,7 @@ class TestPooledGate:
         ]
         # pmi is frequency - surprisal, so it moves with frequency too
         moved = {"frequency", "prev_frequency", "pmi", "prev_pmi"}
-        for base, model in zip(*(run.report["models"] for run in runs)):
+        for base, model in zip(*(run["models"] for run in runs)):
             before, after = base["pooled_raw"], model["pooled_raw"]
             slopes = [label for label in before["coeffs"] if label != "intercept"]
             for label in slopes:
@@ -604,17 +619,17 @@ class TestSmoothPath:
     """Spline models run per fold on continuous external predictors."""
 
     def test_smooth_entries_follow_linear_ones(self, smooth_result):
-        names = [m["model"] for m in smooth_result.report["models"]]
+        names = [m["model"] for m in smooth_result["models"]]
         assert names == ["surprisal", "surprisal_smooth"]
-        kinds = [m["kind"] for m in smooth_result.report["models"]]
+        kinds = [m["kind"] for m in smooth_result["models"]]
         assert kinds == ["linear", "smooth"]
 
     def test_smooth_beats_linear_on_nonlinear_truth(self, smooth_result):
-        linear, smooth = smooth_result.report["models"]
+        linear, smooth = smooth_result["models"]
         assert smooth["delta_llh"]["mean"] > linear["delta_llh"]["mean"]
 
     def test_term_summaries_present(self, smooth_result):
-        fold0 = smooth_result.report["models"][1]["folds"][0]
+        fold0 = smooth_result["models"][1]["folds"][0]
         terms = {t["term"] for t in fold0["terms"]}
         assert "surprisal" in terms and "prev_surprisal" in terms
         for t in fold0["terms"]:
@@ -723,8 +738,8 @@ class TestSharedSmoothBlocks:
         result = analyze_observations(
             source, observations, seed=SEED, folds=FOLDS, smooth=True, **options
         )
-        models = {m["model"]: m for m in result.report["models"]}
-        u = pipeline._union(usable_rows)
+        models = {m["model"]: m for m in result["models"]}
+        u = pipeline._usable_rows(aggregate_participants(observations), source)[0]
         y = usable_rows["rt_ms"]
         assignment = kfold(len(usable_rows), FOLDS, SEED)
         specs = [
@@ -778,8 +793,7 @@ class TestParallelFolds:
             monkeypatch.setattr(pipeline, "_fold_workers", lambda folds: workers)
             results.append(analyze_observations(source, observations, seed=SEED, **options))
         serial, parallel = results
-        assert parallel.report == serial.report
-        assert parallel.lmg_rows == serial.lmg_rows
+        assert parallel == serial
         assert not multiprocessing.active_children()
 
     def test_default_workers_are_the_usable_cpus(self):
@@ -830,11 +844,11 @@ class TestSmallTestFolds:
         result = analyze_observations(
             source, obs, seed=seed, folds=folds, predictors=MODEL_KINDS, smooth=True
         )
-        models = {m["model"]: m for m in result.report["models"]}
+        models = {m["model"]: m for m in result["models"]}
         rows = build_predictor_table(aggregate_participants(obs), source)
         rows = rows.take(~np.isnan(rows["prev_surprisal"]))
         raw = table_columns(rows, PREDICTOR_NAMES)
-        u = pipeline._union(rows)
+        u = pipeline._usable_rows(aggregate_participants(obs), source)[0]
         y = rows["rt_ms"]
         assignment = kfold(len(rows), folds, seed)
         specs = [model_spec(kind, True, None) for kind in MODEL_KINDS]
@@ -865,7 +879,7 @@ class TestUnreadTokens:
         )
         res = analyze_observations(mixture_lm, skipping, seed=SEED, folds=3,
                                    predictors=("surprisal",))
-        rep = res.report
+        rep = res
         assert rep["n_dropped_unread"] == int(np.count_nonzero(skipped))
         assert rep["n_dropped_document_initial"] == 40
         assert rep["n_rows"] + rep["n_dropped_unread"] + 40 == len(obs)

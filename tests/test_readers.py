@@ -352,6 +352,17 @@ class TestBulkPath:
         assert table["skipped"].tolist() == [i in (4, 9) for i in range(30)]
 
 
+    def test_a_row_of_another_width_is_refused(self, tmp_path):
+        # a row the line rules accept fills its line's slot, which only the
+        # lines of the header's width have
+        path = tmp_path / "c.tsv"
+        rows = [f"p0\td0\t0\t{i}\ta\t200.0\t0" for i in range(3)]
+        path.write_text("\t".join(CORPUS_HEADER) + "\n" + "\n".join([*rows, "p0\td0"]) + "\n")
+        row = corpus_row(rows[0])
+        with pytest.raises(ValueError, match="accepted a line of 2 fields; the header has 7"):
+            read_tsv(path, CORPUS_HEADER, lambda line: row)
+
+
 class TestPeakMemory:
     """The reader holds the file's bytes, the columns it keeps and one
     block: at most 4 times the file's bytes, where converting the whole
