@@ -36,7 +36,8 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "hilbert": (
         "MeasureTable", "ProjectionCoefficient", "RandomVariableTable", "fit_projection",
-        "inner_product", "mean", "project_complement", "sample_orthogonalize",
+        "frequency_variable", "inner_product", "mean", "pmi_variable", "project_complement",
+        "sample_orthogonalize", "surprisal_variable",
     ),
     "lm": (
         "AutoregressiveLM", "EnumerationBudget", "UnigramLM", "UnitAlphabet",
@@ -45,8 +46,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "pipeline": ("analyze_observations", "analyze_tokens", "model_spec"),
     "predictors": (
-        "build_predictor_table", "frequency_variable", "parse_external_tsv",
-        "pmi_variable", "surprisal_variable", "table_columns", "write_external_tsv",
+        "build_predictor_table", "parse_external_tsv", "table_columns", "write_external_tsv",
     ),
     "regression": (
         "DeltaLogLik", "DesignMatrix", "FitResult", "IdentityReport", "LmgReport",

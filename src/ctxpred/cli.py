@@ -361,14 +361,20 @@ def cmd_analyze(cfg: RunConfig) -> int:
     from .pipeline import analyze_tokens
     from .predictors import parse_external_tsv
 
-    inputs: dict[str, str] = {"corpus": sha256_file(cfg.corpus)}
-    if cfg.lm is not None:
-        source = load_lm_tsv(cfg.lm)
-        inputs["lm"] = sha256_file(cfg.lm)
-    else:
-        source = parse_external_tsv(cfg.external)
-        inputs["external"] = sha256_file(cfg.external)
-    observations, malformed = parse_corpus(cfg.corpus)
+    # the corpus and external digests are of the bytes parsed, taken as
+    # they are read; the corpus opens first, so a missing one is the error
+    inputs: dict[str, str] = {}
+    with open(cfg.corpus, "rb") as corpus_file:
+        if cfg.lm is not None:
+            source = load_lm_tsv(cfg.lm)
+            inputs["lm"] = sha256_file(cfg.lm)
+        else:
+            digest = hashlib.sha256()
+            source = parse_external_tsv(cfg.external, digest)
+            inputs["external"] = digest.hexdigest()
+        digest = hashlib.sha256()
+        observations, malformed = parse_corpus(corpus_file, digest)
+        inputs["corpus"] = digest.hexdigest()
     if malformed:
         print(
             f"note: {len(malformed)} malformed corpus rows skipped: "
@@ -468,11 +474,11 @@ def _check(
 def cmd_oracle(cfg: RunConfig) -> int:
     import numpy as np
 
-    from .hilbert import MeasureTable, inner_product, project_complement
+    from .hilbert import MeasureTable, frequency_variable, inner_product
+    from .hilbert import project_complement, surprisal_variable
     from .lm import EnumerationBudget, enumerated_context_mass, expected_counts
     from .lm import forward_kl_unigram, load_lm_tsv, prefix_normalizer
     from .lm import unigram_log_probs, unigram_minimizer
-    from .predictors import frequency_variable, surprisal_variable
     from .seeding import named_rng
 
     lm = load_lm_tsv(cfg.lm)

@@ -6,15 +6,18 @@ The corpus exchange format is TSV with a fixed header::
 
 one row per (participant, token).  Reading times stay in milliseconds
 end to end.  Every stage holds its rows in one columnar ``TokenTable``.
-``read_tsv`` reads this file and the external predictor file a block of
-lines at a time, each block a column at a time, and ``write_tsv`` writes
-both by the same column kinds; only rows the bulk pass cannot convert go
-through ``corpus_row``, each into its line's slot, so rows keep file
-order.  Reading holds the file's bytes, the columns it keeps (for a
-corpus, about 1.25 times the file) and one block's arrays (about 7.5
-times the block): some 3 times a corpus file of a few MB at its peak.
-Aggregation averages reading times over the participants who did not
-skip the token.  A token skipped by everyone keeps its place in the
+``read_tsv`` converts this file and the external predictor file as
+``files.read_blocks`` reads them, a checked block of lines at a time,
+each block a column at a time, and ``write_tsv`` writes both by the same
+column kinds; only rows the bulk pass cannot convert go through
+``corpus_row``, each into its line's slot, so rows keep file order.
+Reading never holds the file's bytes: only the columns it keeps (for a
+corpus, about 1.25 times the file), one block and its arrays (about 5.6
+times the block), so its tracemalloc peak is about 1.9 times a 6 MB
+corpus file (2.2 times one of 3.6 MB).  Aggregation averages reading
+times over the participants who did not skip the token, reading the
+columns in place when the rows already ascend by (doc_id, token_idx),
+as ``gen`` writes them.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
 neighbours condition on it, and the analysis then drops it and counts
 it.  A participant with two rows for one token, or participants who
@@ -30,6 +33,7 @@ returned as a sidecar record so recovery can be checked downstream.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,8 +42,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .choices import check_noise_sd
 from .errors import ConfigError, DegenerateError, FormatError
-from .files import read_bytes, write_atomic
-from .lm import AutoregressiveLM, sample_string
+from .files import read_blocks, write_atomic
+from .lm import AutoregressiveLM, walk
 from .seeding import named_rng
 
 CORPUS_HEADER = (
@@ -136,13 +140,6 @@ MAX_INDEX_DIGITS = 18
 MAX_FIELD_BYTES = 255
 # rows ``write_tsv`` formats at once: its strings stay a few MB
 WRITE_CHUNK_ROWS = 8192
-# bytes of lines ``read_tsv`` converts at once; a block's arrays take
-# about 7.5 times its bytes.  On a 6.0 MB corpus (gen 200x250x3, 2-vCPU
-# Xeon) blocks of 128 KiB, 512 KiB and 2 MiB parsed in a median 291,
-# 244 and 236 ms at a tracemalloc peak of 15.6, 18.1 and 27.5 MB (the
-# whole file at once: about 250 ms, 45 MB): smaller blocks add per-block
-# work, larger ones memory
-READ_BLOCK_BYTES = 1 << 19
 # how ``write_tsv`` spells each kind of number (FIELD_KINDS)
 _FORMAT = {"index": str, "flag": "01".__getitem__, "value": lambda v: "NA" if v != v else repr(v)}
 # a value's plain spelling, digits[.digits][(e|E)[+|-]digits], as a
@@ -169,52 +166,62 @@ _DECIMAL_ACCEPT = (5 * 1, 5 * 3, 5 * 6)
 
 
 def read_tsv(
-    path, header: tuple[str, ...], parse_line: Callable[[str], tuple | str]
+    file, header: tuple[str, ...], parse_line: Callable[[str], tuple | str], digest=None
 ) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]]]:
     """Read a TSV file with a fixed header into a TokenTable.
 
     Returns the table of the well-formed rows in file order, their line
-    numbers, and the (line, reason) pairs of the malformed lines.  The
-    file is checked by ``read_bytes``, and blank lines are skipped.
+    numbers, and the (line, reason) pairs of the malformed lines.
+    ``file`` is a path, or a binary file open for reading (named by its
+    ``name``); it is read by ``read_blocks`` (``digest`` goes with it),
+    and blank lines are skipped.  A wrong header is reported once the
+    whole file is checked, so invalid UTF-8 anywhere comes first.
     ``parse_line`` holds the rules: given one line, it returns the row's
     values in header order, or the reason the line is malformed.
 
-    The body is converted a block of whole lines at a time (at most
-    READ_BLOCK_BYTES each, or one longer line), a column at a time
-    (kinds in FIELD_KINDS), and only the lines with a field not in its
-    plain form go through ``parse_line``.  Plain forms, each of 1 to
-    MAX_FIELD_BYTES bytes: any label; an index of at most
-    MAX_INDEX_DIGITS ASCII digits; a value spelled
+    The body is converted a block at a time, as ``read_blocks`` hands
+    it on, a column at a time (kinds in FIELD_KINDS), and only the lines
+    with a field not in its plain form go through ``parse_line``.  Plain
+    forms, each of 1 to MAX_FIELD_BYTES bytes: any label; an index of at
+    most MAX_INDEX_DIGITS ASCII digits; a value spelled
     ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag of 0
     or 1.  ``parse_line`` accepts every plain row with the same values;
     a row it accepts fills its line's slot among the header-width lines.
     Labels are coded in order of first appearance, doc ids sorted.
     """
-    data = read_bytes(path)
-    head_end = data.find(b"\n")
-    if head_end < 0:
-        head_end = len(data)
-    head = data[:head_end].decode("utf-8")
-    if tuple(head.split("\t")) != header:
-        raise FormatError(f"{path}: header must be {chr(9).join(header)!r}, got {head!r}")
-    kinds = [FIELD_KINDS[name] for name in header]
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # per label column, its labels and their codes, in order of first appearance
-    labels = {name: {} for name, kind in zip(header, kinds) if kind == "label"}
-    pieces: dict[str, list[np.ndarray]] = {name: [] for name in header}
-    row_lines: list[np.ndarray] = []
-    malformed: list[tuple[int, str]] = []
-    first_line = 2
-    for start, end in _blocks(data, min(head_end + 1, len(data))):
-        n_lines, lines, columns, bad = _read_block(data, buf, start, end, kinds, parse_line)
-        row_lines.append(lines + first_line)
-        malformed += [(first_line + i, why) for i, why in bad]
-        for name, column in zip(header, columns):
-            if name in labels:
-                column = _merge_labels(*column, labels[name])
-            pieces[name].append(column)
-        first_line += n_lines
-    del data, buf
+    # a path is opened and closed here; an open file is left open
+    with nullcontext(file) if hasattr(file, "read") else open(file, "rb") as handle:
+        blocks = read_blocks(handle, digest)
+        first = next(blocks, b"")
+        head_end = first.find(b"\n")
+        if head_end < 0:
+            head_end = len(first)
+        head = first[:head_end].decode("utf-8")
+        if tuple(head.split("\t")) != header:
+            for _ in blocks:  # the rest of the file is checked first
+                pass
+            raise FormatError(
+                f"{handle.name}: header must be {chr(9).join(header)!r}, got {head!r}"
+            )
+        kinds = [FIELD_KINDS[name] for name in header]
+        # per label column, its labels and their codes, in order of first appearance
+        labels = {name: {} for name, kind in zip(header, kinds) if kind == "label"}
+        pieces: dict[str, list[np.ndarray]] = {name: [] for name in header}
+        row_lines: list[np.ndarray] = []
+        malformed: list[tuple[int, str]] = []
+        first_line = 2
+        block = first[head_end + 1:]
+        del first
+        while block is not None:
+            n_lines, lines, columns, bad = _read_block(block, kinds, parse_line)
+            row_lines.append(lines + first_line)
+            malformed += [(first_line + i, why) for i, why in bad]
+            for name, column in zip(header, columns):
+                if name in labels:
+                    column = _merge_labels(*column, labels[name])
+                pieces[name].append(column)
+            first_line += n_lines
+            block = next(blocks, None)
 
     def column(name: str) -> np.ndarray:
         """The column, assembled once from its blocks, which it releases."""
@@ -233,34 +240,23 @@ def read_tsv(
     return table, np.concatenate(row_lines), malformed
 
 
-def _blocks(data: bytes, start: int):
-    """The (start, end) spans of the lines from ``start`` on: whole lines
-    of at most READ_BLOCK_BYTES counting the newline at ``end``, or one
-    longer line.  The last span ends at the end of the data, and is
-    empty if ``start`` is there."""
-    while True:
-        end = data.rfind(b"\n", start, start + READ_BLOCK_BYTES)
-        if end < 0:
-            end = data.find(b"\n", start)
-        if end < 0:
-            end = len(data)
-        yield start, end
-        if end == len(data):
-            return
-        start = end + 1
-
-
-def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse_line):
-    """The lines of ``data[start:end]``: their count, the (0-based) lines
-    of the rows in order, the rows' columns (a label column as its codes
-    and the labels they index), and the malformed (line, reason) pairs."""
-    view = buf[start:end]
-    sep = np.flatnonzero((view == 9) | (view == 10))
+def _read_block(block: bytes, kinds, parse_line):
+    """The lines of a block (each ends in a newline but the last): their
+    newlines' count, the (0-based) lines of its rows in order, the rows'
+    columns (a label column as its codes and the labels they index), and
+    the malformed (line, reason) pairs."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    end = len(block) - block.endswith(b"\n")
     # a field ends at a tab or at the newline ending its line; the one
     # that ends at bounds[c] starts after bounds[c - 1], bounds[0] is the
     # newline before the block, and the last line ends at ``end``
-    bounds = np.concatenate([[-1], sep, [view.size]]) + start
-    line_end = np.append(np.flatnonzero(view[sep] == 10), sep.size) + 1
+    is_bound = np.ones(end + 2, dtype=bool)
+    np.equal(buf[:end], 9, out=is_bound[1:-1])
+    is_bound[1:-1] |= buf[:end] == 10
+    bounds = np.flatnonzero(is_bound)
+    del is_bound
+    bounds -= 1
+    line_end = np.append(np.flatnonzero(buf[bounds[1:-1]] == 10), bounds.size - 2) + 1
     n_fields = np.diff(line_end, prepend=0)
 
     def fields(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +280,7 @@ def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse
     rows: list[tuple] = []
     malformed: list[tuple[int, str]] = []
     for i in np.flatnonzero(slow).tolist():
-        row = parse_line(data[line_start[i]:bounds[line_end[i]]].decode("utf-8"))
+        row = parse_line(block[line_start[i]:bounds[line_end[i]]].decode("utf-8"))
         if isinstance(row, str):
             malformed.append((i, row))
         elif n_fields[i] != len(kinds):  # a line of another width has no slot
@@ -299,6 +295,8 @@ def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse
     slots = np.searchsorted(lines, accepted)
     keep = plain.copy()
     keep[slots] = True
+    if keep.all():  # the columns are kept whole, not copied
+        keep = slice(None)
     columns = []
     for j, kind in enumerate(kinds):
         rest = [row[j] for row in rows]
@@ -311,7 +309,7 @@ def _read_block(data: bytes, buf: np.ndarray, start: int, end: int, kinds, parse
         else:
             values[j][slots] = rest
             columns.append(values[j][keep])
-    return line_end.size, lines[keep], columns, malformed
+    return line_end.size - (end == len(block)), lines[keep], columns, malformed
 
 
 def _convert(kind: str, buf: np.ndarray, start: np.ndarray, length: np.ndarray):
@@ -421,13 +419,15 @@ def malformed_examples(malformed: Sequence[tuple[int, str]]) -> str:
     return "; ".join(f"line {ln}: {why}" for ln, why in malformed[:5])
 
 
-def parse_corpus(path) -> tuple[TokenTable, list[tuple[int, str]]]:
-    """Read a corpus TSV; returns (rows, malformed (line, reason) pairs).
+def parse_corpus(file, digest=None) -> tuple[TokenTable, list[tuple[int, str]]]:
+    """Read a corpus TSV (as ``read_tsv`` reads ``file``, ``digest`` too);
+    returns (rows, malformed (line, reason) pairs).
 
     Individual bad rows (by ``corpus_row``) are tolerated and reported;
     more than MALFORMED_LIMIT of the data rows being bad rejects the file.
     """
-    rows, _, malformed = read_tsv(path, CORPUS_HEADER, corpus_row)
+    rows, _, malformed = read_tsv(file, CORPUS_HEADER, corpus_row, digest)
+    path = getattr(file, "name", file)
     n_data_lines = len(rows) + len(malformed)
     if n_data_lines == 0:
         raise FormatError(f"{path}: corpus has no data rows")
@@ -459,9 +459,16 @@ def write_tsv(table: TokenTable, path, header: tuple[str, ...]) -> str:
     round-tripping form (``repr``) and NaN as ``NA``, a flag as 0 or 1."""
 
     def fields(part: TokenTable, name: str) -> list[str]:
-        if FIELD_KINDS[name] == "label":
+        kind = FIELD_KINDS[name]
+        if kind == "label":
             return part.decode("doc" if name == "doc_id" else name)
-        return list(map(_FORMAT[FIELD_KINDS[name]], part[name].tolist()))
+        if kind == "value":
+            return list(map(_FORMAT[kind], part[name].tolist()))
+        # an index or flag repeats: each distinct value is spelled once
+        # (a return_* flag keeps np.unique from loading numpy.ma)
+        distinct, inverse = np.unique(part[name], return_inverse=True)
+        spelled = np.array(list(map(_FORMAT[kind], distinct.tolist())), dtype=object)
+        return spelled[inverse.ravel()].tolist()
 
     def pieces():
         yield "\t".join(header) + "\n"
@@ -476,6 +483,16 @@ def write_corpus_tsv(rows: TokenTable, path) -> str:
     return write_tsv(rows, path, CORPUS_HEADER)
 
 
+def key_order(table: TokenTable) -> np.ndarray | slice:
+    """The stable order of the rows by (doc, token_idx): the whole-table
+    slice when they already ascend by it, so that each column is read in
+    place, and else the sorting permutation."""
+    doc, idx = table["doc"], table["token_idx"]
+    if np.all((doc[1:] > doc[:-1]) | ((doc[1:] == doc[:-1]) & (idx[1:] >= idx[:-1]))):
+        return slice(None)
+    return np.lexsort((idx, doc))
+
+
 def aggregate_participants(rows: TokenTable) -> TokenTable:
     """Mean reading time per token over participants who read it.
 
@@ -483,12 +500,14 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
     skipped by every participant keeps its row with ``rt_ms`` NaN and
     ``n_readers`` 0.  Each participant reads a token at most once, the
     token text and ``sentence_id`` must agree across participants, and
-    ``token_idx`` must run without gaps within a document.
+    ``token_idx`` must run without gaps within a document.  Readings
+    that already ascend by (doc_id, token_idx), as ``gen`` writes them,
+    are read in place (``key_order``); others are sorted first.
     """
-    order = np.lexsort((rows["token_idx"], rows["doc"]))  # stable: file order within a token
+    order = key_order(rows)  # stable: file order within a token
     doc = rows["doc"][order]
     idx = rows["token_idx"][order]
-    first = np.ones(len(order), dtype=bool)
+    first = np.ones(len(rows), dtype=bool)
     first[1:] = (doc[1:] != doc[:-1]) | (idx[1:] != idx[:-1])
     starts = np.flatnonzero(first)
     group = np.cumsum(first) - 1
@@ -619,6 +638,71 @@ class SyntheticCorpus:
     sidecar: dict
 
 
+def sample_documents(
+    lm: AutoregressiveLM, rng: np.random.Generator, n_docs: int, doc_len: int
+) -> TokenTable:
+    """Documents ``d0000``, ``d0001``, ... of independent sentences drawn
+    from the model, each holding at least ``doc_len`` tokens; a sentence
+    with no units is skipped.  Tokens are coded in order of first
+    appearance.
+
+    The draws are ``sample_string``'s, one uniform per symbol, eos
+    included, sentence after sentence, but taken ``rng.random(n)`` at a
+    time and placed by ``walk``.  A block is never longer than the
+    fewest draws the document still needs (the units it lacks plus one
+    eos), so a document ends with its last block and leaves the stream
+    where one draw per symbol leaves it.
+    """
+    limit = 50 * (doc_len + 1)
+    start = lm.index[()]
+    symbols: list[int] = []  # unit codes, -1 at each eos
+    lengths: list[int] = []
+    for _ in range(n_docs):
+        begin, units, sentences, state = len(symbols), 0, 0, start
+        while True:
+            drawn, state = walk(lm, rng.random(max(doc_len - units, 0) + 1).tolist(), state)
+            symbols += drawn
+            ends = drawn.count(-1)
+            sentences += ends
+            units += len(drawn) - ends
+            if sentences > limit:
+                # a document ends only at its last draw, so any sentence
+                # past the limit came before that end
+                eos = np.flatnonzero(np.array(symbols[begin:]) < 0)
+                if np.any(np.diff(eos, prepend=-1)[limit:] == 1):
+                    raise ConfigError(
+                        "model keeps producing empty sentences; cannot fill documents"
+                    )
+            if drawn[-1] < 0 and units >= doc_len:
+                break
+        lengths.append(len(symbols) - begin)
+
+    stream = np.array(symbols, dtype=np.int64)
+    is_unit = stream >= 0
+    doc = np.repeat(np.arange(n_docs), lengths)[is_unit]
+    # each token's sentence in the whole stream, then renumbered from 0
+    # within its document over the sentences that hold tokens
+    sentence = np.cumsum(~is_unit)[is_unit]
+    new = np.ones(sentence.size, dtype=bool)
+    new[1:] = sentence[1:] != sentence[:-1]
+    sentence = np.cumsum(new) - 1
+    doc_start = np.searchsorted(doc, np.arange(n_docs))
+    unit = stream[is_unit]
+    present, first = np.unique(unit, return_index=True)
+    seen = present[np.argsort(first)]
+    code = np.empty(len(lm.alphabet.units), dtype=np.int64)
+    code[seen] = np.arange(seen.size)
+    width = max(4, len(str(n_docs)))
+    cols = {
+        "doc": doc,
+        "token": code[unit],
+        "token_idx": np.arange(doc.size) - doc_start[doc],
+        "sentence_id": sentence - sentence[doc_start][doc],
+    }
+    doc_ids = tuple(f"d{d:0{width}d}" for d in range(n_docs))
+    return TokenTable(cols, doc_ids, tuple(lm.alphabet.units[a] for a in seen.tolist()))
+
+
 def generate_synthetic(
     lm: AutoregressiveLM,
     true_coeffs: dict[str, float],
@@ -647,35 +731,7 @@ def generate_synthetic(
         raise ConfigError(f"unknown coefficient names: {unknown}")
 
     rng = named_rng(seed, "corpus")
-    width = max(4, len(str(n_docs)))
-    doc_id: list[str] = []
-    sentence_id: list[int] = []
-    token_idx: list[int] = []
-    token: list[str] = []
-    for d in range(n_docs):
-        n_tokens = n_sentences = attempts = 0
-        while n_tokens < doc_len:
-            sent = sample_string(lm, rng)
-            attempts += 1
-            if not sent:
-                if attempts > 50 * (doc_len + 1):
-                    raise ConfigError(
-                        "model keeps producing empty sentences; cannot fill documents"
-                    )
-                continue
-            doc_id += [f"d{d:0{width}d}"] * len(sent)
-            sentence_id += [n_sentences] * len(sent)
-            token_idx += range(n_tokens, n_tokens + len(sent))
-            token += sent
-            n_tokens += len(sent)
-            n_sentences += 1
-
-    tokens = TokenTable.from_lists(
-        doc_id=doc_id,
-        token=token,
-        token_idx=np.array(token_idx, dtype=np.int64),
-        sentence_id=np.array(sentence_id, dtype=np.int64),
-    )
+    tokens = sample_documents(lm, rng, n_docs, doc_len)
     records = build_predictor_table(tokens, lm)
     clean = np.full(len(records), float(true_coeffs.get("intercept", 0.0)))
     for name, beta in true_coeffs.items():

@@ -7,7 +7,8 @@ its conditional probability; expectations, inner products, and
 orthogonal projections are then finite weighted sums over a support.
 
 Every variable the package builds on that support (surprisal, frequency,
-PMI) depends on the context only through its state, so exact mode lumps
+PMI: ``surprisal_variable`` and its kin below) depends on the context
+only through its state, so exact mode lumps
 the contexts of each state together: the support is the (state, symbol)
 cells with positive probability, weighted by the state's share of the
 context mass.  That share is the state's expected visit count over the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DegenerateError
-from .lm import AutoregressiveLM, prefix_normalizer
+from .lm import AutoregressiveLM, UnigramLM, prefix_normalizer, unigram_minimizer
 
 # At or below this variance a projection direction is treated as zero.
 ZERO_NORM_TOL = 1e-24
@@ -187,6 +188,37 @@ def project_complement(
         label=f"{x.label}_perp_{z.label}",
     )
     return residual, coeff
+
+
+# -- exact-mode variables ------------------------------------------------------
+
+
+def surprisal_variable(measure: MeasureTable) -> RandomVariableTable:
+    """Surprisal as a variable on the enumerated support (eos included)."""
+    return RandomVariableTable(
+        measure=measure, values=-np.log(measure.row_cond), label="surprisal"
+    )
+
+
+def frequency_variable(
+    measure: MeasureTable, q: UnigramLM | None = None
+) -> RandomVariableTable:
+    """Context-free negative log probability of the row's symbol."""
+    if q is None:
+        q = unigram_minimizer(measure.source)
+    probs = np.array([q.prob(sym) for sym in measure.symbols])
+    if np.any(probs[np.flatnonzero(np.bincount(measure.row_symbol))] <= 0.0):
+        raise DegenerateError("q must cover every symbol on the support")
+    return RandomVariableTable(
+        measure=measure, values=-np.log(probs[measure.row_symbol]), label="frequency"
+    )
+
+
+def pmi_variable(measure: MeasureTable, q: UnigramLM | None = None) -> RandomVariableTable:
+    """Pointwise dependence of symbol on context: frequency - surprisal."""
+    f = frequency_variable(measure, q)
+    s = surprisal_variable(measure)
+    return RandomVariableTable(measure=measure, values=f.values - s.values, label="pmi")
 
 
 # -- sample mode -----------------------------------------------------------

@@ -145,7 +145,8 @@ class AutoregressiveLM:
     emit: np.ndarray = field(init=False, repr=False, compare=False)
     eos: np.ndarray = field(init=False, repr=False, compare=False)
     succ: np.ndarray = field(init=False, repr=False, compare=False)
-    # per state row: (symbols, cdf, successor row or None for eos)
+    # per state row, for ``walk``: its symbols' codes (unit columns, -1
+    # for eos), their cdf, and the row each leads to (eos: the start state)
     sampler: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,8 +210,9 @@ class AutoregressiveLM:
             # the cdf exactly as Generator.choice(p=...) builds it
             cdf = (probs / probs.sum()).cumsum()
             cdf /= cdf[-1]
-            nxt = [None if s == self.alphabet.eos else int(succ[i, unit_col[s]]) for s in row]
-            sampler.append((list(row), cdf.tolist(), nxt))
+            codes = [unit_col.get(s, -1) for s in row]
+            nxt = [index[()] if a < 0 else int(succ[i, a]) for a in codes]
+            sampler.append((codes, cdf.tolist(), nxt))
         object.__setattr__(self, "sampler", tuple(sampler))
 
     # -- state space ----------------------------------------------------
@@ -360,23 +362,34 @@ def forward_kl_unigram(lm: AutoregressiveLM, q: UnigramLM) -> float:
     return float(lm.visits @ plogp.sum(axis=1)) - float(expected_counts(lm) @ log_q)
 
 
+def walk(lm: AutoregressiveLM, uniforms: Iterable[float], state: int) -> tuple[list[int], int]:
+    """Draw one symbol per uniform, each placed on its state's cdf as
+    ``Generator.choice(p=...)`` places it, from state row ``state`` on:
+    returns the symbols' codes (unit columns, -1 for eos, after which the
+    walk goes on from the start state) and the state row after the last."""
+    sampler, out = lm.sampler, []
+    for u in uniforms:
+        codes, cdf, successors = sampler[state]
+        j = bisect_right(cdf, u)
+        out.append(codes[j])
+        state = successors[j]
+    return out, state
+
+
 def sample_string(lm: AutoregressiveLM, rng: np.random.Generator) -> list[str]:
     """Draw one complete string (unit list, eos excluded) from the model.
 
-    One uniform per symbol, placed on the state's cdf: the same draws
-    and the same stream as ``rng.choice(len(symbols), p=probs)``.
+    ``walk`` fed one ``rng.random()`` per symbol: the same draws and the
+    same stream as ``rng.choice(len(symbols), p=probs)``.
     """
-    state: int | None = lm.index[()]
-    out: list[str] = []
+    units, state, out = lm.alphabet.units, lm.index[()], []
     # a.s. termination is validated at construction; the cap only guards
     # against astronomically unlucky draws
     for _ in range(10_000_000):
-        symbols, cdf, successors = lm.sampler[state]
-        j = bisect_right(cdf, rng.random())
-        state = successors[j]
-        if state is None:
+        (code,), state = walk(lm, (rng.random(),), state)
+        if code < 0:
             return out
-        out.append(symbols[j])
+        out.append(units[code])
     raise ConvergenceError("sampling failed to terminate")
 
 

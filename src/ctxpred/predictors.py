@@ -1,4 +1,4 @@
-"""Per-token contextual predictors and their unit-level definitions.
+"""Per-token contextual predictors.
 
 Three information-theoretic predictors (all in nats):
 
@@ -14,7 +14,9 @@ table is built either from an autoregressive model directly or from an
 external per-token file; both paths score every token of the text, read
 or not, attach spillover copies of the previous token's values within
 the same document (NaN at document starts), and carry the aggregated
-reading time once joined.
+reading time once joined.  The same predictors as variables on the
+exact measure (``surprisal_variable`` and its kin) live in ``hilbert``,
+so ``oracle`` loads no corpus code.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import MAX_INDEX, TokenTable, label_codes, read_tsv, write_tsv
+from .corpus import MAX_INDEX, TokenTable, key_order, label_codes, read_tsv, write_tsv
 from .errors import CoverageError, DegenerateError, FormatError, SymbolError
-from .hilbert import MeasureTable, RandomVariableTable
-from .lm import AutoregressiveLM, UnigramLM, unigram_minimizer
+# the exact-mode variables live in ``hilbert``; they are bound here too,
+# where perfbench's tracer looks them up
+from .hilbert import frequency_variable, pmi_variable, surprisal_variable
+from .lm import AutoregressiveLM, unigram_minimizer
 
 PREDICTOR_NAMES = (
     "surprisal",
@@ -78,11 +82,12 @@ def external_row(line: str) -> tuple | str:
     return doc_id, token_idx, token, surp, freq
 
 
-def parse_external_tsv(path) -> ExternalPredictorFile:
-    """Read a predictor TSV.  The first malformed line (by
-    ``external_row``), or the first row whose token_idx does not
-    increase within its document, rejects the file."""
-    table, lineno, malformed = read_tsv(path, EXTERNAL_HEADER, external_row)
+def parse_external_tsv(path, digest=None) -> ExternalPredictorFile:
+    """Read a predictor TSV (``digest``, if given, takes its bytes as they
+    are read).  The first malformed line (by ``external_row``), or the
+    first row whose token_idx does not increase within its document,
+    rejects the file."""
+    table, lineno, malformed = read_tsv(path, EXTERNAL_HEADER, external_row, digest)
     errors = malformed[:1]
     # within a document, in file order, the first row not above the one
     # before it; all rows before it increase, so it repeats a key exactly
@@ -127,7 +132,8 @@ def build_predictor_table(
     joined by (doc_id, token_idx); the token text must agree.
     Unresolvable tokens raise a coverage error naming them.
     """
-    table = tokens.take(np.lexsort((tokens["token_idx"], tokens["doc"])))
+    order = key_order(tokens)
+    table = tokens if isinstance(order, slice) else tokens.take(order)
     if isinstance(source, AutoregressiveLM):
         surp, freq = _score_lm(table, source)
     elif isinstance(source, ExternalPredictorFile):
@@ -244,34 +250,3 @@ def table_columns(records: TokenTable, names: Sequence[str]) -> dict[str, np.nda
             raise FormatError(f"unknown predictor column {name!r}")
         cols[name] = np.array(records[name], dtype=float)
     return cols
-
-
-# -- exact-mode variables ------------------------------------------------------
-
-
-def surprisal_variable(measure: MeasureTable) -> RandomVariableTable:
-    """Surprisal as a variable on the enumerated support (eos included)."""
-    return RandomVariableTable(
-        measure=measure, values=-np.log(measure.row_cond), label="surprisal"
-    )
-
-
-def frequency_variable(
-    measure: MeasureTable, q: UnigramLM | None = None
-) -> RandomVariableTable:
-    """Context-free negative log probability of the row's symbol."""
-    if q is None:
-        q = unigram_minimizer(measure.source)
-    probs = np.array([q.prob(sym) for sym in measure.symbols])
-    if np.any(probs[np.flatnonzero(np.bincount(measure.row_symbol))] <= 0.0):
-        raise DegenerateError("q must cover every symbol on the support")
-    return RandomVariableTable(
-        measure=measure, values=-np.log(probs[measure.row_symbol]), label="frequency"
-    )
-
-
-def pmi_variable(measure: MeasureTable, q: UnigramLM | None = None) -> RandomVariableTable:
-    """Pointwise dependence of symbol on context: frequency - surprisal."""
-    f = frequency_variable(measure, q)
-    s = surprisal_variable(measure)
-    return RandomVariableTable(measure=measure, values=f.values - s.values, label="pmi")

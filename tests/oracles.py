@@ -10,7 +10,8 @@ point.  The exceptions are the n-row references for the k-space kernels
 (``lstsq_rsquared``, ``gcv_search_nrow``, the fold recipe
 ``nrow_fold`` and the pooled recipe ``nrow_pooled``), the plain GCV search
 (``gcv_search_reference``) and the per-row token path
-(``reference_aggregate``, ``reference_score``, ``choice_sample_string``),
+(``reference_aggregate``, ``reference_score``, ``choice_sample_string``,
+``reference_documents``),
 and the per-line TSV readers (``reference_read``, ``reference_external``,
 which decode the whole file before they read a line):
 they are the direct computations the fast forms replace, kept so that
@@ -303,6 +304,23 @@ def choice_sample_string(lm, rng):
             return out
         out.append(sym)
         state = lm.next_state(state, sym)
+
+
+def reference_documents(lm, rng, n_docs, doc_len):
+    """``n_docs`` documents as ``corpus.sample_documents`` defines them,
+    drawn sentence by sentence with one draw per symbol
+    (``choice_sample_string``): each a list of sentences (unit lists),
+    empty ones skipped, until it holds at least ``doc_len`` units."""
+    docs = []
+    for _ in range(n_docs):
+        sentences, n_units = [], 0
+        while n_units < doc_len:
+            sentence = choice_sample_string(lm, rng)
+            if sentence:
+                sentences.append(sentence)
+                n_units += len(sentence)
+        docs.append(sentences)
+    return docs
 
 
 # -- memoryless closed forms ----------------------------------------------

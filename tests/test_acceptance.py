@@ -28,9 +28,11 @@ from ctxpred.errors import IdentityError
 from ctxpred.hilbert import (
     MeasureTable,
     fit_projection,
+    frequency_variable,
     inner_product,
     project_complement,
     sample_orthogonalize,
+    surprisal_variable,
 )
 from ctxpred.lm import (
     EnumerationBudget,
@@ -42,7 +44,6 @@ from ctxpred.lm import (
     prefix_normalizer,
     unigram_minimizer,
 )
-from ctxpred.predictors import frequency_variable, surprisal_variable
 from ctxpred.regression import (
     DesignMatrix,
     Triangle,

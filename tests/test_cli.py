@@ -220,7 +220,33 @@ class TestAnalyze:
         ])
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert "external" in manifest["inputs"]
+        assert manifest["inputs"] == {
+            "corpus": hashlib.sha256(corpus.read_bytes()).hexdigest(),
+            "external": hashlib.sha256(pred.read_bytes()).hexdigest(),
+        }
+
+    @pytest.mark.parametrize("layout", ["crlf", "participant-major"])
+    def test_layouts_of_one_corpus_analyze_alike(self, tmp_path, layout):
+        """A CRLF copy and a participant-major copy of a corpus give the
+        same report and lmg.csv; the manifest digests the copy's bytes."""
+        gen = tmp_path / "gen"
+        assert main(["gen", "--lm", MIXTURE, "--out", str(gen), "--seed", "5",
+                     "--n-docs", "6", "--doc-len", "40", "--participants", "3"]) == EXIT_OK
+        head, *lines = (gen / "corpus.tsv").read_bytes().splitlines(keepends=True)
+        if layout == "crlf":
+            data = (head + b"".join(lines)).replace(b"\n", b"\r\n")
+        else:
+            data = head + b"".join(sorted(lines, key=lambda line: line.split(b"\t")[0]))
+        copy = tmp_path / "copy.tsv"
+        copy.write_bytes(data)
+        for name, corpus in (("original", gen / "corpus.tsv"), (layout, copy)):
+            assert main(["analyze", "--lm", MIXTURE, "--corpus", str(corpus),
+                         "--out", str(tmp_path / name), "--seed", "5", "--folds", "3"]) == EXIT_OK
+        for name in ("report.json", "lmg.csv"):
+            assert (tmp_path / layout / name).read_bytes() == (
+                tmp_path / "original" / name).read_bytes(), name
+        manifest = json.loads((tmp_path / layout / "manifest.json").read_text())
+        assert manifest["inputs"]["corpus"] == hashlib.sha256(data).hexdigest()
 
 
 def frequency_as_length(pred, path):
@@ -1291,6 +1317,14 @@ def test_gen_and_oracle_load_no_regression_stack(argv, tmp_path):
     modules = _modules_after(argv + ["--out", str(tmp_path)])
     assert "ctxpred.lm" in modules
     assert modules & REGRESSION_STACK == set()
+
+
+def test_oracle_loads_no_corpus_code(tmp_path):
+    # the exact-mode variables live in hilbert, beside the measure
+    modules = _modules_after(["oracle", "--lm", M1, "--perturbations", "10",
+                              "--out", str(tmp_path)])
+    assert "ctxpred.hilbert" in modules
+    assert modules & {"ctxpred.corpus", "ctxpred.predictors"} == set()
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,11 @@ from ctxpred.corpus import (
     TokenTable,
     aggregate_participants,
     generate_synthetic,
+    key_order,
     kfold,
     observation_table,
     parse_corpus,
+    sample_documents,
     standardize,
     standardize_stats,
     write_corpus_tsv,
@@ -30,7 +32,7 @@ from ctxpred.errors import (
     DegenerateError,
     FormatError,
 )
-from ctxpred.hilbert import MeasureTable
+from ctxpred.hilbert import MeasureTable, frequency_variable, pmi_variable, surprisal_variable
 from ctxpred.seeding import named_rng
 from ctxpred.cli import atomic_write_text
 from ctxpred.lm import (
@@ -44,14 +46,11 @@ from ctxpred.lm import (
 from ctxpred.predictors import (
     PREDICTOR_NAMES,
     build_predictor_table,
-    frequency_variable,
     parse_external_tsv,
-    pmi_variable,
-    surprisal_variable,
     table_columns,
     write_external_tsv,
 )
-from oracles import reference_aggregate, reference_score
+from oracles import reference_aggregate, reference_documents, reference_score
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -272,6 +271,61 @@ def skipped_corpora(draw):
     assume(not all(row[6] for row in rows))
     order = rng.permutation(len(rows))
     return lm, [rows[i] for i in order]
+
+
+class TestReadingLayouts:
+    """The same readings aggregate to the same table, bit for bit, in
+    whatever order the file holds them.  Token-major rows (as ``gen``
+    writes them) are read in place; other orders are sorted first."""
+
+    @pytest.fixture(scope="class")
+    def token_major(self):
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+        out = generate_synthetic(lm, {"intercept": 200.0, "surprisal": 10.0}, 10.0,
+                                 n_docs=5, doc_len=30, seed=8, n_participants=3)
+        rows = out.observations
+        skipped = np.random.default_rng(8).random(len(rows)) < 0.3
+        rt_ms = np.where(skipped, math.nan, rows["rt_ms"])
+        return TokenTable({**rows.columns, "rt_ms": rt_ms, "skipped": skipped},
+                          rows.doc_ids, rows.types, rows.participants)
+
+    @staticmethod
+    def layouts(rows):
+        """Participant-major and shuffled copies of token-major ``rows``.
+        A token's mean sums its readings in file order, so the shuffle
+        keeps each token's readings in the order they had."""
+        key = rows["doc"] * (int(rows["token_idx"].max()) + 1) + rows["token_idx"]
+        shuffled = np.random.default_rng(3).permutation(len(rows))
+        at = np.empty(len(rows), dtype=np.int64)
+        at[np.argsort(key[shuffled], kind="stable")] = np.argsort(key, kind="stable")
+        return {
+            "participant-major": rows.take(np.argsort(rows["participant"], kind="stable")),
+            "shuffled": rows.take(at),
+        }
+
+    def test_every_layout_aggregates_alike(self, token_major):
+        want = aggregate_participants(token_major)
+        assert np.isnan(want["rt_ms"]).any() and (want["n_readers"] < 3).any()
+        for name, rows in self.layouts(token_major).items():
+            assert not isinstance(key_order(rows), slice), name  # sorted first
+            got = aggregate_participants(rows)
+            assert list(got.columns) == list(want.columns), name
+            for column in want.columns:
+                a, b = got[column], want[column]
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, column)
+
+    def test_ordered_readings_are_read_in_place(self, token_major, monkeypatch):
+        lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.lexsort called on ordered rows")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert key_order(token_major) == slice(None)
+        tokens = aggregate_participants(token_major)
+        records = build_predictor_table(tokens, lm)
+        for name, column in tokens.columns.items():
+            assert records[name] is column, name
 
 
 class TestColumnarMatchesPerRowPath:
@@ -791,6 +845,35 @@ class TestSynthesis:
                 m1, {"intercept": 100.0}, 1.0, n_docs, doc_len, seed=1,
                 n_participants=n_participants,
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 4),
+           doc_len=st.sampled_from([1, 2, 3, 7, 25]))
+    def test_stream_is_one_draw_per_symbol(self, seed, n_docs, doc_len):
+        """Documents drawn a block of uniforms at a time hold the tokens
+        that one draw per symbol gives, and leave the generator where it
+        leaves it.  random_lm's start state ends a string with
+        probability 0.5 or more, so empty sentences are common."""
+        lm = random_lm(np.random.default_rng(seed), max_order=2)
+        fast, slow = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        table = sample_documents(lm, fast, n_docs, doc_len)
+        want = reference_documents(lm, slow, n_docs, doc_len)
+        assert fast.random() == slow.random()
+        got = [[] for _ in range(n_docs)]
+        for d, s, i, token in zip(table["doc"].tolist(), table["sentence_id"].tolist(),
+                                  table["token_idx"].tolist(), table.decode("token")):
+            if s == len(got[d]):
+                got[d].append([])
+            got[d][s].append(token)
+            assert i == sum(map(len, got[d])) - 1
+        assert got == want
+        assert table.doc_ids == tuple(f"d{d:04d}" for d in range(n_docs))
+        assert table.types == tuple(dict.fromkeys(table.decode("token")))
+
+    def test_only_empty_sentences_rejected(self):
+        lm = AutoregressiveLM(alphabet=UnitAlphabet(units=("a",)), cond={(): {EOS_MARK: 1.0}})
+        with pytest.raises(ConfigError, match="keeps producing empty sentences"):
+            generate_synthetic(lm, {"intercept": 100.0}, 1.0, 2, 3, seed=1)
 
     def test_participants_share_tokens(self, m1):
         out = generate_synthetic(

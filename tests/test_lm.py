@@ -25,7 +25,7 @@ from ctxpred.errors import (
     FormatError,
     SymbolError,
 )
-from ctxpred.hilbert import MeasureTable
+from ctxpred.hilbert import MeasureTable, frequency_variable
 from ctxpred.lm import (
     EOS_MARK,
     AutoregressiveLM,
@@ -43,7 +43,6 @@ from ctxpred.lm import (
     unigram_minimizer,
     write_lm_tsv,
 )
-from ctxpred.predictors import frequency_variable
 
 # deep enough that the enumerated context mass leaves out less than
 # 1e-15 of the prefix normalizer
