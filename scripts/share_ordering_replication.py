@@ -24,7 +24,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ctxpred.corpus import generate_synthetic, standardize  # noqa: E402
+from ctxpred.corpus import generate_synthetic, standardize_stats  # noqa: E402
 from ctxpred.hilbert import sample_orthogonalize  # noqa: E402
 from ctxpred.lm import load_lm_tsv  # noqa: E402
 from ctxpred.regression import DesignMatrix, Triangle, lmg  # noqa: E402
@@ -44,6 +44,12 @@ def parse_args() -> argparse.Namespace:
     ap.add_argument("--frequency-beta", type=float, default=1.0)
     ap.add_argument("--noise-sd", type=float, default=0.8)
     return ap.parse_args()
+
+
+def standardize(values: np.ndarray) -> np.ndarray:
+    """Centred to mean zero and scaled to unit sample (n-1) deviation."""
+    mean, sd = standardize_stats(values)
+    return (np.asarray(values, dtype=float) - mean) / sd
 
 
 def replicate(lm, args, rep: int) -> tuple[dict, float]:

@@ -25,8 +25,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "choices": ("check_seed",),
     "corpus": (
         "FoldAssignment", "TokenTable", "aggregate_participants", "generate_synthetic",
-        "kfold", "observation_table", "parse_corpus", "standardize", "standardize_stats",
-        "write_corpus_tsv",
+        "kfold", "parse_corpus", "standardize_stats", "write_corpus_tsv",
     ),
     "errors": (
         "AlignmentError", "BasisError", "ConditioningError", "ConfigError",
@@ -50,7 +49,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "regression": (
         "DeltaLogLik", "DesignMatrix", "FitResult", "IdentityReport", "LmgReport",
-        "Triangle", "delta_loglik", "equivalence_report", "fit_columns", "lmg", "ols_fit",
+        "Triangle", "delta_loglik", "equivalence_report", "lmg", "ols_fit",
         "residualization_triplet",
     ),
     "seeding": ("named_rng",),

@@ -248,6 +248,7 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# no command calls this (digests come from the parsing reads); perfbench's tracer names it
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -329,7 +330,8 @@ def cmd_gen(cfg: RunConfig) -> int:
     from .corpus import generate_synthetic, write_corpus_tsv
     from .lm import load_lm_tsv
 
-    lm = load_lm_tsv(cfg.lm)
+    lm_digest = hashlib.sha256()
+    lm = load_lm_tsv(cfg.lm, lm_digest)
     result = generate_synthetic(
         lm,
         cfg.coeffs,
@@ -345,7 +347,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         "corpus.tsv": write_corpus_tsv(result.observations, corpus_path),
         "sidecar.json": atomic_write_text(out / "sidecar.json", dump_json(result.sidecar)),
     }
-    write_manifest(out, cfg, {"lm": sha256_file(cfg.lm)}, outputs)
+    write_manifest(out, cfg, {"lm": lm_digest.hexdigest()}, outputs)
     print(
         f"wrote {corpus_path} ({len(result.observations)} observations, "
         f"{cfg.n_docs} documents, {cfg.participants} participants)"
@@ -361,15 +363,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     from .pipeline import analyze_tokens
     from .predictors import parse_external_tsv
 
-    # the corpus and external digests are of the bytes parsed, taken as
-    # they are read; the corpus opens first, so a missing one is the error
+    # every input's digest is of the bytes parsed, taken as they are
+    # read; the corpus opens first, so a missing one is the error
     inputs: dict[str, str] = {}
     with open(cfg.corpus, "rb") as corpus_file:
+        digest = hashlib.sha256()
         if cfg.lm is not None:
-            source = load_lm_tsv(cfg.lm)
-            inputs["lm"] = sha256_file(cfg.lm)
+            source = load_lm_tsv(cfg.lm, digest)
+            inputs["lm"] = digest.hexdigest()
         else:
-            digest = hashlib.sha256()
             source = parse_external_tsv(cfg.external, digest)
             inputs["external"] = digest.hexdigest()
         digest = hashlib.sha256()
@@ -481,7 +483,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     from .lm import unigram_log_probs, unigram_minimizer
     from .seeding import named_rng
 
-    lm = load_lm_tsv(cfg.lm)
+    lm_digest = hashlib.sha256()
+    lm = load_lm_tsv(cfg.lm, lm_digest)
     budget = EnumerationBudget(max_len=cfg.max_len, tail_tol=cfg.tail_tol)
     checks: list[dict] = []
 
@@ -568,7 +571,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             "all_passed": all_passed,
         }
         sha = atomic_write_text(out / "oracle.json", dump_json(payload))
-        write_manifest(out, cfg, {"lm": sha256_file(cfg.lm)}, {"oracle.json": sha})
+        write_manifest(out, cfg, {"lm": lm_digest.hexdigest()}, {"oracle.json": sha})
         print(f"wrote {out / 'oracle.json'}")
     return EXIT_OK if all_passed else EXIT_NUMERIC
 

@@ -81,22 +81,6 @@ class TokenTable:
     types: tuple[str, ...]
     participants: tuple[str, ...] = ()
 
-    @classmethod
-    def from_lists(cls, *, doc_id, token, participant=None, **columns) -> "TokenTable":
-        """Encode the string columns as codes; the rest become arrays."""
-        doc_ids = tuple(sorted(set(doc_id)))
-        types = tuple(dict.fromkeys(token))
-        cols = {
-            "doc": label_codes(doc_id, doc_ids),
-            "token": label_codes(token, types),
-            **{name: np.asarray(values) for name, values in columns.items()},
-        }
-        participants: tuple[str, ...] = ()
-        if participant is not None:
-            participants = tuple(dict.fromkeys(participant))
-            cols["participant"] = label_codes(participant, participants)
-        return cls(cols, doc_ids, types, participants)
-
     def __len__(self) -> int:
         return len(self.columns["doc"])
 
@@ -439,18 +423,6 @@ def parse_corpus(file, digest=None) -> tuple[TokenTable, list[tuple[int, str]]]:
     return rows, malformed
 
 
-def observation_table(rows: Sequence[tuple]) -> TokenTable:
-    """Readings from (participant, doc_id, sentence_id, token_idx, token,
-    rt_ms, skipped) tuples, one per corpus row."""
-    participant, doc_id, sentence_id, token_idx, token, rt_ms, skipped = zip(*rows)
-    return TokenTable.from_lists(
-        participant=participant, doc_id=doc_id, token=token,
-        sentence_id=np.array(sentence_id, dtype=np.int64),
-        token_idx=np.array(token_idx, dtype=np.int64),
-        rt_ms=np.array(rt_ms, dtype=float), skipped=np.array(skipped, dtype=bool),
-    )
-
-
 def write_tsv(table: TokenTable, path, header: tuple[str, ...]) -> str:
     """Write the table's ``header`` columns as a TSV file that ``read_tsv``
     reads back, WRITE_CHUNK_ROWS rows at a time; returns its SHA-256.
@@ -566,13 +538,8 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
     return TokenTable(cols, rows.doc_ids, rows.types)
 
 
-def standardize(values: np.ndarray, label: str = "column") -> np.ndarray:
-    """Center to mean zero and scale to unit sample (n-1) deviation."""
-    mean, sd = standardize_stats(values, label)
-    return (np.asarray(values, dtype=float) - mean) / sd
-
-
 def standardize_stats(values: np.ndarray, label: str = "column") -> tuple[float, float]:
+    """The mean and sample (n-1) standard deviation of a column."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise DegenerateError(f"{label}: need at least two values to standardize")

@@ -26,15 +26,15 @@ from .errors import FormatError
 BLOCK_BYTES = 1 << 19
 
 
-def read_text(path) -> str:
-    """A UTF-8 file's text, as ``read_blocks`` checks and normalizes it."""
-    return read_bytes(path).decode("utf-8")
+def read_text(path, digest=None) -> str:
+    """A UTF-8 file's text, as ``read_blocks`` checks, normalizes and digests it."""
+    return read_bytes(path, digest).decode("utf-8")
 
 
-def read_bytes(path) -> bytes:
-    """A UTF-8 file's bytes, as ``read_blocks`` checks and normalizes them."""
+def read_bytes(path, digest=None) -> bytes:
+    """A UTF-8 file's bytes, as ``read_blocks`` checks, normalizes and digests them."""
     with open(path, "rb") as handle:
-        return b"".join(read_blocks(handle))
+        return b"".join(read_blocks(handle, digest))
 
 
 def read_blocks(handle: BinaryIO, digest=None) -> Iterator[bytes]:

@@ -86,10 +86,6 @@ class MeasureTable:
     def n_rows(self) -> int:
         return int(self.weights.size)
 
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 @dataclass(frozen=True)
 class RandomVariableTable:

@@ -406,12 +406,13 @@ def _format_state(state: State) -> str:
     return START_STATE_MARK if not state else " ".join(state)
 
 
-def load_lm_tsv(path) -> AutoregressiveLM:
-    """Read a model definition file, validating schema and row sums."""
+def load_lm_tsv(path, digest=None) -> AutoregressiveLM:
+    """Read a model definition file, validating schema and row sums
+    (``digest``, if given, takes the file's bytes as they are read)."""
     rows: list[tuple[int, State, str, float]] = []
     units: list[str] = []
     seen_units = set()
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, digest).split("\n"), start=1):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -11,18 +11,17 @@ Three information-theoretic predictors (all in nats):
 
 Token length (in characters) rides along as a control.  A predictor
 table is built either from an autoregressive model directly or from an
-external per-token file; both paths score every token of the text, read
-or not, attach spillover copies of the previous token's values within
-the same document (NaN at document starts), and carry the aggregated
-reading time once joined.  The same predictors as variables on the
-exact measure (``surprisal_variable`` and its kin) live in ``hilbert``,
-so ``oracle`` loads no corpus code.
+external per-token file, read into a ``TokenTable``; both paths score
+every token of the text, read or not, attach spillover copies of the
+previous token's values within the same document (NaN at document
+starts), and carry the aggregated reading time once joined.  The same
+predictors as variables on the exact measure (``surprisal_variable``
+and its kin) live in ``hilbert``, so ``oracle`` loads no corpus code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,15 +50,6 @@ EXTERNAL_HEADER = ("doc_id", "token_idx", "token", "surprisal", "frequency")
 # -- external predictor files ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExternalPredictorFile:
-    """Per-token predictor estimates: a table with one row per
-    (doc_id, token_idx) and columns ``doc``, ``token_idx``, ``token``,
-    ``surprisal`` and ``frequency``."""
-
-    table: TokenTable
-
-
 def external_row(line: str) -> tuple | str:
     """One predictor line as a (doc_id, token_idx, token, surprisal,
     frequency) row, or the reason it is malformed."""
@@ -82,11 +72,13 @@ def external_row(line: str) -> tuple | str:
     return doc_id, token_idx, token, surp, freq
 
 
-def parse_external_tsv(path, digest=None) -> ExternalPredictorFile:
-    """Read a predictor TSV (``digest``, if given, takes its bytes as they
-    are read).  The first malformed line (by ``external_row``), or the
-    first row whose token_idx does not increase within its document,
-    rejects the file."""
+def parse_external_tsv(path, digest=None) -> TokenTable:
+    """Read a predictor TSV into a table of per-token estimates, one row
+    per (doc_id, token_idx), with columns ``doc``, ``token_idx``,
+    ``token``, ``surprisal`` and ``frequency`` (``digest``, if given,
+    takes the file's bytes as they are read).  The first malformed line
+    (by ``external_row``), or the first row whose token_idx does not
+    increase within its document, rejects the file."""
     table, lineno, malformed = read_tsv(path, EXTERNAL_HEADER, external_row, digest)
     errors = malformed[:1]
     # within a document, in file order, the first row not above the one
@@ -109,7 +101,7 @@ def parse_external_tsv(path, digest=None) -> ExternalPredictorFile:
         raise FormatError("{}:{}: {}".format(path, *min(errors)))
     if not len(table):
         raise FormatError(f"{path}: no predictor rows found")
-    return ExternalPredictorFile(table)
+    return table
 
 
 def write_external_tsv(records: TokenTable, path) -> str:
@@ -120,7 +112,7 @@ def write_external_tsv(records: TokenTable, path) -> str:
 
 
 def build_predictor_table(
-    tokens: TokenTable, source: AutoregressiveLM | ExternalPredictorFile
+    tokens: TokenTable, source: AutoregressiveLM | TokenTable
 ) -> TokenTable:
     """Score every token of the text and attach spillover copies.
 
@@ -136,7 +128,7 @@ def build_predictor_table(
     table = tokens if isinstance(order, slice) else tokens.take(order)
     if isinstance(source, AutoregressiveLM):
         surp, freq = _score_lm(table, source)
-    elif isinstance(source, ExternalPredictorFile):
+    elif isinstance(source, TokenTable):
         surp, freq = _join_external(table, source)
     else:
         raise FormatError(f"unsupported predictor source: {type(source).__name__}")
@@ -212,11 +204,8 @@ def _score_lm(table: TokenTable, lm: AutoregressiveLM) -> tuple[np.ndarray, np.n
     return surp, freq_of_unit[unit]
 
 
-def _join_external(
-    table: TokenTable, source: ExternalPredictorFile
-) -> tuple[np.ndarray, np.ndarray]:
+def _join_external(table: TokenTable, ext: TokenTable) -> tuple[np.ndarray, np.ndarray]:
     """Surprisal and frequency of each row, aligned by key."""
-    ext = source.table
     # the external doc and token codes in the table's code spaces, -1
     # where the table lacks the label
     doc = label_codes(ext.doc_ids, table.doc_ids)[ext["doc"]]

@@ -229,11 +229,6 @@ def ols_fit(design: DesignMatrix, y: np.ndarray) -> FitResult:
     return Triangle.factor(design, y).fit()
 
 
-def fit_columns(columns: Mapping[str, np.ndarray], y: np.ndarray) -> FitResult:
-    """Convenience wrapper: build the design and fit in one step."""
-    return ols_fit(DesignMatrix.build(columns), y)
-
-
 @dataclass(frozen=True)
 class DeltaLogLik:
     """Held-out log-likelihood gain of a fitted model over the

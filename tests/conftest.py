@@ -3,9 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ctxpred.corpus import standardize_stats
 from ctxpred.lm import AutoregressiveLM, UnitAlphabet
 from ctxpred.regression import delta_loglik
 from ctxpred.smooth import DEFAULT_KNOTS, SmoothTerm, fit_smooth
+from oracles import table_from_lists
 
 FIXTURE_SEED = 20240915
 
@@ -19,6 +21,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def observation_table(rows):
+    """Readings from (participant, doc_id, sentence_id, token_idx, token,
+    rt_ms, skipped) tuples, one per corpus row."""
+    participant, doc_id, sentence_id, token_idx, token, rt_ms, skipped = zip(*rows)
+    return table_from_lists(
+        participant=participant, doc_id=doc_id, token=token,
+        sentence_id=np.array(sentence_id, dtype=np.int64),
+        token_idx=np.array(token_idx, dtype=np.int64),
+        rt_ms=np.array(rt_ms, dtype=float), skipped=np.array(skipped, dtype=bool),
+    )
+
+
+def standardize(values, label="column"):
+    """Center to mean zero and scale to unit sample (n-1) deviation."""
+    mean, sd = standardize_stats(values, label)
+    return (np.asarray(values, dtype=float) - mean) / sd
 
 
 def smooth_fit(columns, y, k=DEFAULT_KNOTS, **options):

@@ -18,7 +18,10 @@ they are the direct computations the fast forms replace, kept so that
 the fast forms can be held to them.  The two GCV searches solve each
 candidate with ``cholesky_solve``, the smooth fit's own numpy solve
 applied to one system, so that they hold the search logic to the bit;
-``test_smooth.TestCholeskySolve`` holds that solve to scipy's.
+``test_smooth.TestCholeskySolve`` holds that solve to scipy's.  Two
+helpers are no references: ``table_from_lists`` builds test tables with
+the package's own label coding, and ``fit_columns`` (the pooled recipe's
+fit) is the package's QR fit.
 """
 
 from __future__ import annotations
@@ -222,10 +225,30 @@ def reference_text_file(path):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
+def table_from_lists(*, doc_id, token, participant=None, **columns):
+    """A ``TokenTable`` from lists: the doc_id, token and participant
+    strings become codes (doc_ids sorted, types and participants in order
+    of first appearance), and the other columns arrays."""
+    from ctxpred.corpus import TokenTable, label_codes
+
+    doc_ids = tuple(sorted(set(doc_id)))
+    types = tuple(dict.fromkeys(token))
+    cols = {
+        "doc": label_codes(doc_id, doc_ids),
+        "token": label_codes(token, types),
+        **{name: np.asarray(values) for name, values in columns.items()},
+    }
+    participants = ()
+    if participant is not None:
+        participants = tuple(dict.fromkeys(participant))
+        cols["participant"] = label_codes(participant, participants)
+    return TokenTable(cols, doc_ids, types, participants)
+
+
 def reference_read(path, header, parse_line):
     """``corpus.read_tsv`` as a loop over the lines of the text file,
     every line through ``parse_line``: (table, line numbers, malformed)."""
-    from ctxpred.corpus import FIELD_KINDS, TokenTable
+    from ctxpred.corpus import FIELD_KINDS
     from ctxpred.errors import FormatError
 
     rows, lines, malformed = [], [], []
@@ -251,7 +274,7 @@ def reference_read(path, header, parse_line):
         values = [row[j] for row in rows]
         kind = FIELD_KINDS[name]
         columns[name] = values if kind == "label" else np.array(values, dtype=dtypes[kind])
-    table = TokenTable.from_lists(**columns)
+    table = table_from_lists(**columns)
     return table, np.array(lines, dtype=np.int64), malformed
 
 
@@ -588,6 +611,13 @@ def nrow_fold(raw, y, tr, te, columns):
     }
 
 
+def fit_columns(columns, y):
+    """``ols_fit`` of ``y`` on a design built from the named columns."""
+    from ctxpred.regression import DesignMatrix, ols_fit
+
+    return ols_fit(DesignMatrix.build(columns), y)
+
+
 def nrow_pooled(raw, y, columns):
     """The pooled fit of one linear model in original units, on the n rows.
 
@@ -597,7 +627,6 @@ def nrow_pooled(raw, y, columns):
     (label, source, anchor or None).  Returns the ``FitResult``.
     """
     from ctxpred.hilbert import sample_orthogonalize
-    from ctxpred.regression import fit_columns
 
     return fit_columns({
         label: raw[source] if anchor is None else sample_orthogonalize(raw[source], raw[anchor])

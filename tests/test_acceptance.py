@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ctxpred.cli import main as cli_main
-from ctxpred.corpus import generate_synthetic, standardize
+from ctxpred.corpus import generate_synthetic
 from ctxpred.errors import IdentityError
 from ctxpred.hilbert import (
     MeasureTable,
@@ -48,15 +48,14 @@ from ctxpred.regression import (
     DesignMatrix,
     Triangle,
     equivalence_report,
-    fit_columns,
     lmg,
     residualization_triplet,
 )
 from ctxpred.seeding import named_rng
 from ctxpred.smooth import SplineBasis
 
-from conftest import ACCEPTANCE_LINES, heldout_delta, random_lm, smooth_fit
-from oracles import lmg_by_orderings
+from conftest import ACCEPTANCE_LINES, heldout_delta, random_lm, smooth_fit, standardize
+from oracles import fit_columns, lmg_by_orderings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BUDGET = EnumerationBudget(max_len=256, tail_tol=1e-6)

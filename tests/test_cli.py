@@ -249,6 +249,35 @@ class TestAnalyze:
         assert manifest["inputs"]["corpus"] == hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.parametrize("command", ["gen", "analyze", "oracle"])
+def test_model_digest_is_of_the_bytes_loaded(
+    command, gen_dir, tmp_path, monkeypatch, capsys
+):
+    """A model file rewritten once it is loaded: the manifest holds the
+    digest of the bytes that were loaded, not of the file's new ones."""
+    model = tmp_path / "model.tsv"
+    loaded, rewritten = Path(MIXTURE).read_bytes(), Path(M0).read_bytes()
+    model.write_bytes(loaded)
+    load = ctxpred.lm.load_lm_tsv
+
+    def load_then_rewrite(*args, **kwargs):
+        lm = load(*args, **kwargs)
+        model.write_bytes(rewritten)
+        return lm
+
+    monkeypatch.setattr(ctxpred.lm, "load_lm_tsv", load_then_rewrite)
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["--n-docs", "2", "--doc-len", "5"],
+        "analyze": ["--corpus", str(gen_dir / "corpus.tsv"), "--folds", "3"],
+        "oracle": ["--perturbations", "10"],
+    }[command]
+    assert main([command, "--lm", str(model), "--out", str(out), *argv]) == EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"]["lm"] == hashlib.sha256(loaded).hexdigest()
+
+
 def frequency_as_length(pred, path):
     """The predictor file ``pred`` written to ``path`` with each token's
     frequency replaced by its length."""
@@ -264,7 +293,8 @@ def frequency_as_length(pred, path):
 def continuous_files(tmp_path_factory):
     import numpy as np
 
-    from ctxpred.corpus import TokenTable, observation_table, write_corpus_tsv
+    from conftest import observation_table
+    from ctxpred.corpus import write_corpus_tsv
     from ctxpred.predictors import write_external_tsv
 
     rng = np.random.default_rng(23)
@@ -279,7 +309,7 @@ def continuous_files(tmp_path_factory):
             obs.append(("p0", doc, 0, t, token, float(rt), False))
             recs.append((doc, t, token, surp, freq))
     doc_id, token_idx, token, surp, freq = zip(*recs)
-    recs = TokenTable.from_lists(
+    recs = oracles.table_from_lists(
         doc_id=doc_id, token_idx=np.array(token_idx), token=token,
         surprisal=np.array(surp), frequency=np.array(freq),
     )
@@ -1389,7 +1419,7 @@ def test_installed_version_reads_the_first_metadata_on_the_path(tmp_path, monkey
 
 
 def test_star_import_binds_the_public_api():
-    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 72
+    assert len(ctxpred.__all__) == len(set(ctxpred.__all__)) == 69
     namespace: dict = {}
     exec("from ctxpred import *", namespace)
     assert set(ctxpred.__all__) <= set(namespace)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_m1, make_m2_partial, random_lm
+from conftest import make_m1, make_m2_partial, observation_table, random_lm, standardize
 from ctxpred.corpus import (
     CORPUS_HEADER,
     WRITE_CHUNK_ROWS,
@@ -19,10 +19,8 @@ from ctxpred.corpus import (
     generate_synthetic,
     key_order,
     kfold,
-    observation_table,
     parse_corpus,
     sample_documents,
-    standardize,
     standardize_stats,
     write_corpus_tsv,
 )
@@ -50,7 +48,7 @@ from ctxpred.predictors import (
     table_columns,
     write_external_tsv,
 )
-from oracles import reference_aggregate, reference_documents, reference_score
+from oracles import reference_aggregate, reference_documents, reference_score, table_from_lists
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -62,7 +60,7 @@ def obs(participant, doc, idx, token, rt, skipped=False, sent=0):
 def tokens(*rows):
     """Token table from (doc_id, token_idx, token, sentence_id, rt_ms) rows."""
     doc_id, token_idx, token, sentence_id, rt_ms = zip(*rows)
-    return TokenTable.from_lists(
+    return table_from_lists(
         doc_id=doc_id,
         token_idx=np.array(token_idx),
         token=token,
@@ -704,7 +702,7 @@ def _unit_model(units):
 
 def _token_table(labels):
     n = len(labels)
-    return TokenTable.from_lists(
+    return table_from_lists(
         doc_id=["d0"] * n, token=labels, token_idx=np.arange(n), sentence_id=np.zeros(n, int),
         surprisal=np.full(n, 1.5), frequency=np.full(n, 2.5),
     )
@@ -770,11 +768,11 @@ class TestWrittenFilesReadBack:
         lm = load_lm_tsv(FIXTURES / "mixture.tsv")
         result = generate_synthetic(lm, {"intercept": 200.0}, 10.0, n_docs=3, doc_len=30, seed=4)
         write_external_tsv(result.records, tmp_path / "first.tsv")
-        table = parse_external_tsv(tmp_path / "first.tsv").table
+        table = parse_external_tsv(tmp_path / "first.tsv")
         for name in ("token_idx", "surprisal", "frequency"):
             assert table[name].tobytes() == result.records[name].tobytes(), name
         write_external_tsv(table, tmp_path / "again.tsv")
-        assert _same_bits(parse_external_tsv(tmp_path / "again.tsv").table, table)
+        assert _same_bits(parse_external_tsv(tmp_path / "again.tsv"), table)
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "first.tsv").read_bytes()
 
 

@@ -22,7 +22,6 @@ from ctxpred.corpus import (
     aggregate_participants,
     generate_synthetic,
     kfold,
-    observation_table,
 )
 from ctxpred import pipeline
 from ctxpred.cli import _lmg_rows
@@ -42,11 +41,11 @@ from ctxpred.predictors import (
     table_columns,
     write_external_tsv,
 )
-from ctxpred.regression import fit_columns, lmg
+from ctxpred.regression import lmg
 from ctxpred.smooth import SmoothTerm
 
-from conftest import heldout_delta, smooth_fit
-from oracles import normal_logpdf, nrow_fold, nrow_pooled
+from conftest import heldout_delta, observation_table, smooth_fit
+from oracles import fit_columns, normal_logpdf, nrow_fold, nrow_pooled, table_from_lists
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -572,7 +571,7 @@ def continuous_tables(seed, n_docs, doc_len, tokens=None):
             obs.append(("p0", doc, 0, t, token, float(rt), False))
             recs.append((doc, t, token, surp, freq))
     doc_id, token_idx, token, surp, freq = zip(*recs)
-    table = TokenTable.from_lists(
+    table = table_from_lists(
         doc_id=doc_id, token_idx=np.array(token_idx), token=token,
         surprisal=np.array(surp), frequency=np.array(freq),
     )

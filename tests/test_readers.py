@@ -270,7 +270,7 @@ class TestAgainstLineRules:
         if got[0] == "raised":
             assert got[1] == want[1]
             return
-        ext = got[1].table
+        ext = got[1]
         rows = zip(
             ext.decode("doc"),
             ext["token_idx"].tolist(),

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import heldout_delta
-from oracles import lmg_by_orderings, lstsq_rsquared, normal_logpdf, pinv_ols, rsquared
+from oracles import (
+    fit_columns,
+    lmg_by_orderings,
+    lstsq_rsquared,
+    normal_logpdf,
+    pinv_ols,
+    rsquared,
+)
 from ctxpred.errors import (
     AlignmentError,
     ConfigError,
@@ -26,7 +33,6 @@ from ctxpred.regression import (
     Triangle,
     delta_loglik,
     equivalence_report,
-    fit_columns,
     lmg,
     ols_fit,
     residualization_triplet,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    fit_columns,
     gcv_search_nrow,
     gcv_search_reference,
     natural_spline_eval,
@@ -23,7 +24,6 @@ from ctxpred.errors import (
     ConfigError,
     DegenerateError,
 )
-from ctxpred.regression import fit_columns
 from ctxpred.smooth import (
     KNOT_MERGE_TOL,
     LAMBDA_GRID,
