@@ -344,12 +344,12 @@ def cmd_gen(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     corpus_path = out / "corpus.tsv"
     outputs = {
-        "corpus.tsv": write_corpus_tsv(result.observations, corpus_path),
+        "corpus.tsv": write_corpus_tsv(result, corpus_path),
         "sidecar.json": atomic_write_text(out / "sidecar.json", dump_json(result.sidecar)),
     }
     write_manifest(out, cfg, {"lm": lm_digest.hexdigest()}, outputs)
     print(
-        f"wrote {corpus_path} ({len(result.observations)} observations, "
+        f"wrote {corpus_path} ({result.rt.size} observations, "
         f"{cfg.n_docs} documents, {cfg.participants} participants)"
     )
     print(f"wrote {out / 'sidecar.json'}")

@@ -12,12 +12,13 @@ each block a column at a time, and ``write_tsv`` writes both by the same
 column kinds; only rows the bulk pass cannot convert go through
 ``corpus_row``, each into its line's slot, so rows keep file order.
 Reading never holds the file's bytes: only the columns it keeps (for a
-corpus, about 1.25 times the file), one block and its arrays (about 5.6
-times the block), so its tracemalloc peak is about 1.9 times a 6 MB
-corpus file (2.2 times one of 3.6 MB).  Aggregation averages reading
-times over the participants who did not skip the token, reading the
-columns in place when the rows already ascend by (doc_id, token_idx),
-as ``gen`` writes them.  A token skipped by everyone keeps its place in the
+corpus, about 0.94 times the file, its label codes 4 bytes each), one
+block and its arrays (about 6 times the block), so its tracemalloc peak
+is about 1.5 times a 6 MB corpus file (1.8 times one of 3.6 MB).
+Aggregation averages reading times over the participants who did not
+skip the token, reading the columns in place when the rows already
+ascend by (doc_id, token_idx), as ``gen`` writes them, and hands on
+8-byte codes.  A token skipped by everyone keeps its place in the
 text, with no reading time: the predictors score the whole text, so its
 neighbours condition on it, and the analysis then drops it and counts
 it.  A participant with two rows for one token, or participants who
@@ -28,6 +29,9 @@ sequence of independently sampled sentences, then generate reading
 times from an affine model over the token's predictor values plus
 Gaussian noise.  The generating coefficients, noise level, and seed are
 returned as a sidecar record so recovery can be checked downstream.
+``gen`` writes a corpus from its token records and its tokens x
+participants reading times, a chunk of tokens at a time, without the
+per-reading table.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,6 +97,11 @@ class TokenTable:
         cols = {name: col[rows] for name, col in self.columns.items()}
         return TokenTable(cols, self.doc_ids, self.types, self.participants)
 
+    def chunks(self, rows: int) -> Iterator["TokenTable"]:
+        """The table ``rows`` rows at a time."""
+        for start in range(0, len(self), rows):
+            yield self.take(slice(start, start + rows))
+
     def decode(self, name: str) -> list[str]:
         """A code column (``doc``, ``token``, ``participant``) as strings."""
         labels = {"doc": self.doc_ids, "token": self.types, "participant": self.participants}
@@ -122,6 +132,10 @@ MAX_INDEX = int(np.iinfo(np.int64).max)
 MAX_INDEX_DIGITS = 18
 # the longest field the bulk reader converts; longer ones go line by line
 MAX_FIELD_BYTES = 255
+# the reader's label codes, 4 bytes a reading, and the most distinct
+# labels a column may hold in them; aggregation widens them to int64
+READ_CODE = np.int32
+MAX_LABELS = int(np.iinfo(READ_CODE).max)
 # rows ``write_tsv`` formats at once: its strings stay a few MB
 WRITE_CHUNK_ROWS = 8192
 # how ``write_tsv`` spells each kind of number (FIELD_KINDS)
@@ -150,12 +164,14 @@ _DECIMAL_ACCEPT = (5 * 1, 5 * 3, 5 * 6)
 
 
 def read_tsv(
-    file, header: tuple[str, ...], parse_line: Callable[[str], tuple | str], digest=None
-) -> tuple[TokenTable, np.ndarray, list[tuple[int, str]]]:
+    file, header: tuple[str, ...], parse_line: Callable[[str], tuple | str], digest=None,
+    line_numbers: bool = True,
+) -> tuple[TokenTable, np.ndarray | None, list[tuple[int, str]]]:
     """Read a TSV file with a fixed header into a TokenTable.
 
     Returns the table of the well-formed rows in file order, their line
-    numbers, and the (line, reason) pairs of the malformed lines.
+    numbers (None unless ``line_numbers``), and the (line, reason) pairs
+    of the malformed lines.
     ``file`` is a path, or a binary file open for reading (named by its
     ``name``); it is read by ``read_blocks`` (``digest`` goes with it),
     and blank lines are skipped.  A wrong header is reported once the
@@ -171,7 +187,9 @@ def read_tsv(
     ``digits[.digits][(e|E)[+|-]digits]`` that is finite; a flag of 0
     or 1.  ``parse_line`` accepts every plain row with the same values;
     a row it accepts fills its line's slot among the header-width lines.
-    Labels are coded in order of first appearance, doc ids sorted.
+    Labels are coded in order of first appearance, doc ids sorted, as
+    READ_CODE; a column of more than MAX_LABELS distinct labels raises a
+    FormatError.
     """
     # a path is opened and closed here; an open file is left open
     with nullcontext(file) if hasattr(file, "read") else open(file, "rb") as handle:
@@ -198,11 +216,18 @@ def read_tsv(
         del first
         while block is not None:
             n_lines, lines, columns, bad = _read_block(block, kinds, parse_line)
-            row_lines.append(lines + first_line)
+            if line_numbers:
+                row_lines.append(lines + first_line)
             malformed += [(first_line + i, why) for i, why in bad]
             for name, column in zip(header, columns):
                 if name in labels:
                     column = _merge_labels(*column, labels[name])
+                    if len(labels[name]) > MAX_LABELS:
+                        raise FormatError(
+                            f"{handle.name}: column {name!r} holds more than "
+                            f"{MAX_LABELS} distinct labels"
+                        )
+                    column = column.astype(READ_CODE)
                 pieces[name].append(column)
             first_line += n_lines
             block = next(blocks, None)
@@ -213,7 +238,7 @@ def read_tsv(
 
     # doc ids sorted, so ordering by doc code orders by doc_id
     doc_ids = sorted(labels["doc_id"])
-    sorted_code = np.empty(len(doc_ids), dtype=np.int64)
+    sorted_code = np.empty(len(doc_ids), dtype=READ_CODE)
     sorted_code[[labels["doc_id"][d] for d in doc_ids]] = np.arange(len(doc_ids))
     cols = {"doc": sorted_code[column("doc_id")], "token": column("token")}
     cols.update((name, column(name)) for name in header if name not in labels)
@@ -221,7 +246,7 @@ def read_tsv(
     if "participant" in labels:
         cols["participant"], participants = column("participant"), tuple(labels["participant"])
     table = TokenTable(cols, tuple(doc_ids), tuple(labels["token"]), participants)
-    return table, np.concatenate(row_lines), malformed
+    return table, np.concatenate(row_lines) if line_numbers else None, malformed
 
 
 def _read_block(block: bytes, kinds, parse_line):
@@ -410,7 +435,7 @@ def parse_corpus(file, digest=None) -> tuple[TokenTable, list[tuple[int, str]]]:
     Individual bad rows (by ``corpus_row``) are tolerated and reported;
     more than MALFORMED_LIMIT of the data rows being bad rejects the file.
     """
-    rows, _, malformed = read_tsv(file, CORPUS_HEADER, corpus_row, digest)
+    rows, _, malformed = read_tsv(file, CORPUS_HEADER, corpus_row, digest, line_numbers=False)
     path = getattr(file, "name", file)
     n_data_lines = len(rows) + len(malformed)
     if n_data_lines == 0:
@@ -423,12 +448,14 @@ def parse_corpus(file, digest=None) -> tuple[TokenTable, list[tuple[int, str]]]:
     return rows, malformed
 
 
-def write_tsv(table: TokenTable, path, header: tuple[str, ...]) -> str:
-    """Write the table's ``header`` columns as a TSV file that ``read_tsv``
-    reads back, WRITE_CHUNK_ROWS rows at a time; returns its SHA-256.
-    Each column is written by its kind in FIELD_KINDS: a label as its
-    text, an index in decimal digits, a value in its shortest
-    round-tripping form (``repr``) and NaN as ``NA``, a flag as 0 or 1."""
+def write_tsv(table, path, header: tuple[str, ...]) -> str:
+    """Write the ``header`` columns of a TokenTable, or of what a
+    ``SyntheticCorpus`` hands on, as a TSV file that ``read_tsv`` reads
+    back, about WRITE_CHUNK_ROWS rows at a time (``table.chunks``);
+    returns its SHA-256.  Each column is written by its kind in
+    FIELD_KINDS: a label as its text, an index in decimal digits, a
+    value in its shortest round-tripping form (``repr``) and NaN as
+    ``NA``, a flag as 0 or 1."""
 
     def fields(part: TokenTable, name: str) -> list[str]:
         kind = FIELD_KINDS[name]
@@ -444,14 +471,13 @@ def write_tsv(table: TokenTable, path, header: tuple[str, ...]) -> str:
 
     def pieces():
         yield "\t".join(header) + "\n"
-        for start in range(0, len(table), WRITE_CHUNK_ROWS):
-            part = table.take(slice(start, start + WRITE_CHUNK_ROWS))
+        for part in table.chunks(WRITE_CHUNK_ROWS):
             yield "\n".join(map("\t".join, zip(*(fields(part, n) for n in header)))) + "\n"
 
     return write_atomic(path, pieces())
 
 
-def write_corpus_tsv(rows: TokenTable, path) -> str:
+def write_corpus_tsv(rows: "TokenTable | SyntheticCorpus", path) -> str:
     return write_tsv(rows, path, CORPUS_HEADER)
 
 
@@ -468,7 +494,8 @@ def key_order(table: TokenTable) -> np.ndarray | slice:
 def aggregate_participants(rows: TokenTable) -> TokenTable:
     """Mean reading time per token over participants who read it.
 
-    Returns one row per (doc_id, token_idx), in that order.  A token
+    Returns one row per (doc_id, token_idx), in that order, its codes
+    int64 whatever the readings' code dtype.  A token
     skipped by every participant keeps its row with ``rt_ms`` NaN and
     ``n_readers`` 0.  Each participant reads a token at most once, the
     token text and ``sentence_id`` must agree across participants, and
@@ -482,12 +509,11 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (doc[1:] != doc[:-1]) | (idx[1:] != idx[:-1])
     starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
 
     def where(g: int) -> str:
         return f"({rows.doc_ids[doc[starts[g]]]!r}, {int(idx[starts[g]])})"
 
-    token_doc, token_idx = doc[starts], idx[starts]
+    token_doc, token_idx = doc[starts].astype(np.int64), idx[starts]
     gap = np.flatnonzero((token_doc[1:] == token_doc[:-1]) & (token_idx[1:] != token_idx[:-1] + 1))
     if gap.size:
         g = int(gap[0])
@@ -496,42 +522,57 @@ def aggregate_participants(rows: TokenTable) -> TokenTable:
             f"token_idx {int(token_idx[g])} to {int(token_idx[g + 1])}"
         )
 
+    # each reading as (token group, participant) in one integer, sorted:
+    # a repeat is a participant's second row at a token
     n_participants = max(len(rows.participants), 1)
-    pairs = np.sort(group * n_participants + rows["participant"][order])
+    pairs = np.cumsum(first)
+    pairs -= 1
+    pairs *= n_participants
+    pairs += rows["participant"][order]
+    pairs.sort()
     dup = np.flatnonzero(pairs[1:] == pairs[:-1])
     if dup.size:
         g, p = divmod(int(pairs[dup[0]]), n_participants)
         raise FormatError(
             f"participant {rows.participants[p]!r} has more than one row at {where(g)}"
         )
+    del pairs
+    # the first reading that differs from its token's first reading is
+    # the first that differs from the reading before it in its token
     for name, what in (("token", "token text"), ("sentence_id", "sentence_id")):
         values = rows[name][order]
-        bad = np.flatnonzero(values != values[starts][group])
+        bad = np.flatnonzero((values[1:] != values[:-1]) & ~first[1:])
         if bad.size:
-            g = int(group[bad[0]])
-            seen = set(values[group == g].tolist())
+            g = int(np.searchsorted(starts, bad[0] + 1, side="right")) - 1
+            seen = set(values[starts[g]:np.append(starts, len(rows))[g + 1]].tolist())
             shown = sorted(rows.types[c] for c in seen) if name == "token" else sorted(seen)
             raise FormatError(
                 f"{what} disagrees across participants at {where(g)}: {shown!r}"
             )
 
     read = ~rows["skipped"][order]
-    rt_read = rows["rt_ms"][order][read]
-    n_readers = np.bincount(group[read], minlength=starts.size)
+    rt_read = rows["rt_ms"][order]
+    if not read.all():
+        rt_read = rt_read[read]
+    n_readers = np.add.reduceat(read, starts, dtype=np.int64) if starts.size else starts
     offset = np.cumsum(n_readers) - n_readers
     rt_ms = np.full(starts.size, math.nan)
     # np.mean over a bucket of equal-sized groups sums each row like
     # np.mean over that group alone (pairwise from 8 terms on), so the
-    # means keep the bits of a per-token mean over the reads in file order
+    # means keep the bits of a per-token mean over the reads in file
+    # order; a bucket of every token is the reads themselves
     for count in np.flatnonzero(np.bincount(n_readers[n_readers > 0])).tolist():
         groups = np.flatnonzero(n_readers == count)
-        block = rt_read[offset[groups, None] + np.arange(count)]
+        if groups.size == starts.size:
+            block = rt_read.reshape(-1, count)
+        else:
+            block = rt_read[offset[groups, None] + np.arange(count)]
         rt_ms[groups] = np.mean(block, axis=1)
     cols = {
         "doc": token_doc,
         "token_idx": token_idx,
         "sentence_id": rows["sentence_id"][order][starts],
-        "token": rows["token"][order][starts],
+        "token": rows["token"][order][starts].astype(np.int64),
         "rt_ms": rt_ms,
         "n_readers": n_readers,
     }
@@ -600,9 +641,38 @@ def kfold(
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    observations: TokenTable
+    """A generated corpus: its scored tokens, each participant's reading
+    time of each token (tokens x participants), and its sidecar record.
+    The per-reading table is built only where it is read: whole as
+    ``observations``, or ``chunks`` of it as ``write_corpus_tsv`` writes
+    it."""
+
     records: TokenTable  # scored tokens, no reading times joined
+    rt: np.ndarray
+    participants: tuple[str, ...]
     sidecar: dict
+
+    @cached_property
+    def observations(self) -> TokenTable:
+        return self._readings(slice(None))
+
+    def chunks(self, rows: int) -> Iterator[TokenTable]:
+        """The readings, token-major, in tables of whole tokens of about ``rows`` rows."""
+        step = max(rows // len(self.participants), 1)
+        for start in range(0, len(self.records), step):
+            yield self._readings(slice(start, start + step))
+
+    def _readings(self, tokens: slice) -> TokenTable:
+        rt = self.rt[tokens]
+        n = len(self.participants)
+        cols = {
+            name: np.repeat(self.records[name][tokens], n)
+            for name in ("doc", "token_idx", "sentence_id", "token")
+        }
+        cols["participant"] = np.tile(np.arange(n), len(rt))
+        cols["rt_ms"] = rt.ravel()
+        cols["skipped"] = np.zeros(rt.size, dtype=bool)
+        return TokenTable(cols, self.records.doc_ids, self.records.types, self.participants)
 
 
 def sample_documents(
@@ -716,18 +786,6 @@ def generate_synthetic(
             f"({records.doc_ids[records['doc'][row]]!r}, {int(records['token_idx'][row])}); "
             "raise the intercept or lower the noise"
         )
-    cols = {
-        name: np.repeat(records[name], n_participants)
-        for name in ("doc", "token_idx", "sentence_id", "token")
-    }
-    cols["participant"] = np.tile(np.arange(n_participants), len(records))
-    cols["rt_ms"] = rt.ravel()
-    cols["skipped"] = np.zeros(rt.size, dtype=bool)
-    observations = TokenTable(
-        cols,
-        records.doc_ids,
-        records.types,
-        tuple(f"p{p:02d}" for p in range(n_participants)),
-    )
+    participants = tuple(f"p{p:02d}" for p in range(n_participants))
     sidecar = {"true_coeffs": dict(true_coeffs), "noise_sd": noise_sd, "seed": seed}
-    return SyntheticCorpus(observations=observations, records=records, sidecar=sidecar)
+    return SyntheticCorpus(records, rt, participants, sidecar)

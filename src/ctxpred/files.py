@@ -18,11 +18,13 @@ from .errors import FormatError
 
 # bytes of whole lines ``read_blocks`` hands on at once (a longer line is
 # a block of its own).  ``corpus.read_tsv`` converts a block at a time,
-# and a block's arrays take about 5.6 times its bytes.  On a 6.0 MB
+# and a block's arrays take about 6 times its bytes.  On a 6.0 MB
 # corpus (gen 200x250x3, 2-vCPU Xeon, one core) blocks of 128 KiB,
-# 256 KiB, 512 KiB, 1 MiB and 2 MiB parsed in a median 215, 194, 179,
-# 181 and 184 ms at a tracemalloc peak of 10.0, 10.2, 11.5, 13.9 and
-# 19.6 MB: smaller blocks add per-block work, larger ones memory
+# 256 KiB, 512 KiB, 1 MiB and 2 MiB parsed at a tracemalloc peak of
+# 7.0, 7.2, 8.9, 11.8 and 17.6 MB, in medians of 15 parses of 203-211,
+# 182-191, 205-238, 171-176 and 161-167 ms (two runs each): smaller
+# blocks add per-block work, larger ones memory, and from 256 KiB on
+# the times differ less than two runs of one size do
 BLOCK_BYTES = 1 << 19
 
 
@@ -60,7 +62,11 @@ def read_blocks(handle: BinaryIO, digest=None) -> Iterator[bytes]:
         # a "\r" that ends a read may begin a "\r\n": it waits for the next
         chunk = b"\r" + chunk if cr else chunk
         cr = not at_end and chunk.endswith(b"\r")
-        data += (chunk[:-1] if cr else chunk).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if cr:
+            chunk = chunk[:-1]
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data += chunk
         del chunk
         while data:
             end = 0
@@ -72,7 +78,9 @@ def read_blocks(handle: BinaryIO, digest=None) -> Iterator[bytes]:
                 end = len(data)
             block, data = data[:end], data[end:]
             try:
-                block.decode("utf-8")
+                # ASCII is UTF-8: such a block needs no decoded copy
+                if not block.isascii():
+                    block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 at = line + block.count(b"\n", 0, exc.start)
                 raise FormatError(

@@ -23,9 +23,13 @@ observations it:
    model's fit, so a fold holds the terms of one model and those a later
    model still reads (at most 6 of the 12 with the default models),
 6. fits each model in original units on the all-rows triangle, by the
-   same recipe with the map in the sources' units, centred, and runs the
-   reparameterization-identity check on n rows of U's raw columns, apart
-   from the fold machinery.
+   same recipe with the map in the sources' units, centred.
+
+The reparameterization-identity check runs on n rows of U's raw
+columns, apart from the fold machinery, once U is built and before the
+folds' arrays are: the scored table is gone by then, and the fold rows
+do not yet exist.  A refusal it finds is raised after the folds, so a
+fold's refusal still comes first.
 
 Nothing here touches the filesystem; the CLI layer writes the returned
 report.  Test rows never contribute to means, variances,
@@ -55,7 +59,7 @@ from .choices import (
     check_swap_ortho,
 )
 from .corpus import FoldAssignment, TokenTable, aggregate_participants, kfold
-from .errors import ConfigError, DegenerateError, RankDeficiencyError
+from .errors import ConfigError, CtxpredError, DegenerateError, RankDeficiencyError
 from .predictors import PREDICTOR_NAMES, build_predictor_table
 from .regression import (
     INTERCEPT_LABEL,
@@ -130,7 +134,8 @@ _Y = len(_UNION) - 1
 def _usable_rows(aggregated: TokenTable, source) -> tuple[np.ndarray, TokenTable, int, int]:
     """U on the scored rows that enter the fits, column-major, their
     ``doc`` and ``token`` codes, and the counts of the rows dropped as
-    unread and as document-initial (no spillover values)."""
+    unread and as document-initial (no spillover values).  Each scored
+    column is dropped once its rows are in U."""
     records = build_predictor_table(aggregated, source)
     unread = np.isnan(records["rt_ms"])
     initial = np.isnan(records["prev_surprisal"]) & ~unread
@@ -138,7 +143,7 @@ def _usable_rows(aggregated: TokenTable, source) -> tuple[np.ndarray, TokenTable
     u = np.empty((int(np.count_nonzero(keep)), len(_UNION)), order="F")
     u[:, 0] = 1.0
     for j, name in enumerate(_UNION[1:], start=1):
-        np.compress(keep, records[name], out=u[:, j])
+        np.compress(keep, records.columns.pop(name), out=u[:, j])
     codes = {name: records[name][keep] for name in ("doc", "token")}
     n_unread, n_initial = int(np.count_nonzero(unread)), int(np.count_nonzero(initial))
     return u, TokenTable(codes, records.doc_ids, records.types), n_unread, n_initial
@@ -423,6 +428,16 @@ def analyze_tokens(
             f"only {len(rows)} usable rows after dropping document-initial "
             f"tokens; need at least {folds}"
         )
+    # reparameterization identities on the raw, unstandardized columns
+    # (standardization would rescale away the exact coefficient algebra),
+    # checked before the folds' arrays exist; a refusal waits for the
+    # folds, so that theirs come first
+    surp, freq, pmi = (u[:, _UNION.index(name)] for name in ("surprisal", "frequency", "pmi"))
+    try:
+        equivalence, refusal = equivalence_report(u[:, _Y], surp, freq, pmi=pmi), None
+    except CtxpredError as exc:
+        equivalence, refusal = None, exc
+
     doc_ids = rows["doc"] if fold_by == "document" else None
     assignment = kfold(len(rows), folds, seed, doc_ids=doc_ids)
     # the one pass over the rows of U that the linear folds need
@@ -449,11 +464,8 @@ def analyze_tokens(
         for spec, records in zip(specs, model_records)
         for lab in records[0].anchor_corr
     }
-
-    # reparameterization identities on the raw, unstandardized columns
-    # (standardization would rescale away the exact coefficient algebra)
-    surp, freq, pmi = (u[:, _UNION.index(name)] for name in ("surprisal", "frequency", "pmi"))
-    equivalence = equivalence_report(u[:, _Y], surp, freq, pmi=pmi)
+    if refusal is not None:
+        raise refusal
 
     return {
         "n_rows": len(rows),

@@ -86,24 +86,34 @@ class DesignMatrix:
 
     @classmethod
     def build(cls, columns: Mapping[str, np.ndarray]) -> "DesignMatrix":
-        cols = []
-        labels = []
-        n = None
-        for label, values in columns.items():
-            arr = _as_column(values, label)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise AlignmentError(
-                    f"column {label!r} has {arr.size} rows, expected {n}"
-                )
-            labels.append(label)
-            cols.append(arr)
+        cols, n = _checked_columns(columns)
         if n is None:  # intercept-only design
             raise ConfigError("intercept-only designs need an explicit row count")
-        labels.insert(0, INTERCEPT_LABEL)
-        cols.insert(0, np.ones(n))
-        return cls(labels=tuple(labels), matrix=np.column_stack(cols))
+        labels = (INTERCEPT_LABEL, *cols)
+        return cls(labels=labels, matrix=np.column_stack([np.ones(n), *cols.values()]))
+
+
+def _checked_columns(columns: Mapping[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int | None]:
+    """The columns as float arrays, each checked for shape and
+    finiteness and against the first one's length, and that length."""
+    cols, n = {}, None
+    for label, values in columns.items():
+        arr = _as_column(values, label)
+        if n is None:
+            n = arr.size
+        elif arr.size != n:
+            raise AlignmentError(f"column {label!r} has {arr.size} rows, expected {n}")
+        cols[label] = arr
+    return cols, n
+
+
+def _response(y: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """The response of an n-row design, checked, and its sum of squares about its mean."""
+    y = _as_column(y, "response")
+    if y.size != n:
+        raise AlignmentError(f"response has {y.size} rows, design has {n}")
+    centered = y - y.mean()
+    return y, float(centered @ centered)
 
 
 @dataclass(frozen=True)
@@ -120,14 +130,9 @@ class Triangle:
 
     @classmethod
     def factor(cls, design: DesignMatrix, y: np.ndarray) -> "Triangle":
-        y = _as_column(y, "response")
         n = design.matrix.shape[0]
-        if y.size != n:
-            raise AlignmentError(f"response has {y.size} rows, design has {n}")
-        centered = y - y.mean()
-        return cls.of(
-            design.labels, np.column_stack([design.matrix, y]), n, float(centered @ centered)
-        )
+        y, sst = _response(y, n)
+        return cls.of(design.labels, np.column_stack([design.matrix, y]), n, sst)
 
     @classmethod
     def of(cls, labels: tuple[str, ...], rows: np.ndarray, n_obs: int, sst: float) -> "Triangle":
@@ -387,18 +392,33 @@ class IdentityReport:
 
 def _centred_fits(
     designs: Mapping[str, Mapping[str, np.ndarray]], y: np.ndarray
-) -> tuple[dict[str, FitResult], dict[str, np.ndarray]]:
-    """Fit each named design on its raw columns centred, and take its
-    fitted values.  Centring moves only the intercepts, and keeps the
-    condition gate off where a column's zero lies.  One n-row design is
-    alive at a time."""
-    fits, fitted = {}, {}
+) -> tuple[dict[str, FitResult], float]:
+    """Fit each named design on its raw columns centred, and measure how
+    far each later design's fitted values lie from the first's (the
+    largest absolute difference).  Centring moves only the intercepts,
+    and keeps the condition gate off where a column's zero lies.  The
+    columns (raw and centred) and the response are checked as
+    ``DesignMatrix.build`` and ``Triangle.factor`` check them; each
+    design is one n-row buffer ``[1 | centred columns | y]``, alive one
+    at a time, and one fitted column is kept."""
+    fits, spread, first = {}, 0.0, None
     for name, columns in designs.items():
-        design = DesignMatrix.build({k: np.subtract(v, np.mean(v)) for k, v in columns.items()})
-        fits[name] = ols_fit(design, y)
-        fitted[name] = design.matrix @ fits[name].coefficients
-        del design
-    return fits, fitted
+        cols, n = _checked_columns(columns)
+        response, sst = _response(y, n)
+        rows = np.empty((n, len(cols) + 2))
+        rows[:, 0] = 1.0
+        for j, (label, values) in enumerate(cols.items(), start=1):
+            _as_column(np.subtract(values, np.mean(values), out=rows[:, j]), label)
+        rows[:, -1] = response
+        fits[name] = Triangle.of((INTERCEPT_LABEL, *cols), rows, n, sst).fit()
+        fitted = rows[:, :-1] @ fits[name].coefficients
+        del rows
+        if first is None:
+            first = fitted
+        else:
+            np.subtract(first, fitted, out=fitted)
+            spread = max(spread, float(np.max(np.abs(fitted, out=fitted))))
+    return fits, spread
 
 
 def _verified(
@@ -435,14 +455,14 @@ def equivalence_report(
     s = _as_column(surprisal, "surprisal")
     f = _as_column(frequency, "frequency")
     p = f - s if pmi is None else _as_column(pmi, "pmi")
-    fits, fitted = _centred_fits({
+    fits, prediction = _centred_fits({
         "surprisal": {"surprisal": s, "frequency": f, **(extras or {})},
         "pmi": {"pmi": p, "frequency": f, **(extras or {})},
     }, y)
     fit_s, fit_p = fits["surprisal"], fits["pmi"]
     deltas = {
         "r2": abs(fit_s.r2 - fit_p.r2),
-        "prediction": float(np.max(np.abs(fitted["surprisal"] - fitted["pmi"]))),
+        "prediction": prediction,
         "beta_pmi_vs_neg_surprisal": abs(fit_p.coef("pmi") + fit_s.coef("surprisal")),
         "beta_frequency_shift": abs(
             fit_p.coef("frequency") - (fit_s.coef("frequency") + fit_s.coef("surprisal"))

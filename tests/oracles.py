@@ -248,7 +248,7 @@ def table_from_lists(*, doc_id, token, participant=None, **columns):
 def reference_read(path, header, parse_line):
     """``corpus.read_tsv`` as a loop over the lines of the text file,
     every line through ``parse_line``: (table, line numbers, malformed)."""
-    from ctxpred.corpus import FIELD_KINDS
+    from ctxpred.corpus import FIELD_KINDS, READ_CODE
     from ctxpred.errors import FormatError
 
     rows, lines, malformed = [], [], []
@@ -275,6 +275,10 @@ def reference_read(path, header, parse_line):
         kind = FIELD_KINDS[name]
         columns[name] = values if kind == "label" else np.array(values, dtype=dtypes[kind])
     table = table_from_lists(**columns)
+    # the reader keeps its label codes narrow
+    for name in ("doc", "token", "participant"):
+        if name in table.columns:
+            table.columns[name] = table.columns[name].astype(READ_CODE)
     return table, np.array(lines, dtype=np.int64), malformed
 
 

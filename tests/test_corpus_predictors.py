@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -774,6 +775,28 @@ class TestWrittenFilesReadBack:
         write_external_tsv(table, tmp_path / "again.tsv")
         assert _same_bits(parse_external_tsv(tmp_path / "again.tsv"), table)
         assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "first.tsv").read_bytes()
+
+
+def test_gen_writes_the_readings_without_their_table(tmp_path):
+    # each chunk's rows come from the token records and the tokens x
+    # participants reading times; the writer's own peak, about 0.69 of
+    # the per-reading table here, is a few chunks' strings
+    lm = load_lm_tsv(FIXTURES / "mixture.tsv")
+    coeffs = {"intercept": 200.0, "surprisal": 10.0, "frequency": 6.0, "length": 2.0}
+    result = generate_synthetic(lm, coeffs, 10.0, n_docs=120, doc_len=250, seed=4,
+                                n_participants=3)
+    tracemalloc.start()
+    try:
+        write_corpus_tsv(result, tmp_path / "corpus.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "observations" not in vars(result)
+    table = result.observations
+    table_bytes = sum(column.nbytes for column in table.columns.values())
+    assert peak <= 0.83 * table_bytes, peak / table_bytes
+    write_corpus_tsv(table, tmp_path / "table.tsv")
+    assert (tmp_path / "corpus.tsv").read_bytes() == (tmp_path / "table.tsv").read_bytes()
 
 
 class TestExactVariables:

@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxpred import files
+from ctxpred import corpus, files
 from ctxpred.corpus import (
     CORPUS_HEADER,
     FIELD_KINDS,
+    aggregate_participants,
     corpus_row,
     generate_synthetic,
     parse_corpus,
@@ -443,8 +444,9 @@ class TestPeakMemory:
     """The reader holds the columns it keeps and one block, never the
     file's bytes: at most 4 times the file's bytes, where converting the
     whole file at once took about 7.5 times, and in fact at most 2.5
-    times (about 2.2 on this 3.6 MB file, where holding the file's
-    bytes took 3.3).  No decoded copy of the file is held either."""
+    times, and with 4-byte label codes at most 2.15 (about 1.8 on this
+    3.6 MB file, where holding the file's bytes took 3.3).  No decoded
+    copy of the file is held either."""
 
     @pytest.fixture(scope="class")
     def corpus_file(self, tmp_path_factory):
@@ -484,3 +486,31 @@ class TestPeakMemory:
                                                         final_newline):
         ratio = self.parse_peak(corpus_file, tmp_path / "corpus.tsv", final_newline)
         assert ratio <= 2.5, ratio
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_peak_with_four_byte_reading_codes(self, corpus_file, tmp_path, final_newline):
+        # about 1.79 times this file; 8-byte label codes took 2.2
+        ratio = self.parse_peak(corpus_file, tmp_path / "corpus.tsv", final_newline)
+        assert ratio <= 2.15, ratio
+
+    def test_reading_codes_are_four_bytes_until_aggregated(self, corpus_file):
+        rows, _ = parse_corpus(corpus_file)
+        codes = ("doc", "token", "participant")
+        assert [rows[name].dtype for name in codes] == [np.dtype(np.int32)] * 3
+        tokens = aggregate_participants(rows)
+        assert [tokens[name].dtype for name in ("doc", "token")] == [np.dtype(np.int64)] * 2
+
+
+@pytest.mark.parametrize("participants, refused", [(2, False), (3, True)])
+def test_more_labels_than_the_codes_hold_are_refused(tmp_path, monkeypatch, participants,
+                                                     refused):
+    # with 2**31 - 1 labels at most, a column's codes never wrap in int32
+    monkeypatch.setattr(corpus, "MAX_LABELS", 2)
+    path = tmp_path / "c.tsv"
+    rows = [f"p{p}\td0\t0\t0\ta\t200.0\t0" for p in range(participants)]
+    path.write_text("\t".join(CORPUS_HEADER) + "\n" + "\n".join(rows) + "\n")
+    if refused:
+        with pytest.raises(FormatError, match="column 'participant' holds more than 2 distinct"):
+            parse_corpus(path)
+    else:
+        assert len(parse_corpus(path)[0].participants) == participants

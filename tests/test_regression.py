@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,6 +350,22 @@ class TestEquivalence:
             assert shifted.fits["surprisal"].coef(label) == pytest.approx(
                 base.fits["surprisal"].coef(label), rel=1e-9
             )
+
+    def test_holds_few_n_row_columns(self):
+        # each design is one [1 | centred columns | y] buffer, which the QR
+        # copies, and one fitted column is kept: about 9 n-row columns at
+        # the peak, where separate centred columns, designs and fitted
+        # values held 13
+        n = 100_000
+        s, f, _, y = self.make_columns(np.random.default_rng(24), n)
+        pmi = f - s
+        tracemalloc.start()
+        try:
+            equivalence_report(y, s, f, pmi=pmi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.8 * 8 * n, peak / (8 * n)
 
     def test_standardized_columns_break_the_identity(self):
         # documents why the check must run on raw columns: rescaling
